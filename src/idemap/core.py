@@ -105,6 +105,42 @@ def pair(x, f):
     return np.dot(xv, fv)
 
 
+def _row_dots(x, f):
+    """Row-wise ``np.dot(x[k], f[k])`` of two stacks of vectors.
+
+    A stacked ``matmul`` of ``1 x n`` by ``n x 1`` calls the same BLAS dot
+    kernel per row as ``np.dot`` does, so each value is bit-identical to
+    the per-vector call (``einsum`` sums in another order).
+    """
+    return np.matmul(x[:, None, :], f[:, :, None])[:, 0, 0]
+
+
+def _row_norms(x):
+    """Row-wise ``np.linalg.norm(x[k])``, bit-identical to the per-vector
+    call, which takes the square root of ``dot`` over real and imaginary
+    parts."""
+    if np.iscomplexobj(x):
+        return np.sqrt(_row_dots(x.real, x.real) + _row_dots(x.imag, x.imag))
+    return np.sqrt(_row_dots(x, x))
+
+
+def _row_matvec(a, x):
+    """Row-wise ``a @ x[k]``: a stacked ``matmul`` makes the same BLAS
+    matrix-vector call per row, so each row is bit-identical to the
+    per-vector product (``x @ a.T`` is one matrix product that rounds
+    differently)."""
+    return np.matmul(a, x[:, :, None])[:, :, 0]
+
+
+def _row_abs(values):
+    """Entrywise ``abs`` as Python's ``abs`` computes it on one numpy
+    scalar (``hypot`` for complex values; ``np.abs`` on a complex array
+    rounds differently)."""
+    if np.iscomplexobj(values):
+        return np.hypot(values.real, values.imag)
+    return np.abs(values)
+
+
 def tensor(x, f):
     """Rank-(<=1) operator ``z -> pair(z, f) * x`` as a dense matrix.
 

@@ -19,6 +19,9 @@ from .core import (
     _as_matrix,
     _as_vector,
     _frozen,
+    _row_abs,
+    _row_dots,
+    _row_norms,
     complement_within,
     field_of,
     kernel_and_range,
@@ -60,6 +63,14 @@ class RankOneIdempotent:
             raise NotIdempotent(f"pairing is {p!r}, expected 1")
         self._x = _frozen(xv)
         self._f = _frozen(fv)
+
+    @classmethod
+    def _from_checked_row(cls, x, f):
+        """Wrap one row pair that :func:`_checked_rows` has validated."""
+        p = object.__new__(cls)
+        p._x = _frozen(x)
+        p._f = _frozen(f)
+        return p
 
     @property
     def x(self):
@@ -155,6 +166,30 @@ def rank_one_from_pair(x, f) -> RankOneIdempotent:
     if abs(p) <= 1e-10 * np.linalg.norm(xv) * np.linalg.norm(fv):
         raise DegeneratePair(f"pairing {p!r} too close to zero")
     return RankOneIdempotent(xv / p, fv)
+
+
+def _checked_rows(x, f):
+    """Row-wise :class:`RankOneIdempotent` validation of stacked pairs
+    ``(x[k], f[k])``: finite entries and pairing 1.  Returns the rows."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
+        raise ValueError("rank-one rows have non-finite entries")
+    p = _row_dots(x, f)
+    bad = np.abs(p - 1.0) > PAIRING_TOL * (1.0 + _row_norms(x) * _row_norms(f))
+    if bad.any():
+        raise NotIdempotent(f"pairing is {p[np.argmax(bad)]!r}, expected 1")
+    return x, f
+
+
+def _normalized_rows(x, f):
+    """Row-wise :func:`rank_one_from_pair`: the rows ``x[k] / pair(x[k],
+    f[k])`` and ``f[k]``, with the same checks and bit-identical values."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
+        raise ValueError("rank-one rows have non-finite entries")
+    p = _row_dots(x, f)
+    degenerate = _row_abs(p) <= 1e-10 * _row_norms(x) * _row_norms(f)
+    if degenerate.any():
+        raise DegeneratePair(f"pairing {p[np.argmax(degenerate)]!r} too close to zero")
+    return _checked_rows(x / p[:, None], f)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ case) or ``(Ux, Uy) = d (y, x)_{eta*}`` (conjugate-linear case).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Callable
@@ -28,12 +29,23 @@ from .core import (
     _as_matrix,
     _as_vector,
     _frozen,
+    _row_abs,
+    _row_dots,
+    _row_matvec,
+    _row_norms,
     field_of,
     kernel_and_range,
 )
 from .errors import DimensionMismatch
-from .sampling import random_matrix, random_vector
-from .transform import RayPair, ReconstructionResult, from_ray_pair, reconstruct
+from .sampling import _VectorStream, random_matrix, random_vector
+from .transform import (
+    RayPair,
+    ReconstructionResult,
+    _sample_blocks,
+    _violating,
+    from_ray_pair,
+    reconstruct,
+)
 
 
 class IndefiniteSpace:
@@ -105,20 +117,65 @@ def rays_equal(r1: Ray, r2: Ray, tol=1e-10) -> bool:
 
 @dataclass(frozen=True)
 class RayMap:
-    """Total map on rays; evaluation must never return a zero ray."""
+    """Total map on rays; evaluation must never return a zero ray.
+
+    Maps from :func:`induced_ray_map` also carry a native row evaluator,
+    which :func:`is_symmetry` uses to map a whole block of rays at once.
+    """
 
     eval: Callable[[Ray], Ray]
+    # Not an ``__init__`` argument, so ``dataclasses.replace`` with a new
+    # ``eval`` drops it instead of keeping a stale native evaluator.
+    _rows: Callable | None = dataclasses.field(default=None, init=False,
+                                               repr=False, compare=False)
+
+
+def _ray_rows(v):
+    """Row-wise :class:`Ray` validation: finite, nonzero representatives."""
+    if not np.all(np.isfinite(v)):
+        raise ValueError("representative has non-finite entries")
+    if np.any(_row_norms(v) == 0):
+        raise ValueError("a ray needs a nonzero representative")
+    return v
 
 
 def induced_ray_map(u: SemilinearOperator) -> RayMap:
-    return RayMap(lambda ray: Ray(u(ray.representative)))
+    matrix, auto = u.matrix, u.auto
+
+    def rows(x):
+        if x.shape[1] != u.n:
+            raise DimensionMismatch(
+                f"operator of dimension {u.n} applied to vectors of "
+                f"dimension {x.shape[1]}"
+            )
+        return _ray_rows(_row_matvec(matrix, auto.apply(x)))
+
+    t = RayMap(lambda ray: Ray(u(ray.representative)))
+    object.__setattr__(t, "_rows", rows)
+    return t
 
 
 def apply_ray_map(t: RayMap, x):
-    out = t.eval(Ray(x))
+    ray = Ray(x)
+    out = t.eval(ray)
     if not isinstance(out, Ray):
         raise TypeError("ray map returned a non-ray object")
+    if out.n != ray.n:
+        raise DimensionMismatch(f"ray map changed the dimension from {ray.n} to {out.n}")
     return out.representative
+
+
+def _map_rays(t: RayMap, x):
+    """Representatives of the images of the rays ``x[k]``: natively when
+    the map has a row evaluator, otherwise one :func:`apply_ray_map` call
+    per ray, in row order."""
+    if t._rows is None:
+        return np.array([apply_ray_map(t, xk) for xk in x])
+    out = t._rows(x)
+    if out.shape != x.shape:
+        raise DimensionMismatch(
+            f"ray map changed the dimension from {x.shape[1]} to {out.shape[-1]}")
+    return out
 
 
 def eta_product(space: IndefiniteSpace, x, y):
@@ -130,10 +187,12 @@ def eta_product(space: IndefiniteSpace, x, y):
     return np.vdot(yv, space.eta @ xv)
 
 
-def _orthogonality_margin(space: IndefiniteSpace, x, y) -> float:
-    w = space.eta @ np.asarray(x)
-    val = np.vdot(np.asarray(y), w)
-    return float(abs(val) / (np.linalg.norm(w) * np.linalg.norm(y)))
+def _orthogonality_margins(eta, x, y):
+    """``|<eta x, y>| / (||eta x|| ||y||)`` row-wise for stacked ``x``, ``y``,
+    bit-identical to evaluating it one pair at a time with ``eta @ x``,
+    ``np.vdot`` and ``np.linalg.norm``."""
+    w = _row_matvec(eta, x)
+    return _row_abs(_row_dots(y.conj(), w)) / (_row_norms(w) * _row_norms(y))
 
 
 def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray, tol=1e-8) -> bool:
@@ -142,7 +201,9 @@ def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray, tol=1e-8) -> bo
     Homogeneous in both representatives, so the choice within each ray is
     irrelevant.
     """
-    return _orthogonality_margin(space, rx.representative, ry.representative) <= tol
+    margin = _orthogonality_margins(space.eta, rx.representative[None],
+                                    ry.representative[None])
+    return bool(margin[0] <= tol)
 
 
 def eta_orthogonal_partner(space: IndefiniteSpace, x, rng, tries=100):
@@ -175,6 +236,37 @@ class SymmetryReport:
         return not self.violations
 
 
+def _draw_ray_pairs(stream: _VectorStream, space: IndefiniteSpace, crafted, plain):
+    """Rows of ``crafted`` eta-orthogonal pairs and then ``plain`` random
+    pairs, ``x`` and ``y`` interleaved: bit-for-bit the pairs that
+    :func:`random_vector` and :func:`eta_orthogonal_partner` would draw
+    from the same stream.  A partner that degenerates, which would make
+    the helper draw again, is drawn by the helpers themselves."""
+    rows = []
+    while crafted:
+        v = stream.peek(2 * crafted)
+        x, y0 = v[0::2], v[1::2]
+        w = _row_matvec(space.eta, x)
+        wc = w.conj()
+        y = y0 - (_row_dots(wc, y0) / _row_dots(wc, w))[:, None] * w
+        kept = _row_norms(y) > 1e-8 * _row_norms(y0)
+        k = crafted if kept.all() else int(np.argmin(kept))
+        if k:
+            stream.skip(2 * k)
+            out = v[:2 * k].copy()
+            out[1::2] = y[:k]
+        else:
+            x1 = random_vector(stream, space.n, space.field)
+            out = np.array([x1, eta_orthogonal_partner(space, x1, stream)])
+            k = 1
+        rows.append(out)
+        crafted -= k
+    if plain:
+        rows.append(stream.peek(2 * plain))
+        stream.skip(2 * plain)
+    return np.concatenate(rows)
+
+
 def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0,
                 tol=1e-8) -> SymmetryReport:
     """Check the biconditional ``T x ._eta T y = 0  iff  x ._eta y = 0``.
@@ -183,22 +275,24 @@ def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0,
     A pair is reported only when the margins disagree decisively (one
     side at most ``tol``, the other at least ``100 * tol``); violations
     are data about the map, not an error.
+
+    Pairs are drawn, mapped and judged in blocks of
+    :data:`~idemap.transform.SAMPLE_BLOCK`.  The same seed gives
+    bit-for-bit the pairs that drawing them one at a time with
+    :func:`random_vector` and :func:`eta_orthogonal_partner` gives.  Maps
+    from :func:`induced_ray_map` are evaluated natively; any other ray
+    map is called once per sampled ray.  A negative ``sample_count``
+    raises ``ValueError``; zero gives a vacuous report.
     """
-    rng = np.random.default_rng(seed)
-    crafted = sample_count // 2
     violations = []
-    for i in range(sample_count):
-        x = random_vector(rng, space.n, space.field)
-        if i < crafted:
-            y = eta_orthogonal_partner(space, x, rng)
-        else:
-            y = random_vector(rng, space.n, space.field)
-        tx = apply_ray_map(t, x)
-        ty = apply_ray_map(t, y)
-        pre = _orthogonality_margin(space, x, y)
-        post = _orthogonality_margin(space, tx, ty)
-        if (pre <= tol and post >= 100 * tol) or (post <= tol and pre >= 100 * tol):
-            violations.append(SymmetryViolation(x, y, pre, post))
+    for stream, crafted, plain in _sample_blocks(sample_count, seed, space.n, space.field):
+        v = _draw_ray_pairs(stream, space, crafted, plain)
+        images = _map_rays(t, v)
+        pre = _orthogonality_margins(space.eta, v[0::2], v[1::2])
+        post = _orthogonality_margins(space.eta, images[0::2], images[1::2])
+        for k in _violating(pre, post, tol):
+            violations.append(SymmetryViolation(v[2 * k].copy(), v[2 * k + 1].copy(),
+                                                float(pre[k]), float(post[k])))
     return SymmetryReport(tuple(violations), sample_count)
 
 

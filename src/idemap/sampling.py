@@ -12,6 +12,13 @@ from .core import AutomorphismTag, ScalarField, SemilinearOperator
 from .idempotents import FiniteRankIdempotent, RankOneIdempotent, rank_one_from_pair
 
 
+#: Smallest ``|pair(x, f)| / (||x|| ||f||)`` accepted for a random pair.
+MIN_COSINE = 0.05
+
+#: Attempts a rank-one draw (or a zero-product partner) gets before failing.
+DRAW_TRIES = 200
+
+
 def random_vector(rng, n, field: ScalarField):
     if field is ScalarField.COMPLEX:
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -42,7 +49,8 @@ def random_semilinear(rng, n, field: ScalarField, auto=None) -> SemilinearOperat
     return SemilinearOperator(random_invertible(rng, n, field), auto)
 
 
-def random_rank_one(rng, n, field: ScalarField, min_cosine=0.05, tries=200) -> RankOneIdempotent:
+def random_rank_one(rng, n, field: ScalarField, min_cosine=MIN_COSINE,
+                    tries=DRAW_TRIES) -> RankOneIdempotent:
     """Random normalized rank-one idempotent with a non-degenerate pairing."""
     for _ in range(tries):
         x = random_vector(rng, n, field)
@@ -78,3 +86,51 @@ def remix_decomposition(rng, pieces) -> list[RankOneIdempotent]:
     u2 = u @ c
     g2 = np.linalg.solve(c, g)
     return [RankOneIdempotent(u2[:, i], g2[i, :]) for i in range(r)]
+
+
+class _VectorStream:
+    """Look-ahead reader of the :func:`random_vector` draws of a generator.
+
+    numpy's normal stream does not depend on how the draws are split into
+    calls, so row ``k`` of :meth:`peek` is bit-for-bit the ``k``-th
+    vector that ``random_vector(rng, n, field)`` would return next.  The
+    batch samplers peek at a window, decide what the per-pair helpers
+    would have accepted, and :meth:`skip` exactly what those helpers
+    would have consumed.  :meth:`standard_normal` lets the helpers
+    themselves read from the same position.
+    """
+
+    def __init__(self, rng, n, field: ScalarField):
+        self._rng = rng
+        self._n = n
+        self._complex = field is ScalarField.COMPLEX
+        self._width = 2 * n if self._complex else n
+        self._buf = np.empty(0)
+        self._pos = 0
+
+    def _fill(self, size):
+        have = self._buf.size - self._pos
+        if have < size:
+            fresh = self._rng.standard_normal(size - have)
+            self._buf = np.concatenate([self._buf[self._pos:], fresh]) if have else fresh
+            self._pos = 0
+        return self._buf[self._pos:self._pos + size]
+
+    def peek(self, count):
+        """The next ``count`` vectors as rows, without consuming them."""
+        values = self._fill(count * self._width).reshape(count, self._width)
+        if not self._complex:
+            return values
+        # Same values as ``re + 1j * im``, without its complex temporary.
+        rows = np.empty((count, self._n), dtype=np.complex128)
+        rows.real = values[:, :self._n]
+        rows.imag = values[:, self._n:]
+        return rows
+
+    def skip(self, count):
+        self._pos += count * self._width
+
+    def standard_normal(self, size):
+        out = self._fill(size).copy()
+        self._pos += size
+        return out

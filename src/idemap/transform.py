@@ -21,6 +21,10 @@ from .core import (
     ScalarField,
     SemilinearOperator,
     _as_vector,
+    _row_abs,
+    _row_dots,
+    _row_matvec,
+    _row_norms,
     pair,
 )
 from .errors import (
@@ -36,17 +40,23 @@ from .errors import (
 from .idempotents import (
     FiniteRankIdempotent,
     RankOneIdempotent,
+    _checked_rows,
+    _normalized_rows,
     as_finite_rank,
     decompose,
     rank_one_from_pair,
 )
-from .sampling import random_rank_one, random_vector
+from .sampling import DRAW_TRIES, MIN_COSINE, _VectorStream, random_rank_one, random_vector
 
 #: Match tolerance for the trace probe deciding the ring automorphism.
 AUTOMORPHISM_TOL = 1e-6
 
 #: Validation residual above which a probed map is declared not induced.
 NOT_INDUCED_TOL = 1e-6
+
+#: Pairs the samplers draw, evaluate and judge together; every per-call
+#: temporary array is of this size, whatever the sample count.
+SAMPLE_BLOCK = 16
 
 
 class TransformHandle:
@@ -55,13 +65,18 @@ class TransformHandle:
     The wrapped callable must return a :class:`RankOneIdempotent` of the
     same dimension; this is checked lazily on every call.  Evaluation is
     pure, so concurrent calls are safe.
+
+    Handles built from an operator (:func:`induce`, :func:`identity_handle`,
+    :func:`transpose_handle`) also carry a native row evaluator, which the
+    samplers use to map a whole block of idempotents at once.
     """
 
     def __init__(self, eval_fn: Callable[[RankOneIdempotent], RankOneIdempotent],
-                 n: int, field: ScalarField):
+                 n: int, field: ScalarField, *, _rows=None):
         if n < 3:
             raise ValueError("transforms are only supported for dimension >= 3")
         self._eval = eval_fn
+        self._rows = _rows
         self._n = n
         self._field = field
 
@@ -84,6 +99,18 @@ class TransformHandle:
         if out.n != self._n:
             raise DimensionMismatch("transform changed the dimension")
         return out
+
+    def _map_rows(self, x, f):
+        """Images of the idempotents ``(x[k], f[k])`` as normalized rows.
+
+        Natively when the handle has a row evaluator; otherwise one call
+        per idempotent, in row order, through :meth:`__call__` and its
+        checks.  The rows must have passed :func:`_checked_rows`.
+        """
+        if self._rows is not None:
+            return self._rows(x, f)
+        images = [self(RankOneIdempotent._from_checked_row(xk, fk)) for xk, fk in zip(x, f)]
+        return np.array([p.x for p in images]), np.array([p.f for p in images])
 
 
 @dataclass(frozen=True)
@@ -139,28 +166,26 @@ def induce(a: SemilinearOperator) -> TransformHandle:
         f = dual @ auto.apply(p.f)
         return rank_one_from_pair(x, f)
 
-    return TransformHandle(eval_fn, a.n, a.field)
+    def rows(x, f):
+        return _normalized_rows(_row_matvec(matrix, auto.apply(x)),
+                                _row_matvec(dual, auto.apply(f)))
+
+    return TransformHandle(eval_fn, a.n, a.field, _rows=rows)
 
 
 def identity_handle(n, field: ScalarField) -> TransformHandle:
-    return TransformHandle(lambda p: p, n, field)
+    return TransformHandle(lambda p: p, n, field, _rows=lambda x, f: (x, f))
 
 
 def transpose_handle(n, field: ScalarField) -> TransformHandle:
     """The map ``P -> P^T``; it reverses products instead of preserving
     them, so it must fail :func:`check_preservation`."""
-    return TransformHandle(lambda p: RankOneIdempotent(p.f, p.x), n, field)
-
-
-def _product_margin(p: RankOneIdempotent, q: RankOneIdempotent) -> float:
-    pm = p.matrix
-    qm = q.matrix
-    denom = np.linalg.norm(pm) * np.linalg.norm(qm)
-    return float(np.linalg.norm(pm @ qm) / denom)
+    return TransformHandle(lambda p: RankOneIdempotent(p.f, p.x), n, field,
+                           _rows=lambda x, f: _checked_rows(f, x))
 
 
 def zero_product_partner(rng, p: RankOneIdempotent, field: ScalarField,
-                         tries=200) -> RankOneIdempotent:
+                         tries=DRAW_TRIES) -> RankOneIdempotent:
     """Random ``Q = (y, g)`` with ``P @ Q = 0``, i.e. ``pair(y, p.f) = 0``."""
     n = p.n
     for _ in range(tries):
@@ -170,9 +195,141 @@ def zero_product_partner(rng, p: RankOneIdempotent, field: ScalarField,
         if ny <= 1e-8 * np.linalg.norm(y0):
             continue
         g = random_vector(rng, n, field)
-        if abs(np.dot(y, g)) >= 0.05 * ny * np.linalg.norm(g):
+        if abs(np.dot(y, g)) >= MIN_COSINE * ny * np.linalg.norm(g):
             return rank_one_from_pair(y, g)
     raise RuntimeError("could not craft a zero-product partner")
+
+
+def _sample_blocks(sample_count, seed, n, field: ScalarField):
+    """Block loop shared by the two samplers.
+
+    Yields ``(stream, crafted, plain)`` per block of at most
+    ``SAMPLE_BLOCK`` pairs: the look-ahead stream of the seeded
+    generator, then how many of the block's pairs fall in the crafted
+    first half of the sample and how many in the random second half.
+    """
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
+    stream = _VectorStream(np.random.default_rng(seed), n, field)
+    crafted = sample_count // 2
+    for start in range(0, sample_count, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, sample_count)
+        head = min(max(crafted - start, 0), stop - start)
+        yield stream, head, stop - start - head
+
+
+def _violating(pre, post, tol):
+    """Indices where the biconditional fails decisively: one side's
+    margin is at most ``tol`` while the other's is at least ``100 * tol``."""
+    return np.flatnonzero(((pre <= tol) & (post >= 100 * tol))
+                          | ((post <= tol) & (pre >= 100 * tol)))
+
+
+def _product_margins(f, y):
+    """``||P Q|| / (||P|| ||Q||)`` for ``P = x (x) f`` and ``Q = y (x) g``,
+    row-wise.  ``P Q = pair(y, f) x (x) g``, so the Frobenius norms reduce
+    it to ``|pair(y, f)| / (||f|| ||y||)``."""
+    return np.abs(_row_dots(y, f)) / (_row_norms(f) * _row_norms(y))
+
+
+def _partner_attempts(u, w, nu, nw, dots, accept):
+    """Settle ``zero_product_partner`` for every accepted record of a window.
+
+    Record ``a`` holds the attempt ``(x, f) = (u[a], w[a])``; if it is
+    accepted, the records after it are partner attempts ``(y0, g)``
+    against ``P = (x / pair(x, f), f)``.  Attempt ``a + t`` is decided for
+    all candidates ``a`` still open, round ``t`` by round ``t``.  Returns
+    the record of each candidate's accepted partner (-1 where the window
+    cannot settle it: it ends first, ``y`` degenerates, which
+    consumes a single vector and breaks the record alignment, or the
+    tries run out) and the partner's unnormalized ``y`` at row ``a``.
+    """
+    records = u.shape[0]
+    cand = np.flatnonzero(accept)
+    px = u[cand] / dots[cand, None]
+    partner = np.full(records, -1)
+    y_at = np.empty_like(u)
+    open_ = np.arange(cand.size)
+    for t in range(1, DRAW_TRIES + 1):
+        open_ = open_[cand[open_] + t < records]
+        if not open_.size:
+            break
+        a = cand[open_]
+        j = a + t
+        y0 = u[j]
+        y = y0 - _row_dots(y0, w[a])[:, None] * px[open_]
+        ny = _row_norms(y)
+        live = ~(ny <= 1e-8 * nu[j])
+        done = live & (_row_abs(_row_dots(y, w[j])) >= MIN_COSINE * ny * nw[j])
+        partner[a[done]] = j[done]
+        y_at[a[done]] = y[done]
+        open_ = open_[live & ~done]
+    return partner, y_at
+
+
+def _settle_pairs(stream: _VectorStream, count, crafted):
+    """Up to ``count`` pairs ``(P, Q)`` settled by one look-ahead window.
+
+    The window holds draw records of two vectors each.  A record is an
+    attempt of :func:`random_rank_one`; whether it is accepted depends on
+    the record alone, so that is decided for the whole window at once.
+    ``Q`` is the next accepted record (``crafted`` false) or the
+    :func:`zero_product_partner` of ``P``.  Pairs are read off in stream
+    order until one cannot be settled from the window.  Returns the rows
+    ``(x, f)`` with ``P`` and ``Q`` of each pair interleaved, normalized
+    as :func:`rank_one_from_pair` does, and the number of vectors used.
+    """
+    records = 2 * count + 8
+    v = stream.peek(2 * records)
+    u, w = v[0::2], v[1::2]
+    nu, nw, dots = _row_norms(u), _row_norms(w), _row_dots(u, w)
+    accept = _row_abs(dots) >= MIN_COSINE * nu * nw
+    index = np.arange(records)
+    # First accepted record at or after each record (``records`` if none).
+    following = np.minimum.accumulate(np.where(accept, index, records)[::-1])[::-1]
+    if crafted:
+        partner, y_at = _partner_attempts(u, w, nu, nw, dots, accept)
+    else:
+        after = np.append(following[1:], records)
+        partner = np.where((after < records) & (after - index <= DRAW_TRIES), after, -1)
+    following_l, partner_l = following.tolist(), partner.tolist()
+    chosen = []
+    start = 0
+    while len(chosen) < count and start < records:
+        a = following_l[start]
+        if a == records or a - start >= DRAW_TRIES or partner_l[a] < 0:
+            break
+        chosen.append(a)
+        start = partner_l[a] + 1
+    a = np.array(chosen, dtype=int)
+    b = partner[a]
+    n = u.shape[1]
+    x = np.stack((u[a], y_at[a] if crafted else u[b]), axis=1).reshape(-1, n)
+    f = np.stack((w[a], w[b]), axis=1).reshape(-1, n)
+    return _normalized_rows(x, f), 2 * start
+
+
+def _draw_idempotent_pairs(stream: _VectorStream, n, field, crafted, plain):
+    """Rows ``(x, f)`` of ``crafted`` zero-product pairs and then ``plain``
+    random pairs, ``P`` and ``Q`` interleaved: bit-for-bit the pairs that
+    :func:`random_rank_one` and :func:`zero_product_partner` would draw
+    from the same stream.  A pair no window can settle is drawn by those
+    helpers themselves."""
+    xs, fs = [], []
+    for count, is_crafted in ((crafted, True), (plain, False)):
+        while count:
+            (x, f), used = _settle_pairs(stream, count, is_crafted)
+            if used:
+                stream.skip(used)
+            else:
+                p = random_rank_one(stream, n, field)
+                q = zero_product_partner(stream, p, field) if is_crafted \
+                    else random_rank_one(stream, n, field)
+                x, f = np.array([p.x, q.x]), np.array([p.f, q.f])
+            xs.append(x)
+            fs.append(f)
+            count -= x.shape[0] // 2
+    return np.concatenate(xs), np.concatenate(fs)
 
 
 def check_preservation(phi: TransformHandle, sample_count=500, seed=0,
@@ -185,21 +342,26 @@ def check_preservation(phi: TransformHandle, sample_count=500, seed=0,
     margin: one side's normalized product norm is at most ``tol`` while
     the other side's is at least ``100 * tol``.  A nonempty violation
     list is data about the map, not an error.
+
+    Pairs are drawn, mapped and judged in blocks of ``SAMPLE_BLOCK``.
+    The same seed gives bit-for-bit the pairs that drawing them one at a
+    time with :func:`random_rank_one` and :func:`zero_product_partner`
+    gives.  Handles from :func:`induce`, :func:`identity_handle` and
+    :func:`transpose_handle` map a block natively; any other handle is
+    called once per sampled idempotent.  A negative ``sample_count``
+    raises ``ValueError``; zero gives a vacuous report.
     """
-    rng = np.random.default_rng(seed)
     n, field = phi.n, phi.field
-    crafted = sample_count // 2
     violations = []
-    for i in range(sample_count):
-        p = random_rank_one(rng, n, field)
-        if i < crafted:
-            q = zero_product_partner(rng, p, field)
-        else:
-            q = random_rank_one(rng, n, field)
-        pre = _product_margin(p, q)
-        post = _product_margin(phi(p), phi(q))
-        if (pre <= tol and post >= 100 * tol) or (post <= tol and pre >= 100 * tol):
-            violations.append(PreservationViolation(p, q, pre, post))
+    for stream, crafted, plain in _sample_blocks(sample_count, seed, n, field):
+        x, f = _draw_idempotent_pairs(stream, n, field, crafted, plain)
+        ix, jf = phi._map_rows(x, f)
+        pre = _product_margins(f[0::2], x[1::2])
+        post = _product_margins(jf[0::2], ix[1::2])
+        for k in _violating(pre, post, tol):
+            p = RankOneIdempotent._from_checked_row(x[2 * k], f[2 * k])
+            q = RankOneIdempotent._from_checked_row(x[2 * k + 1], f[2 * k + 1])
+            violations.append(PreservationViolation(p, q, float(pre[k]), float(post[k])))
     return PreservationReport(tuple(violations), sample_count)
 
 

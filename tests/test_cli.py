@@ -203,6 +203,16 @@ class TestSymmetryCommand:
                          self._payload(np.diag([1.0, 1.0, -1.0]), u, "recover"))
         assert main(["symmetry", "--in", inp, "--samples", "15"]) == 2
 
+    def test_negative_samples_exits_1(self, tmp_path):
+        inp = write_json(
+            tmp_path / "id.json",
+            self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "characterize"),
+        )
+        out = tmp_path / "rep.json"
+        assert main(["symmetry", "--mode", "characterize", "--in", inp,
+                     "--out", str(out), "--samples", "-3"]) == 1
+        assert not out.exists()
+
     def test_singular_eta_exits_1(self, tmp_path):
         payload = {"eta": matrix_to_json(np.diag([1.0, 1.0, 0.0])),
                    "mode": "characterize",
