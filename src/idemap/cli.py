@@ -247,6 +247,8 @@ def cmd_selftest(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name}: {r.detail} ({r.cases} cases)")
+        for reason in r.failures:
+            print(f"    {reason}")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} suites passed")
     if args.out:
@@ -257,7 +259,7 @@ def cmd_selftest(args) -> int:
                        "samples": args.samples, "tol": args.tol},
             "suites": [
                 {"name": r.name, "passed": r.passed, "cases": r.cases,
-                 "detail": r.detail}
+                 "detail": r.detail, "failures": list(r.failures)}
                 for r in results
             ],
         }

@@ -319,17 +319,6 @@ class SemilinearOperator:
             )
         return self._matrix @ self._auto.apply(xv)
 
-    def apply(self, x):
-        return self(x)
-
-    def apply_functional(self, f):
-        """Action of this operator on functional coordinates.
-
-        Meaningful for operators produced by :meth:`adjoint`, which act on
-        the dual side; the formula is the same ``f -> matrix @ h(f)``.
-        """
-        return self(f)
-
     def adjoint(self) -> "SemilinearOperator":
         """Dual-side operator ``A'`` with ``pair(A(x), f) = h(pair(x, A'(f)))``.
 

@@ -1,13 +1,38 @@
-"""Built-in verification suites run by ``idemap selftest``.
+"""The eight verification criteria, run by ``idemap selftest`` and by the
+acceptance tests.
 
-Each suite exercises one headline property at a reduced, configurable
-budget over dimensions 3..6 and both scalar fields.  ``tol_scale``
-multiplies every pass threshold (1.0 reproduces the documented
-tolerances); a budget of 0 makes every suite pass vacuously.
+Each suite checks one headline property over dimensions 3..8 (the
+symmetry suites over 3..6) and both scalar fields.  The budget scales
+only the case counts; the per-case checks and thresholds stay the same.
+The acceptance tests run the suites at the full budgets (criterion 1:
+100, 2: 1000, 3: 800, 4: 200, 5: 200, 6: 1000, 7: 1000, 8: 200);
+``idemap selftest`` runs all of them at one reduced budget ``b``:
+
+==========================  ===============================================
+suite                       cases at budget ``b``
+==========================  ===============================================
+roundtrip                   ``min(b, 100)`` operators
+preservation                4 induced maps plus the transpose map,
+                            ``max(10, min(b, 1000))`` pairs each
+trace identity              4 maps x ``max(1, min(b, 800) // 4)`` pairs
+extension                   ranks 2 and 3 x ``max(1, min(b, 200) // 2)``
+majorant                    ``min(b, 200)`` pairs
+sufficiency, necessity      ``min(50, max(4, b // 4))`` metrics x
+                            ``max(10, min(b, 1000))`` pairs
+recovery                    ``min(50, max(4, b // 4))`` cases
+==========================  ===============================================
+
+``tol_scale`` multiplies every pass threshold (1.0 reproduces the
+documented tolerances).  A budget of 0 makes every suite pass vacuously;
+a negative budget is refused.  A failing suite lists one reason per
+failing case in ``SuiteResult.failures``.  The suites with a corpus
+(metric kinds, conjugate-linear cases) also fail when fewer than a fifth
+of their cases are of the kind they must cover.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +46,7 @@ from .core import (
 from .errors import NotInduced
 from .idempotents import decompose, default_relation_tol, majorant, relate
 from .indefinite import (
+    CHARACTERIZE_TOL,
     IndefiniteSpace,
     SymmetryKind,
     characterize,
@@ -43,7 +69,10 @@ from .transform import (
     transpose_handle,
 )
 
-DIMS = (3, 4, 5, 6)
+DIMS = (3, 4, 5, 6, 7, 8)
+
+_REAL, _COMPLEX = ScalarField.REAL, ScalarField.COMPLEX
+_ID, _CONJ = AutomorphismTag.IDENTITY, AutomorphismTag.CONJUGATION
 
 
 @dataclass(frozen=True)
@@ -52,279 +81,285 @@ class SuiteResult:
     passed: bool
     cases: int
     detail: str
+    failures: tuple[str, ...] = ()
 
 
-def _vacuous(name):
-    return SuiteResult(name, True, 0, "vacuous pass (budget 0)")
+def _suite(name):
+    """Make a suite from a body returning ``(cases, failures, detail)``:
+    budget 0 passes vacuously, and the suite passes when no case failed."""
+    def wrap(body):
+        @functools.wraps(body)
+        def suite(rng, budget, tol_scale) -> SuiteResult:
+            if budget == 0:
+                return SuiteResult(name, True, 0, "vacuous pass (budget 0)")
+            cases, failures, detail = body(rng, budget, tol_scale)
+            return SuiteResult(name, not failures, cases, detail, tuple(failures))
+        return suite
+    return wrap
 
 
-def _tag_combos():
-    combos = []
-    for n in DIMS:
-        combos.append((n, ScalarField.REAL, AutomorphismTag.IDENTITY))
-        combos.append((n, ScalarField.COMPLEX, AutomorphismTag.IDENTITY))
-        combos.append((n, ScalarField.COMPLEX, AutomorphismTag.CONJUGATION))
-    return combos
+def _raised(i, exc):
+    return f"case {i}: {type(exc).__name__}: {exc}"
 
 
-def suite_roundtrip(rng, budget, tol_scale) -> SuiteResult:
+def _seed(rng):
+    return int(rng.integers(2**32))
+
+
+@_suite("roundtrip_reconstruction")
+def suite_roundtrip(rng, budget, tol_scale):
     """Reconstruction inverts induction up to one scalar, with the right tag."""
-    name = "roundtrip_reconstruction"
-    if budget == 0:
-        return _vacuous(name)
-    combos = _tag_combos()
-    cases = min(budget, 2 * len(combos))
+    combos = [(n, field, tag) for n in DIMS
+              for field, tag in ((_REAL, _ID), (_COMPLEX, _ID), (_COMPLEX, _CONJ))]
+    cases = min(budget, 100)
     threshold = 1e-7 * tol_scale
-    failures = 0
+    failures = []
     worst = 0.0
     for i in range(cases):
         n, field, tag = combos[i % len(combos)]
         a = random_invertible(rng, n, field, max_cond=1e3)
         try:
-            op = SemilinearOperator(a, tag)
-            result = reconstruct(induce(op), validation_count=20,
-                                 seed=int(rng.integers(2**32)))
-            dist = up_to_scalar_distance(result.A.matrix, a / np.linalg.norm(a))
-            worst = max(worst, dist)
-            if dist > threshold or result.A.auto is not tag:
-                failures += 1
-        except Exception:
-            failures += 1
-    return SuiteResult(name, failures == 0, cases,
-                       f"worst distance {worst:.2e} (threshold {threshold:.1e})")
+            result = reconstruct(induce(SemilinearOperator(a, tag)),
+                                 validation_count=20, seed=_seed(rng))
+        except Exception as exc:
+            failures.append(_raised(i, exc))
+            continue
+        dist = up_to_scalar_distance(result.A.matrix, a / np.linalg.norm(a))
+        worst = max(worst, dist)
+        if dist > threshold or result.A.auto is not tag:
+            failures.append(f"case {i} (n={n}, {field.value}, {tag.value}): "
+                            f"tag {result.A.auto.value}, distance {dist:.2e}")
+    return (cases, failures,
+            f"{cases} round trips, worst distance {worst:.2e} "
+            f"(threshold {threshold:.1e})")
 
 
-def suite_preservation(rng, budget, tol_scale) -> SuiteResult:
+@_suite("zero_product_preservation")
+def suite_preservation(rng, budget, tol_scale):
     """Induced maps keep zero products; the transpose map must not."""
-    name = "zero_product_preservation"
-    if budget == 0:
-        return _vacuous(name)
     tol = 1e-8 * tol_scale
-    pairs = max(10, min(budget, 500))
-    failures = 0
-    instances = 0
-    for n, field, tag in ((3, ScalarField.REAL, AutomorphismTag.IDENTITY),
-                          (4, ScalarField.COMPLEX, AutomorphismTag.IDENTITY),
-                          (5, ScalarField.COMPLEX, AutomorphismTag.CONJUGATION)):
+    pairs = max(10, min(budget, 1000))
+    maps = ((3, _REAL, _ID), (4, _COMPLEX, _ID), (5, _COMPLEX, _CONJ),
+            (6, _COMPLEX, _ID))
+    failures = []
+    for i, (n, field, tag) in enumerate(maps):
         phi = induce(random_semilinear(rng, n, field, auto=tag))
-        report = check_preservation(phi, sample_count=pairs,
-                                    seed=int(rng.integers(2**32)), tol=tol)
-        instances += 1
-        if report.violations:
-            failures += 1
-    flipped = check_preservation(transpose_handle(3, ScalarField.COMPLEX),
-                                 sample_count=pairs,
-                                 seed=int(rng.integers(2**32)), tol=tol)
-    instances += 1
-    if not flipped.violations:
-        failures += 1
-    return SuiteResult(name, failures == 0, instances * pairs,
-                       f"{instances} instances x {pairs} pairs")
+        report = check_preservation(phi, sample_count=pairs, seed=_seed(rng), tol=tol)
+        if report.pairs_tested != pairs or report.violations:
+            failures.append(f"case {i} (n={n}, {field.value}, {tag.value}): "
+                            f"{len(report.violations)} violations in "
+                            f"{report.pairs_tested}/{pairs} pairs")
+    flipped = check_preservation(transpose_handle(3, _COMPLEX),
+                                 sample_count=pairs, seed=_seed(rng), tol=tol)
+    caught = len(flipped.violations)
+    if not caught:
+        failures.append(f"case {len(maps)} (transpose, n=3): no violation in "
+                        f"{flipped.pairs_tested} pairs")
+    return ((len(maps) + 1) * pairs, failures,
+            f"{len(maps)} induced maps and the transpose x {pairs} "
+            f"pairs, transpose caught {caught} violations")
 
 
-def suite_trace_identity(rng, budget, tol_scale) -> SuiteResult:
+@_suite("trace_identity")
+def suite_trace_identity(rng, budget, tol_scale):
     """``trace(ext(P) ext(Q)) = h(trace(P Q))`` for induced maps."""
-    name = "trace_identity"
-    if budget == 0:
-        return _vacuous(name)
     threshold = 1e-8 * tol_scale
-    cases = budget
-    failures = 0
+    pairs = max(1, min(budget, 800) // 4)
+    maps = ((3, _REAL, _ID), (4, _COMPLEX, _ID), (5, _COMPLEX, _CONJ),
+            (6, _COMPLEX, _CONJ))
+    failures = []
     worst = 0.0
-    for i in range(cases):
-        n = DIMS[i % len(DIMS)]
-        field = ScalarField.COMPLEX if i % 3 else ScalarField.REAL
-        op = random_semilinear(rng, n, field)
+    for m, (n, field, tag) in enumerate(maps):
+        op = random_semilinear(rng, n, field, auto=tag)
         phi = induce(op)
-        p = random_idempotent(rng, n, int(rng.integers(1, n)), field)
-        q = random_idempotent(rng, n, int(rng.integers(1, n)), field)
-        lhs = np.trace(extend(phi, p).matrix @ extend(phi, q).matrix)
-        rhs = op.auto.apply(np.trace(p.matrix @ q.matrix))
-        err = abs(lhs - rhs)
-        worst = max(worst, err)
-        if err > threshold:
-            failures += 1
-    return SuiteResult(name, failures == 0, cases,
-                       f"worst error {worst:.2e} (threshold {threshold:.1e})")
+        for k in range(pairs):
+            p = random_idempotent(rng, n, int(rng.integers(1, n)), field)
+            q = random_idempotent(rng, n, int(rng.integers(1, n)), field)
+            lhs = np.trace(extend(phi, p).matrix @ extend(phi, q).matrix)
+            err = abs(lhs - op.auto.apply(np.trace(p.matrix @ q.matrix)))
+            worst = max(worst, err)
+            if err > threshold:
+                failures.append(f"case {m * pairs + k} (n={n}, {field.value}, "
+                                f"{tag.value}): error {err:.2e}")
+    return (len(maps) * pairs, failures,
+            f"{len(maps)} maps x {pairs} pairs, worst error {worst:.2e} "
+            f"(threshold {threshold:.1e})")
 
 
-def suite_extension(rng, budget, tol_scale) -> SuiteResult:
+@_suite("extension_well_defined")
+def suite_extension(rng, budget, tol_scale):
     """Extension output does not depend on the chosen decomposition."""
-    name = "extension_well_defined"
-    if budget == 0:
-        return _vacuous(name)
     threshold = 1e-8 * tol_scale
-    cases = budget
-    failures = 0
+    per_rank = max(1, min(budget, 200) // 2)
+    failures = []
     worst = 0.0
-    for i in range(cases):
-        rank = 2 + (i % 2)
-        n = DIMS[i % len(DIMS)]
-        if n <= rank:
-            n = rank + 1
-        field = ScalarField.COMPLEX if i % 2 else ScalarField.REAL
-        phi = induce(random_semilinear(rng, n, field))
-        p = random_idempotent(rng, n, rank, field)
-        first = extend(phi, p, decomposition=decompose(p))
-        second = extend(phi, p, decomposition=remix_decomposition(rng, decompose(p)))
-        err = float(np.linalg.norm(first.matrix - second.matrix))
-        worst = max(worst, err)
-        if err > threshold:
-            failures += 1
-    return SuiteResult(name, failures == 0, cases,
-                       f"worst disagreement {worst:.2e}")
+    for rank in (2, 3):
+        for i in range(per_rank):
+            n = max(DIMS[i % len(DIMS)], rank + 1)
+            field = _COMPLEX if i % 2 else _REAL
+            phi = induce(random_semilinear(rng, n, field))
+            p = random_idempotent(rng, n, rank, field)
+            base = decompose(p)
+            first = extend(phi, p, decomposition=base)
+            second = extend(phi, p, decomposition=remix_decomposition(rng, base))
+            err = float(np.linalg.norm(first.matrix - second.matrix))
+            worst = max(worst, err)
+            if err > threshold:
+                failures.append(f"case {(rank - 2) * per_rank + i} (rank {rank}, "
+                                f"n={n}, {field.value}): disagreement {err:.2e}")
+    return (2 * per_rank, failures,
+            f"{per_rank} rank-2 + {per_rank} rank-3 cases, "
+            f"worst disagreement {worst:.2e} (threshold {threshold:.1e})")
 
 
-def suite_majorant(rng, budget, tol_scale) -> SuiteResult:
+@_suite("majorant_order")
+def suite_majorant(rng, budget, tol_scale):
     """The common majorant dominates both inputs under ``relate``."""
-    name = "majorant_order"
-    if budget == 0:
-        return _vacuous(name)
-    cases = budget
-    failures = 0
+    cases = min(budget, 200)
+    failures = []
     for i in range(cases):
         n = DIMS[i % len(DIMS)]
-        field = ScalarField.COMPLEX if i % 2 else ScalarField.REAL
+        field = _COMPLEX if i % 2 else _REAL
         p1 = random_idempotent(rng, n, int(rng.integers(1, n)), field)
         p2 = random_idempotent(rng, n, int(rng.integers(1, n)), field)
         try:
             big = majorant(p1, p2)
-        except Exception:
-            failures += 1
+        except Exception as exc:
+            failures.append(_raised(i, exc))
             continue
-        tol1 = default_relation_tol(p1.matrix, big.matrix) * tol_scale
-        tol2 = default_relation_tol(p2.matrix, big.matrix) * tol_scale
-        if not (relate(p1, big, tol=tol1).p_leq_q and relate(p2, big, tol=tol2).p_leq_q):
-            failures += 1
-    return SuiteResult(name, failures == 0, cases, f"{failures} failures")
+        dominated = [relate(p, big, tol=default_relation_tol(p.matrix, big.matrix)
+                            * tol_scale).p_leq_q for p in (p1, p2)]
+        if big.rank > n or not all(dominated):
+            failures.append(f"case {i} (n={n}, {field.value}): rank {big.rank}, "
+                            f"P1 <= P: {dominated[0]}, P2 <= P: {dominated[1]}")
+    return cases, failures, f"{cases} random pairs, {len(failures)} not dominated"
 
 
-def _eta_corpus(rng, n, field, index):
-    """Cycle through structured metrics, non-self-adjoint ones included."""
+def _metric(rng, n, field, index):
+    """Cycle through structured metrics, non-self-adjoint ones included;
+    returns the metric and whether it is non-self-adjoint."""
     kind = index % 5
     dtype = field.dtype
     if kind == 0:
-        return np.eye(n, dtype=dtype)
+        return np.eye(n, dtype=dtype), False
     if kind == 1:
         d = np.ones(n)
-        d[-1] = -1.0
-        return np.diag(d).astype(dtype)
-    if kind == 2:  # non-self-adjoint: identity plus strict upper triangle
+        d[n // 2:] = -1.0
+        return np.diag(d).astype(dtype), False
+    if kind == 2:  # identity plus strict upper triangle
         upper = np.triu(random_invertible(rng, n, field, max_cond=1e3), 1)
-        return np.eye(n, dtype=dtype) + 0.5 * upper
-    if kind == 3 and field is ScalarField.COMPLEX:
+        return np.eye(n, dtype=dtype) + 0.5 * upper, True
+    if kind == 3 and field is _COMPLEX:
         h = random_invertible(rng, n, field, max_cond=1e3)
         h = h + h.conj().T  # Hermitian, generically indefinite
         if np.linalg.cond(h) > 1e4:
-            h = h + np.eye(n)
-        return h
-    return random_invertible(rng, n, field, max_cond=1e3)
+            h = h + 2 * np.eye(n)
+        return h, False
+    m = random_invertible(rng, n, field, max_cond=1e3)
+    return m, bool(np.linalg.norm(m - m.conj().T) > 1e-12)
 
 
-CHAR_TOL_BASE = 1e-8
-
-
-def induced_ray_map_scaled(v, c):
-    return induced_ray_map(SemilinearOperator(c * v.matrix, v.auto))
-
-
-def suite_sufficiency(rng, budget, tol_scale) -> SuiteResult:
+@_suite("symmetry_sufficiency")
+def suite_sufficiency(rng, budget, tol_scale):
     """Generated metric isometries are symmetries with the right constant."""
-    name = "symmetry_sufficiency"
-    if budget == 0:
-        return _vacuous(name)
-    count = max(4, min(50, budget // 4))
-    pairs = max(10, min(budget, 300))
-    failures = 0
+    count, pairs = min(50, max(4, budget // 4)), max(10, min(budget, 1000))
+    tol = 1e-8 * tol_scale
+    failures = []
+    non_self_adjoint = 0
     for i in range(count):
-        n = DIMS[i % len(DIMS)]
-        field = ScalarField.REAL if i % 4 == 3 else ScalarField.COMPLEX
-        space = IndefiniteSpace(_eta_corpus(rng, n, field, i))
+        n = DIMS[i % 4]
+        field = _REAL if i % 5 == 4 else _COMPLEX
+        eta, nonsa = _metric(rng, n, field, i)
+        non_self_adjoint += nonsa
+        space = IndefiniteSpace(eta)
         scale = float(rng.uniform(0.5, 4.0))
-        v = generate_eta_isometry(space, int(rng.integers(2**32)), scale=scale)
-        ch = characterize(space, v, tol=CHAR_TOL_BASE * tol_scale)
-        if ch.kind is not SymmetryKind.LINEAR or abs(ch.constant - scale) > \
-                1e-8 * tol_scale * max(1.0, scale):
-            failures += 1
+        v = generate_eta_isometry(space, _seed(rng), scale=scale)
+        ch = characterize(space, v, tol=CHARACTERIZE_TOL * tol_scale)
+        case = f"case {i} (n={n}, {field.value})"
+        if ch.kind is not SymmetryKind.LINEAR or abs(ch.constant - scale) > tol:
+            failures.append(f"{case}: characterized {ch.kind.value} with "
+                            f"constant {ch.constant}, expected {scale}")
             continue
         c = float(rng.uniform(0.5, 2.0))
-        report = is_symmetry(space, induced_ray_map_scaled(v, c),
-                             sample_count=pairs,
-                             seed=int(rng.integers(2**32)),
-                             tol=1e-8 * tol_scale)
-        if report.violations:
-            failures += 1
-    return SuiteResult(name, failures == 0, count, f"{failures} failures")
+        scaled = SemilinearOperator(c * v.matrix, v.auto)
+        report = is_symmetry(space, induced_ray_map(scaled), sample_count=pairs,
+                             seed=_seed(rng), tol=tol)
+        if report.pairs_tested != pairs or report.violations:
+            failures.append(f"{case}: {len(report.violations)} violations in "
+                            f"{report.pairs_tested}/{pairs} pairs")
+    if non_self_adjoint < count // 5:
+        failures.append(f"only {non_self_adjoint} non-self-adjoint metrics")
+    return (count, failures,
+            f"{count} isometries x {pairs} pairs ({non_self_adjoint} "
+            f"non-self-adjoint metrics), {len(failures)} failures")
 
 
-def suite_necessity(rng, budget, tol_scale) -> SuiteResult:
+@_suite("symmetry_necessity")
+def suite_necessity(rng, budget, tol_scale):
     """Generic operators are flagged and their ray maps caught violating."""
-    name = "symmetry_necessity"
-    if budget == 0:
-        return _vacuous(name)
-    count = max(4, min(50, budget // 4))
-    pairs = max(10, min(budget, 300))
-    failures = 0
+    count, pairs = min(50, max(4, budget // 4)), max(10, min(budget, 1000))
+    failures = []
     for i in range(count):
-        n = DIMS[i % len(DIMS)]
-        field = ScalarField.COMPLEX if i % 2 else ScalarField.REAL
-        space = IndefiniteSpace(_eta_corpus(rng, n, field, i))
-        u = random_semilinear(rng, n, field, auto=AutomorphismTag.IDENTITY)
-        ch = characterize(space, u, tol=CHAR_TOL_BASE * tol_scale)
+        n = DIMS[i % 4]
+        field = _COMPLEX if i % 2 else _REAL
+        space = IndefiniteSpace(_metric(rng, n, field, i)[0])
+        u = random_semilinear(rng, n, field, auto=_ID)
+        ch = characterize(space, u, tol=CHARACTERIZE_TOL * tol_scale)
+        case = f"case {i} (n={n}, {field.value})"
         if ch.kind is not SymmetryKind.NONE:
-            failures += 1
+            failures.append(f"{case}: characterized {ch.kind.value} with "
+                            f"constant {ch.constant}, expected none")
             continue
         report = is_symmetry(space, induced_ray_map(u), sample_count=pairs,
-                             seed=int(rng.integers(2**32)), tol=1e-8 * tol_scale)
+                             seed=_seed(rng), tol=1e-8 * tol_scale)
         if not report.violations:
-            failures += 1
-    return SuiteResult(name, failures == 0, count, f"{failures} failures")
+            failures.append(f"{case}: no violation in {report.pairs_tested} pairs")
+    return (count, failures,
+            f"{count} generic operators x {pairs} pairs, "
+            f"{len(failures)} failures")
 
 
-def suite_recovery(rng, budget, tol_scale) -> SuiteResult:
+@_suite("symmetry_recovery")
+def suite_recovery(rng, budget, tol_scale):
     """The inducing operator of a symmetry is recovered up to a scalar."""
-    name = "symmetry_recovery"
-    if budget == 0:
-        return _vacuous(name)
-    count = max(4, min(50, budget // 4))
+    count = min(50, max(4, budget // 4))
     threshold = 1e-6 * tol_scale
-    failures = 0
+    failures = []
     worst = 0.0
+    conjugate_cases = 0
     for i in range(count):
-        n = DIMS[i % len(DIMS)]
-        conj_case = i % 3 == 2
-        if conj_case:
-            # real metric inside the complex space admits conjugate-linear
-            # symmetries built from real isometries
-            real_space = IndefiniteSpace(
-                _eta_corpus(rng, n, ScalarField.REAL, i)
-            )
-            v = generate_eta_isometry(real_space, int(rng.integers(2**32)))
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            u = SemilinearOperator(
-                (c / abs(c)) * v.matrix.astype(np.complex128),
-                AutomorphismTag.CONJUGATION,
-            )
-            space = IndefiniteSpace(real_space.eta.astype(np.complex128))
+        n = DIMS[i % 4]
+        if i % 3 == 2:
+            # A real metric inside the complex space admits conjugate-linear
+            # symmetries: a real isometry times a phase.
+            eta, _ = _metric(rng, n, _REAL, i)
+            v = generate_eta_isometry(IndefiniteSpace(eta), _seed(rng))
+            phase = np.exp(2j * np.pi * rng.uniform())
+            u = SemilinearOperator(phase * v.matrix.astype(np.complex128), _CONJ)
+            space = IndefiniteSpace(eta.astype(np.complex128))
+            conjugate_cases += 1
         else:
-            field = ScalarField.REAL if i % 4 == 3 else ScalarField.COMPLEX
-            space = IndefiniteSpace(_eta_corpus(rng, n, field, i))
-            u = generate_eta_isometry(space, int(rng.integers(2**32)),
+            field = _REAL if i % 4 == 3 else _COMPLEX
+            space = IndefiniteSpace(_metric(rng, n, field, i)[0])
+            u = generate_eta_isometry(space, _seed(rng),
                                       scale=float(rng.uniform(0.5, 3.0)))
         try:
             result = recover_inducing_operator(space, induced_ray_map(u),
-                                               validation_count=20,
-                                               seed=int(rng.integers(2**32)))
-        except NotInduced:
-            failures += 1
+                                               validation_count=20, seed=_seed(rng))
+        except NotInduced as exc:
+            failures.append(_raised(i, exc))
             continue
         dist = up_to_scalar_distance(result.A.matrix,
                                      u.matrix / np.linalg.norm(u.matrix))
         worst = max(worst, dist)
         if dist > threshold or result.A.auto is not u.auto:
-            failures += 1
-    return SuiteResult(name, failures == 0, count,
-                       f"worst distance {worst:.2e}")
+            failures.append(f"case {i} (n={n}, {u.auto.value}): recovered tag "
+                            f"{result.A.auto.value}, distance {dist:.2e}")
+    if conjugate_cases < count // 5:
+        failures.append(f"only {conjugate_cases} conjugate-linear cases")
+    return (count, failures,
+            f"{count} recoveries ({conjugate_cases} conjugate-linear), "
+            f"worst distance {worst:.2e} (threshold {threshold:.1e})")
 
 
 SUITES = (
@@ -340,8 +375,7 @@ SUITES = (
 
 
 def run_all(seed=42, budget=200, tol_scale=1.0) -> list[SuiteResult]:
+    if budget < 0:
+        raise ValueError(f"selftest budget must be >= 0, got {budget}")
     rng = np.random.default_rng(seed)
-    results = []
-    for suite in SUITES:
-        results.append(suite(rng, budget, tol_scale))
-    return results
+    return [suite(rng, budget, tol_scale) for suite in SUITES]

@@ -152,23 +152,6 @@ def space_from_json(d) -> IndefiniteSpace:
     return IndefiniteSpace(eta)
 
 
-def preservation_report_to_json(report) -> dict:
-    """Zero-product violation report; offending pairs travel as rank-one
-    idempotent payloads."""
-    return {
-        "violations": [
-            {
-                "p": rank_one_to_json(v.p),
-                "q": rank_one_to_json(v.q),
-                "source_margin": float(v.source_margin),
-                "image_margin": float(v.image_margin),
-            }
-            for v in report.violations
-        ],
-        "pairs": report.pairs_tested,
-    }
-
-
 def scalar_to_json(z) -> list:
     z = complex(z)
     return [float(z.real), float(z.imag)]

@@ -450,9 +450,12 @@ def reconstruction_probe_set(n, field: ScalarField, validation_count=50,
                              seed=0) -> ProbeSet:
     """Probe inputs for dimension ``n``: ``(e_j, e_j)`` for each ``j``,
     ``(e_1 + e_j, e_1)`` for ``j >= 2``, the automorphism and phase probes
-    over the complex field, and seeded random validation idempotents."""
+    over the complex field, and ``validation_count`` seeded random
+    validation idempotents (0 means no validation probes)."""
     if n < 3:
         raise ValueError("reconstruction needs dimension >= 3")
+    if validation_count < 0:
+        raise ValueError(f"validation_count must be >= 0, got {validation_count}")
     dtype = field.dtype
     eye = np.eye(n, dtype=dtype)
     standard = tuple(RankOneIdempotent(eye[j], eye[j]) for j in range(n))

@@ -1,7 +1,10 @@
 """Acceptance suite: one test per headline criterion, at full budgets.
 
-Each test prints a ``[acceptance] criterion N: PASS`` line (visible with
-``pytest -s`` or in captured output) so the run doubles as a checklist.
+Criteria 1-8 are the suites of :mod:`idemap.selftest`, run here at their
+full budgets with one fixed seed each (``idemap selftest`` runs the same
+suites at a reduced budget).  Each test prints a
+``[acceptance] criterion N: PASS`` line (visible with ``pytest -s`` or in
+captured output) so the run doubles as a checklist.
 """
 
 import subprocess
@@ -9,257 +12,58 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
-from idemap.core import (
-    AutomorphismTag,
-    ScalarField,
-    SemilinearOperator,
-    up_to_scalar_distance,
-)
-from idemap.idempotents import decompose, default_relation_tol, majorant, relate
-from idemap.indefinite import (
-    IndefiniteSpace,
-    SymmetryKind,
-    characterize,
-    generate_eta_isometry,
-    induced_ray_map,
-    is_symmetry,
-    recover_inducing_operator,
-)
-from idemap.sampling import (
-    random_idempotent,
-    random_invertible,
-    random_semilinear,
-    remix_decomposition,
-)
-from idemap.transform import (
-    check_preservation,
-    extend,
-    induce,
-    reconstruct,
-    transpose_handle,
-)
-
-DIMS = (3, 4, 5, 6, 7, 8)
+from idemap import selftest
 
 
-def _passed(n, detail):
-    print(f"[acceptance] criterion {n}: PASS - {detail}")
-
-
-def _combos():
-    out = []
-    for n in DIMS:
-        out.append((n, ScalarField.REAL, AutomorphismTag.IDENTITY))
-        out.append((n, ScalarField.COMPLEX, AutomorphismTag.IDENTITY))
-        out.append((n, ScalarField.COMPLEX, AutomorphismTag.CONJUGATION))
-    return out
+def _accept(criterion, suite, budget):
+    """Run one suite at its full budget; returns the elapsed seconds."""
+    start = time.monotonic()
+    r = suite(np.random.default_rng(100 + criterion), budget, 1.0)
+    elapsed = time.monotonic() - start
+    assert r.passed, r.failures
+    print(f"[acceptance] criterion {criterion}: PASS - {r.detail}, {elapsed:.1f}s")
+    return elapsed
 
 
 def test_criterion_1_roundtrip():
     """100 random operators: reconstruct(induce(A)) ~ A up to scalar, <= 1e-7."""
-    rng = np.random.default_rng(101)
-    combos = _combos()
-    start = time.monotonic()
-    worst = 0.0
-    for i in range(100):
-        n, field, tag = combos[i % len(combos)]
-        m = random_invertible(rng, n, field, max_cond=1e3)
-        op = SemilinearOperator(m, tag)
-        result = reconstruct(induce(op), validation_count=20,
-                             seed=int(rng.integers(2**32)))
-        assert result.A.auto is tag
-        dist = up_to_scalar_distance(result.A.matrix, m / np.linalg.norm(m))
-        worst = max(worst, dist)
-        assert dist <= 1e-7
-    elapsed = time.monotonic() - start
-    assert elapsed < 30.0
-    _passed(1, f"100 round trips, worst distance {worst:.2e}, {elapsed:.1f}s")
+    assert _accept(1, selftest.suite_roundtrip, 100) < 30.0
 
 
 def test_criterion_2_zero_product_preservation():
     """Induced maps: 0 violations over 1000 pairs; transpose: >= 1 at n=3."""
-    rng = np.random.default_rng(102)
-    instances = [
-        (3, ScalarField.REAL, AutomorphismTag.IDENTITY),
-        (4, ScalarField.COMPLEX, AutomorphismTag.IDENTITY),
-        (5, ScalarField.COMPLEX, AutomorphismTag.CONJUGATION),
-        (6, ScalarField.COMPLEX, AutomorphismTag.IDENTITY),
-    ]
-    for n, field, tag in instances:
-        phi = induce(random_semilinear(rng, n, field, auto=tag))
-        report = check_preservation(phi, sample_count=1000,
-                                    seed=int(rng.integers(2**32)))
-        assert report.pairs_tested == 1000
-        assert len(report.violations) == 0
-    flipped = check_preservation(transpose_handle(3, ScalarField.COMPLEX),
-                                 sample_count=1000,
-                                 seed=int(rng.integers(2**32)))
-    assert len(flipped.violations) >= 1
-    _passed(2, f"{len(instances)} induced instances clean, "
-               f"transpose caught {len(flipped.violations)} violations")
+    _accept(2, selftest.suite_preservation, 1000)
 
 
 def test_criterion_3_trace_identity():
     """trace(ext(P) ext(Q)) = h(trace(P Q)) to 1e-8, 200 pairs per map."""
-    rng = np.random.default_rng(103)
-    maps = [
-        (3, ScalarField.REAL, AutomorphismTag.IDENTITY),
-        (4, ScalarField.COMPLEX, AutomorphismTag.IDENTITY),
-        (5, ScalarField.COMPLEX, AutomorphismTag.CONJUGATION),
-        (6, ScalarField.COMPLEX, AutomorphismTag.CONJUGATION),
-    ]
-    worst = 0.0
-    for n, field, tag in maps:
-        op = random_semilinear(rng, n, field, auto=tag)
-        phi = induce(op)
-        for _ in range(200):
-            p = random_idempotent(rng, n, int(rng.integers(1, n)), field)
-            q = random_idempotent(rng, n, int(rng.integers(1, n)), field)
-            lhs = np.trace(extend(phi, p).matrix @ extend(phi, q).matrix)
-            rhs = op.auto.apply(np.trace(p.matrix @ q.matrix))
-            err = abs(lhs - rhs)
-            worst = max(worst, err)
-            assert err <= 1e-8
-    _passed(3, f"{len(maps)} maps x 200 pairs, worst error {worst:.2e}")
+    _accept(3, selftest.suite_trace_identity, 800)
 
 
 def test_criterion_4_extension_well_definedness():
     """Two independent decompositions give the same extension, to 1e-8."""
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for rank in (2, 3):
-        for i in range(100):
-            n = DIMS[i % len(DIMS)]
-            if n <= rank:
-                n = rank + 1
-            field = ScalarField.COMPLEX if i % 2 else ScalarField.REAL
-            phi = induce(random_semilinear(rng, n, field))
-            p = random_idempotent(rng, n, rank, field)
-            base = decompose(p)
-            out1 = extend(phi, p, decomposition=base)
-            out2 = extend(phi, p, decomposition=remix_decomposition(rng, base))
-            err = float(np.linalg.norm(out1.matrix - out2.matrix))
-            worst = max(worst, err)
-            assert err <= 1e-8
-    _passed(4, f"100 rank-2 + 100 rank-3 cases, worst disagreement {worst:.2e}")
+    _accept(4, selftest.suite_extension, 200)
 
 
 def test_criterion_5_majorant():
     """majorant(P1, P2) dominates both inputs, 200 random pairs, n in 3..8."""
-    rng = np.random.default_rng(105)
-    for i in range(200):
-        n = DIMS[i % len(DIMS)]
-        field = ScalarField.COMPLEX if i % 2 else ScalarField.REAL
-        p1 = random_idempotent(rng, n, int(rng.integers(1, n)), field)
-        p2 = random_idempotent(rng, n, int(rng.integers(1, n)), field)
-        big = majorant(p1, p2)
-        assert big.rank <= n
-        assert relate(p1, big).p_leq_q
-        assert relate(p2, big).p_leq_q
-    _passed(5, "200 random pairs dominated")
-
-
-def _metric(rng, n, field, index):
-    kind = index % 5
-    dtype = field.dtype
-    if kind == 0:
-        return np.eye(n, dtype=dtype), False
-    if kind == 1:
-        d = np.ones(n)
-        d[n // 2:] = -1.0
-        return np.diag(d).astype(dtype), False
-    if kind == 2:
-        upper = np.triu(random_invertible(rng, n, field, max_cond=1e3), 1)
-        return np.eye(n, dtype=dtype) + 0.5 * upper, True
-    if kind == 3 and field is ScalarField.COMPLEX:
-        h = random_invertible(rng, n, field, max_cond=1e3)
-        h = h + h.conj().T
-        if np.linalg.cond(h) > 1e4:
-            h = h + 2 * np.eye(n)
-        return h, False
-    m = random_invertible(rng, n, field, max_cond=1e3)
-    selfadj = np.linalg.norm(m - m.conj().T) <= 1e-12
-    return m, not selfadj
+    _accept(5, selftest.suite_majorant, 200)
 
 
 def test_criterion_6_symmetry_sufficiency():
     """50 generated metric isometries (>= 10 non-self-adjoint metrics)."""
-    rng = np.random.default_rng(106)
-    non_self_adjoint = 0
-    for i in range(50):
-        n = DIMS[i % 4]
-        field = ScalarField.REAL if i % 5 == 4 else ScalarField.COMPLEX
-        eta, nonsa = _metric(rng, n, field, i)
-        non_self_adjoint += int(nonsa)
-        space = IndefiniteSpace(eta)
-        scale = float(rng.uniform(0.5, 4.0))
-        v = generate_eta_isometry(space, int(rng.integers(2**32)), scale=scale)
-        ch = characterize(space, v)
-        assert ch.kind is SymmetryKind.LINEAR
-        assert abs(ch.constant - scale) <= 1e-8
-        c = float(rng.uniform(0.5, 2.0))
-        scaled = SemilinearOperator(c * v.matrix, v.auto)
-        report = is_symmetry(space, induced_ray_map(scaled), sample_count=1000,
-                             seed=int(rng.integers(2**32)))
-        assert report.pairs_tested == 1000
-        assert len(report.violations) == 0
-    assert non_self_adjoint >= 10
-    _passed(6, f"50 isometries clean ({non_self_adjoint} non-self-adjoint metrics)")
+    _accept(6, selftest.suite_sufficiency, 1000)
 
 
 def test_criterion_7_symmetry_necessity():
     """50 generic operators: characterize says none, ray map caught violating."""
-    rng = np.random.default_rng(107)
-    for i in range(50):
-        n = DIMS[i % 4]
-        field = ScalarField.COMPLEX if i % 2 else ScalarField.REAL
-        eta, _ = _metric(rng, n, field, i)
-        space = IndefiniteSpace(eta)
-        u = random_semilinear(rng, n, field, auto=AutomorphismTag.IDENTITY)
-        ch = characterize(space, u)
-        assert ch.kind is SymmetryKind.NONE
-        report = is_symmetry(space, induced_ray_map(u), sample_count=1000,
-                             seed=int(rng.integers(2**32)))
-        assert len(report.violations) >= 1
-    _passed(7, "50 generic operators flagged, all with violations")
+    _accept(7, selftest.suite_necessity, 1000)
 
 
 def test_criterion_8_symmetry_recovery():
     """Recover the inducing operator up to scalar, <= 1e-6, both tags."""
-    rng = np.random.default_rng(108)
-    worst = 0.0
-    conjugate_cases = 0
-    for i in range(50):
-        n = DIMS[i % 4]
-        if i % 3 == 2:
-            # conjugate-linear symmetry: real metric, real isometry, phase
-            eta, _ = _metric(rng, n, ScalarField.REAL, i)
-            real_space = IndefiniteSpace(eta)
-            v = generate_eta_isometry(real_space, int(rng.integers(2**32)))
-            phase = np.exp(2j * np.pi * rng.uniform())
-            u = SemilinearOperator(phase * v.matrix.astype(np.complex128),
-                                   AutomorphismTag.CONJUGATION)
-            space = IndefiniteSpace(eta.astype(np.complex128))
-            conjugate_cases += 1
-        else:
-            field = ScalarField.REAL if i % 4 == 3 else ScalarField.COMPLEX
-            eta, _ = _metric(rng, n, field, i)
-            space = IndefiniteSpace(eta)
-            u = generate_eta_isometry(space, int(rng.integers(2**32)),
-                                      scale=float(rng.uniform(0.5, 3.0)))
-        result = recover_inducing_operator(space, induced_ray_map(u),
-                                           validation_count=20,
-                                           seed=int(rng.integers(2**32)))
-        assert result.A.auto is u.auto
-        dist = up_to_scalar_distance(result.A.matrix,
-                                     u.matrix / np.linalg.norm(u.matrix))
-        worst = max(worst, dist)
-        assert dist <= 1e-6
-    assert conjugate_cases >= 10
-    _passed(8, f"50 recoveries ({conjugate_cases} conjugate-linear), "
-               f"worst distance {worst:.2e}")
+    _accept(8, selftest.suite_recovery, 200)
 
 
 def test_criterion_9_selftest_command():
@@ -273,4 +77,4 @@ def test_criterion_9_selftest_command():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert elapsed < 60.0
     assert "8/8 suites passed" in proc.stdout
-    _passed(9, f"selftest exit 0 in {elapsed:.1f}s")
+    print(f"[acceptance] criterion 9: PASS - selftest exit 0 in {elapsed:.1f}s")

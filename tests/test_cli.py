@@ -115,6 +115,14 @@ class TestReconstructCommand:
         inp = write_json(tmp_path / "small.json", payload)
         assert main(["reconstruct", "--in", inp]) == 1
 
+    def test_negative_samples_exits_1(self, tmp_path):
+        inp = write_json(tmp_path / "in.json",
+                         induced_input(SemilinearOperator(np.eye(3))))
+        out = tmp_path / "report.json"
+        assert main(["reconstruct", "--in", inp, "--out", str(out),
+                     "--samples", "-3"]) == 1
+        assert not out.exists()
+
     def test_flag_mismatch_exits_1(self, tmp_path):
         op = SemilinearOperator(np.diag([1.0, 2.0, 3.0]))
         inp = write_json(tmp_path / "in.json", induced_input(op))
@@ -209,9 +217,10 @@ class TestSymmetryCommand:
             self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "characterize"),
         )
         out = tmp_path / "rep.json"
-        assert main(["symmetry", "--mode", "characterize", "--in", inp,
-                     "--out", str(out), "--samples", "-3"]) == 1
-        assert not out.exists()
+        for mode in ("characterize", "recover"):
+            assert main(["symmetry", "--mode", mode, "--in", inp,
+                         "--out", str(out), "--samples", "-3"]) == 1
+            assert not out.exists()
 
     def test_singular_eta_exits_1(self, tmp_path):
         payload = {"eta": matrix_to_json(np.diag([1.0, 1.0, 0.0])),
@@ -230,8 +239,13 @@ class TestSelftestCommand:
     def test_small_budget_passes(self):
         assert main(["selftest", "--samples", "16", "--seed", "1"]) == 0
 
-    def test_broken_tolerance_exits_3(self):
+    def test_negative_budget_exits_1(self, capsys):
+        assert main(["selftest", "--samples", "-3"]) == 1
+        assert "[PASS]" not in capsys.readouterr().out
+
+    def test_broken_tolerance_exits_3(self, capsys):
         assert main(["selftest", "--samples", "16", "--tol", "1e-20"]) == 3
+        assert "\n    case 0 " in capsys.readouterr().out  # failure reasons
 
     def test_summary_file(self, tmp_path):
         out = str(tmp_path / "self.json")

@@ -1,3 +1,5 @@
+import pytest
+
 from idemap.selftest import SUITES, run_all
 
 
@@ -5,7 +7,7 @@ def test_all_suites_pass_at_small_budget():
     results = run_all(seed=5, budget=24, tol_scale=1.0)
     assert len(results) == len(SUITES) == 8
     for r in results:
-        assert r.passed, f"{r.name}: {r.detail}"
+        assert r.passed, (r.name, r.failures)
         assert r.cases > 0
 
 
@@ -17,7 +19,14 @@ def test_zero_budget_is_vacuous():
 
 def test_impossible_tolerance_fails():
     results = run_all(seed=5, budget=16, tol_scale=1e-12)
-    assert any(not r.passed for r in results)
+    failed = [r for r in results if not r.passed]
+    assert failed
+    assert all(r.failures and r.failures[0].startswith("case ") for r in failed)
+
+
+def test_negative_budget_raises():
+    with pytest.raises(ValueError):
+        run_all(seed=5, budget=-3)
 
 
 def test_deterministic_given_seed():

@@ -94,22 +94,6 @@ def test_kind_mismatch():
         rank_one_from_json(d)
 
 
-def test_preservation_report_serialization():
-    from idemap.serialize import preservation_report_to_json
-    from idemap.transform import check_preservation, transpose_handle
-
-    report = check_preservation(transpose_handle(3, ScalarField.COMPLEX),
-                                sample_count=50, seed=0)
-    d = preservation_report_to_json(report)
-    assert d["pairs"] == 50
-    assert len(d["violations"]) >= 1
-    first = d["violations"][0]
-    assert first["p"]["kind"] == "rank1" and first["q"]["kind"] == "rank1"
-    # pairs survive a round trip
-    back = rank_one_from_json(first["p"])
-    assert back.n == 3
-
-
 def test_dumps_report_deterministic():
     obj = {"b": [1.0, 2.5], "a": {"z": 1, "y": -0.25}}
     assert dumps_report(obj) == dumps_report({"a": {"y": -0.25, "z": 1}, "b": [1.0, 2.5]})

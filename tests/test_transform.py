@@ -246,6 +246,15 @@ class TestReconstruct:
         result = reconstruct(induce(op), validation_count=5, seed=5)
         assert result.probes_used == n + (n - 1) + 5
 
+    def test_validation_count_zero_or_negative(self):
+        op = SemilinearOperator(np.diag([1.0, 2.0, 3.0]))
+        # zero means no validation probes; a negative count is refused
+        assert reconstruct(induce(op), validation_count=0).probes_used == 3 + 2
+        with pytest.raises(ValueError):
+            reconstruct(induce(op), validation_count=-3)
+        with pytest.raises(ValueError):
+            probe_table_from_operator(op, validation_count=-3)
+
     def test_not_induced_map_rejected(self):
         # the transpose map reverses zero products, so it cannot be an
         # operator conjugation; the probe protocol must refuse it
