@@ -26,7 +26,8 @@ def run(args):
     return proc
 
 
-workdir = Path(tempfile.mkdtemp(prefix="idemap-demo-"))
+tmpdir = tempfile.TemporaryDirectory(prefix="idemap-demo-")
+workdir = Path(tmpdir.name)
 print(f"working in {workdir}\n")
 
 print("--- reconstruct, induced mode ---")
@@ -80,6 +81,7 @@ print(f"  kind={sym['characterization']['kind']}, "
 }))
 run(["symmetry", "--in", str(workdir / "rec.json"),
      "--out", str(workdir / "recreport.json"), "--samples", "15"])
+tmpdir.cleanup()
 print()
 
 print("--- the verification suites ---")

@@ -220,8 +220,8 @@ def cmd_symmetry(args) -> int:
         "symmetry_check": {
             "violations": [
                 {
-                    "x": vector_to_json(v.x, space.field),
-                    "y": vector_to_json(v.y, space.field),
+                    "x": vector_to_json(v.first, space.field),
+                    "y": vector_to_json(v.second, space.field),
                     "source_margin": v.source_margin,
                     "image_margin": v.image_margin,
                 }

@@ -41,8 +41,8 @@ from .sampling import _VectorStream, random_matrix, random_vector
 from .transform import (
     RayPair,
     ReconstructionResult,
-    _sample_blocks,
-    _violating,
+    SampleReport,
+    _sample_biconditional,
     from_ray_pair,
     reconstruct,
 )
@@ -206,34 +206,20 @@ def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray, tol=1e-8) -> bo
     return bool(margin[0] <= tol)
 
 
-def eta_orthogonal_partner(space: IndefiniteSpace, x, rng, tries=100):
+#: Draws :func:`eta_orthogonal_partner` projects before failing.
+ETA_PARTNER_TRIES = 100
+
+
+def eta_orthogonal_partner(space: IndefiniteSpace, x, rng):
     """Random nonzero ``y`` with ``<eta x, y> = 0``, built by projecting a
     Gaussian draw onto the solution hyperplane (never by rejection)."""
     w = space.eta @ np.asarray(x)
-    for _ in range(tries):
+    for _ in range(ETA_PARTNER_TRIES):
         y0 = random_vector(rng, space.n, space.field)
         y = y0 - (np.vdot(w, y0) / np.vdot(w, w)) * w
         if np.linalg.norm(y) > 1e-8 * np.linalg.norm(y0):
             return y
     raise RuntimeError("could not craft an eta-orthogonal partner")
-
-
-@dataclass(frozen=True)
-class SymmetryViolation:
-    x: np.ndarray
-    y: np.ndarray
-    source_margin: float
-    image_margin: float
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    violations: tuple
-    pairs_tested: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _draw_ray_pairs(stream: _VectorStream, space: IndefiniteSpace, crafted, plain):
@@ -268,13 +254,15 @@ def _draw_ray_pairs(stream: _VectorStream, space: IndefiniteSpace, crafted, plai
 
 
 def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0,
-                tol=1e-8) -> SymmetryReport:
+                tol=1e-8) -> SampleReport:
     """Check the biconditional ``T x ._eta T y = 0  iff  x ._eta y = 0``.
 
     Half the sampled pairs are crafted to be exactly ``eta``-orthogonal.
     A pair is reported only when the margins disagree decisively (one
     side at most ``tol``, the other at least ``100 * tol``); violations
-    are data about the map, not an error.
+    are data about the map, not an error.  Each
+    :class:`~idemap.transform.Violation` holds the two sampled
+    representative vectors.
 
     Pairs are drawn, mapped and judged in blocks of
     :data:`~idemap.transform.SAMPLE_BLOCK`.  The same seed gives
@@ -284,16 +272,11 @@ def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0,
     map is called once per sampled ray.  A negative ``sample_count``
     raises ``ValueError``; zero gives a vacuous report.
     """
-    violations = []
-    for stream, crafted, plain in _sample_blocks(sample_count, seed, space.n, space.field):
-        v = _draw_ray_pairs(stream, space, crafted, plain)
-        images = _map_rays(t, v)
-        pre = _orthogonality_margins(space.eta, v[0::2], v[1::2])
-        post = _orthogonality_margins(space.eta, images[0::2], images[1::2])
-        for k in _violating(pre, post, tol):
-            violations.append(SymmetryViolation(v[2 * k].copy(), v[2 * k + 1].copy(),
-                                                float(pre[k]), float(post[k])))
-    return SymmetryReport(tuple(violations), sample_count)
+    return _sample_biconditional(
+        space.n, space.field, sample_count, seed, tol,
+        draw=lambda stream, crafted, plain: _draw_ray_pairs(stream, space, crafted, plain),
+        image=lambda v: _map_rays(t, v),
+        margins=lambda v: _orthogonality_margins(space.eta, v[0::2], v[1::2]))
 
 
 class SymmetryKind(enum.Enum):

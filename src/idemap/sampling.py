@@ -18,6 +18,12 @@ MIN_COSINE = 0.05
 #: Attempts a rank-one draw (or a zero-product partner) gets before failing.
 DRAW_TRIES = 200
 
+#: Gaussian matrices :func:`random_invertible` draws before failing.
+INVERTIBLE_TRIES = 100
+
+#: Largest condition number of the basis change in :func:`random_idempotent`.
+IDEMPOTENT_MAX_COND = 50
+
 
 def random_vector(rng, n, field: ScalarField):
     if field is ScalarField.COMPLEX:
@@ -31,9 +37,9 @@ def random_matrix(rng, n, field: ScalarField):
     return rng.standard_normal((n, n))
 
 
-def random_invertible(rng, n, field: ScalarField, max_cond=1e4, tries=100):
+def random_invertible(rng, n, field: ScalarField, max_cond=1e4):
     """Gaussian matrix, resampled until its condition number is moderate."""
-    for _ in range(tries):
+    for _ in range(INVERTIBLE_TRIES):
         m = random_matrix(rng, n, field)
         if np.linalg.cond(m) <= max_cond:
             return m
@@ -49,23 +55,22 @@ def random_semilinear(rng, n, field: ScalarField, auto=None) -> SemilinearOperat
     return SemilinearOperator(random_invertible(rng, n, field), auto)
 
 
-def random_rank_one(rng, n, field: ScalarField, min_cosine=MIN_COSINE,
-                    tries=DRAW_TRIES) -> RankOneIdempotent:
+def random_rank_one(rng, n, field: ScalarField) -> RankOneIdempotent:
     """Random normalized rank-one idempotent with a non-degenerate pairing."""
-    for _ in range(tries):
+    for _ in range(DRAW_TRIES):
         x = random_vector(rng, n, field)
         f = random_vector(rng, n, field)
         p = np.dot(x, f)
-        if abs(p) >= min_cosine * np.linalg.norm(x) * np.linalg.norm(f):
+        if abs(p) >= MIN_COSINE * np.linalg.norm(x) * np.linalg.norm(f):
             return rank_one_from_pair(x, f)
     raise RuntimeError("could not draw a non-degenerate rank-one pair")
 
 
-def random_idempotent(rng, n, rank, field: ScalarField, max_cond=50) -> FiniteRankIdempotent:
+def random_idempotent(rng, n, rank, field: ScalarField) -> FiniteRankIdempotent:
     """Random idempotent ``S @ diag(1..1, 0..0) @ S^{-1}`` with mild cond(S)."""
     if not 0 <= rank <= n:
         raise ValueError(f"rank {rank} out of range for dimension {n}")
-    s = random_invertible(rng, n, field, max_cond=max_cond)
+    s = random_invertible(rng, n, field, max_cond=IDEMPOTENT_MAX_COND)
     inv = np.linalg.inv(s)
     return FiniteRankIdempotent(s[:, :rank] @ inv[:rank, :])
 

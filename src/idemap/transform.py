@@ -20,12 +20,10 @@ from .core import (
     AutomorphismTag,
     ScalarField,
     SemilinearOperator,
-    _as_vector,
     _row_abs,
     _row_dots,
     _row_matvec,
     _row_norms,
-    pair,
 )
 from .errors import (
     DegenerateImage,
@@ -53,6 +51,9 @@ AUTOMORPHISM_TOL = 1e-6
 
 #: Validation residual above which a probed map is declared not induced.
 NOT_INDUCED_TOL = 1e-6
+
+#: Relative distance within which :func:`handle_from_table` matches a query.
+TABLE_MATCH_TOL = 1e-8
 
 #: Pairs the samplers draw, evaluate and judge together; every per-call
 #: temporary array is of this size, whatever the sample count.
@@ -132,15 +133,22 @@ class ReconstructionResult:
 
 
 @dataclass(frozen=True)
-class PreservationViolation:
-    p: RankOneIdempotent
-    q: RankOneIdempotent
+class Violation:
+    """A sampled pair on which a biconditional fails decisively: two
+    :class:`RankOneIdempotent` (:func:`check_preservation`) or two
+    representative vectors (:func:`~idemap.indefinite.is_symmetry`)."""
+
+    first: object
+    second: object
     source_margin: float
     image_margin: float
 
 
 @dataclass(frozen=True)
-class PreservationReport:
+class SampleReport:
+    """Outcome of a biconditional sample: the violations found among
+    ``pairs_tested`` pairs."""
+
     violations: tuple
     pairs_tested: int
 
@@ -184,11 +192,10 @@ def transpose_handle(n, field: ScalarField) -> TransformHandle:
                            _rows=lambda x, f: _checked_rows(f, x))
 
 
-def zero_product_partner(rng, p: RankOneIdempotent, field: ScalarField,
-                         tries=DRAW_TRIES) -> RankOneIdempotent:
+def zero_product_partner(rng, p: RankOneIdempotent, field: ScalarField) -> RankOneIdempotent:
     """Random ``Q = (y, g)`` with ``P @ Q = 0``, i.e. ``pair(y, p.f) = 0``."""
     n = p.n
-    for _ in range(tries):
+    for _ in range(DRAW_TRIES):
         y0 = random_vector(rng, n, field)
         y = y0 - np.dot(y0, p.f) * p.x
         ny = np.linalg.norm(y)
@@ -200,35 +207,12 @@ def zero_product_partner(rng, p: RankOneIdempotent, field: ScalarField,
     raise RuntimeError("could not craft a zero-product partner")
 
 
-def _sample_blocks(sample_count, seed, n, field: ScalarField):
-    """Block loop shared by the two samplers.
-
-    Yields ``(stream, crafted, plain)`` per block of at most
-    ``SAMPLE_BLOCK`` pairs: the look-ahead stream of the seeded
-    generator, then how many of the block's pairs fall in the crafted
-    first half of the sample and how many in the random second half.
-    """
-    if sample_count < 0:
-        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
-    stream = _VectorStream(np.random.default_rng(seed), n, field)
-    crafted = sample_count // 2
-    for start in range(0, sample_count, SAMPLE_BLOCK):
-        stop = min(start + SAMPLE_BLOCK, sample_count)
-        head = min(max(crafted - start, 0), stop - start)
-        yield stream, head, stop - start - head
-
-
-def _violating(pre, post, tol):
-    """Indices where the biconditional fails decisively: one side's
-    margin is at most ``tol`` while the other's is at least ``100 * tol``."""
-    return np.flatnonzero(((pre <= tol) & (post >= 100 * tol))
-                          | ((post <= tol) & (pre >= 100 * tol)))
-
-
-def _product_margins(f, y):
-    """``||P Q|| / (||P|| ||Q||)`` for ``P = x (x) f`` and ``Q = y (x) g``,
-    row-wise.  ``P Q = pair(y, f) x (x) g``, so the Frobenius norms reduce
-    it to ``|pair(y, f)| / (||f|| ||y||)``."""
+def _product_margins(x, f):
+    """``||P Q|| / (||P|| ||Q||)`` of each pair ``P = x (x) f``,
+    ``Q = y (x) g`` of interleaved rows ``(x, f)``.  ``P Q = pair(y, f)
+    x (x) g``, so the Frobenius norms reduce it to ``|pair(y, f)| /
+    (||f|| ||y||)``."""
+    f, y = f[0::2], x[1::2]
     return np.abs(_row_dots(y, f)) / (_row_norms(f) * _row_norms(y))
 
 
@@ -332,8 +316,40 @@ def _draw_idempotent_pairs(stream: _VectorStream, n, field, crafted, plain):
     return np.concatenate(xs), np.concatenate(fs)
 
 
+def _witness(rows, i):
+    """Row ``i`` of a block as a report entry: a :class:`RankOneIdempotent`
+    for idempotent rows ``(x, f)``, a copy of the vector for ray rows."""
+    if isinstance(rows, tuple):
+        return RankOneIdempotent._from_checked_row(rows[0][i], rows[1][i])
+    return rows[i].copy()
+
+
+def _sample_biconditional(n, field, sample_count, seed, tol, draw, image,
+                          margins) -> SampleReport:
+    """The sample behind :func:`check_preservation` and
+    :func:`~idemap.indefinite.is_symmetry`.  Per block of at most
+    ``SAMPLE_BLOCK`` pairs, ``draw(stream, crafted, plain)`` gives the
+    rows of the pairs (the two members of each interleaved), ``image``
+    maps the rows and ``margins`` gives one margin per pair."""
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
+    stream = _VectorStream(np.random.default_rng(seed), n, field)
+    crafted = sample_count // 2
+    violations = []
+    for start in range(0, sample_count, SAMPLE_BLOCK):
+        size = min(SAMPLE_BLOCK, sample_count - start)
+        head = min(max(crafted - start, 0), size)
+        rows = draw(stream, head, size - head)
+        pre, post = margins(rows), margins(image(rows))
+        decisive = ((pre <= tol) & (post >= 100 * tol)) | ((post <= tol) & (pre >= 100 * tol))
+        for k in np.flatnonzero(decisive):
+            violations.append(Violation(_witness(rows, 2 * k), _witness(rows, 2 * k + 1),
+                                        float(pre[k]), float(post[k])))
+    return SampleReport(tuple(violations), sample_count)
+
+
 def check_preservation(phi: TransformHandle, sample_count=500, seed=0,
-                       tol=1e-8) -> PreservationReport:
+                       tol=1e-8) -> SampleReport:
     """Sample idempotent pairs and check ``PQ = 0  iff  phi(P)phi(Q) = 0``.
 
     Half the pairs are crafted to satisfy ``PQ = 0`` exactly (zero
@@ -341,7 +357,8 @@ def check_preservation(phi: TransformHandle, sample_count=500, seed=0,
     them).  A pair is reported only when the biconditional fails with
     margin: one side's normalized product norm is at most ``tol`` while
     the other side's is at least ``100 * tol``.  A nonempty violation
-    list is data about the map, not an error.
+    list is data about the map, not an error; each :class:`Violation`
+    holds the two sampled idempotents.
 
     Pairs are drawn, mapped and judged in blocks of ``SAMPLE_BLOCK``.
     The same seed gives bit-for-bit the pairs that drawing them one at a
@@ -352,17 +369,12 @@ def check_preservation(phi: TransformHandle, sample_count=500, seed=0,
     raises ``ValueError``; zero gives a vacuous report.
     """
     n, field = phi.n, phi.field
-    violations = []
-    for stream, crafted, plain in _sample_blocks(sample_count, seed, n, field):
-        x, f = _draw_idempotent_pairs(stream, n, field, crafted, plain)
-        ix, jf = phi._map_rows(x, f)
-        pre = _product_margins(f[0::2], x[1::2])
-        post = _product_margins(jf[0::2], ix[1::2])
-        for k in _violating(pre, post, tol):
-            p = RankOneIdempotent._from_checked_row(x[2 * k], f[2 * k])
-            q = RankOneIdempotent._from_checked_row(x[2 * k + 1], f[2 * k + 1])
-            violations.append(PreservationViolation(p, q, float(pre[k]), float(post[k])))
-    return PreservationReport(tuple(violations), sample_count)
+    return _sample_biconditional(
+        n, field, sample_count, seed, tol,
+        draw=lambda stream, crafted, plain: _draw_idempotent_pairs(
+            stream, n, field, crafted, plain),
+        image=lambda rows: phi._map_rows(*rows),
+        margins=lambda rows: _product_margins(*rows))
 
 
 def extend(phi: TransformHandle, p, decomposition=None) -> FiniteRankIdempotent:
@@ -415,14 +427,18 @@ def automorphism_of(phi: TransformHandle) -> AutomorphismTag:
     if phi.field is ScalarField.REAL:
         return AutomorphismTag.IDENTITY
     p, q = _automorphism_probes(phi.n)
-    t = np.trace(phi(p).matrix @ phi(q).matrix)
-    if abs(t - 1j) <= AUTOMORPHISM_TOL:
+    return _tag_of(np.trace(phi(p).matrix @ phi(q).matrix), "trace probe returned")
+
+
+def _tag_of(h_i, probe):
+    """The ring automorphism ``h`` whose value ``h(i)`` a probe measured:
+    ``i`` for the identity, ``-i`` for conjugation, within
+    ``AUTOMORPHISM_TOL``."""
+    if abs(h_i - 1j) <= AUTOMORPHISM_TOL:
         return AutomorphismTag.IDENTITY
-    if abs(t + 1j) <= AUTOMORPHISM_TOL:
+    if abs(h_i + 1j) <= AUTOMORPHISM_TOL:
         return AutomorphismTag.CONJUGATION
-    raise UnrecognizedAutomorphism(
-        f"trace probe returned {t!r}, expected i or -i"
-    )
+    raise UnrecognizedAutomorphism(f"{probe} {h_i!r}, expected i or -i")
 
 
 @dataclass(frozen=True)
@@ -543,24 +559,14 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     if field is ScalarField.REAL:
         tag = AutomorphismTag.IDENTITY
     else:
-        original_evals = evals
-        try:
-            tag = automorphism_of(phi)
-        except (NotIdempotent, DegeneratePair, DegenerateImage,
-                DimensionMismatch, TypeError) as exc:
-            raise DegenerateProbe(f"automorphism probe invalid: {exc}") from exc
-        evals = original_evals + 2
+        # Through ``ask``, so the trace probes are counted and an invalid
+        # image is refused like any other probe's.
+        tag = automorphism_of(TransformHandle(ask, n, field))
         v = ask(probes.phase[0]).x
         a, b = _fit_two_directions(columns[0], columns[1], v)
         if abs(a) <= 1e-12 * np.linalg.norm(v):
             raise DegenerateProbe("phase probe lost the first column component")
-        h_i = (b / a) / scales[1]
-        if abs(h_i - 1j) <= AUTOMORPHISM_TOL:
-            phase_tag = AutomorphismTag.IDENTITY
-        elif abs(h_i + 1j) <= AUTOMORPHISM_TOL:
-            phase_tag = AutomorphismTag.CONJUGATION
-        else:
-            raise UnrecognizedAutomorphism(f"phase probe returned h(i) = {h_i!r}")
+        phase_tag = _tag_of((b / a) / scales[1], "phase probe returned h(i) =")
         if phase_tag is not tag:
             raise UnrecognizedAutomorphism(
                 f"trace probe says {tag.value}, phase probe says {phase_tag.value}"
@@ -600,24 +606,19 @@ def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
 
     Well-definedness over ray representatives holds because the
     normalization only depends on the rays.  The handle checks
-    ``pair(T x, S f) != 0`` pointwise and raises
+    ``pair(T x, S f) != 0`` pointwise (with :func:`rank_one_from_pair`'s
+    rule, which also catches a zero representative) and raises
     :class:`DegenerateImage` otherwise, a direct witness that ``(T, S)``
     does not preserve vector/functional orthogonality.
     """
 
     def eval_fn(p: RankOneIdempotent) -> RankOneIdempotent:
-        u = _as_vector(ts.vector_map(p.x), "T(x)")
-        g = _as_vector(ts.functional_map(p.f), "S(f)")
-        nu = np.linalg.norm(u)
-        ng = np.linalg.norm(g)
-        if nu == 0 or ng == 0:
-            raise DegenerateImage("ray map returned a zero representative")
-        val = pair(u, g)
-        if abs(val) <= 1e-10 * nu * ng:
+        try:
+            return rank_one_from_pair(ts.vector_map(p.x), ts.functional_map(p.f))
+        except DegeneratePair as exc:
             raise DegenerateImage(
-                f"image pairing {val!r} vanishes while the source pairing is 1"
-            )
-        return rank_one_from_pair(u, g)
+                f"image pairing vanishes while the source pairing is 1: {exc}"
+            ) from exc
 
     return TransformHandle(eval_fn, n, field)
 
@@ -632,7 +633,7 @@ def probe_table_from_operator(a: SemilinearOperator, validation_count=50,
     return [(p, phi(p)) for p in probes.all_probes()]
 
 
-def handle_from_table(entries, n, field: ScalarField, match_tol=1e-8) -> TransformHandle:
+def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
     """Black-box handle answering from a probe-response table.
 
     Queries are matched to table inputs by nearest idempotent matrix; a
@@ -645,7 +646,7 @@ def handle_from_table(entries, n, field: ScalarField, match_tol=1e-8) -> Transfo
         pm = p.matrix
         dists = [np.linalg.norm(pm - m) for m in inputs]
         best = int(np.argmin(dists))
-        if dists[best] > match_tol * (1.0 + np.linalg.norm(pm)):
+        if dists[best] > TABLE_MATCH_TOL * (1.0 + np.linalg.norm(pm)):
             raise DegenerateProbe("query is not covered by the probe table")
         return outputs[best]
 

@@ -12,6 +12,7 @@ from idemap.core import (
 from idemap.errors import (
     DegenerateImage,
     DegenerateProbe,
+    DimensionMismatch,
     ExtensionInconsistent,
     NotInduced,
     UnrecognizedAutomorphism,
@@ -285,6 +286,24 @@ class TestReconstruct:
         with pytest.raises(NotInduced):
             reconstruct(phi, validation_count=30, seed=7)
 
+    @pytest.mark.parametrize("phase_image,message", [
+        ([1.0, 2.0, 0], r"phase probe returned h\(i\) = "),
+        ([1.0, -1j, 0], "trace probe says id, phase probe says conj"),
+    ], ids=("unrecognized", "disagrees"))
+    def test_phase_probe_refusals(self, phase_image, message):
+        # the identity map, except that the phase probe (e_1 + i e_2, e_1)
+        # answers (phase_image, e_1): its fit gives h(i) = 2 or -i
+        phase = reconstruction_probe_set(3, ScalarField.COMPLEX, 0).phase[0]
+        e1 = np.eye(3, dtype=complex)[0]
+        answer = RankOneIdempotent(np.array(phase_image, dtype=complex), e1)
+
+        def eval_fn(p):
+            return answer if np.array_equal(p.matrix, phase.matrix) else p
+
+        phi = TransformHandle(eval_fn, 3, ScalarField.COMPLEX)
+        with pytest.raises(UnrecognizedAutomorphism, match=message):
+            reconstruct(phi, validation_count=5)
+
 
 class TestFromRayPair:
     def test_identity_pair(self):
@@ -316,6 +335,17 @@ class TestFromRayPair:
         p = RankOneIdempotent([-1.0, 0, 2.0], [1.0, 0, 1.0])
         with pytest.raises(DegenerateImage):
             phi(p)
+
+    @pytest.mark.parametrize("vector_map,functional_map,error", [
+        (lambda x: 0 * x, lambda f: f, DegenerateImage),
+        (lambda x: x, lambda f: np.zeros(3), DegenerateImage),
+        (lambda x: np.full(3, np.inf), lambda f: f, ValueError),
+        (lambda x: x, lambda f: np.append(f, 1.0), DimensionMismatch),
+    ], ids=("zero-vector", "zero-functional", "non-finite", "wrong-shape"))
+    def test_invalid_images_are_typed(self, vector_map, functional_map, error):
+        phi = from_ray_pair(RayPair(vector_map, functional_map), 3, ScalarField.REAL)
+        with pytest.raises(error):
+            phi(rank_one_from_pair([1.0, 2.0, 0], [1.0, 0, 0]))
 
 
 class TestProbeTable:
