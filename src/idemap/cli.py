@@ -9,9 +9,9 @@ Commands
                  the inducing operator of the ray map it induces.
 ``selftest``     run the built-in verification suites.
 
-Exit codes: 0 success, 1 malformed input or singular matrices, 2 the
-map is not induced / the operator is not a symmetry, 3 selftest
-failures.  Reports are byte-identical for identical config and seed.
+Exit codes: 0 success, 1 malformed input, bad arguments or singular
+matrices, 2 the map is not induced / the operator is not a symmetry, 3
+selftest failures.  Reports are byte-identical for identical config and seed.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ def _add_io_flags(p, default_samples):
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=default_samples,
                    help="sampling/validation budget")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--n", type=int, default=None,
                    help="expected dimension (checked against the input)")
     p.add_argument("--field", choices=["real", "complex"], default=None,
@@ -88,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_sym, default_samples=500)
     p_sym.add_argument("--mode", choices=["characterize", "recover"], default=None,
                        help="override the mode stored in the input file")
+    p_sym.add_argument("--tol", type=float, default=1e-8)
 
     p_self = sub.add_parser("selftest", help="run the verification suites")
     p_self.add_argument("--seed", type=int, default=42)
@@ -121,12 +121,10 @@ def _emit(args, report, summary_line):
 
 
 def _config_dict(args, command):
-    cfg = {"command": command, "seed": args.seed, "samples": args.samples,
-           "tol": args.tol}
-    if getattr(args, "n", None) is not None:
-        cfg["n"] = args.n
-    if getattr(args, "field", None) is not None:
-        cfg["field"] = args.field
+    cfg = {"command": command, "seed": args.seed, "samples": args.samples}
+    for key in ("tol", "n", "field"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 
@@ -255,8 +253,7 @@ def cmd_selftest(args) -> int:
         report = {
             "version": __version__,
             "seed": args.seed,
-            "config": {"command": "selftest", "seed": args.seed,
-                       "samples": args.samples, "tol": args.tol},
+            "config": _config_dict(args, "selftest"),
             "suites": [
                 {"name": r.name, "passed": r.passed, "cases": r.cases,
                  "detail": r.detail, "failures": list(r.failures)}
@@ -269,8 +266,12 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # a usage error: argparse's status 2 means EXIT_NEGATIVE here
+            return EXIT_MALFORMED
+        raise
     handlers = {
         "reconstruct": cmd_reconstruct,
         "symmetry": cmd_symmetry,

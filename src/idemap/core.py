@@ -90,6 +90,16 @@ def _as_matrix(a, name="matrix", square=True):
     return m
 
 
+def _require_invertible(m, name):
+    """Raise :class:`SingularOperator` unless the smallest singular value
+    of ``m`` exceeds ``TOL_SINGULAR`` times the largest."""
+    s = np.linalg.svd(m, compute_uv=False)
+    if s[-1] <= TOL_SINGULAR * s[0]:
+        raise SingularOperator(
+            f"{name} is numerically singular (smin {s[-1]:.3e}, smax {s[0]:.3e})"
+        )
+
+
 def _frozen(a, dtype=None):
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
@@ -278,11 +288,7 @@ class SemilinearOperator:
         dtype = np.complex128 if np.iscomplexobj(m) else np.float64
         if auto is AutomorphismTag.CONJUGATION and dtype is np.float64:
             raise ValueError("conjugation tag requires complex coordinates")
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= TOL_SINGULAR * s[0]:
-            raise SingularOperator(
-                f"operator is numerically singular (smin/smax = {s[-1] / s[0]:.3e})"
-            )
+        _require_invertible(m, "operator")
         self._matrix = _frozen(m, dtype=dtype)
         self._auto = auto
         self._inv = None

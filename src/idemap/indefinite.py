@@ -25,10 +25,10 @@ from .core import (
     AutomorphismTag,
     ScalarField,
     SemilinearOperator,
-    TOL_SINGULAR,
     _as_matrix,
     _as_vector,
     _frozen,
+    _require_invertible,
     _row_abs,
     _row_dots,
     _row_matvec,
@@ -37,13 +37,13 @@ from .core import (
     kernel_and_range,
 )
 from .errors import DimensionMismatch
+from .idempotents import _normalized_rows
 from .sampling import _VectorStream, random_matrix, random_vector
 from .transform import (
-    RayPair,
     ReconstructionResult,
     SampleReport,
+    TransformHandle,
     _sample_biconditional,
-    from_ray_pair,
     reconstruct,
 )
 
@@ -55,9 +55,7 @@ class IndefiniteSpace:
         m = _as_matrix(eta, "eta")
         if m.shape[0] < 3:
             raise ValueError("indefinite spaces need dimension >= 3")
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= TOL_SINGULAR * s[0]:
-            raise ValueError("eta is numerically singular")
+        _require_invertible(m, "eta")
         self._eta = _frozen(m)
         self._eta_inv = None
         self._skew_basis = None
@@ -314,28 +312,20 @@ def characterize(space: IndefiniteSpace, u: SemilinearOperator,
     """
     if u.n != space.n:
         raise DimensionMismatch("operator dimension does not match the space")
-    n = space.n
-    eye = np.eye(n, dtype=space.field.dtype)
-    images = [u(eye[i]) for i in range(n)]
-    lhs = np.empty((n, n), dtype=np.complex128)
-    rhs = np.empty((n, n), dtype=np.complex128)
-    eta_star = space.eta.conj().T
-    for i in range(n):
-        for j in range(n):
-            lhs[i, j] = np.vdot(images[j], space.eta @ images[i])
-            if u.auto is AutomorphismTag.IDENTITY:
-                rhs[i, j] = np.vdot(eye[j], space.eta @ eye[i])
-            else:
-                rhs[i, j] = np.vdot(eye[i], eta_star @ eye[j])
+    m, eta = u.matrix, space.eta
+    if u.auto is AutomorphismTag.IDENTITY:
+        kind, rhs = SymmetryKind.LINEAR, eta.T
+    else:
+        kind, rhs = SymmetryKind.CONJUGATE, eta.conj().T
+    # ``U e_i`` is column ``i`` of ``M``, so ``lhs[i, j] = (U e_j)^H eta
+    # (U e_i)`` is the transpose of ``M^H eta M``.
+    lhs = (m.conj().T @ eta @ m).T.astype(np.complex128)
+    rhs = rhs.astype(np.complex128)
     ref = np.unravel_index(int(np.argmax(np.abs(rhs))), rhs.shape)
     constant = lhs[ref] / rhs[ref]
     scale = 1.0 + np.abs(lhs).max() + abs(constant) * np.abs(rhs).max()
     if np.abs(lhs - constant * rhs).max() > tol * scale:
         return Characterization(SymmetryKind.NONE, None)
-    if u.auto is AutomorphismTag.IDENTITY:
-        kind = SymmetryKind.LINEAR
-    else:
-        kind = SymmetryKind.CONJUGATE
     if space.field is ScalarField.REAL:
         constant = float(constant.real)
     else:
@@ -426,14 +416,12 @@ def recover_inducing_operator(space: IndefiniteSpace, t: RayMap,
     residual.  Raises :class:`~idemap.errors.NotInduced` when ``t`` is
     not a symmetry transformation.
     """
-    eta = space.eta
-    eta_inv = space.eta_inv
+    eta, eta_inv = space.eta, space.eta_inv
 
-    def vector_map(x):
-        return apply_ray_map(t, x)
+    def rows(x, f):
+        tx = _map_rays(t, x)
+        sf = _map_rays(t, _row_matvec(eta_inv, np.conj(f)))
+        return _normalized_rows(tx, np.conj(_row_matvec(eta, sf)))
 
-    def functional_map(f):
-        return np.conj(eta @ apply_ray_map(t, eta_inv @ np.conj(f)))
-
-    phi = from_ray_pair(RayPair(vector_map, functional_map), space.n, space.field)
-    return reconstruct(phi, validation_count=validation_count, seed=seed)
+    return reconstruct(TransformHandle(None, space.n, space.field, _rows=rows),
+                       validation_count=validation_count, seed=seed)

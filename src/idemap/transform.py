@@ -63,13 +63,10 @@ SAMPLE_BLOCK = 16
 class TransformHandle:
     """Black-box total map on rank-one idempotents of a fixed dimension.
 
-    The wrapped callable must return a :class:`RankOneIdempotent` of the
-    same dimension; this is checked lazily on every call.  Evaluation is
-    pure, so concurrent calls are safe.
-
-    Handles built from an operator (:func:`induce`, :func:`identity_handle`,
-    :func:`transpose_handle`) also carry a native row evaluator, which the
-    samplers use to map a whole block of idempotents at once.
+    The map is evaluated on stacked rows ``(x, f)``; ``phi(p)`` is the
+    one-row case.  A wrapped callable is called once per row, in row order,
+    and must return a :class:`RankOneIdempotent` of the same dimension.
+    Evaluation is pure, so concurrent calls are safe.
     """
 
     def __init__(self, eval_fn: Callable[[RankOneIdempotent], RankOneIdempotent],
@@ -77,7 +74,7 @@ class TransformHandle:
         if n < 3:
             raise ValueError("transforms are only supported for dimension >= 3")
         self._eval = eval_fn
-        self._rows = _rows
+        self._rows = self._call_per_row if _rows is None else _rows
         self._n = n
         self._field = field
 
@@ -90,28 +87,32 @@ class TransformHandle:
         return self._field
 
     def __call__(self, p: RankOneIdempotent) -> RankOneIdempotent:
-        if not isinstance(p, RankOneIdempotent):
-            raise TypeError("TransformHandle expects a RankOneIdempotent")
-        if p.n != self._n:
-            raise DimensionMismatch(f"handle dimension {self._n}, input {p.n}")
-        out = self._eval(p)
-        if not isinstance(out, RankOneIdempotent):
-            raise TypeError("transform returned a non-idempotent object")
-        if out.n != self._n:
-            raise DimensionMismatch("transform changed the dimension")
-        return out
+        x, f = self._map_idempotents((p,))
+        return RankOneIdempotent._from_checked_row(x[0], f[0])
 
-    def _map_rows(self, x, f):
-        """Images of the idempotents ``(x[k], f[k])`` as normalized rows.
+    def _map_idempotents(self, ps):
+        """Images of the idempotents ``ps`` as normalized rows ``(x, f)``,
+        from one call of the row evaluator (none when ``ps`` is empty)."""
+        x, f = self._stack(ps, "input")
+        return self._rows(x, f) if len(x) else (x, f)
 
-        Natively when the handle has a row evaluator; otherwise one call
-        per idempotent, in row order, through :meth:`__call__` and its
-        checks.  The rows must have passed :func:`_checked_rows`.
-        """
-        if self._rows is not None:
-            return self._rows(x, f)
-        images = [self(RankOneIdempotent._from_checked_row(xk, fk)) for xk, fk in zip(x, f)]
-        return np.array([p.x for p in images]), np.array([p.f for p in images])
+    def _call_per_row(self, x, f):
+        """Row evaluator of a wrapped callable: ``_eval``, looked up per call."""
+        return self._stack([self._eval(RankOneIdempotent._from_checked_row(xk, fk))
+                            for xk, fk in zip(x, f)], "image")
+
+    def _stack(self, ps, role):
+        """Rows ``(x, f)`` of ``ps``, each checked to be a
+        :class:`RankOneIdempotent` of the handle's dimension."""
+        ps = list(ps)
+        for p in ps:
+            if not isinstance(p, RankOneIdempotent):
+                raise TypeError(f"{role} is not a RankOneIdempotent")
+            if p.n != self._n:
+                raise DimensionMismatch(f"handle dimension {self._n}, {role} dimension {p.n}")
+        shape = (len(ps), self._n)
+        return (np.array([p.x for p in ps]).reshape(shape),
+                np.array([p.f for p in ps]).reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -169,27 +170,21 @@ def induce(a: SemilinearOperator) -> TransformHandle:
     # Functional side of the conjugation: (A^{-1})' f = (M^T)^{-1} h(f).
     dual = np.linalg.inv(matrix.T)
 
-    def eval_fn(p: RankOneIdempotent) -> RankOneIdempotent:
-        x = matrix @ auto.apply(p.x)
-        f = dual @ auto.apply(p.f)
-        return rank_one_from_pair(x, f)
-
     def rows(x, f):
         return _normalized_rows(_row_matvec(matrix, auto.apply(x)),
                                 _row_matvec(dual, auto.apply(f)))
 
-    return TransformHandle(eval_fn, a.n, a.field, _rows=rows)
+    return TransformHandle(None, a.n, a.field, _rows=rows)
 
 
 def identity_handle(n, field: ScalarField) -> TransformHandle:
-    return TransformHandle(lambda p: p, n, field, _rows=lambda x, f: (x, f))
+    return TransformHandle(None, n, field, _rows=lambda x, f: (x, f))
 
 
 def transpose_handle(n, field: ScalarField) -> TransformHandle:
     """The map ``P -> P^T``; it reverses products instead of preserving
     them, so it must fail :func:`check_preservation`."""
-    return TransformHandle(lambda p: RankOneIdempotent(p.f, p.x), n, field,
-                           _rows=lambda x, f: _checked_rows(f, x))
+    return TransformHandle(None, n, field, _rows=lambda x, f: _checked_rows(f, x))
 
 
 def zero_product_partner(rng, p: RankOneIdempotent, field: ScalarField) -> RankOneIdempotent:
@@ -363,17 +358,16 @@ def check_preservation(phi: TransformHandle, sample_count=500, seed=0,
     Pairs are drawn, mapped and judged in blocks of ``SAMPLE_BLOCK``.
     The same seed gives bit-for-bit the pairs that drawing them one at a
     time with :func:`random_rank_one` and :func:`zero_product_partner`
-    gives.  Handles from :func:`induce`, :func:`identity_handle` and
-    :func:`transpose_handle` map a block natively; any other handle is
-    called once per sampled idempotent.  A negative ``sample_count``
-    raises ``ValueError``; zero gives a vacuous report.
+    gives.  Each block is one call of the handle's row evaluator, so a
+    wrapped callable is called once per sampled idempotent.  A negative
+    ``sample_count`` raises ``ValueError``; zero gives a vacuous report.
     """
     n, field = phi.n, phi.field
     return _sample_biconditional(
         n, field, sample_count, seed, tol,
         draw=lambda stream, crafted, plain: _draw_idempotent_pairs(
             stream, n, field, crafted, plain),
-        image=lambda rows: phi._map_rows(*rows),
+        image=lambda rows: phi._rows(*rows),
         margins=lambda rows: _product_margins(*rows))
 
 
@@ -390,7 +384,7 @@ def extend(phi: TransformHandle, p, decomposition=None) -> FiniteRankIdempotent:
     if fp.rank == 0:
         return fp
     pieces = decomposition if decomposition is not None else decompose(fp)
-    total = sum(phi(piece).matrix for piece in pieces)
+    total = sum(np.outer(x, f) for x, f in zip(*phi._map_idempotents(pieces)))
     try:
         return FiniteRankIdempotent(total)
     except NotIdempotent as exc:
@@ -426,8 +420,14 @@ def automorphism_of(phi: TransformHandle) -> AutomorphismTag:
     """
     if phi.field is ScalarField.REAL:
         return AutomorphismTag.IDENTITY
-    p, q = _automorphism_probes(phi.n)
-    return _tag_of(np.trace(phi(p).matrix @ phi(q).matrix), "trace probe returned")
+    return _trace_tag(*phi._map_idempotents(_automorphism_probes(phi.n)))
+
+
+def _trace_tag(x, f):
+    """Ring automorphism measured by the images ``(x, f)`` of the
+    :func:`_automorphism_probes`."""
+    return _tag_of(np.trace(np.outer(x[0], f[0]) @ np.outer(x[1], f[1])),
+                   "trace probe returned")
 
 
 def _tag_of(h_i, probe):
@@ -529,25 +529,18 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     """
     n, field = phi.n, phi.field
     probes = reconstruction_probe_set(n, field, validation_count, seed)
-    evals = 0
 
-    def ask(p):
-        nonlocal evals
-        evals += 1
+    def ask(group):
         try:
-            return phi(p)
+            return phi._map_idempotents(group)
         except (NotIdempotent, DegeneratePair, DegenerateImage,
                 DimensionMismatch, TypeError) as exc:
             raise DegenerateProbe(f"probe image invalid: {exc}") from exc
 
-    columns = []
-    for p in probes.standard:
-        img = ask(p)
-        columns.append(img.x / np.linalg.norm(img.x))
+    columns = [x / np.linalg.norm(x) for x in ask(probes.standard)[0]]
 
     scales = [1.0 + 0j] if field is ScalarField.COMPLEX else [1.0]
-    for j, q in enumerate(probes.mixed, start=1):
-        v = ask(q).x
+    for j, v in enumerate(ask(probes.mixed)[0], start=1):
         a, b = _fit_two_directions(columns[0], columns[j], v)
         nv = np.linalg.norm(v)
         if abs(a) <= 1e-12 * nv or abs(b) <= 1e-12 * nv:
@@ -559,10 +552,8 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     if field is ScalarField.REAL:
         tag = AutomorphismTag.IDENTITY
     else:
-        # Through ``ask``, so the trace probes are counted and an invalid
-        # image is refused like any other probe's.
-        tag = automorphism_of(TransformHandle(ask, n, field))
-        v = ask(probes.phase[0]).x
+        tag = _trace_tag(*ask(probes.automorphism))
+        v = ask(probes.phase)[0][0]
         a, b = _fit_two_directions(columns[0], columns[1], v)
         if abs(a) <= 1e-12 * np.linalg.norm(v):
             raise DegenerateProbe("phase probe lost the first column component")
@@ -588,16 +579,15 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
         raise NotInduced(f"assembled matrix unusable: {exc}", residual=None) from exc
 
     residual = 0.0
-    for p in probes.validation:
-        img = ask(p)
-        delta = np.linalg.norm(img.matrix - a_op.conjugate(p.matrix))
+    for p, x, f in zip(probes.validation, *ask(probes.validation)):
+        delta = np.linalg.norm(np.outer(x, f) - a_op.conjugate(p.matrix))
         residual = max(residual, float(delta))
     if residual > NOT_INDUCED_TOL:
         raise NotInduced(
             f"validation residual {residual:.3e} exceeds {NOT_INDUCED_TOL:.1e}",
             residual=residual,
         )
-    return ReconstructionResult(a_op, residual, evals)
+    return ReconstructionResult(a_op, residual, len(probes.all_probes()))
 
 
 def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
@@ -605,22 +595,34 @@ def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
     ``(x, f) -> normalized (T x, S f)``.
 
     Well-definedness over ray representatives holds because the
-    normalization only depends on the rays.  The handle checks
-    ``pair(T x, S f) != 0`` pointwise (with :func:`rank_one_from_pair`'s
-    rule, which also catches a zero representative) and raises
-    :class:`DegenerateImage` otherwise, a direct witness that ``(T, S)``
-    does not preserve vector/functional orthogonality.
+    normalization only depends on the rays.  ``T`` and then ``S`` are
+    called once per row, in row order.  A vanishing ``pair(T x, S f)``
+    (by :func:`rank_one_from_pair`'s rule, which also catches a zero
+    representative) raises :class:`DegenerateImage`, a direct witness
+    that ``(T, S)`` does not preserve vector/functional orthogonality.
     """
 
-    def eval_fn(p: RankOneIdempotent) -> RankOneIdempotent:
+    def rows(x, f):
+        tx, sf = zip(*[(_image_vector(ts.vector_map(xk), n),
+                         _image_vector(ts.functional_map(fk), n)) for xk, fk in zip(x, f)])
         try:
-            return rank_one_from_pair(ts.vector_map(p.x), ts.functional_map(p.f))
+            return _normalized_rows(np.array(tx), np.array(sf))
         except DegeneratePair as exc:
             raise DegenerateImage(
                 f"image pairing vanishes while the source pairing is 1: {exc}"
             ) from exc
 
-    return TransformHandle(eval_fn, n, field)
+    return TransformHandle(None, n, field, _rows=rows)
+
+
+def _image_vector(v, n):
+    """A black box's image vector: float or complex, of dimension ``n``."""
+    v = np.asarray(v)
+    if v.dtype.kind not in "fc":
+        v = v.astype(np.float64)
+    if v.shape != (n,):
+        raise DimensionMismatch(f"image of shape {v.shape}, expected ({n},)")
+    return v
 
 
 def probe_table_from_operator(a: SemilinearOperator, validation_count=50,
@@ -628,9 +630,10 @@ def probe_table_from_operator(a: SemilinearOperator, validation_count=50,
     """Evaluate the induced map of ``a`` on the whole documented probe
     set; the resulting ``(input, output)`` list feeds
     :func:`handle_from_table`."""
-    phi = induce(a)
-    probes = reconstruction_probe_set(a.n, a.field, validation_count, seed)
-    return [(p, phi(p)) for p in probes.all_probes()]
+    probes = reconstruction_probe_set(a.n, a.field, validation_count, seed).all_probes()
+    x, f = induce(a)._map_idempotents(probes)
+    return [(p, RankOneIdempotent._from_checked_row(xk, fk))
+            for p, xk, fk in zip(probes, x, f)]
 
 
 def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:

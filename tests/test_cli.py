@@ -39,6 +39,24 @@ def table_input(op, samples, seed):
     }
 
 
+class TestArguments:
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct"],
+        ["selftest", "--samples", "abc"],
+        ["reconstruct", "--in", "in.json", "--tol", "1e-6"],
+        ["unknown"],
+    ], ids=("missing-in", "bad-int", "reconstruct-tol", "unknown-command"))
+    def test_argument_errors_exit_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["symmetry", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+
+
 class TestReconstructCommand:
     def test_induced_roundtrip(self, tmp_path, capsys):
         op = SemilinearOperator(np.diag([1.0, 2.0, 3.0]))
@@ -56,6 +74,7 @@ class TestReconstructCommand:
         ) <= 1e-9
         # real field: no automorphism/phase probes
         assert len(report["probe_set"]) == 3 + 2 + 20
+        assert report["config"] == {"command": "reconstruct", "seed": 7, "samples": 20}
 
     def test_byte_identical_reports(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -10,8 +10,10 @@ from idemap.core import (
     conjugation_operator,
     up_to_scalar_distance,
 )
-from idemap.errors import NotInduced
+from idemap.errors import NotInduced, SingularOperator
 from idemap.indefinite import (
+    CHARACTERIZE_TOL,
+    Characterization,
     IndefiniteSpace,
     Ray,
     SymmetryKind,
@@ -26,6 +28,7 @@ from idemap.indefinite import (
     recover_inducing_operator,
 )
 from idemap.sampling import random_invertible, random_semilinear, random_vector
+from idemap.selftest import _metric
 
 MINKOWSKI = np.diag([1.0, 1.0, -1.0])
 
@@ -182,6 +185,60 @@ class TestCharacterize:
             assert abs(ch.constant - fitted) <= 1e-8 * max(1.0, abs(fitted))
 
 
+def characterize_by_basis_pairs(space, u, tol=CHARACTERIZE_TOL):
+    """Reference for :func:`characterize`: both sides of its identity
+    evaluated on each of the ``n^2`` basis pairs."""
+    n = space.n
+    eye = np.eye(n, dtype=space.field.dtype)
+    images = [u(eye[i]) for i in range(n)]
+    lhs = np.empty((n, n), dtype=np.complex128)
+    rhs = np.empty((n, n), dtype=np.complex128)
+    eta_star = space.eta.conj().T
+    for i in range(n):
+        for j in range(n):
+            lhs[i, j] = np.vdot(images[j], space.eta @ images[i])
+            if u.auto is AutomorphismTag.IDENTITY:
+                rhs[i, j] = np.vdot(eye[j], space.eta @ eye[i])
+            else:
+                rhs[i, j] = np.vdot(eye[i], eta_star @ eye[j])
+    ref = np.unravel_index(int(np.argmax(np.abs(rhs))), rhs.shape)
+    constant = lhs[ref] / rhs[ref]
+    scale = 1.0 + np.abs(lhs).max() + abs(constant) * np.abs(rhs).max()
+    if np.abs(lhs - constant * rhs).max() > tol * scale:
+        return Characterization(SymmetryKind.NONE, None)
+    kind = SymmetryKind.LINEAR if u.auto is AutomorphismTag.IDENTITY \
+        else SymmetryKind.CONJUGATE
+    return Characterization(kind, constant)
+
+
+@pytest.mark.parametrize("field", (ScalarField.REAL, ScalarField.COMPLEX), ids=("real", "complex"))
+@pytest.mark.parametrize("auto", (AutomorphismTag.IDENTITY, AutomorphismTag.CONJUGATION),
+                         ids=("id", "conj"))
+def test_characterize_matches_basis_pair_loop(field, auto):
+    rng = np.random.default_rng(31)
+    kinds = set()
+    for i in range(40):
+        n = 3 + i % 6
+        # A conjugate-linear symmetry V h(x) needs V* eta V = c conj(eta):
+        # a real isometry of a real metric, times a phase.
+        metric_field = field if auto is AutomorphismTag.IDENTITY else ScalarField.REAL
+        eta, _ = _metric(rng, n, metric_field, i)
+        matrix = generate_eta_isometry(IndefiniteSpace(eta), seed=i,
+                                       scale=float(rng.uniform(0.5, 4.0))).matrix
+        if i % 3 == 2:
+            matrix = random_invertible(rng, n, metric_field)
+        if auto is AutomorphismTag.CONJUGATION:
+            matrix = np.exp(1j * rng.uniform(0, 2 * np.pi)) * matrix
+        space = IndefiniteSpace(eta.astype(field.dtype))
+        u = SemilinearOperator(matrix, auto)
+        got, want = characterize(space, u), characterize_by_basis_pairs(space, u)
+        assert got.kind is want.kind
+        kinds.add(got.kind)
+        if want.constant is not None:
+            assert abs(got.constant - want.constant) <= 1e-12 * abs(want.constant)
+    assert SymmetryKind.NONE in kinds and len(kinds) == 2
+
+
 class TestGenerateEtaIsometry:
     def test_definite_case_gives_unitary(self):
         space = IndefiniteSpace(np.eye(4, dtype=complex))
@@ -292,5 +349,7 @@ class TestRays:
 def test_space_validation():
     with pytest.raises(ValueError):
         IndefiniteSpace(np.zeros((3, 3)))
+    with pytest.raises(SingularOperator):
+        IndefiniteSpace(np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         IndefiniteSpace(np.eye(2))

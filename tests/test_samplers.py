@@ -22,19 +22,25 @@ from idemap.indefinite import (
     _draw_ray_pairs,
     apply_ray_map,
     eta_orthogonal_partner,
+    generate_eta_isometry,
     induced_ray_map,
     is_symmetry,
+    recover_inducing_operator,
 )
-from idemap.sampling import _VectorStream, random_invertible, random_rank_one, \
-    random_vector
+from idemap.sampling import _VectorStream, random_idempotent, random_invertible, \
+    random_rank_one, random_vector
 from idemap.transform import (
     SAMPLE_BLOCK,
     RayPair,
     TransformHandle,
     _draw_idempotent_pairs,
+    automorphism_of,
     check_preservation,
+    extend,
     from_ray_pair,
     induce,
+    probe_table_from_operator,
+    reconstruct,
     transpose_handle,
     zero_product_partner,
 )
@@ -251,11 +257,17 @@ def test_exhausted_draws_raise_like_the_helpers():
 # -- native and black-box handles -------------------------------------------
 
 def _black_box_handles(a, tag, n, field):
+    """The native handle of ``(a, tag)`` and two black boxes for the same
+    map, written in plain numpy: a callable and a ray pair."""
     native = induce(SemilinearOperator(a, tag))
     dual = np.linalg.inv(a.T)
+
+    def induced(p):
+        y, g = a @ tag.apply(p.x), dual @ tag.apply(p.f)
+        return RankOneIdempotent(y / np.dot(y, g), g)
+
     rays = RayPair(lambda x: a @ tag.apply(x), lambda f: dual @ tag.apply(f))
-    return native, (TransformHandle(lambda p: native(p), n, field),
-                    from_ray_pair(rays, n, field))
+    return native, (TransformHandle(induced, n, field), from_ray_pair(rays, n, field))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -265,11 +277,11 @@ def test_native_and_black_box_handles_agree(n, field, tag):
     native, black_boxes = _black_box_handles(generic_matrix(rng, n, field), tag, n, field)
     stream = _VectorStream(np.random.default_rng(n), n, field)
     x, f = _draw_idempotent_pairs(stream, n, field, SAMPLE_BLOCK, 3)
-    images = native._map_rows(x, f)
+    images = native._rows(x, f)
     report = check_preservation(native, sample_count=150, seed=n)
     assert report.ok
     for phi in black_boxes:
-        for got, want in zip(phi._map_rows(x, f), images):
+        for got, want in zip(phi._rows(x, f), images):
             assert_same_bits(got, want)
         assert check_preservation(phi, sample_count=150, seed=n) == report
 
@@ -285,6 +297,55 @@ def test_native_and_black_box_handles_agree(n, field, tag):
     black_box = RayMap(lambda ray: Ray(u(ray.representative)))
     assert_same_reports(is_symmetry(space, black_box, sample_count=150, seed=n),
                         native_rays)
+
+
+def _symmetry(rng, n, field, tag):
+    """A space with a Hermitian indefinite metric and an operator that
+    induces one of its symmetries.  A conjugate-linear one ``V h(x)`` needs
+    ``V* eta V = c conj(eta)``: a real isometry of a real metric, times a
+    phase."""
+    metric_field = field if tag is AutomorphismTag.IDENTITY else ScalarField.REAL
+    s = generic_matrix(rng, n, metric_field)
+    signs = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    space = IndefiniteSpace(s.conj().T @ np.diag(signs) @ s)
+    v = generate_eta_isometry(space, seed=n, scale=2.0).matrix
+    if tag is AutomorphismTag.IDENTITY:
+        return space, SemilinearOperator(v)
+    return IndefiniteSpace(space.eta.astype(complex)), SemilinearOperator(np.exp(0.3j) * v, tag)
+
+
+def assert_same_result(got, want):
+    assert_same_bits(got.A.matrix, want.A.matrix)
+    assert (got.A.auto, got.residual, got.probes_used) == \
+        (want.A.auto, want.residual, want.probes_used)
+
+
+@pytest.mark.parametrize("n", (3, 6, 16))
+@pytest.mark.parametrize("field,tag", KINDS, ids=KIND_IDS)
+def test_native_and_black_box_results_agree(n, field, tag):
+    """Reconstruction, extension, the automorphism, probe tables and
+    symmetry recovery: bit-for-bit the same through every black box."""
+    rng = np.random.default_rng(5 * n)
+    a = generic_matrix(rng, n, field)
+    native, black_boxes = _black_box_handles(a, tag, n, field)
+    result = reconstruct(native, validation_count=10, seed=n)
+    p = random_idempotent(rng, n, 2, field)
+    extended = extend(native, p)
+    table = probe_table_from_operator(SemilinearOperator(a, tag), validation_count=10, seed=n)
+    for phi in black_boxes:
+        assert_same_result(reconstruct(phi, validation_count=10, seed=n), result)
+        assert_same_bits(extend(phi, p).matrix, extended.matrix)
+        assert automorphism_of(phi) is automorphism_of(native)
+        for q, image in table:
+            got = phi(q)
+            assert_same_bits(got.x, image.x)
+            assert_same_bits(got.f, image.f)
+
+    space, u = _symmetry(rng, n, field, tag)
+    recovered = recover_inducing_operator(space, induced_ray_map(u), validation_count=10, seed=n)
+    black_box = RayMap(lambda ray: Ray(u.matrix @ tag.apply(ray.representative)))
+    assert_same_result(recover_inducing_operator(space, black_box, validation_count=10, seed=n),
+                       recovered)
 
 
 def test_replaced_ray_map_drops_the_native_evaluator():

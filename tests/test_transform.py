@@ -173,6 +173,16 @@ class TestExtend:
         out = extend(phi, np.zeros((3, 3)))
         assert out.rank == 0
 
+    def test_empty_or_wrongly_typed_decomposition(self):
+        phi = identity_handle(3, ScalarField.REAL)
+        p = np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            extend(phi, p, decomposition=[])
+        with pytest.raises(TypeError):
+            extend(phi, p, decomposition=[p])
+        with pytest.raises(TypeError):
+            extend(phi, p, decomposition=5)
+
 
 class TestAutomorphismOf:
     def test_real_short_circuit(self):
@@ -246,6 +256,28 @@ class TestReconstruct:
         op = SemilinearOperator(np.diag([1.0, 2.0, 3.0, 4.0]))
         result = reconstruct(induce(op), validation_count=5, seed=5)
         assert result.probes_used == n + (n - 1) + 5
+
+    @pytest.mark.parametrize("field,auto", [
+        (ScalarField.REAL, AutomorphismTag.IDENTITY),
+        (ScalarField.COMPLEX, AutomorphismTag.IDENTITY),
+        (ScalarField.COMPLEX, AutomorphismTag.CONJUGATION),
+    ], ids=("real", "complex-id", "complex-conj"))
+    def test_one_row_call_per_probe_group(self, field, auto):
+        # standard, mixed, trace, phase and validation probes: one call each
+        n = 5
+        rng = np.random.default_rng(20)
+        phi = induce(SemilinearOperator(random_invertible(rng, n, field), auto))
+        rows, calls = phi._rows, []
+
+        def counting(x, f):
+            calls.append(len(x))
+            return rows(x, f)
+
+        phi._rows = counting
+        result = reconstruct(phi, validation_count=20, seed=1)
+        probes = reconstruction_probe_set(n, field, 20, 1).all_probes()
+        assert result.probes_used == sum(calls) == len(probes)
+        assert len(calls) <= (3 if field is ScalarField.REAL else 5)
 
     def test_validation_count_zero_or_negative(self):
         op = SemilinearOperator(np.diag([1.0, 2.0, 3.0]))
@@ -335,6 +367,12 @@ class TestFromRayPair:
         p = RankOneIdempotent([-1.0, 0, 2.0], [1.0, 0, 1.0])
         with pytest.raises(DegenerateImage):
             phi(p)
+
+    def test_integer_images_become_float(self):
+        phi = from_ray_pair(RayPair(lambda x: np.array([1, 2, 0]), lambda f: np.array([1, 0, 0])),
+                            3, ScalarField.REAL)
+        image = phi(rank_one_from_pair([1.0, 2.0, 0], [1.0, 0, 0]))
+        assert image.x.dtype == image.f.dtype == np.float64
 
     @pytest.mark.parametrize("vector_map,functional_map,error", [
         (lambda x: 0 * x, lambda f: f, DegenerateImage),
