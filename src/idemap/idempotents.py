@@ -66,7 +66,8 @@ class RankOneIdempotent:
 
     @classmethod
     def _from_checked_row(cls, x, f):
-        """Wrap one row pair that :func:`_checked_rows` has validated."""
+        """Wrap one row pair that is already valid: finite, with pairing 1,
+        such as a row of :func:`_normalized_rows` or of an idempotent."""
         p = object.__new__(cls)
         p._x = _frozen(x)
         p._f = _frozen(f)
@@ -168,28 +169,20 @@ def rank_one_from_pair(x, f) -> RankOneIdempotent:
     return RankOneIdempotent(xv / p, fv)
 
 
-def _checked_rows(x, f):
-    """Row-wise :class:`RankOneIdempotent` validation of stacked pairs
-    ``(x[k], f[k])``: finite entries and pairing 1.  Returns the rows."""
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
-        raise ValueError("rank-one rows have non-finite entries")
-    p = _row_dots(x, f)
-    bad = np.abs(p - 1.0) > PAIRING_TOL * (1.0 + _row_norms(x) * _row_norms(f))
-    if bad.any():
-        raise NotIdempotent(f"pairing is {p[np.argmax(bad)]!r}, expected 1")
-    return x, f
-
-
 def _normalized_rows(x, f):
     """Row-wise :func:`rank_one_from_pair`: the rows ``x[k] / pair(x[k],
-    f[k])`` and ``f[k]``, with the same checks and bit-identical values."""
+    f[k])`` and ``f[k]``, with the same checks and bit-identical values.
+
+    The degeneracy rule keeps ``|pair(x, f)| > 1e-10 ||x|| ||f||``, so the
+    rounding error of the new pairing stays far below ``PAIRING_TOL``
+    and the rows need no :class:`RankOneIdempotent` check."""
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
         raise ValueError("rank-one rows have non-finite entries")
     p = _row_dots(x, f)
     degenerate = _row_abs(p) <= 1e-10 * _row_norms(x) * _row_norms(f)
     if degenerate.any():
         raise DegeneratePair(f"pairing {p[np.argmax(degenerate)]!r} too close to zero")
-    return _checked_rows(x / p[:, None], f)
+    return x / p[:, None], f
 
 
 @dataclass(frozen=True)

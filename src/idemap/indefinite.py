@@ -38,7 +38,7 @@ from .core import (
 )
 from .errors import DimensionMismatch
 from .idempotents import _normalized_rows
-from .sampling import _VectorStream, random_matrix, random_vector
+from .sampling import _projected, _redrawn, random_matrix, random_vector
 from .transform import (
     ReconstructionResult,
     SampleReport,
@@ -92,6 +92,13 @@ class Ray:
         if np.linalg.norm(v) == 0:
             raise ValueError("a ray needs a nonzero representative")
         self._rep = _frozen(v)
+
+    @classmethod
+    def _from_checked(cls, v):
+        """Wrap a finite, nonzero representative the library made itself."""
+        ray = object.__new__(cls)
+        ray._rep = _frozen(v)
+        return ray
 
     @property
     def representative(self):
@@ -154,7 +161,12 @@ def induced_ray_map(u: SemilinearOperator) -> RayMap:
 
 
 def apply_ray_map(t: RayMap, x):
-    ray = Ray(x)
+    return _image_of(t, Ray(x))
+
+
+def _image_of(t: RayMap, ray: Ray):
+    """Representative of ``t.eval(ray)``, checked to be a :class:`Ray` of
+    the dimension of ``ray``."""
     out = t.eval(ray)
     if not isinstance(out, Ray):
         raise TypeError("ray map returned a non-ray object")
@@ -165,10 +177,11 @@ def apply_ray_map(t: RayMap, x):
 
 def _map_rays(t: RayMap, x):
     """Representatives of the images of the rays ``x[k]``: natively when
-    the map has a row evaluator, otherwise one :func:`apply_ray_map` call
-    per ray, in row order."""
+    the map has a row evaluator, otherwise one ``t.eval`` call per ray, in
+    row order.  The rows are the library's own, so they are wrapped
+    without being checked again."""
     if t._rows is None:
-        return np.array([apply_ray_map(t, xk) for xk in x])
+        return np.array([_image_of(t, Ray._from_checked(xk)) for xk in x])
     out = t._rows(x)
     if out.shape != x.shape:
         raise DimensionMismatch(
@@ -220,35 +233,27 @@ def eta_orthogonal_partner(space: IndefiniteSpace, x, rng):
     raise RuntimeError("could not craft an eta-orthogonal partner")
 
 
-def _draw_ray_pairs(stream: _VectorStream, space: IndefiniteSpace, crafted, plain):
+def _draw_ray_pairs(rng, space: IndefiniteSpace, crafted, plain):
     """Rows of ``crafted`` eta-orthogonal pairs and then ``plain`` random
-    pairs, ``x`` and ``y`` interleaved: bit-for-bit the pairs that
-    :func:`random_vector` and :func:`eta_orthogonal_partner` would draw
-    from the same stream.  A partner that degenerates, which would make
-    the helper draw again, is drawn by the helpers themselves."""
-    rows = []
-    while crafted:
-        v = stream.peek(2 * crafted)
-        x, y0 = v[0::2], v[1::2]
-        w = _row_matvec(space.eta, x)
-        wc = w.conj()
-        y = y0 - (_row_dots(wc, y0) / _row_dots(wc, w))[:, None] * w
-        kept = _row_norms(y) > 1e-8 * _row_norms(y0)
-        k = crafted if kept.all() else int(np.argmin(kept))
-        if k:
-            stream.skip(2 * k)
-            out = v[:2 * k].copy()
-            out[1::2] = y[:k]
-        else:
-            x1 = random_vector(stream, space.n, space.field)
-            out = np.array([x1, eta_orthogonal_partner(space, x1, stream)])
-            k = 1
-        rows.append(out)
-        crafted -= k
-    if plain:
-        rows.append(stream.peek(2 * plain))
-        stream.skip(2 * plain)
-    return np.concatenate(rows)
+    pairs, ``x`` and ``y`` interleaved.
+
+    The block is drawn directly: first every ``x`` and the ``y`` of the
+    plain pairs, then the crafted partners, projected as
+    :func:`eta_orthogonal_partner` projects: ``y = y0 - pair(y0, conj(w))
+    / pair(w, conj(w)) * w`` with ``w = eta x``.  A partner that
+    degenerates is drawn again, with that helper's ``RuntimeError`` once
+    ``DRAW_TRIES`` rounds are used up."""
+    size = crafted + plain
+    v = random_matrix(rng, (size + plain, space.n), space.field)
+    w = v[:crafted] @ space.eta.T
+
+    def partners(index):
+        y, live = _projected(random_matrix(rng, (index.size, space.n), space.field),
+                             w[index].conj(), w[index])
+        return (y,), live
+
+    y, = _redrawn(crafted, partners, "could not craft an eta-orthogonal partner")
+    return np.stack((v[:size], np.concatenate((y, v[size:]))), axis=1).reshape(-1, space.n)
 
 
 def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0,
@@ -263,16 +268,18 @@ def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0,
     representative vectors.
 
     Pairs are drawn, mapped and judged in blocks of
-    :data:`~idemap.transform.SAMPLE_BLOCK`.  The same seed gives
-    bit-for-bit the pairs that drawing them one at a time with
-    :func:`random_vector` and :func:`eta_orthogonal_partner` gives.  Maps
+    :data:`~idemap.transform.SAMPLE_BLOCK`.  Each block is drawn directly
+    from the seeded generator, with partners crafted as
+    :func:`eta_orthogonal_partner` crafts them, so the same seed gives the
+    same report, but not the pairs that helper and :func:`random_vector`
+    would draw one at a time.  Maps
     from :func:`induced_ray_map` are evaluated natively; any other ray
     map is called once per sampled ray.  A negative ``sample_count``
     raises ``ValueError``; zero gives a vacuous report.
     """
     return _sample_biconditional(
         space.n, space.field, sample_count, seed, tol,
-        draw=lambda stream, crafted, plain: _draw_ray_pairs(stream, space, crafted, plain),
+        draw=lambda rng, crafted, plain: _draw_ray_pairs(rng, space, crafted, plain),
         image=lambda v: _map_rays(t, v),
         margins=lambda v: _orthogonality_margins(space.eta, v[0::2], v[1::2]))
 
@@ -385,7 +392,7 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     rng = np.random.default_rng(seed)
     n = space.n
     field = space.field
-    k = random_matrix(rng, n, field)
+    k = random_matrix(rng, (n, n), field)
     basis = _eta_skew_basis(space)
     v = _realify(k, field)
     projected = basis @ (basis.T @ v) if basis.shape[1] else np.zeros_like(v)

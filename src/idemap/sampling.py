@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AutomorphismTag, ScalarField, SemilinearOperator
+from .core import AutomorphismTag, ScalarField, SemilinearOperator, _row_dots, _row_norms
 from .idempotents import FiniteRankIdempotent, RankOneIdempotent, rank_one_from_pair
 
 
 #: Smallest ``|pair(x, f)| / (||x|| ||f||)`` accepted for a random pair.
 MIN_COSINE = 0.05
 
-#: Attempts a rank-one draw (or a zero-product partner) gets before failing.
+#: Attempts a rank-one draw (or a zero-product partner) gets before
+#: failing; also the most rounds a sampler block redraws its rejected rows.
 DRAW_TRIES = 200
 
 #: Gaussian matrices :func:`random_invertible` draws before failing.
@@ -31,16 +32,18 @@ def random_vector(rng, n, field: ScalarField):
     return rng.standard_normal(n)
 
 
-def random_matrix(rng, n, field: ScalarField):
+def random_matrix(rng, shape, field: ScalarField):
+    """Gaussian matrix of the given ``shape``; over the complex field the
+    real part is drawn before the imaginary part."""
     if field is ScalarField.COMPLEX:
-        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return rng.standard_normal((n, n))
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rng.standard_normal(shape)
 
 
 def random_invertible(rng, n, field: ScalarField, max_cond=1e4):
     """Gaussian matrix, resampled until its condition number is moderate."""
     for _ in range(INVERTIBLE_TRIES):
-        m = random_matrix(rng, n, field)
+        m = random_matrix(rng, (n, n), field)
         if np.linalg.cond(m) <= max_cond:
             return m
     raise RuntimeError("could not draw a well-conditioned matrix")
@@ -93,49 +96,28 @@ def remix_decomposition(rng, pieces) -> list[RankOneIdempotent]:
     return [RankOneIdempotent(u2[:, i], g2[i, :]) for i in range(r)]
 
 
-class _VectorStream:
-    """Look-ahead reader of the :func:`random_vector` draws of a generator.
-
-    numpy's normal stream does not depend on how the draws are split into
-    calls, so row ``k`` of :meth:`peek` is bit-for-bit the ``k``-th
-    vector that ``random_vector(rng, n, field)`` would return next.  The
-    batch samplers peek at a window, decide what the per-pair helpers
-    would have accepted, and :meth:`skip` exactly what those helpers
-    would have consumed.  :meth:`standard_normal` lets the helpers
-    themselves read from the same position.
-    """
-
-    def __init__(self, rng, n, field: ScalarField):
-        self._rng = rng
-        self._n = n
-        self._complex = field is ScalarField.COMPLEX
-        self._width = 2 * n if self._complex else n
-        self._buf = np.empty(0)
-        self._pos = 0
-
-    def _fill(self, size):
-        have = self._buf.size - self._pos
-        if have < size:
-            fresh = self._rng.standard_normal(size - have)
-            self._buf = np.concatenate([self._buf[self._pos:], fresh]) if have else fresh
-            self._pos = 0
-        return self._buf[self._pos:self._pos + size]
-
-    def peek(self, count):
-        """The next ``count`` vectors as rows, without consuming them."""
-        values = self._fill(count * self._width).reshape(count, self._width)
-        if not self._complex:
-            return values
-        # Same values as ``re + 1j * im``, without its complex temporary.
-        rows = np.empty((count, self._n), dtype=np.complex128)
-        rows.real = values[:, :self._n]
-        rows.imag = values[:, self._n:]
+def _redrawn(count, draw, message):
+    """``count`` accepted rows of a block.  ``draw(index)`` gives fresh
+    candidate rows (a tuple of arrays) for the row numbers ``index`` and
+    a mask of the accepted ones; rejected rows are drawn again, for at
+    most ``DRAW_TRIES`` rounds, before ``RuntimeError(message)``."""
+    index = np.arange(count)
+    rows, ok = draw(index)
+    for _ in range(DRAW_TRIES - 1):
+        index = index[~ok]
+        if not index.size:
+            return rows
+        fresh, ok = draw(index)
+        for out, new in zip(rows, fresh):
+            out[index] = new
+    if ok.all():
         return rows
+    raise RuntimeError(message)
 
-    def skip(self, count):
-        self._pos += count * self._width
 
-    def standard_normal(self, size):
-        out = self._fill(size).copy()
-        self._pos += size
-        return out
+def _projected(y0, c, d):
+    """Rows ``y = y0 - pair(y0, c) / pair(d, c) * d``, so that ``pair(y, c)
+    = 0``, and a mask of the rows that keep more than ``1e-8`` of the
+    norm of ``y0`` (the others are degenerate)."""
+    y = y0 - (_row_dots(y0, c) / _row_dots(d, c))[:, None] * d
+    return y, _row_norms(y) > 1e-8 * _row_norms(y0)

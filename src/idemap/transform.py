@@ -38,13 +38,20 @@ from .errors import (
 from .idempotents import (
     FiniteRankIdempotent,
     RankOneIdempotent,
-    _checked_rows,
     _normalized_rows,
     as_finite_rank,
     decompose,
     rank_one_from_pair,
 )
-from .sampling import DRAW_TRIES, MIN_COSINE, _VectorStream, random_rank_one, random_vector
+from .sampling import (
+    DRAW_TRIES,
+    MIN_COSINE,
+    _projected,
+    _redrawn,
+    random_matrix,
+    random_rank_one,
+    random_vector,
+)
 
 #: Match tolerance for the trace probe deciding the ring automorphism.
 AUTOMORPHISM_TOL = 1e-6
@@ -56,8 +63,11 @@ NOT_INDUCED_TOL = 1e-6
 TABLE_MATCH_TOL = 1e-8
 
 #: Pairs the samplers draw, evaluate and judge together; every per-call
-#: temporary array is of this size, whatever the sample count.
-SAMPLE_BLOCK = 16
+#: temporary array is of this size, whatever the sample count.  Each
+#: block pays a fixed Python cost for its draws and redraw rounds: for
+#: 500 pairs, 16 was 2-4x slower than 64 at n=3 and 1.5-2x at n=64, and
+#: 128 was no faster than 64 but took more memory.
+SAMPLE_BLOCK = 64
 
 
 class TransformHandle:
@@ -184,7 +194,7 @@ def identity_handle(n, field: ScalarField) -> TransformHandle:
 def transpose_handle(n, field: ScalarField) -> TransformHandle:
     """The map ``P -> P^T``; it reverses products instead of preserving
     them, so it must fail :func:`check_preservation`."""
-    return TransformHandle(None, n, field, _rows=lambda x, f: _checked_rows(f, x))
+    return TransformHandle(None, n, field, _rows=lambda x, f: (f, x))
 
 
 def zero_product_partner(rng, p: RankOneIdempotent, field: ScalarField) -> RankOneIdempotent:
@@ -211,104 +221,38 @@ def _product_margins(x, f):
     return np.abs(_row_dots(y, f)) / (_row_norms(f) * _row_norms(y))
 
 
-def _partner_attempts(u, w, nu, nw, dots, accept):
-    """Settle ``zero_product_partner`` for every accepted record of a window.
-
-    Record ``a`` holds the attempt ``(x, f) = (u[a], w[a])``; if it is
-    accepted, the records after it are partner attempts ``(y0, g)``
-    against ``P = (x / pair(x, f), f)``.  Attempt ``a + t`` is decided for
-    all candidates ``a`` still open, round ``t`` by round ``t``.  Returns
-    the record of each candidate's accepted partner (-1 where the window
-    cannot settle it: it ends first, ``y`` degenerates, which
-    consumes a single vector and breaks the record alignment, or the
-    tries run out) and the partner's unnormalized ``y`` at row ``a``.
-    """
-    records = u.shape[0]
-    cand = np.flatnonzero(accept)
-    px = u[cand] / dots[cand, None]
-    partner = np.full(records, -1)
-    y_at = np.empty_like(u)
-    open_ = np.arange(cand.size)
-    for t in range(1, DRAW_TRIES + 1):
-        open_ = open_[cand[open_] + t < records]
-        if not open_.size:
-            break
-        a = cand[open_]
-        j = a + t
-        y0 = u[j]
-        y = y0 - _row_dots(y0, w[a])[:, None] * px[open_]
-        ny = _row_norms(y)
-        live = ~(ny <= 1e-8 * nu[j])
-        done = live & (_row_abs(_row_dots(y, w[j])) >= MIN_COSINE * ny * nw[j])
-        partner[a[done]] = j[done]
-        y_at[a[done]] = y[done]
-        open_ = open_[live & ~done]
-    return partner, y_at
-
-
-def _settle_pairs(stream: _VectorStream, count, crafted):
-    """Up to ``count`` pairs ``(P, Q)`` settled by one look-ahead window.
-
-    The window holds draw records of two vectors each.  A record is an
-    attempt of :func:`random_rank_one`; whether it is accepted depends on
-    the record alone, so that is decided for the whole window at once.
-    ``Q`` is the next accepted record (``crafted`` false) or the
-    :func:`zero_product_partner` of ``P``.  Pairs are read off in stream
-    order until one cannot be settled from the window.  Returns the rows
-    ``(x, f)`` with ``P`` and ``Q`` of each pair interleaved, normalized
-    as :func:`rank_one_from_pair` does, and the number of vectors used.
-    """
-    records = 2 * count + 8
-    v = stream.peek(2 * records)
-    u, w = v[0::2], v[1::2]
-    nu, nw, dots = _row_norms(u), _row_norms(w), _row_dots(u, w)
-    accept = _row_abs(dots) >= MIN_COSINE * nu * nw
-    index = np.arange(records)
-    # First accepted record at or after each record (``records`` if none).
-    following = np.minimum.accumulate(np.where(accept, index, records)[::-1])[::-1]
-    if crafted:
-        partner, y_at = _partner_attempts(u, w, nu, nw, dots, accept)
-    else:
-        after = np.append(following[1:], records)
-        partner = np.where((after < records) & (after - index <= DRAW_TRIES), after, -1)
-    following_l, partner_l = following.tolist(), partner.tolist()
-    chosen = []
-    start = 0
-    while len(chosen) < count and start < records:
-        a = following_l[start]
-        if a == records or a - start >= DRAW_TRIES or partner_l[a] < 0:
-            break
-        chosen.append(a)
-        start = partner_l[a] + 1
-    a = np.array(chosen, dtype=int)
-    b = partner[a]
-    n = u.shape[1]
-    x = np.stack((u[a], y_at[a] if crafted else u[b]), axis=1).reshape(-1, n)
-    f = np.stack((w[a], w[b]), axis=1).reshape(-1, n)
-    return _normalized_rows(x, f), 2 * start
-
-
-def _draw_idempotent_pairs(stream: _VectorStream, n, field, crafted, plain):
+def _draw_idempotent_pairs(rng, n, field, crafted, plain):
     """Rows ``(x, f)`` of ``crafted`` zero-product pairs and then ``plain``
-    random pairs, ``P`` and ``Q`` interleaved: bit-for-bit the pairs that
-    :func:`random_rank_one` and :func:`zero_product_partner` would draw
-    from the same stream.  A pair no window can settle is drawn by those
-    helpers themselves."""
-    xs, fs = [], []
-    for count, is_crafted in ((crafted, True), (plain, False)):
-        while count:
-            (x, f), used = _settle_pairs(stream, count, is_crafted)
-            if used:
-                stream.skip(used)
-            else:
-                p = random_rank_one(stream, n, field)
-                q = zero_product_partner(stream, p, field) if is_crafted \
-                    else random_rank_one(stream, n, field)
-                x, f = np.array([p.x, q.x]), np.array([p.f, q.f])
-            xs.append(x)
-            fs.append(f)
-            count -= x.shape[0] // 2
-    return np.concatenate(xs), np.concatenate(fs)
+    random pairs, ``P`` and ``Q`` interleaved and normalized as
+    :func:`rank_one_from_pair` normalizes.
+
+    The block is drawn directly: first every ``P`` and the ``Q`` of the
+    plain pairs, then the crafted partners ``y = y0 - pair(y0, f) /
+    pair(x, f) * x`` with their functionals ``g``.  Rows rejected by the
+    rules of :func:`random_rank_one` and :func:`zero_product_partner`
+    (``MIN_COSINE``, a degenerate ``y``) are drawn again, with those
+    helpers' ``RuntimeError`` once ``DRAW_TRIES`` rounds are used up."""
+
+    def accepted(x, f):
+        return _row_abs(_row_dots(x, f)) >= MIN_COSINE * _row_norms(x) * _row_norms(f)
+
+    def random_pairs(index):
+        x, f = (random_matrix(rng, (index.size, n), field) for _ in range(2))
+        return (x, f), accepted(x, f)
+
+    x, f = _redrawn(crafted + 2 * plain, random_pairs,
+                    "could not draw a non-degenerate rank-one pair")
+
+    def partners(index):
+        y0, g = (random_matrix(rng, (index.size, n), field) for _ in range(2))
+        y, live = _projected(y0, f[index], x[index])
+        return (y, g), live & accepted(y, g)
+
+    y, g = _redrawn(crafted, partners, "could not craft a zero-product partner")
+    size = crafted + plain
+    qx, qf = np.concatenate((y, x[size:])), np.concatenate((g, f[size:]))
+    return _normalized_rows(np.stack((x[:size], qx), axis=1).reshape(-1, n),
+                            np.stack((f[:size], qf), axis=1).reshape(-1, n))
 
 
 def _witness(rows, i):
@@ -323,18 +267,18 @@ def _sample_biconditional(n, field, sample_count, seed, tol, draw, image,
                           margins) -> SampleReport:
     """The sample behind :func:`check_preservation` and
     :func:`~idemap.indefinite.is_symmetry`.  Per block of at most
-    ``SAMPLE_BLOCK`` pairs, ``draw(stream, crafted, plain)`` gives the
+    ``SAMPLE_BLOCK`` pairs, ``draw(rng, crafted, plain)`` gives the
     rows of the pairs (the two members of each interleaved), ``image``
     maps the rows and ``margins`` gives one margin per pair."""
     if sample_count < 0:
         raise ValueError(f"sample_count must be >= 0, got {sample_count}")
-    stream = _VectorStream(np.random.default_rng(seed), n, field)
+    rng = np.random.default_rng(seed)
     crafted = sample_count // 2
     violations = []
     for start in range(0, sample_count, SAMPLE_BLOCK):
         size = min(SAMPLE_BLOCK, sample_count - start)
         head = min(max(crafted - start, 0), size)
-        rows = draw(stream, head, size - head)
+        rows = draw(rng, head, size - head)
         pre, post = margins(rows), margins(image(rows))
         decisive = ((pre <= tol) & (post >= 100 * tol)) | ((post <= tol) & (pre >= 100 * tol))
         for k in np.flatnonzero(decisive):
@@ -356,17 +300,19 @@ def check_preservation(phi: TransformHandle, sample_count=500, seed=0,
     holds the two sampled idempotents.
 
     Pairs are drawn, mapped and judged in blocks of ``SAMPLE_BLOCK``.
-    The same seed gives bit-for-bit the pairs that drawing them one at a
-    time with :func:`random_rank_one` and :func:`zero_product_partner`
-    gives.  Each block is one call of the handle's row evaluator, so a
-    wrapped callable is called once per sampled idempotent.  A negative
+    Each block is drawn directly from the seeded generator under the
+    acceptance rules of :func:`random_rank_one` and
+    :func:`zero_product_partner`, so the same seed gives the same report,
+    but not the pairs those helpers would draw one at a time.  Each block
+    is one call of the handle's row evaluator, so a wrapped callable is
+    called once per sampled idempotent.  A negative
     ``sample_count`` raises ``ValueError``; zero gives a vacuous report.
     """
     n, field = phi.n, phi.field
     return _sample_biconditional(
         n, field, sample_count, seed, tol,
-        draw=lambda stream, crafted, plain: _draw_idempotent_pairs(
-            stream, n, field, crafted, plain),
+        draw=lambda rng, crafted, plain: _draw_idempotent_pairs(
+            rng, n, field, crafted, plain),
         image=lambda rows: phi._rows(*rows),
         margins=lambda rows: _product_margins(*rows))
 

@@ -1,10 +1,15 @@
-"""The batch samplers against the per-pair samplers they replace.
+"""The block samplers: direct block draws under the per-pair helpers'
+acceptance rules, judged as the per-pair reference judges them.
 
 ``check_preservation`` and ``is_symmetry`` draw, map and judge pairs in
-blocks.  The reference samplers below draw one pair at a time with the
-public per-pair helpers and judge it with matrix margins, as the
-samplers did before; the batch samplers must report the same violating
-pairs bit-for-bit, with margins equal to within rounding.
+blocks.  Each block is drawn directly from the seeded generator, so the
+pairs differ from those the per-pair helpers draw, but they obey the
+same rules: crafted pairs have zero products, every row is a normalized
+idempotent, plain pairs meet ``MIN_COSINE``, rejected rows are drawn
+again and exhaustion raises the helpers' errors.  The reference
+functions below judge the sampled pairs one at a time with matrix
+margins, as the samplers once did; the samplers must report the same
+violating pairs, with margins equal to within rounding.
 """
 
 import dataclasses
@@ -27,8 +32,8 @@ from idemap.indefinite import (
     is_symmetry,
     recover_inducing_operator,
 )
-from idemap.sampling import _VectorStream, random_idempotent, random_invertible, \
-    random_rank_one, random_vector
+from idemap.sampling import MIN_COSINE, random_idempotent, random_invertible, \
+    random_rank_one
 from idemap.transform import (
     SAMPLE_BLOCK,
     RayPair,
@@ -46,7 +51,10 @@ from idemap.transform import (
 )
 
 SIZES = (3, 6, 16, 64)
-COUNTS = (0, 1, 2, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 500)
+#: Counts around the block edges; 15, 16 and 17 are the edges of the
+#: earlier 16-pair block, kept so those cases keep running.
+COUNTS = tuple(sorted({0, 1, 2, 15, 16, 17, SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
+                       SAMPLE_BLOCK + 1, 500}))
 #: (field, tag) of each case: real linear, complex linear, complex
 #: conjugate-linear.
 KINDS = (
@@ -56,9 +64,11 @@ KINDS = (
 )
 KIND_IDS = ("real", "complex-id", "complex-conj")
 MARGIN_RTOL = 1e-9
+#: Largest relative product of a crafted pair.
+ZERO_PRODUCT_RTOL = 1e-12
 
 
-# -- reference samplers ----------------------------------------------------
+# -- per-pair reference ------------------------------------------------------
 
 def _matrix_margin(p, q):
     pm, qm = p.matrix, q.matrix
@@ -70,21 +80,26 @@ def _eta_margin(eta, x, y):
     return float(abs(np.vdot(y, w)) / (np.linalg.norm(w) * np.linalg.norm(y)))
 
 
+def _cosine(x, f):
+    return abs(np.dot(x, f)) / (np.linalg.norm(x) * np.linalg.norm(f))
+
+
 def _decisive(pre, post, tol):
     return (pre <= tol and post >= 100 * tol) or (post <= tol and pre >= 100 * tol)
 
 
-def reference_preservation(phi, sample_count, seed, tol=1e-8):
-    """``(p, q, pre, post)`` of each violating pair, one pair at a time."""
-    rng = np.random.default_rng(seed)
-    crafted = sample_count // 2
+def idempotent_pairs(x, f):
+    """The pairs ``(P, Q)`` of interleaved rows; the constructor checks
+    that every row has pairing 1."""
+    rows = [RankOneIdempotent(xk, fk) for xk, fk in zip(x, f)]
+    return list(zip(rows[0::2], rows[1::2]))
+
+
+def reference_preservation(phi, x, f, tol=1e-8):
+    """``(p, q, pre, post)`` of each violating pair of the rows, judged one
+    pair at a time."""
     found = []
-    for i in range(sample_count):
-        p = random_rank_one(rng, phi.n, phi.field)
-        if i < crafted:
-            q = zero_product_partner(rng, p, phi.field)
-        else:
-            q = random_rank_one(rng, phi.n, phi.field)
+    for p, q in idempotent_pairs(x, f):
         pre = _matrix_margin(p, q)
         post = _matrix_margin(phi(p), phi(q))
         if _decisive(pre, post, tol):
@@ -92,45 +107,16 @@ def reference_preservation(phi, sample_count, seed, tol=1e-8):
     return found
 
 
-def reference_symmetry(space, t, sample_count, seed, tol=1e-8):
-    """``(x, y, pre, post)`` of each violating pair, one pair at a time."""
-    rng = np.random.default_rng(seed)
-    crafted = sample_count // 2
+def reference_symmetry(space, t, v, tol=1e-8):
+    """``(x, y, pre, post)`` of each violating pair of the rows, judged one
+    pair at a time."""
     found = []
-    for i in range(sample_count):
-        x = random_vector(rng, space.n, space.field)
-        if i < crafted:
-            y = eta_orthogonal_partner(space, x, rng)
-        else:
-            y = random_vector(rng, space.n, space.field)
+    for x, y in zip(v[0::2], v[1::2]):
         pre = _eta_margin(space.eta, x, y)
         post = _eta_margin(space.eta, apply_ray_map(t, x), apply_ray_map(t, y))
         if _decisive(pre, post, tol):
             found.append((x, y, pre, post))
     return found
-
-
-def reference_idempotent_pairs(rng, n, field, count):
-    """Rows of the pairs the per-pair helpers draw, P and Q interleaved."""
-    crafted = count // 2
-    rows = []
-    for i in range(count):
-        p = random_rank_one(rng, n, field)
-        q = zero_product_partner(rng, p, field) if i < crafted \
-            else random_rank_one(rng, n, field)
-        rows += [(p.x, p.f), (q.x, q.f)]
-    return np.array([x for x, _ in rows]), np.array([f for _, f in rows])
-
-
-def reference_ray_pairs(rng, space, count):
-    crafted = count // 2
-    rows = []
-    for i in range(count):
-        x = random_vector(rng, space.n, space.field)
-        y = eta_orthogonal_partner(space, x, rng) if i < crafted \
-            else random_vector(rng, space.n, space.field)
-        rows += [x, y]
-    return np.array(rows)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -158,100 +144,190 @@ class ScriptedGenerator:
         self._rng = np.random.default_rng(seed)
 
     def standard_normal(self, size):
-        take, self._head = self._head[:size], self._head[size:]
-        return np.concatenate([take, self._rng.standard_normal(size - take.size)])
+        count = int(np.prod(size))
+        take, self._head = self._head[:count], self._head[count:]
+        return np.concatenate([take, self._rng.standard_normal(count - take.size)]) \
+            .reshape(size)
 
 
-# -- same pairs, same verdicts ------------------------------------------------
+def recording_handle(phi):
+    """A handle with the row evaluator of ``phi`` that keeps every block of
+    rows it maps."""
+    blocks = []
+
+    def rows(x, f):
+        blocks.append((x, f))
+        return phi._rows(x, f)
+
+    return TransformHandle(None, phi.n, phi.field, _rows=rows), blocks
+
+
+def recording_ray_map(t):
+    """A ray map with the row evaluator of ``t`` that keeps every block of
+    rows it maps."""
+    blocks = []
+
+    def rows(x):
+        blocks.append(x)
+        return t._rows(x)
+
+    recording = RayMap(t.eval)
+    object.__setattr__(recording, "_rows", rows)
+    return recording, blocks
+
+
+def _well_conditioned_symmetry(rng, n, field, tag):
+    """A Hermitian indefinite metric ``S* J S`` and the symmetry ``S^{-1} D
+    S`` of it, ``D`` a diagonal of signs, with ``cond(S) <= 4``.  A
+    conjugate-linear one needs a real metric, as in :func:`_symmetry`."""
+    metric_field = field if tag is AutomorphismTag.IDENTITY else ScalarField.REAL
+    q, _ = np.linalg.qr(generic_matrix(rng, n, metric_field))
+    s = q * rng.uniform(0.5, 2.0, n)
+    signs = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    v = np.linalg.solve(s, rng.choice([-1.0, 1.0], n)[:, None] * s)
+    eta = s.conj().T @ np.diag(signs) @ s
+    if tag is AutomorphismTag.IDENTITY:
+        return IndefiniteSpace(eta), SemilinearOperator(v)
+    return IndefiniteSpace(eta.astype(complex)), SemilinearOperator(np.exp(0.3j) * v, tag)
+
+
+# -- verdicts against the per-pair reference ----------------------------------
 
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("field", (ScalarField.REAL, ScalarField.COMPLEX),
                          ids=("real", "complex"))
 def test_preservation_violations_match_reference(n, field, count):
-    phi = transpose_handle(n, field)
+    """The transpose map violates on every crafted pair and an induced map
+    nowhere; each verdict and margin is the per-pair reference's on the
+    pairs the sampler drew, and the same seed gives the same report."""
     seed = 1000 * n + count
-    report = check_preservation(phi, sample_count=count, seed=seed)
-    expected = reference_preservation(phi, count, seed)
-    assert report.pairs_tested == count
-    assert len(report.violations) == len(expected)
-    for v, (p, q, pre, post) in zip(report.violations, expected):
-        for got, want in ((v.first.x, p.x), (v.first.f, p.f), (v.second.x, q.x),
-                          (v.second.f, q.f)):
-            assert_same_bits(got, want)
-        assert_margin_close(v.source_margin, pre)
-        assert_margin_close(v.image_margin, post)
+    induced = induce(SemilinearOperator(generic_matrix(np.random.default_rng(n), n, field)))
+    for phi, violates in ((transpose_handle(n, field), True), (induced, False)):
+        recording, blocks = recording_handle(phi)
+        report = check_preservation(recording, sample_count=count, seed=seed)
+        assert_same_reports(check_preservation(phi, sample_count=count, seed=seed), report)
+        assert report.pairs_tested == count
+        assert sum(len(x) for x, _ in blocks) == 2 * count
+        expected = reference_preservation(phi, *map(np.concatenate, zip(*blocks))) \
+            if blocks else []
+        assert len(report.violations) == len(expected)
+        assert bool(expected) is (violates and count >= 2)
+        for v, (p, q, pre, post) in zip(report.violations, expected):
+            for got, want in ((v.first.x, p.x), (v.first.f, p.f), (v.second.x, q.x),
+                              (v.second.f, q.f)):
+                assert_same_bits(got, want)
+            assert_margin_close(v.source_margin, pre)
+            assert_margin_close(v.image_margin, post)
 
 
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("field,tag", KINDS, ids=KIND_IDS)
 def test_symmetry_violations_match_reference(n, field, tag, count):
+    """The ray map of a generic operator violates and a metric symmetry
+    does not; each verdict is the per-pair reference's on the pairs the
+    sampler drew, with the same margins, and the same seed gives the
+    same report."""
     rng = np.random.default_rng(n + count)
-    space = IndefiniteSpace(generic_matrix(rng, n, field))
-    t = induced_ray_map(SemilinearOperator(generic_matrix(rng, n, field), tag))
+    generic = IndefiniteSpace(generic_matrix(rng, n, field)), \
+        SemilinearOperator(generic_matrix(rng, n, field), tag)
     seed = 2000 * n + count
-    report = is_symmetry(space, t, sample_count=count, seed=seed)
-    expected = reference_symmetry(space, t, count, seed)
-    assert report.pairs_tested == count
-    assert len(report.violations) == len(expected)
-    if count >= 2:
-        assert expected  # the comparison covers violating pairs
-    for v, (x, y, pre, post) in zip(report.violations, expected):
-        assert_same_bits(v.first, x)
-        assert_same_bits(v.second, y)
-        # Row-wise, the margins make the same BLAS calls as one at a time.
-        assert (v.source_margin, v.image_margin) == (pre, post)
+    for (space, u), violates in ((generic, True),
+                                 (_well_conditioned_symmetry(rng, n, field, tag), False)):
+        t = induced_ray_map(u)
+        recording, blocks = recording_ray_map(t)
+        report = is_symmetry(space, recording, sample_count=count, seed=seed)
+        assert_same_reports(is_symmetry(space, t, sample_count=count, seed=seed), report)
+        assert report.pairs_tested == count
+        assert sum(len(v) for v in blocks) == 2 * count
+        expected = reference_symmetry(space, t, np.concatenate(blocks)) if blocks else []
+        assert len(report.violations) == len(expected)
+        assert bool(expected) is (violates and count >= 2)
+        for v, (x, y, pre, post) in zip(report.violations, expected):
+            assert_same_bits(v.first, x)
+            assert_same_bits(v.second, y)
+            # Row-wise, the margins make the same BLAS calls as one at a time.
+            assert (v.source_margin, v.image_margin) == (pre, post)
 
+
+# -- the drawn pairs -------------------------------------------------------------
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("field", (ScalarField.REAL, ScalarField.COMPLEX),
                          ids=("real", "complex"))
 def test_all_drawn_pairs_match_reference(n, field):
-    """Both halves of the sample, not only the pairs that violate."""
+    """Both halves of a sample, by the reference margins: crafted pairs
+    have zero products, every row has pairing 1 and meets ``MIN_COSINE``."""
     count = 3 * SAMPLE_BLOCK + 5
-    x, f = _draw_idempotent_pairs(
-        _VectorStream(np.random.default_rng(n), n, field), n, field,
-        count // 2, count - count // 2)
-    ref_x, ref_f = reference_idempotent_pairs(np.random.default_rng(n), n, field, count)
-    assert_same_bits(x, ref_x)
-    assert_same_bits(f, ref_f)
+    crafted = count // 2
+    x, f = _draw_idempotent_pairs(np.random.default_rng(n), n, field, crafted,
+                                  count - crafted)
+    pairs = idempotent_pairs(x, f)
+    assert len(pairs) == count
+    for i, (p, q) in enumerate(pairs):
+        assert min(_cosine(p.x, p.f), _cosine(q.x, q.f)) >= MIN_COSINE * (1 - 1e-12)
+        assert (_matrix_margin(p, q) <= ZERO_PRODUCT_RTOL) is (i < crafted)
 
     space = IndefiniteSpace(generic_matrix(np.random.default_rng(n + 1), n, field))
-    rays = _draw_ray_pairs(_VectorStream(np.random.default_rng(n), n, field), space,
-                           count // 2, count - count // 2)
-    assert_same_bits(rays, reference_ray_pairs(np.random.default_rng(n), space, count))
+    rays = _draw_ray_pairs(np.random.default_rng(n), space, crafted, count - crafted)
+    assert rays.shape == (2 * count, n)
+    margins = [_eta_margin(space.eta, x, y) for x, y in zip(rays[0::2], rays[1::2])]
+    assert max(margins[:crafted]) <= ZERO_PRODUCT_RTOL
+    assert min(margins[crafted:]) > ZERO_PRODUCT_RTOL
 
 
 def test_degenerate_and_rejected_draws_follow_the_helpers():
-    """Draws the look-ahead window cannot settle (a partner that
-    degenerates and is redrawn, long runs of rejected pairs) are left to
-    the per-pair helpers, and the stream stays aligned afterwards."""
+    """Rows the helpers would draw again are drawn again: a rejected pair
+    (``pair(x, f) = 0``), a zero-product partner whose ``y0`` is parallel
+    to ``x`` or whose ``(y, g)`` is rejected, and an eta partner whose
+    ``y0`` is parallel to ``eta x``.  Each scripted head alone would give
+    an invalid pair."""
     n, field = 3, ScalarField.REAL
-    rejected = [1.0, 0, 0, 0, 1.0, 0] * 30          # pair(x, f) = 0
-    degenerate = [1.0, 0, 0, 1.0, 0, 0, 2.0, 0, 0]   # y0 parallel to x
-    for head in (degenerate, rejected * 2, rejected + degenerate, degenerate * 2):
-        x, f = _draw_idempotent_pairs(
-            _VectorStream(ScriptedGenerator(head, 5), n, field), n, field, 20, 20)
-        ref_x, ref_f = reference_idempotent_pairs(ScriptedGenerator(head, 5), n, field, 40)
-        assert_same_bits(x, ref_x)
-        assert_same_bits(f, ref_f)
+    e1, e2, e3 = np.eye(n)
+    heads = (
+        # Crafted pair: P = (e1, e2) rejected twice, then seeded draws.
+        ((1, 0), [*e1, *e2] * 2),
+        # Crafted pair: P = (e1, e1); y0 = 2 e1 degenerates, then
+        # (y, g) = (e2, e3) is rejected.
+        ((1, 0), [*e1, *e1, *(2 * e1), *e2, *e2, *e3]),
+        # Plain pair: both P = (e1, e2) and Q = (e2, e1) rejected.
+        ((0, 1), [*e1, *e2, *e2, *e1]),
+    )
+    for (crafted, plain), head in heads:
+        x, f = _draw_idempotent_pairs(ScriptedGenerator(head, 5), n, field, crafted, plain)
+        (p, q), = idempotent_pairs(x, f)
+        assert min(_cosine(p.x, p.f), _cosine(q.x, q.f)) >= MIN_COSINE * (1 - 1e-12)
+        assert (_matrix_margin(p, q) <= ZERO_PRODUCT_RTOL) is bool(crafted)
 
     space = IndefiniteSpace(np.eye(n))
-    for head in ([1.0, 0, 0, 3.0, 0, 0], [0, 1.0, 0] + [0, 2.0, 0] * 3):
-        rays = _draw_ray_pairs(_VectorStream(ScriptedGenerator(head, 6), n, field),
-                               space, 20, 20)
-        assert_same_bits(rays, reference_ray_pairs(ScriptedGenerator(head, 6), space, 40))
+    for head in ([*e1, *(3 * e1)], [*e2, *(2 * e2)] + [*(-e2)] * 3):
+        x, y = _draw_ray_pairs(ScriptedGenerator(head, 6), space, 1, 0)
+        assert_same_bits(x, np.asarray(head[:n]))
+        assert np.linalg.norm(y) > 1e-8 and _eta_margin(space.eta, x, y) <= ZERO_PRODUCT_RTOL
 
 
 def test_exhausted_draws_raise_like_the_helpers():
     n, field = 3, ScalarField.REAL
-    head = [1.0, 0, 0, 0, 1.0, 0] * 200
+    e1, e2 = np.eye(n)[:2]
+    rejected = [*e1, *e2] * 200
     with pytest.raises(RuntimeError, match="non-degenerate rank-one pair"):
-        random_rank_one(ScriptedGenerator(head, 0), n, field)
+        random_rank_one(ScriptedGenerator(rejected, 0), n, field)
     with pytest.raises(RuntimeError, match="non-degenerate rank-one pair"):
-        _draw_idempotent_pairs(_VectorStream(ScriptedGenerator(head, 0), n, field),
-                               n, field, 4, 4)
+        _draw_idempotent_pairs(ScriptedGenerator(rejected, 0), n, field, 1, 0)
+
+    p = RankOneIdempotent(e1, e1)
+    with pytest.raises(RuntimeError, match="zero-product partner"):
+        zero_product_partner(ScriptedGenerator([*e1] * 400, 0), p, field)
+    with pytest.raises(RuntimeError, match="zero-product partner"):
+        _draw_idempotent_pairs(ScriptedGenerator([*e1, *e1] + [*e1, *e2] * 200, 0),
+                               n, field, 1, 0)
+
+    space = IndefiniteSpace(np.eye(n))
+    with pytest.raises(RuntimeError, match="eta-orthogonal partner"):
+        eta_orthogonal_partner(space, e1, ScriptedGenerator([*e1] * 100, 0))
+    with pytest.raises(RuntimeError, match="eta-orthogonal partner"):
+        _draw_ray_pairs(ScriptedGenerator([*e1] * 201, 0), space, 1, 0)
 
 
 # -- native and black-box handles -------------------------------------------
@@ -275,8 +351,7 @@ def _black_box_handles(a, tag, n, field):
 def test_native_and_black_box_handles_agree(n, field, tag):
     rng = np.random.default_rng(3 * n)
     native, black_boxes = _black_box_handles(generic_matrix(rng, n, field), tag, n, field)
-    stream = _VectorStream(np.random.default_rng(n), n, field)
-    x, f = _draw_idempotent_pairs(stream, n, field, SAMPLE_BLOCK, 3)
+    x, f = _draw_idempotent_pairs(np.random.default_rng(n), n, field, SAMPLE_BLOCK, 3)
     images = native._rows(x, f)
     report = check_preservation(native, sample_count=150, seed=n)
     assert report.ok
