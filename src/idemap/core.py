@@ -293,6 +293,18 @@ class SemilinearOperator:
         self._auto = auto
         self._inv = None
 
+    @classmethod
+    def _from_checked(cls, matrix, auto: AutomorphismTag):
+        """Wrap a finite, invertible ``float64`` or ``complex128`` matrix
+        the library made itself, without the singularity check (for
+        example the adjoint or the inverse of a checked operator, which
+        keep its condition number)."""
+        op = object.__new__(cls)
+        op._matrix = _frozen(matrix)
+        op._auto = auto
+        op._inv = None
+        return op
+
     @property
     def matrix(self):
         return self._matrix
@@ -331,10 +343,11 @@ class SemilinearOperator:
         For the identity tag this is the plain transpose; for conjugation
         it is the conjugated transpose carrying the conjugation tag.
         """
-        return SemilinearOperator(self._auto.apply(self._matrix).T, self._auto)
+        return SemilinearOperator._from_checked(self._auto.apply(self._matrix).T, self._auto)
 
     def inverse(self) -> "SemilinearOperator":
-        return SemilinearOperator(self._auto.apply(self.inverse_matrix), self._auto)
+        return SemilinearOperator._from_checked(self._auto.apply(self.inverse_matrix),
+                                                self._auto)
 
     def compose(self, other: "SemilinearOperator") -> "SemilinearOperator":
         """Operator equal to ``x -> self(other(x))``."""

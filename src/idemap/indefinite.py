@@ -38,7 +38,7 @@ from .core import (
 )
 from .errors import DimensionMismatch
 from .idempotents import _normalized_rows
-from .sampling import _projected, _redrawn, random_matrix, random_vector
+from .sampling import DRAW_TRIES, _projected, _redrawn, random_matrix, random_vector
 from .transform import (
     ReconstructionResult,
     SampleReport,
@@ -58,7 +58,7 @@ class IndefiniteSpace:
         _require_invertible(m, "eta")
         self._eta = _frozen(m)
         self._eta_inv = None
-        self._skew_basis = None
+        self._skew_projection = None
 
     @property
     def eta(self):
@@ -217,15 +217,12 @@ def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray, tol=1e-8) -> bo
     return bool(margin[0] <= tol)
 
 
-#: Draws :func:`eta_orthogonal_partner` projects before failing.
-ETA_PARTNER_TRIES = 100
-
-
 def eta_orthogonal_partner(space: IndefiniteSpace, x, rng):
     """Random nonzero ``y`` with ``<eta x, y> = 0``, built by projecting a
-    Gaussian draw onto the solution hyperplane (never by rejection)."""
+    Gaussian draw onto the solution hyperplane (never by rejection); a
+    draw that degenerates is redrawn, for at most ``DRAW_TRIES`` draws."""
     w = space.eta @ np.asarray(x)
-    for _ in range(ETA_PARTNER_TRIES):
+    for _ in range(DRAW_TRIES):
         y0 = random_vector(rng, space.n, space.field)
         y = y0 - (np.vdot(w, y0) / np.vdot(w, w)) * w
         if np.linalg.norm(y) > 1e-8 * np.linalg.norm(y0):
@@ -358,10 +355,10 @@ def _eta_skew_basis(space: IndefiniteSpace):
 
     The constraint is only real-linear over the complex field (because of
     the conjugate transpose), so it is realified before the nullspace is
-    extracted.  Cached on the space.
+    extracted.  The system is ``2n^2 x 2n^2`` (``n^2 x n^2`` over the
+    reals) and its SVD costs ``O(n^6)``: this is the route of last resort
+    for metrics the closed forms of :func:`_skew_projection` cannot take.
     """
-    if space._skew_basis is not None:
-        return space._skew_basis
     n = space.n
     field = space.field
     dim = 2 * n * n if field is ScalarField.COMPLEX else n * n
@@ -374,8 +371,139 @@ def _eta_skew_basis(space: IndefiniteSpace):
         cols.append(_realify(constraint, field))
     system = np.column_stack(cols)
     kernel, _ = kernel_and_range(system, tol=1e-9 * max(1.0, np.linalg.norm(space.eta)))
-    space._skew_basis = kernel
     return kernel
+
+
+#: Largest ``||eta - eta*|| / ||eta||`` (Frobenius) for which the metric
+#: is taken as self-adjoint.
+_SELF_ADJOINT_RTOL = 1e-12
+
+#: Certificate of the cosquare route: the smallest separation of two
+#: cosquare eigenvalues, relative to their modulus; the largest mismatch
+#: ``|lambda_j - 1/conj(lambda_i)|`` of a pair, relative to its target; the
+#: largest Frobenius condition number of the eigenvector matrix.
+_COSQUARE_MIN_SEPARATION = 1e-4
+_COSQUARE_PAIR_RTOL = 1e-9
+_COSQUARE_MAX_COND = 1e6
+
+
+def _self_adjoint_projection(eta):
+    """Projection onto ``{K : eta K + K* eta = 0}`` for a self-adjoint
+    ``eta``, in ``O(n^3)``.
+
+    The space is ``eta^{-1}`` times the skew-Hermitian matrices
+    (Gohberg, Lancaster and Rodman, *Indefinite Linear Algebra and
+    Applications*, 2005).  The projection of ``G`` is ``K = eta^{-1} S``
+    with ``P S + S P = eta^{-*} G - G* eta^{-1}`` and ``P = eta^{-*}
+    eta^{-1}``.  In the eigenbasis ``eta = U diag(mu) U*`` this Lyapunov
+    equation is diagonal, and ``K~ = U* K U`` is entrywise
+    ``(mu_j^2 G~_ij - mu_i mu_j conj(G~_ji)) / (mu_i^2 + mu_j^2)`` with
+    ``G~ = U* G U``: no inverse of ``eta`` is formed.
+    """
+    mu, u = np.linalg.eigh((eta + eta.conj().T) / 2)
+    mu2 = mu**2
+    denom = mu2[:, None] + mu2
+    cross = np.outer(mu, mu)
+
+    def project(g):
+        gt = u.conj().T @ g @ u
+        return u @ ((gt * mu2 - gt.conj().T * cross) / denom) @ u.conj().T
+
+    return project
+
+
+def _cosquare_projection(eta):
+    """Projection onto ``{K : eta K + K* eta = 0}`` through the cosquare
+    ``Gamma = eta^{-1} eta*``, or ``None`` when the route cannot certify
+    that it spans the whole space.
+
+    Every such ``K`` commutes with ``Gamma``.  When ``Gamma = W diag(lambda)
+    W^{-1}`` has a simple spectrum, ``K = W diag(d) W^{-1}``, and with ``E =
+    W* eta W`` the constraint reads ``E_ij (d_j + conj(d_i)) = 0``, where
+    ``E_ij`` is nonzero only for ``lambda_j = 1/conj(lambda_i)``.  So the
+    eigenvalues pair up: ``d_j = -conj(d_i)`` for a pair, and ``d_i`` is
+    imaginary when ``lambda_i`` pairs with itself.  Over the reals the
+    complexified ``K`` obeys ``E_ij (d_i + d_j) = 0`` with ``E = W^T eta W``
+    and ``lambda_j = 1/lambda_i``, and the projection of a real matrix onto
+    that complex span is the real projection.
+
+    The pairs are read from the spectrum.  The route is taken only with
+    a simple spectrum, every eigenvalue matched to its partner and a
+    well-conditioned ``W`` (the ``_COSQUARE_*`` bounds).  The projection
+    solves the normal equations of the ``d`` directions (``n`` real ones,
+    or one complex one per pair over the reals): ``O(n^3)`` per call.
+    """
+    n = eta.shape[0]
+    complex_field = np.iscomplexobj(eta)
+    lam, w = np.linalg.eig(np.linalg.solve(eta, eta.conj().T))
+    target = 1 / lam.conj() if complex_field else 1 / lam
+    mismatch = np.abs(lam - target[:, None])
+    partner = mismatch.argmin(axis=1)
+    index = np.arange(n)
+    separation = np.abs(lam - lam[:, None])
+    separation[index, index] = np.inf
+    try:
+        w_inv = np.linalg.inv(w)
+    except np.linalg.LinAlgError:
+        return None
+    if (np.any(partner[partner] != index)
+            or np.any(mismatch[index, partner] > _COSQUARE_PAIR_RTOL * np.abs(target))
+            or np.any(separation.min(axis=1) < _COSQUARE_MIN_SEPARATION * np.abs(lam))
+            or np.linalg.norm(w) * np.linalg.norm(w_inv) > _COSQUARE_MAX_COND):
+        return None
+    # Directions of ``d``, one per column.
+    eye = np.eye(n)
+    first = index[index < partner]
+    second = partner[first]
+    t = eye[:, first] - eye[:, second]
+    if complex_field:
+        t = np.hstack([t, 1j * (eye[:, first] + eye[:, second]),
+                       1j * eye[:, index == partner]])
+    # Frobenius products of the rank-one pieces ``w_i (W^{-1})_i``.
+    pieces = (w.conj().T @ w) * (w_inv @ w_inv.conj().T).T
+    gram = t.conj().T @ pieces @ t
+    if complex_field:
+        gram = gram.real
+
+    def project(g):
+        # Frobenius products of ``g`` with the pieces: diag(W* g W^{-*}).
+        rhs = t.conj().T @ np.sum(w.conj() * (g @ w_inv.conj().T), axis=0)
+        if complex_field:
+            rhs = rhs.real
+        k = (w * (t @ np.linalg.solve(gram, rhs))) @ w_inv
+        return k if complex_field else k.real
+
+    return project
+
+
+def _nullspace_projection(space: IndefiniteSpace):
+    """Projection onto the span of :func:`_eta_skew_basis`."""
+    n, field = space.n, space.field
+    basis = _eta_skew_basis(space)
+
+    def project(g):
+        return _unrealify(basis @ (basis.T @ _realify(g, field)), n, field)
+
+    return project
+
+
+def _skew_projection(space: IndefiniteSpace):
+    """Orthogonal projection onto ``{K : eta K + K* eta = 0}`` in the real
+    Frobenius inner product, as a function of ``K``; cached on the space.
+
+    Self-adjoint metrics take the closed form, others the cosquare
+    eigenbasis when it is certified, and the rest the nullspace of the
+    realified constraint.  The projection does not depend on the route,
+    up to rounding.
+    """
+    if space._skew_projection is None:
+        eta = space.eta
+        if np.linalg.norm(eta - eta.conj().T) <= _SELF_ADJOINT_RTOL * np.linalg.norm(eta):
+            project = _self_adjoint_projection(eta)
+        else:
+            project = _cosquare_projection(eta) or _nullspace_projection(space)
+        space._skew_projection = project
+    return space._skew_projection
 
 
 def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> SemilinearOperator:
@@ -386,17 +514,16 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     metric exactly), exponentiates, and multiplies by ``sqrt(scale)``.
     When the solution space is trivial the output degenerates to
     ``sqrt(scale) * I``, which still satisfies the identity.
+
+    The projection takes ``O(n^3)`` for a self-adjoint metric and for a
+    metric whose cosquare ``eta^{-1} eta*`` has a simple, well-separated
+    spectrum; any other metric falls back to an ``O(n^6)`` nullspace
+    computation.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     rng = np.random.default_rng(seed)
-    n = space.n
-    field = space.field
-    k = random_matrix(rng, (n, n), field)
-    basis = _eta_skew_basis(space)
-    v = _realify(k, field)
-    projected = basis @ (basis.T @ v) if basis.shape[1] else np.zeros_like(v)
-    k = _unrealify(projected, n, field)
+    k = _skew_projection(space)(random_matrix(rng, (space.n, space.n), space.field))
     norm_k = np.linalg.norm(k)
     if norm_k > 1e-12:
         k = k / norm_k
@@ -406,7 +533,8 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     resid = np.linalg.norm(v_mat.conj().T @ space.eta @ v_mat - scale * space.eta)
     if resid > 1e-9 * scale * (1.0 + np.linalg.norm(space.eta)):
         raise ArithmeticError(f"isometry generation failed, residual {resid:.3e}")
-    return SemilinearOperator(v_mat, AutomorphismTag.IDENTITY)
+    # ``||K|| <= 1``, so ``cond(exp(K)) <= e^2``: no singularity check.
+    return SemilinearOperator._from_checked(v_mat, AutomorphismTag.IDENTITY)
 
 
 def recover_inducing_operator(space: IndefiniteSpace, t: RayMap,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from idemap.core import (
     up_to_scalar_distance,
 )
 from idemap.errors import NotInduced, SingularOperator
+import idemap.indefinite as indefinite
 from idemap.indefinite import (
     CHARACTERIZE_TOL,
     Characterization,
@@ -27,7 +29,7 @@ from idemap.indefinite import (
     rays_equal,
     recover_inducing_operator,
 )
-from idemap.sampling import random_invertible, random_semilinear, random_vector
+from idemap.sampling import random_invertible, random_matrix, random_semilinear, random_vector
 from idemap.selftest import _metric
 
 MINKOWSKI = np.diag([1.0, 1.0, -1.0])
@@ -41,6 +43,38 @@ def hyperbolic_rotation():
 def nonsa_eta(n=3, dtype=float):
     strict_upper = np.triu(np.ones((n, n)), 1)
     return np.eye(n, dtype=dtype) + 0.4 * strict_upper.astype(dtype)
+
+
+FIELDS = (ScalarField.REAL, ScalarField.COMPLEX)
+FIELD_IDS = ("real", "complex")
+
+
+def corpus_metric(rng, n, field, kind):
+    """The four kinds of metric of the benchmark's corpus: a signature
+    matrix, identity plus a strict upper triangle, a Hermitian indefinite
+    congruence, and a generic Gaussian matrix."""
+    if kind == 0:
+        d = np.ones(n)
+        d[n // 2:] = -1.0
+        return np.diag(d).astype(field.dtype)
+    if kind == 1:
+        return np.eye(n) + 0.5 * np.triu(random_matrix(rng, (n, n), field), 1)
+    if kind == 2:
+        d = np.ones(n)
+        d[: n // 3 + 1] = -1.0
+        s = random_invertible(rng, n, field, max_cond=1e2)
+        return s.conj().T @ (d[:, None] * s)
+    return random_invertible(rng, n, field, max_cond=1e3)
+
+
+def nullspace_isometry(space, seed, scale=1.0):
+    """Reference for :func:`generate_eta_isometry`: the seeded Gaussian
+    projected onto the nullspace basis of the realified constraint."""
+    n, field = space.n, space.field
+    basis = indefinite._eta_skew_basis(space)
+    g = random_matrix(np.random.default_rng(seed), (n, n), field)
+    k = indefinite._unrealify(basis @ (basis.T @ indefinite._realify(g, field)), n, field)
+    return scipy.linalg.expm(k / np.linalg.norm(k)) * np.sqrt(scale)
 
 
 class TestEtaProduct:
@@ -284,6 +318,61 @@ class TestGenerateEtaIsometry:
         space = IndefiniteSpace(MINKOWSKI)
         with pytest.raises(ValueError):
             generate_eta_isometry(space, seed=13, scale=0.0)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_matches_the_nullspace_projection(self, field):
+        rng = np.random.default_rng(16)
+        metrics = [_metric(rng, 3 + i % 6, field, i)[0] for i in range(30)]
+        metrics += [corpus_metric(rng, 16, field, kind) for kind in range(4)]
+        for i, eta in enumerate(metrics):
+            space = IndefiniteSpace(eta)
+            scale = float(rng.uniform(0.5, 4.0))
+            want = nullspace_isometry(space, seed=i, scale=scale)
+            got = generate_eta_isometry(space, seed=i, scale=scale).matrix
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), (i, eta.shape)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_repeated_cosquare_eigenvalue_takes_the_fallback(self, field):
+        # The Hermitian block gives the cosquare eigenvalue 1 three times.
+        rng = np.random.default_rng(17)
+        h = random_matrix(rng, (3, 3), field)
+        eta = scipy.linalg.block_diag(h + h.conj().T, nonsa_eta(3, field.dtype))
+        assert indefinite._cosquare_projection(eta) is None
+        space = IndefiniteSpace(eta)
+        want = nullspace_isometry(space, seed=18)
+        got = generate_eta_isometry(space, seed=18).matrix
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        assert np.linalg.norm(got - np.eye(6)) > 1e-3
+
+    @pytest.mark.parametrize("kind", (0, 3), ids=("signature", "gaussian"))
+    def test_complex_n64_without_the_nullspace(self, kind, monkeypatch):
+        # The 8192 x 8192 nullspace would take minutes; the closed forms
+        # must not need it.
+        def no_fallback(space):
+            raise AssertionError("fell back to the nullspace")
+
+        monkeypatch.setattr(indefinite, "_eta_skew_basis", no_fallback)
+        eta = corpus_metric(np.random.default_rng(19), 64, ScalarField.COMPLEX, kind)
+        space = IndefiniteSpace(eta)
+        v = generate_eta_isometry(space, seed=20, scale=2.0).matrix
+        resid = np.linalg.norm(v.conj().T @ eta @ v - 2.0 * eta)
+        assert resid <= 1e-9 * 2.0 * (1 + np.linalg.norm(eta))
+        assert np.linalg.norm(v / np.sqrt(2.0) - np.eye(64)) > 1e-3
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_no_svd_after_the_space_is_built(self, field, monkeypatch):
+        # The isometry, its adjoint and its inverse keep the condition
+        # number of checked matrices, so none repeats the SVD check.
+        rng = np.random.default_rng(21)
+        spaces = [IndefiniteSpace(corpus_metric(rng, 5, field, kind)) for kind in (1, 2)]
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for space in spaces:
+            v = generate_eta_isometry(space, seed=22)
+            v.adjoint().inverse().adjoint()
+            v.inverse()
+        assert not calls
 
 
 class TestRecovery:

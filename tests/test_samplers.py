@@ -32,7 +32,7 @@ from idemap.indefinite import (
     is_symmetry,
     recover_inducing_operator,
 )
-from idemap.sampling import MIN_COSINE, random_idempotent, random_invertible, \
+from idemap.sampling import DRAW_TRIES, MIN_COSINE, random_idempotent, random_invertible, \
     random_rank_one
 from idemap.transform import (
     SAMPLE_BLOCK,
@@ -325,7 +325,7 @@ def test_exhausted_draws_raise_like_the_helpers():
 
     space = IndefiniteSpace(np.eye(n))
     with pytest.raises(RuntimeError, match="eta-orthogonal partner"):
-        eta_orthogonal_partner(space, e1, ScriptedGenerator([*e1] * 100, 0))
+        eta_orthogonal_partner(space, e1, ScriptedGenerator([*e1] * DRAW_TRIES, 0))
     with pytest.raises(RuntimeError, match="eta-orthogonal partner"):
         _draw_ray_pairs(ScriptedGenerator([*e1] * 201, 0), space, 1, 0)
 
