@@ -163,15 +163,12 @@ def rank_one_from_pair(x, f) -> RankOneIdempotent:
     fv = _as_vector(f, "f")
     if xv.shape != fv.shape:
         raise DimensionMismatch(f"rank-one pair: shapes {xv.shape} vs {fv.shape}")
-    p = np.dot(xv, fv)
-    if abs(p) <= 1e-10 * np.linalg.norm(xv) * np.linalg.norm(fv):
-        raise DegeneratePair(f"pairing {p!r} too close to zero")
-    return RankOneIdempotent(xv / p, fv)
+    return _rank_one_row(xv[None], fv[None])
 
 
 def _normalized_rows(x, f):
-    """Row-wise :func:`rank_one_from_pair`: the rows ``x[k] / pair(x[k],
-    f[k])`` and ``f[k]``, with the same checks and bit-identical values.
+    """Rows ``x[k] / pair(x[k], f[k])`` and ``f[k]``: the normalization of
+    :func:`rank_one_from_pair`, which is its one-row case.
 
     The degeneracy rule keeps ``|pair(x, f)| > 1e-10 ||x|| ||f||``, so the
     rounding error of the new pairing stays far below ``PAIRING_TOL``
@@ -183,6 +180,12 @@ def _normalized_rows(x, f):
     if degenerate.any():
         raise DegeneratePair(f"pairing {p[np.argmax(degenerate)]!r} too close to zero")
     return x / p[:, None], f
+
+
+def _rank_one_row(x, f):
+    """The idempotent of the one-row block ``(x, f)``, once normalized."""
+    x, f = _normalized_rows(x, f)
+    return RankOneIdempotent._from_checked_row(x[0], f[0])
 
 
 @dataclass(frozen=True)

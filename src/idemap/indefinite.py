@@ -38,7 +38,7 @@ from .core import (
 )
 from .errors import DimensionMismatch
 from .idempotents import _normalized_rows
-from .sampling import DRAW_TRIES, _projected, _redrawn, random_matrix, random_vector
+from .sampling import _eta_orthogonal_rows, random_matrix
 from .transform import (
     ReconstructionResult,
     SampleReport,
@@ -88,10 +88,7 @@ class Ray:
     __slots__ = ("_rep",)
 
     def __init__(self, representative):
-        v = _as_vector(representative, "representative")
-        if np.linalg.norm(v) == 0:
-            raise ValueError("a ray needs a nonzero representative")
-        self._rep = _frozen(v)
+        self._rep = _frozen(_ray_rows(_as_vector(representative, "representative")[None])[0])
 
     @classmethod
     def _from_checked(cls, v):
@@ -114,6 +111,8 @@ class Ray:
 
 def rays_equal(r1: Ray, r2: Ray, tol=1e-10) -> bool:
     """Linear dependence of the representatives (angle criterion)."""
+    if r1.n != r2.n:
+        raise DimensionMismatch(f"rays_equal: dimensions {r1.n} vs {r2.n}")
     a = r1.representative
     b = r2.representative
     coef = np.vdot(a, b) / np.vdot(a, a)
@@ -124,69 +123,65 @@ def rays_equal(r1: Ray, r2: Ray, tol=1e-10) -> bool:
 class RayMap:
     """Total map on rays; evaluation must never return a zero ray.
 
-    Maps from :func:`induced_ray_map` also carry a native row evaluator,
-    which :func:`is_symmetry` uses to map a whole block of rays at once.
+    The map is evaluated on stacked representatives, one row per ray.
+    For a wrapped ``eval`` the row evaluator calls it once per row, in
+    row order; a map from :func:`induced_ray_map` has a native row
+    evaluator, of which its ``eval`` is the one-row case.
     """
 
     eval: Callable[[Ray], Ray]
-    # Not an ``__init__`` argument, so ``dataclasses.replace`` with a new
-    # ``eval`` drops it instead of keeping a stale native evaluator.
-    _rows: Callable | None = dataclasses.field(default=None, init=False,
-                                               repr=False, compare=False)
+    # Set from ``eval`` by ``__post_init__``, so ``dataclasses.replace``
+    # with a new ``eval`` does not keep a stale native evaluator.
+    _rows: Callable = dataclasses.field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", self._call_per_ray)
+
+    def _call_per_ray(self, x):
+        """Row evaluator of a wrapped ``eval``; the rows are wrapped unchecked."""
+        images = []
+        for xk in x:
+            out = self.eval(Ray._from_checked(xk))
+            if not isinstance(out, Ray):
+                raise TypeError("ray map returned a non-ray object")
+            if out.n != xk.shape[0]:
+                raise DimensionMismatch(
+                    f"ray map changed the dimension from {xk.shape[0]} to {out.n}")
+            images.append(out.representative)
+        return np.array(images)
 
 
 def _ray_rows(v):
-    """Row-wise :class:`Ray` validation: finite, nonzero representatives."""
-    if not np.all(np.isfinite(v)):
-        raise ValueError("representative has non-finite entries")
-    if np.any(_row_norms(v) == 0):
+    """Finite rows ``v``, checked to be valid :class:`Ray` representatives;
+    ``Ray(x)`` is the one-row case.  A row is refused when its norm is
+    zero, which happens exactly when every squared entry underflows."""
+    if not (v.conj() * v).real.any(axis=1).all():
         raise ValueError("a ray needs a nonzero representative")
     return v
 
 
 def induced_ray_map(u: SemilinearOperator) -> RayMap:
+    """The ray map ``x -> u(x)``, evaluated natively on rows; its ``eval``
+    is the one-row case and keeps the error messages of ``u(x)``."""
     matrix, auto = u.matrix, u.auto
 
     def rows(x):
         if x.shape[1] != u.n:
             raise DimensionMismatch(
-                f"operator of dimension {u.n} applied to vectors of "
-                f"dimension {x.shape[1]}"
-            )
-        return _ray_rows(_row_matvec(matrix, auto.apply(x)))
+                f"operator of dimension {u.n} applied to "
+                f"{'vector' if len(x) == 1 else 'vectors'} of dimension {x.shape[1]}")
+        images = _as_matrix(_row_matvec(matrix, auto.apply(x)), "representative", square=False)
+        return _ray_rows(images)
 
-    t = RayMap(lambda ray: Ray(u(ray.representative)))
+    t = RayMap(lambda ray: Ray._from_checked(rows(ray.representative[None])[0]))
     object.__setattr__(t, "_rows", rows)
     return t
 
 
 def apply_ray_map(t: RayMap, x):
-    return _image_of(t, Ray(x))
-
-
-def _image_of(t: RayMap, ray: Ray):
-    """Representative of ``t.eval(ray)``, checked to be a :class:`Ray` of
-    the dimension of ``ray``."""
-    out = t.eval(ray)
-    if not isinstance(out, Ray):
-        raise TypeError("ray map returned a non-ray object")
-    if out.n != ray.n:
-        raise DimensionMismatch(f"ray map changed the dimension from {ray.n} to {out.n}")
-    return out.representative
-
-
-def _map_rays(t: RayMap, x):
-    """Representatives of the images of the rays ``x[k]``: natively when
-    the map has a row evaluator, otherwise one ``t.eval`` call per ray, in
-    row order.  The rows are the library's own, so they are wrapped
-    without being checked again."""
-    if t._rows is None:
-        return np.array([_image_of(t, Ray._from_checked(xk)) for xk in x])
-    out = t._rows(x)
-    if out.shape != x.shape:
-        raise DimensionMismatch(
-            f"ray map changed the dimension from {x.shape[1]} to {out.shape[-1]}")
-    return out
+    """Representative of the image of the ray of ``x``: the one-row case
+    of the map's row evaluator."""
+    return t._rows(Ray(x).representative[None])[0]
 
 
 def eta_product(space: IndefiniteSpace, x, y):
@@ -212,6 +207,8 @@ def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray, tol=1e-8) -> bo
     Homogeneous in both representatives, so the choice within each ray is
     irrelevant.
     """
+    if rx.n != space.n or ry.n != space.n:
+        raise DimensionMismatch(f"rays of dimensions {rx.n}, {ry.n} in dimension {space.n}")
     margin = _orthogonality_margins(space.eta, rx.representative[None],
                                     ry.representative[None])
     return bool(margin[0] <= tol)
@@ -219,37 +216,18 @@ def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray, tol=1e-8) -> bo
 
 def eta_orthogonal_partner(space: IndefiniteSpace, x, rng):
     """Random nonzero ``y`` with ``<eta x, y> = 0``, built by projecting a
-    Gaussian draw onto the solution hyperplane (never by rejection); a
-    draw that degenerates is redrawn, for at most ``DRAW_TRIES`` draws."""
-    w = space.eta @ np.asarray(x)
-    for _ in range(DRAW_TRIES):
-        y0 = random_vector(rng, space.n, space.field)
-        y = y0 - (np.vdot(w, y0) / np.vdot(w, w)) * w
-        if np.linalg.norm(y) > 1e-8 * np.linalg.norm(y0):
-            return y
-    raise RuntimeError("could not craft an eta-orthogonal partner")
+    Gaussian draw onto the solution hyperplane (never by rejection): the
+    one-row case of the crafted partners of :func:`_draw_ray_pairs`."""
+    return _eta_orthogonal_rows(rng, np.asarray(x)[None] @ space.eta.T, space.field)[0]
 
 
 def _draw_ray_pairs(rng, space: IndefiniteSpace, crafted, plain):
     """Rows of ``crafted`` eta-orthogonal pairs and then ``plain`` random
-    pairs, ``x`` and ``y`` interleaved.
-
-    The block is drawn directly: first every ``x`` and the ``y`` of the
-    plain pairs, then the crafted partners, projected as
-    :func:`eta_orthogonal_partner` projects: ``y = y0 - pair(y0, conj(w))
-    / pair(w, conj(w)) * w`` with ``w = eta x``.  A partner that
-    degenerates is drawn again, with that helper's ``RuntimeError`` once
-    ``DRAW_TRIES`` rounds are used up."""
+    pairs, ``x`` and ``y`` interleaved: every ``x`` and plain ``y`` first,
+    then the crafted partners."""
     size = crafted + plain
     v = random_matrix(rng, (size + plain, space.n), space.field)
-    w = v[:crafted] @ space.eta.T
-
-    def partners(index):
-        y, live = _projected(random_matrix(rng, (index.size, space.n), space.field),
-                             w[index].conj(), w[index])
-        return (y,), live
-
-    y, = _redrawn(crafted, partners, "could not craft an eta-orthogonal partner")
+    y = _eta_orthogonal_rows(rng, v[:crafted] @ space.eta.T, space.field)
     return np.stack((v[:size], np.concatenate((y, v[size:]))), axis=1).reshape(-1, space.n)
 
 
@@ -266,18 +244,18 @@ def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0,
 
     Pairs are drawn, mapped and judged in blocks of
     :data:`~idemap.transform.SAMPLE_BLOCK`.  Each block is drawn directly
-    from the seeded generator, with partners crafted as
-    :func:`eta_orthogonal_partner` crafts them, so the same seed gives the
-    same report, but not the pairs that helper and :func:`random_vector`
-    would draw one at a time.  Maps
-    from :func:`induced_ray_map` are evaluated natively; any other ray
-    map is called once per sampled ray.  A negative ``sample_count``
+    from the seeded generator, so the same seed gives the same report,
+    but not the pairs that the one-row helpers
+    :func:`~idemap.sampling.random_vector` and
+    :func:`eta_orthogonal_partner` would draw one at a time.  Maps from
+    :func:`induced_ray_map` are evaluated natively; any other ray map is
+    called once per sampled ray.  A negative ``sample_count``
     raises ``ValueError``; zero gives a vacuous report.
     """
     return _sample_biconditional(
         space.n, space.field, sample_count, seed, tol,
         draw=lambda rng, crafted, plain: _draw_ray_pairs(rng, space, crafted, plain),
-        image=lambda v: _map_rays(t, v),
+        image=t._rows,
         margins=lambda v: _orthogonality_margins(space.eta, v[0::2], v[1::2]))
 
 
@@ -522,6 +500,8 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
+    if not np.isfinite(scale):
+        raise ValueError("scale must be finite")
     rng = np.random.default_rng(seed)
     k = _skew_projection(space)(random_matrix(rng, (space.n, space.n), space.field))
     norm_k = np.linalg.norm(k)
@@ -554,8 +534,8 @@ def recover_inducing_operator(space: IndefiniteSpace, t: RayMap,
     eta, eta_inv = space.eta, space.eta_inv
 
     def rows(x, f):
-        tx = _map_rays(t, x)
-        sf = _map_rays(t, _row_matvec(eta_inv, np.conj(f)))
+        tx = t._rows(x)
+        sf = t._rows(_row_matvec(eta_inv, np.conj(f)))
         return _normalized_rows(tx, np.conj(_row_matvec(eta, sf)))
 
     return reconstruct(TransformHandle(None, space.n, space.field, _rows=rows),

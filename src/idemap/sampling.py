@@ -8,15 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AutomorphismTag, ScalarField, SemilinearOperator, _row_dots, _row_norms
-from .idempotents import FiniteRankIdempotent, RankOneIdempotent, rank_one_from_pair
+from .core import AutomorphismTag, ScalarField, SemilinearOperator, _row_abs, _row_dots, \
+    _row_norms
+from .idempotents import FiniteRankIdempotent, RankOneIdempotent, _rank_one_row
 
 
 #: Smallest ``|pair(x, f)| / (||x|| ||f||)`` accepted for a random pair.
 MIN_COSINE = 0.05
 
-#: Attempts a rank-one draw (or a zero-product partner) gets before
-#: failing; also the most rounds a sampler block redraws its rejected rows.
+#: Rounds a block draw redraws its rejected rows before failing; a
+#: one-row draw gets as many attempts.
 DRAW_TRIES = 200
 
 #: Gaussian matrices :func:`random_invertible` draws before failing.
@@ -27,9 +28,8 @@ IDEMPOTENT_MAX_COND = 50
 
 
 def random_vector(rng, n, field: ScalarField):
-    if field is ScalarField.COMPLEX:
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return rng.standard_normal(n)
+    """Gaussian vector: the one-row case of :func:`random_matrix`."""
+    return random_matrix(rng, n, field)
 
 
 def random_matrix(rng, shape, field: ScalarField):
@@ -59,14 +59,9 @@ def random_semilinear(rng, n, field: ScalarField, auto=None) -> SemilinearOperat
 
 
 def random_rank_one(rng, n, field: ScalarField) -> RankOneIdempotent:
-    """Random normalized rank-one idempotent with a non-degenerate pairing."""
-    for _ in range(DRAW_TRIES):
-        x = random_vector(rng, n, field)
-        f = random_vector(rng, n, field)
-        p = np.dot(x, f)
-        if abs(p) >= MIN_COSINE * np.linalg.norm(x) * np.linalg.norm(f):
-            return rank_one_from_pair(x, f)
-    raise RuntimeError("could not draw a non-degenerate rank-one pair")
+    """Random normalized rank-one idempotent with a non-degenerate pairing:
+    the one-row case of :func:`_random_rank_one_rows`."""
+    return _rank_one_row(*_random_rank_one_rows(rng, 1, n, field))
 
 
 def random_idempotent(rng, n, rank, field: ScalarField) -> FiniteRankIdempotent:
@@ -121,3 +116,44 @@ def _projected(y0, c, d):
     norm of ``y0`` (the others are degenerate)."""
     y = y0 - (_row_dots(y0, c) / _row_dots(d, c))[:, None] * d
     return y, _row_norms(y) > 1e-8 * _row_norms(y0)
+
+
+def _accepted(x, f):
+    """Mask of the rows with ``|pair(x, f)| >= MIN_COSINE ||x|| ||f||``."""
+    return _row_abs(_row_dots(x, f)) >= MIN_COSINE * _row_norms(x) * _row_norms(f)
+
+
+def _random_rank_one_rows(rng, count, n, field: ScalarField):
+    """``count`` Gaussian rows ``(x, f)`` that meet ``MIN_COSINE``, not yet
+    normalized; each round draws every ``x``, then every ``f``."""
+
+    def draw(index):
+        x, f = (random_matrix(rng, (index.size, n), field) for _ in range(2))
+        return (x, f), _accepted(x, f)
+
+    return _redrawn(count, draw, "could not draw a non-degenerate rank-one pair")
+
+
+def _zero_product_rows(rng, x, f, field: ScalarField):
+    """Rows ``(y, g)`` with ``pair(y[k], f[k]) = 0``, not yet normalized:
+    ``y0`` projected along ``x``, then ``g``; a degenerate ``y`` or a pair
+    that misses ``MIN_COSINE`` is drawn again."""
+
+    def draw(index):
+        y0, g = (random_matrix(rng, (index.size, x.shape[1]), field) for _ in range(2))
+        y, live = _projected(y0, f[index], x[index])
+        return (y, g), live & _accepted(y, g)
+
+    return _redrawn(len(x), draw, "could not craft a zero-product partner")
+
+
+def _eta_orthogonal_rows(rng, w, field: ScalarField):
+    """Rows ``y`` with ``<w[k], y[k]> = 0`` (Hermitian) for ``w = eta x``:
+    ``y0`` projected along ``w``, drawn again while degenerate."""
+
+    def draw(index):
+        y0 = random_matrix(rng, (index.size, w.shape[1]), field)
+        y, live = _projected(y0, w[index].conj(), w[index])
+        return (y,), live
+
+    return _redrawn(len(w), draw, "could not craft an eta-orthogonal partner")[0]

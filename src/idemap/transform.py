@@ -20,7 +20,6 @@ from .core import (
     AutomorphismTag,
     ScalarField,
     SemilinearOperator,
-    _row_abs,
     _row_dots,
     _row_matvec,
     _row_norms,
@@ -39,19 +38,11 @@ from .idempotents import (
     FiniteRankIdempotent,
     RankOneIdempotent,
     _normalized_rows,
+    _rank_one_row,
     as_finite_rank,
     decompose,
-    rank_one_from_pair,
 )
-from .sampling import (
-    DRAW_TRIES,
-    MIN_COSINE,
-    _projected,
-    _redrawn,
-    random_matrix,
-    random_rank_one,
-    random_vector,
-)
+from .sampling import _random_rank_one_rows, _zero_product_rows
 
 #: Match tolerance for the trace probe deciding the ring automorphism.
 AUTOMORPHISM_TOL = 1e-6
@@ -198,18 +189,10 @@ def transpose_handle(n, field: ScalarField) -> TransformHandle:
 
 
 def zero_product_partner(rng, p: RankOneIdempotent, field: ScalarField) -> RankOneIdempotent:
-    """Random ``Q = (y, g)`` with ``P @ Q = 0``, i.e. ``pair(y, p.f) = 0``."""
-    n = p.n
-    for _ in range(DRAW_TRIES):
-        y0 = random_vector(rng, n, field)
-        y = y0 - np.dot(y0, p.f) * p.x
-        ny = np.linalg.norm(y)
-        if ny <= 1e-8 * np.linalg.norm(y0):
-            continue
-        g = random_vector(rng, n, field)
-        if abs(np.dot(y, g)) >= MIN_COSINE * ny * np.linalg.norm(g):
-            return rank_one_from_pair(y, g)
-    raise RuntimeError("could not craft a zero-product partner")
+    """Random ``Q = (y, g)`` with ``P @ Q = 0``, i.e. ``pair(y, p.f) = 0``:
+    the one-row case of the crafted partners of
+    :func:`_draw_idempotent_pairs`."""
+    return _rank_one_row(*_zero_product_rows(rng, p.x[None], p.f[None], field))
 
 
 def _product_margins(x, f):
@@ -223,32 +206,10 @@ def _product_margins(x, f):
 
 def _draw_idempotent_pairs(rng, n, field, crafted, plain):
     """Rows ``(x, f)`` of ``crafted`` zero-product pairs and then ``plain``
-    random pairs, ``P`` and ``Q`` interleaved and normalized as
-    :func:`rank_one_from_pair` normalizes.
-
-    The block is drawn directly: first every ``P`` and the ``Q`` of the
-    plain pairs, then the crafted partners ``y = y0 - pair(y0, f) /
-    pair(x, f) * x`` with their functionals ``g``.  Rows rejected by the
-    rules of :func:`random_rank_one` and :func:`zero_product_partner`
-    (``MIN_COSINE``, a degenerate ``y``) are drawn again, with those
-    helpers' ``RuntimeError`` once ``DRAW_TRIES`` rounds are used up."""
-
-    def accepted(x, f):
-        return _row_abs(_row_dots(x, f)) >= MIN_COSINE * _row_norms(x) * _row_norms(f)
-
-    def random_pairs(index):
-        x, f = (random_matrix(rng, (index.size, n), field) for _ in range(2))
-        return (x, f), accepted(x, f)
-
-    x, f = _redrawn(crafted + 2 * plain, random_pairs,
-                    "could not draw a non-degenerate rank-one pair")
-
-    def partners(index):
-        y0, g = (random_matrix(rng, (index.size, n), field) for _ in range(2))
-        y, live = _projected(y0, f[index], x[index])
-        return (y, g), live & accepted(y, g)
-
-    y, g = _redrawn(crafted, partners, "could not craft a zero-product partner")
+    random pairs, ``P`` and ``Q`` interleaved and normalized: every ``P``
+    and plain ``Q`` first, then the crafted partners."""
+    x, f = _random_rank_one_rows(rng, crafted + 2 * plain, n, field)
+    y, g = _zero_product_rows(rng, x[:crafted], f[:crafted], field)
     size = crafted + plain
     qx, qf = np.concatenate((y, x[size:])), np.concatenate((g, f[size:]))
     return _normalized_rows(np.stack((x[:size], qx), axis=1).reshape(-1, n),
@@ -300,11 +261,11 @@ def check_preservation(phi: TransformHandle, sample_count=500, seed=0,
     holds the two sampled idempotents.
 
     Pairs are drawn, mapped and judged in blocks of ``SAMPLE_BLOCK``.
-    Each block is drawn directly from the seeded generator under the
-    acceptance rules of :func:`random_rank_one` and
-    :func:`zero_product_partner`, so the same seed gives the same report,
-    but not the pairs those helpers would draw one at a time.  Each block
-    is one call of the handle's row evaluator, so a wrapped callable is
+    Each block is drawn directly from the seeded generator, so the same
+    seed gives the same report, but not the pairs that the one-row
+    helpers :func:`~idemap.sampling.random_rank_one` and
+    :func:`zero_product_partner` would draw one at a time.  Each block is
+    one call of the handle's row evaluator, so a wrapped callable is
     called once per sampled idempotent.  A negative
     ``sample_count`` raises ``ValueError``; zero gives a vacuous report.
     """
@@ -413,27 +374,22 @@ def reconstruction_probe_set(n, field: ScalarField, validation_count=50,
     """Probe inputs for dimension ``n``: ``(e_j, e_j)`` for each ``j``,
     ``(e_1 + e_j, e_1)`` for ``j >= 2``, the automorphism and phase probes
     over the complex field, and ``validation_count`` seeded random
-    validation idempotents (0 means no validation probes)."""
+    validation idempotents (0 means no validation probes), drawn as one
+    block by :func:`~idemap.sampling._random_rank_one_rows`."""
     if n < 3:
         raise ValueError("reconstruction needs dimension >= 3")
     if validation_count < 0:
         raise ValueError(f"validation_count must be >= 0, got {validation_count}")
-    dtype = field.dtype
-    eye = np.eye(n, dtype=dtype)
+    eye = np.eye(n, dtype=field.dtype)
     standard = tuple(RankOneIdempotent(eye[j], eye[j]) for j in range(n))
-    mixed = tuple(
-        RankOneIdempotent(eye[0] + eye[j], eye[0]) for j in range(1, n)
-    )
+    mixed = tuple(RankOneIdempotent(eye[0] + eye[j], eye[0]) for j in range(1, n))
+    automorphism, phase = (), ()
     if field is ScalarField.COMPLEX:
         automorphism = _automorphism_probes(n)
         phase = (RankOneIdempotent(eye[0] + 1j * eye[1], eye[0]),)
-    else:
-        automorphism = ()
-        phase = ()
     rng = np.random.default_rng(seed)
-    validation = tuple(
-        random_rank_one(rng, n, field) for _ in range(validation_count)
-    )
+    x, f = _normalized_rows(*_random_rank_one_rows(rng, validation_count, n, field))
+    validation = tuple(map(RankOneIdempotent._from_checked_row, x, f))
     return ProbeSet(standard, mixed, automorphism, phase, validation)
 
 
@@ -460,7 +416,8 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
        to ``x_1 + h(i) s_2 x_2``.
     4. Assemble the columns ``s_j x_j``, normalize, and validate against
        ``validation_count`` seeded random rank-one idempotents, recording
-       the worst residual.
+       the worst residual ``||phi(P) - A h(P) A^{-1}||_F``.  The expected
+       images come from one call of ``induce(A)``'s row evaluator.
 
     Raises
     ------
@@ -509,9 +466,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
                 f"trace probe says {tag.value}, phase probe says {phase_tag.value}"
             )
 
-    assembled = np.column_stack(
-        [s * col for s, col in zip(scales, columns)]
-    )
+    assembled = np.column_stack([s * col for s, col in zip(scales, columns)])
     assembled = assembled / np.linalg.norm(assembled)
     flat_idx = int(np.argmax(np.abs(assembled)))
     lead = assembled.flat[flat_idx]
@@ -524,16 +479,31 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     except Exception as exc:
         raise NotInduced(f"assembled matrix unusable: {exc}", residual=None) from exc
 
-    residual = 0.0
-    for p, x, f in zip(probes.validation, *ask(probes.validation)):
-        delta = np.linalg.norm(np.outer(x, f) - a_op.conjugate(p.matrix))
-        residual = max(residual, float(delta))
-    if residual > NOT_INDUCED_TOL:
+    distances = _rank_one_distances(*ask(probes.validation),
+                                    *induce(a_op)._map_idempotents(probes.validation))
+    residual = float(distances.max()) if distances.size else 0.0
+    if not residual <= NOT_INDUCED_TOL:
         raise NotInduced(
             f"validation residual {residual:.3e} exceeds {NOT_INDUCED_TOL:.1e}",
             residual=residual,
         )
     return ReconstructionResult(a_op, residual, len(probes.all_probes()))
+
+
+def _rank_one_distances(x, f, y, g):
+    """Frobenius norms ``||x[k] (x) f[k] - y[k] (x) g[k]||`` in ``O(n)``
+    memory per row.  The difference is ``X G^T`` with ``X = [x, -y]``, ``G
+    = [f, g]``, so for thin QR factors ``X = Q R``, ``G = P S`` its norm is
+    ``||R S^T||``; one Gram-Schmidt step gives each 2x2 factor."""
+
+    def factor(u, v):
+        r11 = _row_norms(u)
+        r12 = _row_dots(u.conj(), v) / r11
+        return r11, r12, _row_norms(v - (r12 / r11)[:, None] * u)
+
+    (a11, a12, a22), (b11, b12, b22) = factor(x, -y), factor(f, g)
+    return np.sqrt(np.abs(a11 * b11 + a12 * b12) ** 2 + np.abs(a12 * b22) ** 2
+                   + np.abs(a22 * b12) ** 2 + (a22 * b22) ** 2)
 
 
 def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
@@ -585,18 +555,29 @@ def probe_table_from_operator(a: SemilinearOperator, validation_count=50,
 def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
     """Black-box handle answering from a probe-response table.
 
-    Queries are matched to table inputs by nearest idempotent matrix; a
-    query outside the covered set raises :class:`DegenerateProbe`.
+    The table is checked once, here: it must not be empty, and every
+    entry must be an ``(input, output)`` pair of :class:`RankOneIdempotent`
+    of dimension ``n``.  Each query is matched to the nearest table input
+    matrix, in one vectorised distance computation; a query outside the
+    covered set raises :class:`DegenerateProbe`.
     """
-    inputs = [np.asarray(p.matrix) for p, _ in entries]
+    entries = list(entries)
+    if not entries:
+        raise ValueError("probe table is empty")
+    if any(len(entry) != 2 for entry in entries):
+        raise TypeError("table entry is not an (input, output) pair")
     outputs = [q for _, q in entries]
 
     def eval_fn(p: RankOneIdempotent) -> RankOneIdempotent:
         pm = p.matrix
-        dists = [np.linalg.norm(pm - m) for m in inputs]
+        dists = np.linalg.norm(inputs - pm, axis=(1, 2))
         best = int(np.argmin(dists))
         if dists[best] > TABLE_MATCH_TOL * (1.0 + np.linalg.norm(pm)):
             raise DegenerateProbe("query is not covered by the probe table")
         return outputs[best]
 
-    return TransformHandle(eval_fn, n, field)
+    phi = TransformHandle(eval_fn, n, field)
+    x, f = phi._stack([p for p, _ in entries], "table input")
+    phi._stack(outputs, "table output")
+    inputs = x[:, :, None] * f[:, None, :]
+    return phi

@@ -11,7 +11,7 @@ from idemap.core import (
     conjugation_operator,
     up_to_scalar_distance,
 )
-from idemap.errors import NotInduced, SingularOperator
+from idemap.errors import DimensionMismatch, NotInduced, SingularOperator
 import idemap.indefinite as indefinite
 from idemap.indefinite import (
     CHARACTERIZE_TOL,
@@ -319,6 +319,13 @@ class TestGenerateEtaIsometry:
         with pytest.raises(ValueError):
             generate_eta_isometry(space, seed=13, scale=0.0)
 
+    @pytest.mark.parametrize("scale", (np.nan, np.inf, -np.inf), ids=("nan", "inf", "-inf"))
+    def test_non_finite_scale_rejected(self, scale):
+        # nan passes ``scale <= 0`` and the residual check (comparisons
+        # with nan are false), so it needs its own refusal
+        with pytest.raises(ValueError, match="finite|positive"):
+            generate_eta_isometry(IndefiniteSpace(MINKOWSKI), seed=3, scale=scale)
+
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     def test_matches_the_nullspace_projection(self, field):
         rng = np.random.default_rng(16)
@@ -433,6 +440,15 @@ class TestRays:
         assert rays_equal(Ray([1.0, 2.0, 0]), Ray([-3.0, -6.0, 0]))
         assert rays_equal(Ray([1j, 0, 0]), Ray([1.0 + 0j, 0, 0]))
         assert not rays_equal(Ray([1.0, 0, 0]), Ray([1.0, 1e-4, 0]))
+
+    def test_dimension_mismatch_is_typed(self):
+        space = IndefiniteSpace(MINKOWSKI)
+        three, four = Ray([1.0, 0, 0]), Ray([1.0, 0, 0, 0])
+        with pytest.raises(DimensionMismatch, match="dimensions 3 vs 4"):
+            rays_equal(three, four)
+        for rx, ry in ((four, three), (three, four), (four, four)):
+            with pytest.raises(DimensionMismatch, match="in dimension 3"):
+                ray_eta_orthogonal(space, rx, ry)
 
 
 def test_space_validation():

@@ -1,5 +1,5 @@
-"""The block samplers: direct block draws under the per-pair helpers'
-acceptance rules, judged as the per-pair reference judges them.
+"""The block samplers: direct block draws, judged as the per-pair
+reference judges them, and the single-item helpers as their one-row case.
 
 ``check_preservation`` and ``is_symmetry`` draw, map and judge pairs in
 blocks.  Each block is drawn directly from the seeded generator, so the
@@ -10,6 +10,11 @@ again and exhaustion raises the helpers' errors.  The reference
 functions below judge the sampled pairs one at a time with matrix
 margins, as the samplers once did; the samplers must report the same
 violating pairs, with margins equal to within rounding.
+
+``random_rank_one``, ``random_vector``, ``zero_product_partner``,
+``eta_orthogonal_partner``, ``rank_one_from_pair``, ``Ray`` and an induced
+ray map's ``eval`` are the one-row calls of the block code: they give a
+one-row block's values and raise its errors.
 """
 
 import dataclasses
@@ -18,13 +23,14 @@ import numpy as np
 import pytest
 
 from idemap.core import AutomorphismTag, ScalarField, SemilinearOperator
-from idemap.errors import DegenerateImage, DimensionMismatch
-from idemap.idempotents import RankOneIdempotent
+from idemap.errors import DegenerateImage, DegeneratePair, DimensionMismatch, NotInduced
+from idemap.idempotents import RankOneIdempotent, _normalized_rows, rank_one_from_pair
 from idemap.indefinite import (
     IndefiniteSpace,
     Ray,
     RayMap,
     _draw_ray_pairs,
+    _ray_rows,
     apply_ray_map,
     eta_orthogonal_partner,
     generate_eta_isometry,
@@ -33,7 +39,7 @@ from idemap.indefinite import (
     recover_inducing_operator,
 )
 from idemap.sampling import DRAW_TRIES, MIN_COSINE, random_idempotent, random_invertible, \
-    random_rank_one
+    random_matrix, random_rank_one, random_vector
 from idemap.transform import (
     SAMPLE_BLOCK,
     RayPair,
@@ -43,9 +49,11 @@ from idemap.transform import (
     check_preservation,
     extend,
     from_ray_pair,
+    handle_from_table,
     induce,
     probe_table_from_operator,
     reconstruct,
+    reconstruction_probe_set,
     transpose_handle,
     zero_product_partner,
 )
@@ -66,6 +74,9 @@ KIND_IDS = ("real", "complex-id", "complex-conj")
 MARGIN_RTOL = 1e-9
 #: Largest relative product of a crafted pair.
 ZERO_PRODUCT_RTOL = 1e-12
+#: The partner helpers match the block draw to within this, relative:
+#: they project along the normalized row, the block along the raw one.
+PARTNER_RTOL = 1e-14
 
 
 # -- per-pair reference ------------------------------------------------------
@@ -125,6 +136,22 @@ def assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def assert_same_row(p, x, f):
+    assert_same_bits(p.x, x)
+    assert_same_bits(p.f, f)
+
+
+def assert_rows_close(got, want):
+    assert np.linalg.norm(got - want) <= PARTNER_RTOL * np.linalg.norm(want)
+
+
+def raised(fn, *args):
+    """Type and message of the exception ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
 
 
 def assert_margin_close(value, reference):
@@ -277,6 +304,38 @@ def test_all_drawn_pairs_match_reference(n, field):
     assert min(margins[crafted:]) > ZERO_PRODUCT_RTOL
 
 
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("field", (ScalarField.REAL, ScalarField.COMPLEX),
+                         ids=("real", "complex"))
+def test_helpers_are_one_row_block_draws(n, field):
+    """A block of one crafted pair is what ``random_rank_one`` and then
+    ``zero_product_partner`` draw from the same seed, and ``random_vector``
+    and ``eta_orthogonal_partner`` for rays.  Every row of a block of rows
+    is what ``rank_one_from_pair`` and ``Ray`` give for that row alone."""
+    for seed in range(3):
+        x, f = _draw_idempotent_pairs(np.random.default_rng(seed), n, field, 1, 0)
+        rng = np.random.default_rng(seed)
+        p = random_rank_one(rng, n, field)
+        assert_same_row(p, x[0], f[0])
+        q = zero_product_partner(rng, p, field)
+        assert_rows_close(q.x, x[1])
+        assert_rows_close(q.f, f[1])
+
+        space = IndefiniteSpace(generic_matrix(np.random.default_rng(n + seed), n, field))
+        v = _draw_ray_pairs(np.random.default_rng(seed), space, 1, 0)
+        rng = np.random.default_rng(seed)
+        x1 = random_vector(rng, n, field)
+        assert_same_bits(x1, v[0])
+        assert_rows_close(eta_orthogonal_partner(space, x1, rng), v[1])
+
+    rng = np.random.default_rng(n)
+    x, f = (random_matrix(rng, (SAMPLE_BLOCK + 3, n), field) for _ in range(2))
+    rows = _normalized_rows(x, f)
+    for k in range(len(x)):
+        assert_same_row(rank_one_from_pair(x[k], f[k]), rows[0][k], rows[1][k])
+        assert_same_bits(Ray(x[k]).representative, _ray_rows(x)[k])
+
+
 def test_degenerate_and_rejected_draws_follow_the_helpers():
     """Rows the helpers would draw again are drawn again: a rejected pair
     (``pair(x, f) = 0``), a zero-product partner whose ``y0`` is parallel
@@ -299,35 +358,71 @@ def test_degenerate_and_rejected_draws_follow_the_helpers():
         (p, q), = idempotent_pairs(x, f)
         assert min(_cosine(p.x, p.f), _cosine(q.x, q.f)) >= MIN_COSINE * (1 - 1e-12)
         assert (_matrix_margin(p, q) <= ZERO_PRODUCT_RTOL) is bool(crafted)
+        if crafted:
+            # The helpers, one row each, redraw the same rows.
+            rng = ScriptedGenerator(head, 5)
+            helper_p = random_rank_one(rng, n, field)
+            assert_same_row(helper_p, x[0], f[0])
+            helper_q = zero_product_partner(rng, helper_p, field)
+            assert_rows_close(helper_q.x, x[1])
+            assert_rows_close(helper_q.f, f[1])
 
     space = IndefiniteSpace(np.eye(n))
     for head in ([*e1, *(3 * e1)], [*e2, *(2 * e2)] + [*(-e2)] * 3):
         x, y = _draw_ray_pairs(ScriptedGenerator(head, 6), space, 1, 0)
         assert_same_bits(x, np.asarray(head[:n]))
         assert np.linalg.norm(y) > 1e-8 and _eta_margin(space.eta, x, y) <= ZERO_PRODUCT_RTOL
+        rng = ScriptedGenerator(head, 6)
+        assert_rows_close(eta_orthogonal_partner(space, random_vector(rng, n, field), rng), y)
 
 
 def test_exhausted_draws_raise_like_the_helpers():
+    """Each helper raises the block draw's error, type and message."""
     n, field = 3, ScalarField.REAL
     e1, e2 = np.eye(n)[:2]
     rejected = [*e1, *e2] * 200
-    with pytest.raises(RuntimeError, match="non-degenerate rank-one pair"):
-        random_rank_one(ScriptedGenerator(rejected, 0), n, field)
-    with pytest.raises(RuntimeError, match="non-degenerate rank-one pair"):
-        _draw_idempotent_pairs(ScriptedGenerator(rejected, 0), n, field, 1, 0)
+    error = raised(random_rank_one, ScriptedGenerator(rejected, 0), n, field)
+    assert error == (RuntimeError, "could not draw a non-degenerate rank-one pair")
+    assert raised(_draw_idempotent_pairs, ScriptedGenerator(rejected, 0), n, field, 1, 0) \
+        == error
 
     p = RankOneIdempotent(e1, e1)
-    with pytest.raises(RuntimeError, match="zero-product partner"):
-        zero_product_partner(ScriptedGenerator([*e1] * 400, 0), p, field)
-    with pytest.raises(RuntimeError, match="zero-product partner"):
-        _draw_idempotent_pairs(ScriptedGenerator([*e1, *e1] + [*e1, *e2] * 200, 0),
-                               n, field, 1, 0)
+    error = raised(zero_product_partner, ScriptedGenerator([*e1] * 400, 0), p, field)
+    assert error == (RuntimeError, "could not craft a zero-product partner")
+    assert raised(_draw_idempotent_pairs,
+                  ScriptedGenerator([*e1, *e1] + [*e1, *e2] * 200, 0), n, field, 1, 0) == error
+    # Rejected (y, g) pairs, rather than degenerate y, exhaust it too.
+    assert raised(zero_product_partner, ScriptedGenerator([*e2, *e1] * 200, 0), p,
+                  field) == error
 
     space = IndefiniteSpace(np.eye(n))
-    with pytest.raises(RuntimeError, match="eta-orthogonal partner"):
-        eta_orthogonal_partner(space, e1, ScriptedGenerator([*e1] * DRAW_TRIES, 0))
-    with pytest.raises(RuntimeError, match="eta-orthogonal partner"):
-        _draw_ray_pairs(ScriptedGenerator([*e1] * 201, 0), space, 1, 0)
+    error = raised(eta_orthogonal_partner, space, e1, ScriptedGenerator([*e1] * DRAW_TRIES, 0))
+    assert error == (RuntimeError, "could not craft an eta-orthogonal partner")
+    assert raised(_draw_ray_pairs, ScriptedGenerator([*e1] * 201, 0), space, 1, 0) == error
+
+
+@pytest.mark.parametrize("x,f", [
+    ([0, 1.0, 0], [0, 0, 1.0]),
+    ([1.0, 1j, 0], [1.0, 1j, 0]),
+    ([0.0, 0, 0], [1.0, 0, 0]),
+], ids=("orthogonal", "isotropic", "zero"))
+def test_degenerate_pair_raises_like_the_rows(x, f):
+    x, f = np.asarray(x), np.asarray(f)
+    error = raised(rank_one_from_pair, x, f)
+    assert error[0] is DegeneratePair
+    assert raised(_normalized_rows, x[None], f[None]) == error
+
+
+def test_invalid_ray_raises_like_the_rows():
+    """A zero representative fails the row rule with ``Ray``'s error, and
+    an induced ray map's rows refuse an overflowing image with the error
+    ``Ray`` gives a non-finite representative."""
+    zero = raised(Ray, np.zeros(3))
+    assert zero[0] is ValueError
+    assert raised(_ray_rows, np.zeros((2, 3))) == zero
+    overflowing = induced_ray_map(SemilinearOperator(1e300 * np.eye(3)))
+    with np.errstate(over="ignore"):
+        assert raised(overflowing._rows, np.full((2, 3), 1e300)) == raised(Ray, [np.inf, 0, 0])
 
 
 # -- native and black-box handles -------------------------------------------
@@ -367,7 +462,15 @@ def test_native_and_black_box_handles_agree(n, field, tag):
 
     space = IndefiniteSpace(generic_matrix(rng, n, field))
     u = SemilinearOperator(generic_matrix(rng, n, field), tag)
-    native_rays = is_symmetry(space, induced_ray_map(u), sample_count=150, seed=n)
+    t = induced_ray_map(u)
+    v = _draw_ray_pairs(np.random.default_rng(n), space, SAMPLE_BLOCK, 3)
+    images = t._rows(v)
+    for k in range(len(v)):
+        # The one-row case of the rows, and the operator's own evaluation.
+        assert_same_bits(t.eval(Ray(v[k])).representative, images[k])
+        assert_same_bits(apply_ray_map(t, v[k]), images[k])
+        assert_same_bits(u(v[k]), images[k])
+    native_rays = is_symmetry(space, t, sample_count=150, seed=n)
     assert native_rays.violations
     black_box = RayMap(lambda ray: Ray(u(ray.representative)))
     assert_same_reports(is_symmetry(space, black_box, sample_count=150, seed=n),
@@ -395,6 +498,22 @@ def assert_same_result(got, want):
         (want.A.auto, want.residual, want.probes_used)
 
 
+def reference_residual(phi, a, validation):
+    """The validation residual, probe by probe: ``||phi(P) - A h(P)
+    A^{-1}||_F`` through :meth:`SemilinearOperator.conjugate`."""
+    return max((float(np.linalg.norm(phi(p).matrix - a.conjugate(p.matrix)))
+                for p in validation), default=0.0)
+
+
+def assert_residual_matches_reference(residual, phi, a, validation):
+    """For an induced map both residuals are rounding errors of the
+    expected images, of order ``eps ||A|| ||A^{-1}|| ||P||``; they agree
+    to within 1e-12 of the largest image norm, not 1e-12 absolute."""
+    reference = reference_residual(phi, a, validation)
+    scale = max((float(np.linalg.norm(phi(p).matrix)) for p in validation), default=0.0)
+    assert abs(residual - reference) <= 1e-12 * max(1.0, scale)
+
+
 @pytest.mark.parametrize("n", (3, 6, 16))
 @pytest.mark.parametrize("field,tag", KINDS, ids=KIND_IDS)
 def test_native_and_black_box_results_agree(n, field, tag):
@@ -404,9 +523,27 @@ def test_native_and_black_box_results_agree(n, field, tag):
     a = generic_matrix(rng, n, field)
     native, black_boxes = _black_box_handles(a, tag, n, field)
     result = reconstruct(native, validation_count=10, seed=n)
+    validation = reconstruction_probe_set(n, field, 10, n).validation
+    # A comes from the deterministic probes alone.
+    for count, seed in ((0, n), (1, n), (10, n + 1), (SAMPLE_BLOCK + 1, n)):
+        assert_same_bits(reconstruct(native, validation_count=count, seed=seed).A.matrix,
+                         result.A.matrix)
     p = random_idempotent(rng, n, 2, field)
     extended = extend(native, p)
     table = probe_table_from_operator(SemilinearOperator(a, tag), validation_count=10, seed=n)
+    assert_same_result(reconstruct(handle_from_table(table, n, field), validation_count=10,
+                                   seed=n), result)
+    # A table that answers the validation probes by another operator.
+    other = induce(SemilinearOperator(generic_matrix(np.random.default_rng(7 * n), n, field),
+                                      tag))
+    two_faced = handle_from_table(table[:-10] + [(q, other(q)) for q, _ in table[-10:]],
+                                  n, field)
+    with pytest.raises(NotInduced) as refused:
+        reconstruct(two_faced, validation_count=10, seed=n)
+    assert refused.value.residual == pytest.approx(
+        reference_residual(two_faced, result.A, validation), rel=1e-12)
+    for phi in (native,) + black_boxes:
+        assert_residual_matches_reference(result.residual, phi, result.A, validation)
     for phi in black_boxes:
         assert_same_result(reconstruct(phi, validation_count=10, seed=n), result)
         assert_same_bits(extend(phi, p).matrix, extended.matrix)

@@ -17,9 +17,11 @@ from idemap.errors import (
     NotInduced,
     UnrecognizedAutomorphism,
 )
-from idemap.idempotents import FiniteRankIdempotent, RankOneIdempotent, decompose, \
-    rank_one_from_pair, relate
+from idemap.idempotents import FiniteRankIdempotent, RankOneIdempotent, _normalized_rows, \
+    decompose, rank_one_from_pair, relate
 from idemap.sampling import (
+    MIN_COSINE,
+    _random_rank_one_rows,
     random_idempotent,
     random_invertible,
     random_rank_one,
@@ -409,6 +411,22 @@ class TestProbeTable:
         with pytest.raises((NotInduced, UnrecognizedAutomorphism, DegenerateProbe)):
             reconstruct(phi, validation_count=10, seed=8)
 
+    def test_table_checked_at_construction(self):
+        table = probe_table_from_operator(identity_operator(3), validation_count=2, seed=9)
+        p, q = table[0]
+        wider = rank_one_from_pair([1.0, 0, 0, 0], [1.0, 0, 0, 0])
+        with pytest.raises(ValueError, match="probe table is empty"):
+            handle_from_table([], 3, ScalarField.COMPLEX)
+        for entry, message in (((p, q.matrix), "table output is not a RankOneIdempotent"),
+                               ((p.matrix, q), "table input is not a RankOneIdempotent"),
+                               ((p,), r"not an \(input, output\) pair"),
+                               ((p, q, q), r"not an \(input, output\) pair")):
+            with pytest.raises(TypeError, match=message):
+                handle_from_table(table[1:] + [entry], 3, ScalarField.COMPLEX)
+        for entry in ((wider, q), (p, wider)):
+            with pytest.raises(DimensionMismatch, match="handle dimension 3, table"):
+                handle_from_table(table[1:] + [entry], 3, ScalarField.COMPLEX)
+
     def test_uncovered_query_raises(self):
         rng = np.random.default_rng(16)
         table = probe_table_from_operator(identity_operator(3),
@@ -460,6 +478,23 @@ class TestTraceIdentityInvariant:
         out1 = extend(phi, p, decomposition=base)
         out2 = extend(phi, p, decomposition=remix_decomposition(rng, base))
         assert np.linalg.norm(out1.matrix - out2.matrix) <= 1e-8
+
+
+@pytest.mark.parametrize("n", (3, 6, 16))
+@pytest.mark.parametrize("field", (ScalarField.REAL, ScalarField.COMPLEX),
+                         ids=("real", "complex"))
+def test_validation_probes_are_one_block_draw(n, field):
+    """The validation probes are one normalized block of
+    ``_random_rank_one_rows``: each meets ``MIN_COSINE`` and has pairing 1."""
+    count, seed = 65, n
+    probes = reconstruction_probe_set(n, field, count, seed).validation
+    x, f = _normalized_rows(*_random_rank_one_rows(np.random.default_rng(seed), count, n, field))
+    assert len(probes) == count
+    for p, xk, fk in zip(probes, x, f):
+        assert p.x.tobytes() == xk.tobytes() and p.f.tobytes() == fk.tobytes()
+        assert abs(np.dot(p.x, p.f) - 1.0) <= 1e-12
+        cosine = abs(np.dot(p.x, p.f)) / (np.linalg.norm(p.x) * np.linalg.norm(p.f))
+        assert cosine >= MIN_COSINE * (1 - 1e-12)
 
 
 def test_probe_set_is_deterministic():
