@@ -207,47 +207,6 @@ def orthonormal_columns(a, tol=None):
     return u[:, :rank]
 
 
-def subspace_sum(*bases):
-    """Orthonormal basis of the sum of subspaces given by basis columns."""
-    mats = [b for b in bases if b.shape[1] > 0]
-    if not mats:
-        n = bases[0].shape[0]
-        return np.zeros((n, 0))
-    return orthonormal_columns(np.hstack(mats), tol=1e-9)
-
-
-def subspace_intersection(b1, b2):
-    """Orthonormal basis of the intersection of two spanned subspaces.
-
-    A vector lies in the intersection iff both orthogonal projectors fix
-    it, so the intersection is the joint kernel of the two complements.
-    """
-    n = b1.shape[0]
-    eye = np.eye(n, dtype=np.result_type(b1, b2, np.float64))
-    c1 = eye - b1 @ b1.conj().T
-    c2 = eye - b2 @ b2.conj().T
-    kernel, _ = kernel_and_range(np.vstack([c1, c2]), tol=1e-9)
-    return kernel
-
-
-def complement_within(b_sub, b_whole):
-    """Orthogonal complement of ``span(b_sub)`` inside ``span(b_whole)``."""
-    if b_whole.shape[1] == 0:
-        return b_whole.copy()
-    proj_off = b_whole - b_sub @ (b_sub.conj().T @ b_whole)
-    return orthonormal_columns(proj_off, tol=1e-9)
-
-
-def orthogonal_complement(basis, n=None):
-    """Orthonormal basis of the orthogonal complement in coordinates."""
-    if n is None:
-        n = basis.shape[0]
-    if basis.shape[1] == 0:
-        return np.eye(n, dtype=np.result_type(basis, np.float64))
-    kernel, _ = kernel_and_range(basis.conj().T, tol=1e-9)
-    return kernel
-
-
 def subspace_contains(b_big, b_small, tol=1e-8):
     """True if every column of ``b_small`` lies in ``span(b_big)``."""
     if b_small.shape[1] == 0:

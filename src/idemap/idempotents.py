@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    RANK_TOL,
     ScalarField,
     _as_matrix,
     _as_vector,
@@ -22,13 +23,9 @@ from .core import (
     _row_abs,
     _row_dots,
     _row_norms,
-    complement_within,
     field_of,
     kernel_and_range,
-    orthogonal_complement,
     orthonormal_columns,
-    subspace_intersection,
-    subspace_sum,
     tensor,
 )
 from .errors import DegeneratePair, DimensionMismatch, NotIdempotent
@@ -245,45 +242,32 @@ def decompose(p) -> list[RankOneIdempotent]:
     u = q[:, :r]
     g = u.conj().T @ m
     pieces = [RankOneIdempotent(u[:, i], g[i, :]) for i in range(r)]
-    total = sum(piece.matrix for piece in pieces)
-    resid = np.linalg.norm(total - m)
+    resid = np.linalg.norm(u @ g - m)
     if resid > 1e-9 * (1.0 + np.linalg.norm(m)):
         raise NotIdempotent(f"decomposition residual {resid:.3e}")
     return pieces
 
 
 def majorant(p1, p2) -> FiniteRankIdempotent:
-    """Idempotent ``P`` with ``P1 <= P`` and ``P2 <= P``.
+    """Idempotent ``P`` of least rank with ``P1 <= P`` and ``P2 <= P``.
 
-    Construction: with ``N = rng P1 + rng P2`` and ``M = ker P1 ∩ ker P2``,
-    choose ``K`` as the orthogonal complement of ``M ∩ N`` inside ``M`` and
-    ``L`` as the orthogonal complement of ``M + N`` in the ambient space;
-    then ``K ⊕ (N ⊕ L)`` spans everything and the idempotent with range
-    ``N ⊕ L`` and kernel ``K`` majorizes both inputs.  Complements are the
-    coordinate-orthogonal ones, so the output is deterministic; no attempt
-    is made to minimize its rank.
+    With ``N = rng P1 + rng P2`` and ``M = ker P1 ∩ ker P2`` (orthonormal
+    bases), ``P = I - M (Q M)^+`` where ``Q = I - N N^*``: its range is
+    ``N ⊕ (M + N)^⊥`` and its kernel ``M ⊖ (M ∩ N)``, so its rank is
+    ``n - dim M + dim(M ∩ N)``, the least any majorant can have (a
+    majorant's range contains ``N`` and its kernel lies in ``M``).  The
+    singular values of ``Q M`` are the sines of the principal angles
+    between ``M`` and ``N``; those at most ``RANK_TOL`` count as zero,
+    which puts their directions in ``M ∩ N``.
     """
     m1 = matrix_of(p1)
     m2 = matrix_of(p2)
     if m1.shape != m2.shape:
         raise DimensionMismatch(f"majorant: shapes {m1.shape} vs {m2.shape}")
-    n = m1.shape[0]
-    big_n = orthonormal_columns(np.hstack([m1, m2]), tol=None)
+    big_n = orthonormal_columns(np.hstack([m1, m2]))
     big_m, _ = kernel_and_range(np.vstack([m1, m2]))
-    meet = subspace_intersection(big_m, big_n)
-    k_block = complement_within(meet, big_m)
-    join = subspace_sum(big_m, big_n)
-    if join.shape[1] == n:
-        l_block = np.zeros((n, 0), dtype=join.dtype)
-    else:
-        l_block = orthogonal_complement(join, n)
-    range_block = np.hstack([big_n, l_block]) if l_block.shape[1] else big_n
-    basis = np.hstack([range_block, k_block]) if k_block.shape[1] else range_block
-    if basis.shape[1] != n:
-        raise ArithmeticError(
-            f"majorant subspace dimensions inconsistent: {basis.shape[1]} != {n}"
-        )
-    r = range_block.shape[1]
-    inv = np.linalg.inv(basis)
-    proj = basis[:, :r] @ inv[:r, :]
-    return FiniteRankIdempotent(proj)
+    u, s, vh = np.linalg.svd(big_m - big_n @ (big_n.conj().T @ big_m),
+                             full_matrices=False)
+    r = int(np.sum(s > RANK_TOL))
+    kernel_part = (big_m @ (vh[:r].conj().T / s[:r])) @ u[:, :r].conj().T
+    return FiniteRankIdempotent(np.eye(m1.shape[0]) - kernel_part)

@@ -2,9 +2,11 @@
 
 Matrices travel as ``{"field": "real"|"complex", "n": int, "data":
 row-major list}`` with complex entries encoded as ``[re, im]`` pairs.
-Semilinear operators add ``"auto": "id"|"conj"``; idempotents add
-``"kind": "rank1"|"finite_rank"`` (rank-one also stores its ``x`` and
-``f`` arrays); spaces are ``{"n", "field", "eta"}``.
+Semilinear operators add ``"auto": "id"|"conj"``; finite-rank
+idempotents add ``"kind": "finite_rank"``.  A rank-one idempotent
+travels as its pair alone, ``{"kind": "rank1", "field", "n", "x",
+"f"}``; a ``"data"`` matrix in older payloads is ignored on reading.
+Spaces are ``{"n", "field", "eta"}``.
 """
 
 from __future__ import annotations
@@ -101,11 +103,8 @@ def semilinear_from_json(d) -> SemilinearOperator:
 
 
 def rank_one_to_json(p: RankOneIdempotent) -> dict:
-    d = matrix_to_json(p.matrix)
-    d["kind"] = "rank1"
-    d["x"] = vector_to_json(p.x, p.field)
-    d["f"] = vector_to_json(p.f, p.field)
-    return d
+    return {"kind": "rank1", "field": p.field.value, "n": p.n,
+            "x": vector_to_json(p.x, p.field), "f": vector_to_json(p.f, p.field)}
 
 
 def rank_one_from_json(d) -> RankOneIdempotent:

@@ -285,15 +285,27 @@ def extend(phi: TransformHandle, p, decomposition=None) -> FiniteRankIdempotent:
     again mutually orthogonal rank-one idempotents and the sum is an
     idempotent of the same rank; and the value does not depend on which
     orthogonal rank-one decomposition is used.  ``decomposition`` may
-    supply explicit pieces (e.g. to exercise that independence).
+    supply explicit pieces (e.g. to exercise that independence): ``rank P``
+    of them (else :class:`DimensionMismatch`) summing to ``P`` within
+    ``1e-9 (1 + ||P||)`` (else ``ValueError``), which makes them mutually
+    orthogonal.  The mapped rows ``(X, F)`` sum to ``X^T F``.
     """
     fp = as_finite_rank(p)
     if fp.rank == 0:
         return fp
-    pieces = decomposition if decomposition is not None else decompose(fp)
-    total = sum(np.outer(x, f) for x, f in zip(*phi._map_idempotents(pieces)))
+    if decomposition is None:
+        x, f = phi._stack(decompose(fp), "input")
+    else:
+        x, f = phi._stack(decomposition, "input")
+        if len(x) != fp.rank:
+            raise DimensionMismatch(f"decomposition has {len(x)} pieces, rank is {fp.rank}")
+        resid = np.linalg.norm(x.T @ f - fp.matrix)
+        if resid > 1e-9 * (1.0 + np.linalg.norm(fp.matrix)):
+            raise ValueError(f"decomposition does not sum to the idempotent "
+                             f"(residual {resid:.3e})")
+    x, f = phi._rows(x, f)
     try:
-        return FiniteRankIdempotent(total)
+        return FiniteRankIdempotent(x.T @ f)
     except NotIdempotent as exc:
         raise ExtensionInconsistent(
             f"mapped pieces do not sum to an idempotent: {exc}"
@@ -332,9 +344,9 @@ def automorphism_of(phi: TransformHandle) -> AutomorphismTag:
 
 def _trace_tag(x, f):
     """Ring automorphism measured by the images ``(x, f)`` of the
-    :func:`_automorphism_probes`."""
-    return _tag_of(np.trace(np.outer(x[0], f[0]) @ np.outer(x[1], f[1])),
-                   "trace probe returned")
+    :func:`_automorphism_probes`, from ``trace(P Q) = pair(x_Q, f_P)
+    pair(x_P, f_Q)``."""
+    return _tag_of(np.dot(x[1], f[0]) * np.dot(x[0], f[1]), "trace probe returned")
 
 
 def _tag_of(h_i, probe):
@@ -427,6 +439,9 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
         singular.
     DegenerateProbe
         If any probe image is invalid or unusable.
+    KeyError
+        If a probe table (:func:`handle_from_table`) does not cover the
+        probes asked for.
     UnrecognizedAutomorphism
         If the trace and phase probes disagree or match neither tag.
     """
@@ -559,7 +574,8 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
     entry must be an ``(input, output)`` pair of :class:`RankOneIdempotent`
     of dimension ``n``.  Each query is matched to the nearest table input
     matrix, in one vectorised distance computation; a query outside the
-    covered set raises :class:`DegenerateProbe`.
+    covered set raises ``KeyError``, which :func:`reconstruct` passes on
+    (the table is malformed input, not evidence about the map).
     """
     entries = list(entries)
     if not entries:
@@ -573,7 +589,7 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
         dists = np.linalg.norm(inputs - pm, axis=(1, 2))
         best = int(np.argmin(dists))
         if dists[best] > TABLE_MATCH_TOL * (1.0 + np.linalg.norm(pm)):
-            raise DegenerateProbe("query is not covered by the probe table")
+            raise KeyError("query is not covered by the probe table")
         return outputs[best]
 
     phi = TransformHandle(eval_fn, n, field)

@@ -117,6 +117,15 @@ class TestReconstructCommand:
                      "--samples", "10"])
         assert code == 2
 
+    def test_uncovered_table_exits_1(self, tmp_path, capsys):
+        # a table built for 50 validation probes does not cover the 20 asked for
+        rng = np.random.default_rng(3)
+        op = SemilinearOperator(random_invertible(rng, 6, ScalarField.COMPLEX))
+        inp = write_json(tmp_path / "t.json", table_input(op, samples=50, seed=5))
+        code = main(["reconstruct", "--in", inp, "--seed", "5", "--samples", "20"])
+        assert code == 1
+        assert "not covered by the probe table" in capsys.readouterr().err
+
     def test_malformed_input_exits_1(self, tmp_path):
         p = tmp_path / "garbage.json"
         p.write_text("{not json")

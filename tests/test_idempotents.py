@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from idemap.core import ScalarField, kernel_and_range, subspace_contains, tensor
+from idemap.core import ScalarField, kernel_and_range, orthonormal_columns, subspace_contains, \
+    tensor
 from idemap.errors import DegeneratePair, DimensionMismatch, NotIdempotent
 from idemap.idempotents import (
     FiniteRankIdempotent,
@@ -11,7 +12,8 @@ from idemap.idempotents import (
     rank_one_from_pair,
     relate,
 )
-from idemap.sampling import random_idempotent, random_rank_one, remix_decomposition
+from idemap.sampling import random_idempotent, random_invertible, random_rank_one, \
+    remix_decomposition
 
 E11 = np.diag([1.0, 0.0, 0.0])
 E22 = np.diag([0.0, 1.0, 0.0])
@@ -223,3 +225,54 @@ class TestMajorant:
             assert big.rank <= n
             assert relate(p1, big).p_leq_q
             assert relate(p2, big).p_leq_q
+
+    @pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+    def test_nested_and_equal_pairs(self, field):
+        # P1 <= P2 leaves nothing to add: the majorant is P2 itself
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(3, 9))
+            s = random_invertible(rng, n, field, max_cond=50)
+            inv = np.linalg.inv(s)
+            k = int(rng.integers(0, n + 1))
+            r = int(rng.integers(k, n + 1))
+            small, big = s[:, :k] @ inv[:k, :], s[:, :r] @ inv[:r, :]
+            for p1, p2, expected in ((small, big, big), (big, small, big),
+                                     (small, small, small), (big, big, big)):
+                out = majorant(p1, p2).matrix
+                assert np.linalg.norm(out - expected) <= 1e-12 * max(
+                    1.0, np.linalg.norm(expected))
+
+    def test_least_rank(self):
+        # a majorant's range contains N = rng P1 + rng P2 and its kernel lies
+        # in M = ker P1 ∩ ker P2, so its rank is at least n - dim M + dim(M ∩ N)
+        rng = np.random.default_rng(12)
+        checked = set()
+        for i in range(80):
+            n = int(rng.integers(3, 9))
+            field = ScalarField.COMPLEX if i % 2 else ScalarField.REAL
+            kind = i % 4
+            if kind == 0:  # oblique pair of random ranks, 0 and I included
+                p1, p2 = (random_idempotent(rng, n, int(rng.integers(0, n + 1)), field).matrix
+                          for _ in range(2))
+            elif kind == 1:  # rank-one pair sharing its functional
+                f = random_rank_one(rng, n, field).f
+                p1, p2 = (rank_one_from_pair(random_rank_one(rng, n, field).x, f).matrix
+                          for _ in range(2))
+            elif kind == 2:  # rank-one pair sharing its range vector
+                x = random_rank_one(rng, n, field).x
+                p1, p2 = (rank_one_from_pair(x, random_rank_one(rng, n, field).f).matrix
+                          for _ in range(2))
+            else:  # zero or identity against a random idempotent
+                p1 = np.eye(n) * float(rng.integers(2))
+                p2 = random_idempotent(rng, n, int(rng.integers(0, n + 1)), field).matrix
+            big_m, _ = kernel_and_range(np.vstack([p1, p2]))
+            big_n = orthonormal_columns(np.hstack([p1, p2]))
+            dim_sum = np.linalg.matrix_rank(np.hstack([big_m, big_n]), tol=1e-9)
+            dim_meet = big_m.shape[1] + big_n.shape[1] - dim_sum
+            least = n - big_m.shape[1] + dim_meet
+            out = majorant(p1, p2)
+            assert out.rank == least
+            assert relate(p1, out).p_leq_q and relate(p2, out).p_leq_q
+            checked.add((kind, dim_meet > 0))
+        assert (1, True) in checked and (0, False) in checked

@@ -57,6 +57,16 @@ def test_rank_one_roundtrip():
     np.testing.assert_allclose(back.matrix, p.matrix, atol=1e-12)
 
 
+def test_rank_one_payload_is_the_pair():
+    p = rank_one_from_pair([1.0, 2.0, 0], [1.0, 0, 1j])
+    d = rank_one_to_json(p)
+    assert set(d) == {"kind", "field", "n", "x", "f"}
+    assert d["field"] == "complex" and d["n"] == 3
+    # payloads that still carry the matrix load as before
+    d["data"] = matrix_to_json(p.matrix)["data"]
+    np.testing.assert_array_equal(rank_one_from_json(d).matrix, p.matrix)
+
+
 def test_finite_rank_roundtrip():
     p = FiniteRankIdempotent(np.diag([1.0, 1.0, 0.0]))
     d = finite_rank_to_json(p)

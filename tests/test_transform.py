@@ -29,6 +29,7 @@ from idemap.sampling import (
     remix_decomposition,
 )
 from idemap.transform import (
+    NOT_INDUCED_TOL,
     RayPair,
     TransformHandle,
     automorphism_of,
@@ -184,6 +185,16 @@ class TestExtend:
             extend(phi, p, decomposition=[p])
         with pytest.raises(TypeError):
             extend(phi, p, decomposition=5)
+
+    def test_wrong_decomposition_of_the_right_count(self):
+        # two valid, mutually orthogonal pieces of diag(1, 0, 1), not of diag(1, 1, 0)
+        phi = identity_handle(3, ScalarField.REAL)
+        p = np.diag([1.0, 1.0, 0.0])
+        e11, e33 = (rank_one_from_pair(v, v) for v in np.eye(3)[[0, 2]])
+        with pytest.raises(ValueError, match="does not sum to the idempotent"):
+            extend(phi, p, decomposition=[e11, e33])
+        with pytest.raises(DimensionMismatch, match="1 pieces, rank is 2"):
+            extend(phi, p, decomposition=[e33])
 
 
 class TestAutomorphismOf:
@@ -433,8 +444,27 @@ class TestProbeTable:
                                           validation_count=2, seed=9)
         phi = handle_from_table(table, 3, ScalarField.COMPLEX)
         stranger = random_rank_one(rng, 3, ScalarField.COMPLEX)
-        with pytest.raises(DegenerateProbe):
+        with pytest.raises(KeyError, match="not covered by the probe table"):
             phi(stranger)
+
+    def test_validation_threshold_is_pinned(self):
+        # one validation response moved off the induced map by about eps:
+        # 1e-5 lands between NOT_INDUCED_TOL and 1e-3, 1e-8 below NOT_INDUCED_TOL
+        op = random_semilinear(np.random.default_rng(20), 4, ScalarField.COMPLEX)
+
+        def bumped_table(eps):
+            table = probe_table_from_operator(op, validation_count=10, seed=3)
+            p, q = table[-1]
+            x = q.x.copy()
+            x[0] += eps * np.linalg.norm(q.x)
+            table[-1] = (p, rank_one_from_pair(x, q.f))
+            return handle_from_table(table, 4, ScalarField.COMPLEX)
+
+        with pytest.raises(NotInduced) as exc:
+            reconstruct(bumped_table(1e-5), validation_count=10, seed=3)
+        assert NOT_INDUCED_TOL < exc.value.residual < 1e-3
+        assert reconstruct(bumped_table(1e-8), validation_count=10,
+                           seed=3).residual <= NOT_INDUCED_TOL
 
 
 class TestHandleValidation:
