@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,8 +218,12 @@ def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray, tol=1e-8) -> bo
 def eta_orthogonal_partner(space: IndefiniteSpace, x, rng):
     """Random nonzero ``y`` with ``<eta x, y> = 0``, built by projecting a
     Gaussian draw onto the solution hyperplane (never by rejection): the
-    one-row case of the crafted partners of :func:`_draw_ray_pairs`."""
-    return _eta_orthogonal_rows(rng, np.asarray(x)[None] @ space.eta.T, space.field)[0]
+    one-row case of the crafted partners of :func:`_draw_ray_pairs`.
+    ``x`` must be a valid :class:`Ray` representative of dimension ``n``."""
+    ray = Ray(x)
+    if ray.n != space.n:
+        raise DimensionMismatch(f"vector of dimension {ray.n} in dimension {space.n}")
+    return _eta_orthogonal_rows(rng, ray.representative[None] @ space.eta.T, space.field)[0]
 
 
 def _draw_ray_pairs(rng, space: IndefiniteSpace, crafted, plain):
@@ -315,70 +320,49 @@ def characterize(space: IndefiniteSpace, u: SemilinearOperator,
     return Characterization(kind, constant)
 
 
-def _realify(m, field: ScalarField):
-    if field is ScalarField.COMPLEX:
-        return np.concatenate([m.real.ravel(), m.imag.ravel()])
-    return np.asarray(m, dtype=np.float64).ravel()
-
-
-def _unrealify(v, n, field: ScalarField):
-    if field is ScalarField.COMPLEX:
-        half = n * n
-        return v[:half].reshape(n, n) + 1j * v[half:].reshape(n, n)
-    return v.reshape(n, n)
-
-
 def _eta_skew_basis(space: IndefiniteSpace):
     """Orthonormal (realified) basis of ``{K : eta K + K* eta = 0}``.
 
     The constraint is only real-linear over the complex field (because of
-    the conjugate transpose), so it is realified before the nullspace is
-    extracted.  The system is ``2n^2 x 2n^2`` (``n^2 x n^2`` over the
-    reals) and its SVD costs ``O(n^6)``: this is the route of last resort
-    for metrics the closed forms of :func:`_skew_projection` cannot take.
+    the conjugate transpose), so it is realified, as the ``float64`` view
+    of each matrix, before the nullspace is extracted.  The system is
+    ``2n^2 x 2n^2`` (``n^2 x n^2`` over the reals) and its SVD costs
+    ``O(n^6)``: this is the route of last resort for metrics the pencil
+    routes of :func:`_skew_projection` cannot take.
     """
-    n = space.n
-    field = space.field
+    n, field, eta = space.n, space.field, space.eta
     dim = 2 * n * n if field is ScalarField.COMPLEX else n * n
     cols = []
     for k in range(dim):
-        v = np.zeros(dim)
-        v[k] = 1.0
-        kmat = _unrealify(v, n, field)
-        constraint = space.eta @ kmat + kmat.conj().T @ space.eta
-        cols.append(_realify(constraint, field))
-    system = np.column_stack(cols)
-    kernel, _ = kernel_and_range(system, tol=1e-9 * max(1.0, np.linalg.norm(space.eta)))
+        kmat = np.eye(1, dim, k).view(field.dtype).reshape(n, n)
+        cols.append((eta @ kmat + kmat.conj().T @ eta).view(np.float64).ravel())
+    kernel, _ = kernel_and_range(np.column_stack(cols),
+                                 tol=1e-9 * max(1.0, np.linalg.norm(eta)))
     return kernel
 
 
-#: Largest ``||eta - eta*|| / ||eta||`` (Frobenius) for which the metric
-#: is taken as self-adjoint.
-_SELF_ADJOINT_RTOL = 1e-12
+#: Largest ``||B_t|| / ||eta||`` (Frobenius) for which ``eta`` is taken as
+#: ``e^{it} H_t`` (see :func:`_skew_projection`).
+_HERMITIAN_RTOL = 1e-12
 
-#: Certificate of the cosquare route: the smallest separation of two
-#: cosquare eigenvalues, relative to their modulus; the largest mismatch
-#: ``|lambda_j - 1/conj(lambda_i)|`` of a pair, relative to its target; the
-#: largest Frobenius condition number of the eigenvector matrix.
-_COSQUARE_MIN_SEPARATION = 1e-4
-_COSQUARE_PAIR_RTOL = 1e-9
-_COSQUARE_MAX_COND = 1e6
+#: Certificate of the pencil eigenbasis, in units of the eigenvalue error
+#: estimate ``eps cond(W) rho`` (``rho`` the spectral radius): every
+#: eigenvalue lies within this of its partner, and no two within twice it.
+_PENCIL_MARGIN = 1e3
 
 
-def _self_adjoint_projection(eta):
-    """Projection onto ``{K : eta K + K* eta = 0}`` for a self-adjoint
-    ``eta``, in ``O(n^3)``.
+def _self_adjoint_projection(h):
+    """Projection onto ``{K : h K + K* h = 0}`` for a Hermitian ``h``.
 
-    The space is ``eta^{-1}`` times the skew-Hermitian matrices
+    The space is ``h^{-1}`` times the skew-Hermitian matrices
     (Gohberg, Lancaster and Rodman, *Indefinite Linear Algebra and
-    Applications*, 2005).  The projection of ``G`` is ``K = eta^{-1} S``
-    with ``P S + S P = eta^{-*} G - G* eta^{-1}`` and ``P = eta^{-*}
-    eta^{-1}``.  In the eigenbasis ``eta = U diag(mu) U*`` this Lyapunov
-    equation is diagonal, and ``K~ = U* K U`` is entrywise
-    ``(mu_j^2 G~_ij - mu_i mu_j conj(G~_ji)) / (mu_i^2 + mu_j^2)`` with
-    ``G~ = U* G U``: no inverse of ``eta`` is formed.
+    Applications*, 2005).  The projection of ``G`` is ``K = h^{-1} S``
+    with ``P S + S P = h^{-1} G - G* h^{-1}`` and ``P = h^{-2}``.  In the
+    eigenbasis ``h = U diag(mu) U*`` this Lyapunov equation is diagonal,
+    and ``K~ = U* K U`` is entrywise ``(mu_j^2 G~_ij - mu_i mu_j
+    conj(G~_ji)) / (mu_i^2 + mu_j^2)`` with ``G~ = U* G U``.
     """
-    mu, u = np.linalg.eigh((eta + eta.conj().T) / 2)
+    mu, u = np.linalg.eigh(h)
     mu2 = mu**2
     denom = mu2[:, None] + mu2
     cross = np.outer(mu, mu)
@@ -390,47 +374,41 @@ def _self_adjoint_projection(eta):
     return project
 
 
-def _cosquare_projection(eta):
-    """Projection onto ``{K : eta K + K* eta = 0}`` through the cosquare
-    ``Gamma = eta^{-1} eta*``, or ``None`` when the route cannot certify
-    that it spans the whole space.
+def _pencil_projection(h, b):
+    """Projection onto ``{K : h K + K* h = 0 = b K + K* b}`` through the
+    eigenbasis of ``C = h^{-1} b``, or ``None`` when it is not certified.
 
-    Every such ``K`` commutes with ``Gamma``.  When ``Gamma = W diag(lambda)
-    W^{-1}`` has a simple spectrum, ``K = W diag(d) W^{-1}``, and with ``E =
-    W* eta W`` the constraint reads ``E_ij (d_j + conj(d_i)) = 0``, where
-    ``E_ij`` is nonzero only for ``lambda_j = 1/conj(lambda_i)``.  So the
-    eigenvalues pair up: ``d_j = -conj(d_i)`` for a pair, and ``d_i`` is
-    imaginary when ``lambda_i`` pairs with itself.  Over the reals the
-    complexified ``K`` obeys ``E_ij (d_i + d_j) = 0`` with ``E = W^T eta W``
-    and ``lambda_j = 1/lambda_i``, and the projection of a real matrix onto
-    that complex span is the real projection.
-
-    The pairs are read from the spectrum.  The route is taken only with
-    a simple spectrum, every eigenvalue matched to its partner and a
-    well-conditioned ``W`` (the ``_COSQUARE_*`` bounds).  The projection
-    solves the normal equations of the ``d`` directions (``n`` real ones,
-    or one complex one per pair over the reals): ``O(n^3)`` per call.
+    Such ``K`` commute with ``C``.  When ``C = W diag(mu) W^{-1}`` has a
+    simple spectrum, ``K = W diag(d) W^{-1}``, and with ``E = W* h W`` the
+    constraint reads ``E_ij (d_j + conj(d_i)) = 0``, where ``E_ij`` is
+    nonzero only for ``mu_j = conj(mu_i)`` (``E diag(mu) = W* b W`` is
+    Hermitian).  So ``d_j = -conj(d_i)`` for a pair, and ``d_i`` is
+    imaginary when ``mu_i`` is real.  Over the reals ``(h, b)`` is ``(S,
+    A)`` or ``(A, S)`` (see :func:`_closed_form_or_pencil`), ``C`` is real,
+    the complexified ``K`` obeys ``E_ij (d_i + d_j) = 0`` with ``E = W^T h
+    W`` and ``mu_j = -mu_i``, and the projection of a real matrix onto
+    that complex span is the real projection.  The projection solves the
+    normal equations of the ``d`` directions: ``O(n^3)`` per call.
     """
-    n = eta.shape[0]
-    complex_field = np.iscomplexobj(eta)
-    lam, w = np.linalg.eig(np.linalg.solve(eta, eta.conj().T))
-    target = 1 / lam.conj() if complex_field else 1 / lam
-    mismatch = np.abs(lam - target[:, None])
-    partner = mismatch.argmin(axis=1)
-    index = np.arange(n)
-    separation = np.abs(lam - lam[:, None])
-    separation[index, index] = np.inf
+    complex_field = np.iscomplexobj(h)
     try:
+        lam, w = np.linalg.eig(np.linalg.solve(h, b))
         w_inv = np.linalg.inv(w)
     except np.linalg.LinAlgError:
         return None
-    if (np.any(partner[partner] != index)
-            or np.any(mismatch[index, partner] > _COSQUARE_PAIR_RTOL * np.abs(target))
-            or np.any(separation.min(axis=1) < _COSQUARE_MIN_SEPARATION * np.abs(lam))
-            or np.linalg.norm(w) * np.linalg.norm(w_inv) > _COSQUARE_MAX_COND):
+    target = lam.conj() if complex_field else -lam
+    mismatch = np.abs(lam - target[:, None])
+    partner = mismatch.argmin(axis=1)
+    index = np.arange(len(lam))
+    separation = np.abs(lam - lam[:, None])
+    separation[index, index] = np.inf
+    floor = (_PENCIL_MARGIN * np.finfo(float).eps * np.abs(lam).max()
+             * np.linalg.norm(w) * np.linalg.norm(w_inv))
+    # Together these make the pairing an involution.
+    if not (mismatch[index, partner].max() <= floor and separation.min() > 2 * floor):
         return None
     # Directions of ``d``, one per column.
-    eye = np.eye(n)
+    eye = np.eye(len(lam))
     first = index[index < partner]
     second = partner[first]
     t = eye[:, first] - eye[:, second]
@@ -454,32 +432,52 @@ def _cosquare_projection(eta):
     return project
 
 
-def _nullspace_projection(space: IndefiniteSpace):
-    """Projection onto the span of :func:`_eta_skew_basis`."""
-    n, field = space.n, space.field
-    basis = _eta_skew_basis(space)
-
-    def project(g):
-        return _unrealify(basis @ (basis.T @ _realify(g, field)), n, field)
-
-    return project
+def _closed_form_or_pencil(eta):
+    """The projection of :func:`_skew_projection` from the Hermitian pencil
+    ``eta = H + iB``, or ``None`` when neither route certifies it."""
+    h = (eta + eta.conj().T) / 2
+    hh = np.vdot(h, h).real
+    if np.iscomplexobj(eta):
+        b = (eta - eta.conj().T) * -0.5j
+        bb = np.vdot(b, b).real
+        # This ``t`` minimises ``|B|^2 cos^2 t - <H, B> sin 2t + |H|^2 sin^2 t``.
+        t = math.atan2(2 * np.vdot(h, b).real, hh - bb) / 2
+        c, s = math.cos(t), math.sin(t)
+        h_t, b_t = (c * h + s * b, c * b - s * h) if t else (h, b)
+        if np.vdot(b_t, b_t).real <= _HERMITIAN_RTOL**2 * (hh + bb):
+            return _self_adjoint_projection(h_t)
+        return _pencil_projection(h, b) or (_pencil_projection(h_t, b_t) if t else None)
+    # ``B = -iA`` for the skew part ``A``, so ``<H, B> = 0`` and ``t`` is 0
+    # or pi/2: ``(S, -iA)`` or ``(-iA, -S)``, kept real as ``(S, A)``, ``(A, S)``.
+    a = (eta - eta.T) / 2
+    aa = np.vdot(a, a)
+    if min(hh, aa) <= _HERMITIAN_RTOL**2 * (hh + aa):
+        project = _self_adjoint_projection(h if aa <= hh else -1j * a)
+        return lambda g: project(g).real
+    return _pencil_projection(h, a) or (_pencil_projection(a, h) if aa > hh else None)
 
 
 def _skew_projection(space: IndefiniteSpace):
     """Orthogonal projection onto ``{K : eta K + K* eta = 0}`` in the real
     Frobenius inner product, as a function of ``K``; cached on the space.
 
-    Self-adjoint metrics take the closed form, others the cosquare
-    eigenbasis when it is certified, and the rest the nullspace of the
-    realified constraint.  The projection does not depend on the route,
-    up to rounding.
+    With ``eta = H + iB`` (``H``, ``B`` Hermitian) the constraint holds
+    exactly when ``K`` is skew for ``H`` and ``B``, and so for the pencil
+    ``e^{-it} eta = H_t + i B_t``.  If ``B_t`` vanishes at the ``t`` that
+    minimises it (Hermitian metrics, a phase times one, real skew ones)
+    the projection is the closed form for ``H_t``; otherwise the certified
+    eigenbasis of ``H^{-1} B``, or failing that of ``H_t^{-1} B_t``; and
+    for a pencil spectrum that is repeated or defective within its error
+    estimate, the ``O(n^6)`` nullspace of :func:`_eta_skew_basis`.  The
+    projection does not depend on the route, up to rounding.
     """
     if space._skew_projection is None:
-        eta = space.eta
-        if np.linalg.norm(eta - eta.conj().T) <= _SELF_ADJOINT_RTOL * np.linalg.norm(eta):
-            project = _self_adjoint_projection(eta)
-        else:
-            project = _cosquare_projection(eta) or _nullspace_projection(space)
+        project = _closed_form_or_pencil(space.eta)
+        if project is None:
+            basis, n, dtype = _eta_skew_basis(space), space.n, space.field.dtype
+
+            def project(g):
+                return (basis @ (basis.T @ g.view(np.float64).ravel())).view(dtype).reshape(n, n)
         space._skew_projection = project
     return space._skew_projection
 
@@ -493,22 +491,16 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     When the solution space is trivial the output degenerates to
     ``sqrt(scale) * I``, which still satisfies the identity.
 
-    The projection takes ``O(n^3)`` for a self-adjoint metric and for a
-    metric whose cosquare ``eta^{-1} eta*`` has a simple, well-separated
-    spectrum; any other metric falls back to an ``O(n^6)`` nullspace
-    computation.
+    The projection takes ``O(n^3)``, or ``O(n^6)`` when the spectrum of
+    the metric's Hermitian pencil is repeated or defective (see
+    :func:`_skew_projection`).
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if not np.isfinite(scale):
-        raise ValueError("scale must be finite")
+    if not 0 < scale < np.inf:
+        raise ValueError("scale must be positive and finite")
     rng = np.random.default_rng(seed)
     k = _skew_projection(space)(random_matrix(rng, (space.n, space.n), space.field))
     norm_k = np.linalg.norm(k)
-    if norm_k > 1e-12:
-        k = k / norm_k
-    else:
-        k = np.zeros_like(k)
+    k = k / norm_k if norm_k > 1e-12 else np.zeros_like(k)
     v_mat = scipy.linalg.expm(k) * np.sqrt(scale)
     resid = np.linalg.norm(v_mat.conj().T @ space.eta @ v_mat - scale * space.eta)
     if resid > 1e-9 * scale * (1.0 + np.linalg.norm(space.eta)):

@@ -188,28 +188,34 @@ def suite_trace_identity(rng, budget, tol_scale):
 
 @_suite("extension_well_defined")
 def suite_extension(rng, budget, tol_scale):
-    """Extension output does not depend on the chosen decomposition."""
+    """Extension output does not depend on the chosen decomposition, to
+    ``1e-8 * tol_scale`` relative to the extension's Frobenius norm."""
     threshold = 1e-8 * tol_scale
     per_rank = max(1, min(budget, 200) // 2)
     failures = []
     worst = 0.0
     for rank in (2, 3):
         for i in range(per_rank):
+            case = (rank - 2) * per_rank + i
             n = max(DIMS[i % len(DIMS)], rank + 1)
             field = _COMPLEX if i % 2 else _REAL
             phi = induce(random_semilinear(rng, n, field))
             p = random_idempotent(rng, n, rank, field)
             base = decompose(p)
-            first = extend(phi, p, decomposition=base)
-            second = extend(phi, p, decomposition=remix_decomposition(rng, base))
-            err = float(np.linalg.norm(first.matrix - second.matrix))
+            try:
+                first = extend(phi, p, decomposition=base).matrix
+                second = extend(phi, p, decomposition=remix_decomposition(rng, base)).matrix
+            except Exception as exc:
+                failures.append(_raised(case, exc))
+                continue
+            err = float(np.linalg.norm(first - second) / np.linalg.norm(first))
             worst = max(worst, err)
             if err > threshold:
-                failures.append(f"case {(rank - 2) * per_rank + i} (rank {rank}, "
-                                f"n={n}, {field.value}): disagreement {err:.2e}")
+                failures.append(f"case {case} (rank {rank}, n={n}, {field.value}): "
+                                f"relative disagreement {err:.2e}")
     return (2 * per_rank, failures,
             f"{per_rank} rank-2 + {per_rank} rank-3 cases, "
-            f"worst disagreement {worst:.2e} (threshold {threshold:.1e})")
+            f"worst relative disagreement {worst:.2e} (threshold {threshold:.1e})")
 
 
 @_suite("majorant_order")

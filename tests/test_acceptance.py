@@ -42,7 +42,8 @@ def test_criterion_3_trace_identity():
 
 
 def test_criterion_4_extension_well_definedness():
-    """Two independent decompositions give the same extension, to 1e-8."""
+    """Two independent decompositions give the same extension, to 1e-8
+    relative to its Frobenius norm."""
     _accept(4, selftest.suite_extension, 200)
 
 

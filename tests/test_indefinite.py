@@ -67,13 +67,29 @@ def corpus_metric(rng, n, field, kind):
     return random_invertible(rng, n, field, max_cond=1e3)
 
 
+#: Metrics whose Hermitian pencil ``H + iB`` has ``B_t = 0`` at some phase.
+PHASE_FAMILIES = ("phase-signature", "phase-hermitian", "skew")
+
+
+def phase_metric(rng, n, field, family):
+    """``1j * signature`` and ``exp(0.3j) * Hermitian`` (complex only), or
+    the symplectic ``J`` (even ``n`` only)."""
+    if family == "skew":
+        eye = np.eye(n // 2)
+        zero = np.zeros_like(eye)
+        return np.block([[zero, eye], [-eye, zero]]).astype(field.dtype)
+    if family == "phase-signature":
+        return 1j * corpus_metric(rng, n, ScalarField.COMPLEX, 0)
+    return np.exp(0.3j) * corpus_metric(rng, n, ScalarField.COMPLEX, 2)
+
+
 def nullspace_isometry(space, seed, scale=1.0):
     """Reference for :func:`generate_eta_isometry`: the seeded Gaussian
     projected onto the nullspace basis of the realified constraint."""
     n, field = space.n, space.field
     basis = indefinite._eta_skew_basis(space)
     g = random_matrix(np.random.default_rng(seed), (n, n), field)
-    k = indefinite._unrealify(basis @ (basis.T @ indefinite._realify(g, field)), n, field)
+    k = (basis @ (basis.T @ g.view(np.float64).ravel())).view(field.dtype).reshape(n, n)
     return scipy.linalg.expm(k / np.linalg.norm(k)) * np.sqrt(scale)
 
 
@@ -140,6 +156,19 @@ class TestRayOrthogonality:
             x = random_vector(rng, 4, ScalarField.COMPLEX)
             y = eta_orthogonal_partner(space, x, rng)
             assert ray_eta_orthogonal(space, Ray(x), Ray(y))
+
+    @pytest.mark.parametrize("x, error", [
+        ([1.0, 0.0, 0.0], DimensionMismatch),
+        (np.eye(4), DimensionMismatch),
+        (np.zeros(4), ValueError),
+        ([1.0, np.nan, 0.0, 0.0], ValueError),
+        ("abcd", ValueError),
+    ], ids=("wrong-length", "2-d", "zero", "nan", "string"))
+    def test_partner_refuses_an_invalid_vector(self, x, error):
+        # Refused before any draw: a generator that is never called.
+        space = IndefiniteSpace(nonsa_eta(4, complex))
+        with pytest.raises(error):
+            eta_orthogonal_partner(space, x, rng=None)
 
 
 class TestIsSymmetry:
@@ -331,6 +360,10 @@ class TestGenerateEtaIsometry:
         rng = np.random.default_rng(16)
         metrics = [_metric(rng, 3 + i % 6, field, i)[0] for i in range(30)]
         metrics += [corpus_metric(rng, 16, field, kind) for kind in range(4)]
+        metrics += [phase_metric(rng, n, field, family) for n in range(3, 9)
+                    for family in PHASE_FAMILIES
+                    if (field is ScalarField.COMPLEX or family == "skew")
+                    and (family != "skew" or n % 2 == 0)]
         for i, eta in enumerate(metrics):
             space = IndefiniteSpace(eta)
             scale = float(rng.uniform(0.5, 4.0))
@@ -340,26 +373,34 @@ class TestGenerateEtaIsometry:
 
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     def test_repeated_cosquare_eigenvalue_takes_the_fallback(self, field):
-        # The Hermitian block gives the cosquare eigenvalue 1 three times.
+        # The Hermitian block gives the pencil eigenvalue 0 (the cosquare
+        # eigenvalue 1) three times: the pencil refuses, at either phase.
         rng = np.random.default_rng(17)
         h = random_matrix(rng, (3, 3), field)
         eta = scipy.linalg.block_diag(h + h.conj().T, nonsa_eta(3, field.dtype))
-        assert indefinite._cosquare_projection(eta) is None
+        assert indefinite._closed_form_or_pencil(eta) is None
         space = IndefiniteSpace(eta)
         want = nullspace_isometry(space, seed=18)
         got = generate_eta_isometry(space, seed=18).matrix
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
         assert np.linalg.norm(got - np.eye(6)) > 1e-3
 
-    @pytest.mark.parametrize("kind", (0, 3), ids=("signature", "gaussian"))
+    @pytest.mark.parametrize(
+        "kind", (0, 1, 2, 3, *PHASE_FAMILIES),
+        ids=("signature", "triangle", "hermitian", "gaussian", *PHASE_FAMILIES))
     def test_complex_n64_without_the_nullspace(self, kind, monkeypatch):
-        # The 8192 x 8192 nullspace would take minutes; the closed forms
-        # must not need it.
+        # The 8192 x 8192 nullspace would take minutes; the closed form
+        # and the pencil must not need it.  The skew metric is real.
         def no_fallback(space):
             raise AssertionError("fell back to the nullspace")
 
         monkeypatch.setattr(indefinite, "_eta_skew_basis", no_fallback)
-        eta = corpus_metric(np.random.default_rng(19), 64, ScalarField.COMPLEX, kind)
+        rng = np.random.default_rng(19)
+        if kind in PHASE_FAMILIES:
+            field = ScalarField.REAL if kind == "skew" else ScalarField.COMPLEX
+            eta = phase_metric(rng, 64, field, kind)
+        else:
+            eta = corpus_metric(rng, 64, ScalarField.COMPLEX, kind)
         space = IndefiniteSpace(eta)
         v = generate_eta_isometry(space, seed=20, scale=2.0).matrix
         resid = np.linalg.norm(v.conj().T @ eta @ v - 2.0 * eta)

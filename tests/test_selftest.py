@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
+from idemap import selftest
+from idemap.idempotents import FiniteRankIdempotent
 from idemap.selftest import SUITES, run_all
+from idemap.transform import RayPair, extend, from_ray_pair
 
 
 def test_all_suites_pass_at_small_budget():
@@ -34,3 +38,44 @@ def test_deterministic_given_seed():
     b = run_all(seed=9, budget=16)
     assert [(r.name, r.passed, r.cases, r.detail) for r in a] == \
            [(r.name, r.passed, r.cases, r.detail) for r in b]
+
+
+def test_extension_threshold_is_relative_to_the_extension():
+    # At seed 87 and the default budget, case 52 (rank 2, n = 7, real)
+    # disagrees by 1.47e-7 with ||ext P||_F = 2.6e4: 5.6e-12 relative.
+    # An absolute 1e-8 failed it.
+    rng = np.random.default_rng(87)
+    for suite in SUITES[:SUITES.index(selftest.suite_extension)]:
+        suite(rng, 200, 1.0)
+    result = selftest.suite_extension(rng, 200, 1.0)
+    assert result.passed, result.failures
+    assert "worst relative disagreement 5.5" in result.detail
+
+
+def _wrong_functional_side(a):
+    """``x -> A x`` with ``f -> A f`` instead of ``(A^{-1})' f``: the pieces'
+    images are no longer mutually orthogonal."""
+    m = a.matrix
+    return from_ray_pair(RayPair(lambda x: m @ a.auto.apply(x), lambda f: m @ a.auto.apply(f)),
+                         a.n, a.field)
+
+
+def _decomposition_dependent(phi, p, decomposition):
+    """The true extension moved by a similarity that depends on the first
+    piece of the decomposition: still an idempotent, off by about 1e-6."""
+    x = decomposition[0].x
+    s = np.eye(len(x)) + 1e-6 * np.outer(x, x.conj()) / np.vdot(x, x).real
+    m = extend(phi, p, decomposition=decomposition).matrix
+    return FiniteRankIdempotent(s @ m @ np.linalg.inv(s))
+
+
+@pytest.mark.parametrize("name, patch, reason", [
+    ("induce", _wrong_functional_side, "ExtensionInconsistent"),
+    ("extend", _decomposition_dependent, "relative disagreement"),
+], ids=("wrong-functional-side", "decomposition-dependent"))
+def test_extension_suite_fails_a_wrong_extension(name, patch, reason, monkeypatch):
+    monkeypatch.setattr(selftest, name, patch)
+    result = selftest.suite_extension(np.random.default_rng(0), 24, 1.0)
+    assert not result.passed
+    assert len(result.failures) == result.cases
+    assert all(reason in f for f in result.failures)
