@@ -350,6 +350,11 @@ _HERMITIAN_RTOL = 1e-12
 #: eigenvalue lies within this of its partner, and no two within twice it.
 _PENCIL_MARGIN = 1e3
 
+#: Largest ``||eta K + K* eta|| / (||eta|| ||K||)`` on the probe of
+#: :func:`_pencil_projection`, a tenth of the residual
+#: :func:`generate_eta_isometry` accepts.
+_PENCIL_PROBE_RTOL = 1e-10
+
 
 def _self_adjoint_projection(h):
     """Projection onto ``{K : h K + K* h = 0}`` for a Hermitian ``h``.
@@ -383,12 +388,16 @@ def _pencil_projection(h, b):
     constraint reads ``E_ij (d_j + conj(d_i)) = 0``, where ``E_ij`` is
     nonzero only for ``mu_j = conj(mu_i)`` (``E diag(mu) = W* b W`` is
     Hermitian).  So ``d_j = -conj(d_i)`` for a pair, and ``d_i`` is
-    imaginary when ``mu_i`` is real.  Over the reals ``(h, b)`` is ``(S,
-    A)`` or ``(A, S)`` (see :func:`_closed_form_or_pencil`), ``C`` is real,
-    the complexified ``K`` obeys ``E_ij (d_i + d_j) = 0`` with ``E = W^T h
-    W`` and ``mu_j = -mu_i``, and the projection of a real matrix onto
-    that complex span is the real projection.  The projection solves the
-    normal equations of the ``d`` directions: ``O(n^3)`` per call.
+    imaginary when ``mu_i`` is real.  Over the reals ``(h, b)`` is the
+    symmetric and skew part ``(S, A)``, ``C`` is real, the complexified
+    ``K`` obeys ``E_ij (d_i + d_j) = 0`` with ``E = W^T h W`` and ``mu_j =
+    -mu_i``, and the projection of a real matrix onto that complex span
+    is the real projection.  The projection solves the normal equations
+    of the ``d`` directions: ``O(n^3)`` per call.
+
+    The spectral certificate bounds the error of the eigenvalues, not of
+    the eigenvectors, which grows as the separation shrinks; so the
+    constraint is also checked on the projection of one fixed probe.
     """
     complex_field = np.iscomplexobj(h)
     try:
@@ -429,6 +438,12 @@ def _pencil_projection(h, b):
         k = (w * (t @ np.linalg.solve(gram, rhs))) @ w_inv
         return k if complex_field else k.real
 
+    eta = h + 1j * b if complex_field else h + b
+    field = ScalarField.COMPLEX if complex_field else ScalarField.REAL
+    k = project(random_matrix(np.random.default_rng(0), eta.shape, field))
+    resid = np.linalg.norm(eta @ k + k.conj().T @ eta)
+    if resid > _PENCIL_PROBE_RTOL * np.linalg.norm(eta) * np.linalg.norm(k):
+        return None
     return project
 
 
@@ -446,15 +461,15 @@ def _closed_form_or_pencil(eta):
         h_t, b_t = (c * h + s * b, c * b - s * h) if t else (h, b)
         if np.vdot(b_t, b_t).real <= _HERMITIAN_RTOL**2 * (hh + bb):
             return _self_adjoint_projection(h_t)
-        return _pencil_projection(h, b) or (_pencil_projection(h_t, b_t) if t else None)
+        return _pencil_projection(h, b)
     # ``B = -iA`` for the skew part ``A``, so ``<H, B> = 0`` and ``t`` is 0
-    # or pi/2: ``(S, -iA)`` or ``(-iA, -S)``, kept real as ``(S, A)``, ``(A, S)``.
+    # or pi/2: ``H_t`` is ``S`` or ``-iA``.  The pencil is kept real as ``(S, A)``.
     a = (eta - eta.T) / 2
     aa = np.vdot(a, a)
     if min(hh, aa) <= _HERMITIAN_RTOL**2 * (hh + aa):
         project = _self_adjoint_projection(h if aa <= hh else -1j * a)
         return lambda g: project(g).real
-    return _pencil_projection(h, a) or (_pencil_projection(a, h) if aa > hh else None)
+    return _pencil_projection(h, a)
 
 
 def _skew_projection(space: IndefiniteSpace):
@@ -466,10 +481,11 @@ def _skew_projection(space: IndefiniteSpace):
     ``e^{-it} eta = H_t + i B_t``.  If ``B_t`` vanishes at the ``t`` that
     minimises it (Hermitian metrics, a phase times one, real skew ones)
     the projection is the closed form for ``H_t``; otherwise the certified
-    eigenbasis of ``H^{-1} B``, or failing that of ``H_t^{-1} B_t``; and
-    for a pencil spectrum that is repeated or defective within its error
-    estimate, the ``O(n^6)`` nullspace of :func:`_eta_skew_basis`.  The
-    projection does not depend on the route, up to rounding.
+    eigenbasis of ``H^{-1} B``; and for a singular ``H``, a pencil
+    spectrum that is repeated or defective within its error estimate, or
+    eigenvectors that fail the probe, the ``O(n^6)`` nullspace of
+    :func:`_eta_skew_basis`.  The projection does not depend on the route,
+    up to rounding.
     """
     if space._skew_projection is None:
         project = _closed_form_or_pencil(space.eta)
@@ -491,16 +507,20 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     When the solution space is trivial the output degenerates to
     ``sqrt(scale) * I``, which still satisfies the identity.
 
-    The projection takes ``O(n^3)``, or ``O(n^6)`` when the spectrum of
-    the metric's Hermitian pencil is repeated or defective (see
-    :func:`_skew_projection`).
+    The projection takes ``O(n^3)``, or ``O(n^6)`` for a metric whose
+    Hermitian pencil cannot be certified (see :func:`_skew_projection`).
     """
-    if not 0 < scale < np.inf:
-        raise ValueError("scale must be positive and finite")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    if not np.isfinite(scale):
+        raise ValueError("scale must be finite")
     rng = np.random.default_rng(seed)
     k = _skew_projection(space)(random_matrix(rng, (space.n, space.n), space.field))
     norm_k = np.linalg.norm(k)
-    k = k / norm_k if norm_k > 1e-12 else np.zeros_like(k)
+    if norm_k > 1e-12:
+        k = k / norm_k
+    else:
+        k = np.zeros_like(k)
     v_mat = scipy.linalg.expm(k) * np.sqrt(scale)
     resid = np.linalg.norm(v_mat.conj().T @ space.eta @ v_mat - scale * space.eta)
     if resid > 1e-9 * scale * (1.0 + np.linalg.norm(space.eta)):

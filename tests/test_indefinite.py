@@ -374,7 +374,7 @@ class TestGenerateEtaIsometry:
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     def test_repeated_cosquare_eigenvalue_takes_the_fallback(self, field):
         # The Hermitian block gives the pencil eigenvalue 0 (the cosquare
-        # eigenvalue 1) three times: the pencil refuses, at either phase.
+        # eigenvalue 1) three times: the pencil refuses.
         rng = np.random.default_rng(17)
         h = random_matrix(rng, (3, 3), field)
         eta = scipy.linalg.block_diag(h + h.conj().T, nonsa_eta(3, field.dtype))
@@ -384,6 +384,32 @@ class TestGenerateEtaIsometry:
         got = generate_eta_isometry(space, seed=18).matrix
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
         assert np.linalg.norm(got - np.eye(6)) > 1e-3
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("sign", (1, -1), ids=("definite", "indefinite"))
+    @pytest.mark.parametrize("units", (1e4, 1e5, 1e6))
+    def test_close_pencil_eigenvalues_are_refused_or_accurate(self, field, sign, units):
+        # ``eta = W^{-*} M W^{-1}`` with ``M`` made of 2 x 2 blocks ``[[s, m],
+        # [-m, s]]`` has the pencil eigenvalues ``+-m`` (``+-im`` over the
+        # reals).  The first two ``m`` lie ``units`` eigenvalue-error
+        # estimates ``eps cond(W) max|m|`` apart: the spectral certificate
+        # passes, but the eigenvectors are too inaccurate to meet 1e-9.
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            w = random_invertible(rng, 6, field, max_cond=10)
+            m = np.array([0.5, 0.5, rng.uniform(1.0, 2.0)])
+            m[1] += units * np.finfo(float).eps * np.linalg.cond(w, "fro") * m.max()
+            w_inv = np.linalg.inv(w)
+            eta = w_inv.conj().T @ scipy.linalg.block_diag(
+                *([[s, x], [-x, s]] for s, x in zip((1, sign, -1), m))) @ w_inv
+            project = indefinite._closed_form_or_pencil(eta)
+            if project is not None:
+                k = project(random_matrix(rng, (6, 6), field))
+                resid = np.linalg.norm(eta @ k + k.conj().T @ eta)
+                assert resid <= 1e-10 * np.linalg.norm(eta) * np.linalg.norm(k)
+            space = IndefiniteSpace(eta)
+            for seed in range(3):
+                generate_eta_isometry(space, seed, scale=2.0)
 
     @pytest.mark.parametrize(
         "kind", (0, 1, 2, 3, *PHASE_FAMILIES),
