@@ -26,7 +26,6 @@ from .core import (
     field_of,
     kernel_and_range,
     orthonormal_columns,
-    tensor,
 )
 from .errors import DegeneratePair, DimensionMismatch, NotIdempotent
 
@@ -90,7 +89,7 @@ class RankOneIdempotent:
 
     @property
     def matrix(self):
-        return tensor(self._x, self._f)
+        return np.outer(self._x, self._f)
 
     def __repr__(self):
         return f"RankOneIdempotent(n={self.n}, field={self.field.value})"
@@ -229,7 +228,8 @@ def decompose(p) -> list[RankOneIdempotent]:
     first) to pick an orthonormal basis ``U`` of the range, then solves
     ``G = U^H @ P`` so that ``G @ U = I`` and ``P = U @ G``.  The returned
     pieces ``(U[:, i], G[i, :])`` satisfy ``pair(U[:, j], G[i, :]) =
-    delta_ij``, multiply to zero pairwise, and sum to ``P``.
+    delta_ij``, multiply to zero pairwise, and sum to ``P``; the check of
+    ``U G = P`` proves them, so they are not checked again.
 
     The pivoting makes the output deterministic and reproducible.
     """
@@ -241,11 +241,10 @@ def decompose(p) -> list[RankOneIdempotent]:
     q, _, _ = scipy.linalg.qr(m, pivoting=True)
     u = q[:, :r]
     g = u.conj().T @ m
-    pieces = [RankOneIdempotent(u[:, i], g[i, :]) for i in range(r)]
     resid = np.linalg.norm(u @ g - m)
     if resid > 1e-9 * (1.0 + np.linalg.norm(m)):
         raise NotIdempotent(f"decomposition residual {resid:.3e}")
-    return pieces
+    return [RankOneIdempotent._from_checked_row(u[:, i], g[i, :]) for i in range(r)]
 
 
 def majorant(p1, p2) -> FiniteRankIdempotent:

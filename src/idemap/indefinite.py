@@ -332,6 +332,8 @@ def _eta_skew_basis(space: IndefiniteSpace):
     """
     n, field, eta = space.n, space.field, space.eta
     dim = 2 * n * n if field is ScalarField.COMPLEX else n * n
+    if dim > 2048:  # complex n = 32 takes about 8 s; n = 64 would need minutes and GBs
+        raise ArithmeticError(f"the nullspace fallback would solve for {dim} unknowns, above 2048")
     cols = []
     for k in range(dim):
         kmat = np.eye(1, dim, k).view(field.dtype).reshape(n, n)
@@ -509,6 +511,8 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
 
     The projection takes ``O(n^3)``, or ``O(n^6)`` for a metric whose
     Hermitian pencil cannot be certified (see :func:`_skew_projection`).
+    Such a metric raises ``ArithmeticError`` above 2048 realified
+    unknowns (complex n > 32, real n > 45).
     """
     if scale <= 0:
         raise ValueError("scale must be positive")

@@ -25,9 +25,9 @@ recovery                    ``min(50, max(4, b // 4))`` cases
 ``tol_scale`` multiplies every pass threshold (1.0 reproduces the
 documented tolerances).  A budget of 0 makes every suite pass vacuously;
 a negative budget is refused.  A failing suite lists one reason per
-failing case in ``SuiteResult.failures``.  The suites with a corpus
-(metric kinds, conjugate-linear cases) also fail when fewer than a fifth
-of their cases are of the kind they must cover.
+failing case, or the exception it raised, in ``SuiteResult.failures``.
+The suites with a corpus (metric kinds, conjugate-linear cases) also
+fail when fewer than a fifth of their cases are of the kind they must cover.
 """
 
 from __future__ import annotations
@@ -86,13 +86,18 @@ class SuiteResult:
 
 def _suite(name):
     """Make a suite from a body returning ``(cases, failures, detail)``:
-    budget 0 passes vacuously, and the suite passes when no case failed."""
+    budget 0 passes vacuously, and the suite passes when no case failed.
+    A body that raises fails the suite with the exception as its reason."""
     def wrap(body):
         @functools.wraps(body)
         def suite(rng, budget, tol_scale) -> SuiteResult:
             if budget == 0:
                 return SuiteResult(name, True, 0, "vacuous pass (budget 0)")
-            cases, failures, detail = body(rng, budget, tol_scale)
+            try:
+                cases, failures, detail = body(rng, budget, tol_scale)
+            except Exception as exc:
+                reason = f"suite raised {type(exc).__name__}: {exc}"
+                return SuiteResult(name, False, 0, reason, (reason,))
             return SuiteResult(name, not failures, cases, detail, tuple(failures))
         return suite
     return wrap

@@ -93,9 +93,8 @@ class TransformHandle:
 
     def _map_idempotents(self, ps):
         """Images of the idempotents ``ps`` as normalized rows ``(x, f)``,
-        from one call of the row evaluator (none when ``ps`` is empty)."""
-        x, f = self._stack(ps, "input")
-        return self._rows(x, f) if len(x) else (x, f)
+        from one call of the row evaluator."""
+        return self._rows(*self._stack(ps, "input"))
 
     def _call_per_row(self, x, f):
         """Row evaluator of a wrapped callable: ``_eval``, looked up per call."""
@@ -164,8 +163,6 @@ def induce(a: SemilinearOperator) -> TransformHandle:
 
     The same handle is produced by any nonzero scalar multiple of ``a``.
     """
-    if a.n < 3:
-        raise ValueError("induced maps need dimension >= 3")
     auto = a.auto
     matrix = a.matrix
     # Functional side of the conjugation: (A^{-1})' f = (M^T)^{-1} h(f).
@@ -315,17 +312,9 @@ def extend(phi: TransformHandle, p, decomposition=None) -> FiniteRankIdempotent:
 def _automorphism_probes(n):
     """Probe pair ``(P, Q)`` of complex rank-one idempotents with
     ``trace(P @ Q) = i`` exactly."""
-    e1 = np.zeros(n, dtype=np.complex128)
-    e1[0] = 1.0
-    p = RankOneIdempotent(e1, e1)
-    y = np.zeros(n, dtype=np.complex128)
-    y[0] = 1j
-    y[1] = 1.0
-    g = np.zeros(n, dtype=np.complex128)
-    g[0] = 1.0
-    g[1] = 1.0 - 1j
-    q = RankOneIdempotent(y, g)
-    return p, q
+    eye = np.eye(n, dtype=np.complex128)
+    return (RankOneIdempotent(eye[0], eye[0]),
+            RankOneIdempotent(1j * eye[0] + eye[1], eye[0] + (1 - 1j) * eye[1]))
 
 
 def automorphism_of(phi: TransformHandle) -> AutomorphismTag:
@@ -405,11 +394,14 @@ def reconstruction_probe_set(n, field: ScalarField, validation_count=50,
     return ProbeSet(standard, mixed, automorphism, phase, validation)
 
 
-def _fit_two_directions(x_a, x_b, v):
-    """Least-squares coefficients of ``v ~ a * x_a + b * x_b``."""
-    basis = np.column_stack([x_a, x_b])
-    coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
-    return coef[0], coef[1]
+def _fit_two_directions(c0, c, v):
+    """Least squares ``v[k] ~ a[k] c0 + b[k] c[k]`` (unit ``c0``) by modified
+    Gram-Schmidt; ``b[k] = 0`` where ``c[k]`` has no part off ``c0``."""
+    r, a0 = c @ c0.conj(), v @ c0.conj()
+    y, w = c - r[:, None] * c0, v - a0[:, None] * c0
+    yy = _row_norms(y) ** 2
+    b = _row_dots(y.conj(), w) / np.where(yy > 0, yy, np.inf)
+    return a0 - b * r, b
 
 
 def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> ReconstructionResult:
@@ -417,12 +409,14 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
 
     Protocol
     --------
+    0. Map every probe in one call of the row evaluator.
     1. Probe ``P_j = (e_j, e_j)``: the range vector of ``phi(P_j)`` fixes
        the direction of column ``j`` of the operator.
     2. Probe ``Q_j = (e_1 + e_j, e_1)``: the range of ``phi(Q_j)`` is
        proportional to ``s_1 x_1 + s_j x_j``; a least-squares fit in the
-       ``(x_1, x_j)`` coordinates yields the relative scale ``s_j / s_1``
-       (``s_1 = 1`` fixes the single free scalar).
+       ``(x_1, x_j)`` coordinates (one Gram-Schmidt step against the unit
+       ``x_1``) yields the relative scale ``s_j / s_1`` (``s_1 = 1`` fixes
+       the single free scalar).
     3. Decide the ring automorphism by the trace probe and confirm with
        the phase probe ``(e_1 + i e_2, e_1)``, whose range is proportional
        to ``x_1 + h(i) s_2 x_2``.
@@ -438,7 +432,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
         is not an operator conjugation) or the assembled matrix is
         singular.
     DegenerateProbe
-        If any probe image is invalid or unusable.
+        If any probe image is invalid or a fit loses a column component.
     KeyError
         If a probe table (:func:`handle_from_table`) does not cover the
         probes asked for.
@@ -447,41 +441,40 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     """
     n, field = phi.n, phi.field
     probes = reconstruction_probe_set(n, field, validation_count, seed)
+    try:
+        x, f = phi._map_idempotents(probes.all_probes())
+    except (NotIdempotent, DegeneratePair, DegenerateImage,
+            DimensionMismatch, TypeError) as exc:
+        raise DegenerateProbe(f"probe image invalid: {exc}") from exc
+    # Rows: n standard, n - 1 mixed, then the trace pair and the phase
+    # probe (complex only), then the validation probes.
+    phases = len(probes.phase)
+    first = 2 * n - 1 + len(probes.automorphism) + phases
 
-    def ask(group):
-        try:
-            return phi._map_idempotents(group)
-        except (NotIdempotent, DegeneratePair, DegenerateImage,
-                DimensionMismatch, TypeError) as exc:
-            raise DegenerateProbe(f"probe image invalid: {exc}") from exc
-
-    columns = [x / np.linalg.norm(x) for x in ask(probes.standard)[0]]
-
-    scales = [1.0 + 0j] if field is ScalarField.COMPLEX else [1.0]
-    for j, v in enumerate(ask(probes.mixed)[0], start=1):
-        a, b = _fit_two_directions(columns[0], columns[j], v)
-        nv = np.linalg.norm(v)
-        if abs(a) <= 1e-12 * nv or abs(b) <= 1e-12 * nv:
+    columns = x[:n] / _row_norms(x[:n])[:, None]
+    v = np.concatenate((x[n:2 * n - 1], x[first - phases:first]))
+    a, b = _fit_two_directions(columns[0], columns[list(range(1, n)) + [1] * phases], v)
+    floor = 1e-12 * _row_norms(v)
+    for j in range(1, n):
+        if abs(a[j - 1]) <= floor[j - 1] or abs(b[j - 1]) <= floor[j - 1]:
             raise DegenerateProbe(
-                f"mixed probe {j} lost a column component (a={a!r}, b={b!r})"
+                f"mixed probe {j} lost a column component (a={a[j - 1]!r}, b={b[j - 1]!r})"
             )
-        scales.append(b / a)
+    scales = np.concatenate(([1.0], b[:n - 1] / a[:n - 1]))
 
     if field is ScalarField.REAL:
         tag = AutomorphismTag.IDENTITY
     else:
-        tag = _trace_tag(*ask(probes.automorphism))
-        v = ask(probes.phase)[0][0]
-        a, b = _fit_two_directions(columns[0], columns[1], v)
-        if abs(a) <= 1e-12 * np.linalg.norm(v):
+        tag = _trace_tag(x[2 * n - 1:2 * n + 1], f[2 * n - 1:2 * n + 1])
+        if abs(a[-1]) <= floor[-1]:
             raise DegenerateProbe("phase probe lost the first column component")
-        phase_tag = _tag_of((b / a) / scales[1], "phase probe returned h(i) =")
+        phase_tag = _tag_of((b[-1] / a[-1]) / scales[1], "phase probe returned h(i) =")
         if phase_tag is not tag:
             raise UnrecognizedAutomorphism(
                 f"trace probe says {tag.value}, phase probe says {phase_tag.value}"
             )
 
-    assembled = np.column_stack([s * col for s, col in zip(scales, columns)])
+    assembled = columns.T * scales
     assembled = assembled / np.linalg.norm(assembled)
     flat_idx = int(np.argmax(np.abs(assembled)))
     lead = assembled.flat[flat_idx]
@@ -494,7 +487,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     except Exception as exc:
         raise NotInduced(f"assembled matrix unusable: {exc}", residual=None) from exc
 
-    distances = _rank_one_distances(*ask(probes.validation),
+    distances = _rank_one_distances(x[first:], f[first:],
                                     *induce(a_op)._map_idempotents(probes.validation))
     residual = float(distances.max()) if distances.size else 0.0
     if not residual <= NOT_INDUCED_TOL:
@@ -502,7 +495,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
             f"validation residual {residual:.3e} exceeds {NOT_INDUCED_TOL:.1e}",
             residual=residual,
         )
-    return ReconstructionResult(a_op, residual, len(probes.all_probes()))
+    return ReconstructionResult(a_op, residual, len(x))
 
 
 def _rank_one_distances(x, f, y, g):
@@ -572,10 +565,10 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
 
     The table is checked once, here: it must not be empty, and every
     entry must be an ``(input, output)`` pair of :class:`RankOneIdempotent`
-    of dimension ``n``.  Each query is matched to the nearest table input
-    matrix, in one vectorised distance computation; a query outside the
-    covered set raises ``KeyError``, which :func:`reconstruct` passes on
-    (the table is malformed input, not evidence about the map).
+    of dimension ``n``.  Each query is matched to the nearest input row by
+    the validation residual's distance, in one vectorised call; a query
+    outside the covered set raises ``KeyError``, which :func:`reconstruct`
+    passes on (the table is malformed input, not evidence about the map).
     """
     entries = list(entries)
     if not entries:
@@ -585,15 +578,13 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
     outputs = [q for _, q in entries]
 
     def eval_fn(p: RankOneIdempotent) -> RankOneIdempotent:
-        pm = p.matrix
-        dists = np.linalg.norm(inputs - pm, axis=(1, 2))
+        dists = _rank_one_distances(p.x[None], p.f[None], x, f)
         best = int(np.argmin(dists))
-        if dists[best] > TABLE_MATCH_TOL * (1.0 + np.linalg.norm(pm)):
+        if dists[best] > TABLE_MATCH_TOL * (1.0 + np.linalg.norm(p.x) * np.linalg.norm(p.f)):
             raise KeyError("query is not covered by the probe table")
         return outputs[best]
 
     phi = TransformHandle(eval_fn, n, field)
     x, f = phi._stack([p for p, _ in entries], "table input")
     phi._stack(outputs, "table output")
-    inputs = x[:, :, None] * f[:, None, :]
     return phi

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from idemap import selftest
 from idemap.cli import main
 from idemap.core import AutomorphismTag, ScalarField, SemilinearOperator, \
     up_to_scalar_distance
+from idemap.errors import ExtensionInconsistent
 from idemap.sampling import random_invertible
 from idemap.serialize import (
     matrix_to_json,
@@ -131,6 +133,15 @@ class TestReconstructCommand:
         p.write_text("{not json")
         assert main(["reconstruct", "--in", str(p)]) == 1
 
+    def test_unknown_phi_mode_exits_1(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "oracle.json", {"phi": {"mode": "oracle"}})
+        assert main(["reconstruct", "--in", inp]) == 1
+        assert "unknown phi mode 'oracle'" in capsys.readouterr().err
+
+    def test_missing_input_file_exits_1(self, tmp_path, capsys):
+        assert main(["reconstruct", "--in", str(tmp_path / "absent.json")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_singular_operator_exits_1(self, tmp_path):
         payload = {"phi": {"mode": "induced",
                            "operator": matrix_to_json(np.diag([1.0, 1.0, 0.0]))}}
@@ -250,6 +261,18 @@ class TestSymmetryCommand:
                          "--out", str(out), "--samples", "-3"]) == 1
             assert not out.exists()
 
+    def test_unknown_mode_exits_1(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "invert.json",
+                         self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "invert"))
+        assert main(["symmetry", "--in", inp]) == 1
+        assert "unknown symmetry mode 'invert'" in capsys.readouterr().err
+
+    def test_operator_size_mismatch_exits_1(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "wide.json",
+                         self._payload(np.eye(3), SemilinearOperator(np.eye(4)), "characterize"))
+        assert main(["symmetry", "--in", inp]) == 1
+        assert "operator dimension does not match eta" in capsys.readouterr().err
+
     def test_singular_eta_exits_1(self, tmp_path):
         payload = {"eta": matrix_to_json(np.diag([1.0, 1.0, 0.0])),
                    "mode": "characterize",
@@ -274,6 +297,20 @@ class TestSelftestCommand:
     def test_broken_tolerance_exits_3(self, capsys):
         assert main(["selftest", "--samples", "16", "--tol", "1e-20"]) == 3
         assert "\n    case 0 " in capsys.readouterr().out  # failure reasons
+
+    @pytest.mark.parametrize("name, error", [
+        ("generate_eta_isometry", ArithmeticError("isometry generation failed")),
+        ("extend", ExtensionInconsistent("mapped pieces do not sum to an idempotent")),
+    ], ids=("generation", "extension"))
+    def test_raising_suite_exits_3(self, name, error, monkeypatch, capsys):
+        # generation is called outside any per-case catch, and so is
+        # extend in the trace-identity suite
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(selftest, name, raising)
+        assert main(["selftest", "--samples", "4"]) == 3
+        assert f"suite raised {type(error).__name__}: {error}" in capsys.readouterr().out
 
     def test_summary_file(self, tmp_path):
         out = str(tmp_path / "self.json")

@@ -364,6 +364,9 @@ class TestGenerateEtaIsometry:
                     for family in PHASE_FAMILIES
                     if (field is ScalarField.COMPLEX or family == "skew")
                     and (family != "skew" or n % 2 == 0)]
+        # ``H`` = diag(1, 0, 0, 0) is exactly singular: the pencil solve fails
+        metrics.append((phase_metric(rng, 4, field, "skew")
+                        + np.diag([1.0, 0, 0, 0])).astype(field.dtype))
         for i, eta in enumerate(metrics):
             space = IndefiniteSpace(eta)
             scale = float(rng.uniform(0.5, 4.0))
@@ -384,6 +387,15 @@ class TestGenerateEtaIsometry:
         got = generate_eta_isometry(space, seed=18).matrix
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
         assert np.linalg.norm(got - np.eye(6)) > 1e-3
+
+    def test_large_fallback_is_refused(self):
+        # Identity plus a Gaussian strict upper triangle at complex n = 64:
+        # at this seed the pencil probe refuses, and the nullspace would
+        # be an 8192 x 8192 system.
+        eta = corpus_metric(np.random.default_rng(11), 64, ScalarField.COMPLEX, 1)
+        assert indefinite._closed_form_or_pencil(eta) is None
+        with pytest.raises(ArithmeticError, match="8192 unknowns, above 2048"):
+            generate_eta_isometry(IndefiniteSpace(eta), seed=0)
 
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("sign", (1, -1), ids=("definite", "indefinite"))

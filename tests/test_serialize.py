@@ -94,6 +94,16 @@ def test_bad_payloads():
         rank_one_from_json({"kind": "finite_rank"})
     with pytest.raises(FormatError):
         space_from_json({"eta": matrix_to_json(np.eye(3)), "n": 4})
+    with pytest.raises(FormatError, match="non-finite"):
+        matrix_from_json({"field": "real", "n": 2, "data": [1.0, 0.0, float("inf"), 1.0]})
+    with pytest.raises(FormatError, match="automorphism tag"):
+        semilinear_from_json({"field": "real", "n": 1, "data": [1.0], "auto": "swap"})
+    with pytest.raises(FormatError, match="missing key"):
+        rank_one_from_json({"kind": "rank1", "field": "real", "n": 2, "f": [1.0, 0.0]})
+    with pytest.raises(FormatError, match="real entry"):
+        matrix_from_json({"field": "real", "n": 1, "data": [[1.0, 0.0]]})
+    with pytest.raises(FormatError, match="field does not match"):
+        space_from_json({"eta": matrix_to_json(np.eye(3)), "field": "complex"})
 
 
 def test_kind_mismatch():

@@ -24,14 +24,17 @@ from idemap.sampling import (
     _random_rank_one_rows,
     random_idempotent,
     random_invertible,
+    random_matrix,
     random_rank_one,
     random_semilinear,
     remix_decomposition,
 )
 from idemap.transform import (
     NOT_INDUCED_TOL,
+    TABLE_MATCH_TOL,
     RayPair,
     TransformHandle,
+    _fit_two_directions,
     automorphism_of,
     check_preservation,
     extend,
@@ -44,6 +47,9 @@ from idemap.transform import (
     reconstruction_probe_set,
     transpose_handle,
 )
+
+FIELDS = (ScalarField.REAL, ScalarField.COMPLEX)
+FIELD_IDS = ("real", "complex")
 
 CYCLE = np.array([[0.0, 0, 1], [1, 0, 0], [0, 1, 0]])  # e1->e2->e3->e1
 
@@ -276,7 +282,7 @@ class TestReconstruct:
         (ScalarField.COMPLEX, AutomorphismTag.CONJUGATION),
     ], ids=("real", "complex-id", "complex-conj"))
     def test_one_row_call_per_probe_group(self, field, auto):
-        # standard, mixed, trace, phase and validation probes: one call each
+        # standard, mixed, trace, phase and validation probes: one call for all
         n = 5
         rng = np.random.default_rng(20)
         phi = induce(SemilinearOperator(random_invertible(rng, n, field), auto))
@@ -289,8 +295,25 @@ class TestReconstruct:
         phi._rows = counting
         result = reconstruct(phi, validation_count=20, seed=1)
         probes = reconstruction_probe_set(n, field, 20, 1).all_probes()
-        assert result.probes_used == sum(calls) == len(probes)
-        assert len(calls) <= (3 if field is ScalarField.REAL else 5)
+        assert calls == [result.probes_used] == [len(probes)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_constant_black_box_is_refused(self, field):
+        # every image is (e_1, e_1), so all column images are parallel and
+        # the fit has no second direction; a floating-point warning would
+        # fail the test, as pytest turns it into an error
+        n = 4
+        e1 = np.eye(n, dtype=field.dtype)[0]
+        seen = []
+
+        def eval_fn(p):
+            seen.append(p)
+            return RankOneIdempotent(e1, e1)
+
+        with pytest.raises((NotInduced, DegenerateProbe)):
+            reconstruct(TransformHandle(eval_fn, n, field), validation_count=5)
+        # every probe is mapped before any stage refuses
+        assert len(seen) == len(reconstruction_probe_set(n, field, 5).all_probes())
 
     def test_validation_count_zero_or_negative(self):
         op = SemilinearOperator(np.diag([1.0, 2.0, 3.0]))
@@ -348,6 +371,68 @@ class TestReconstruct:
         phi = TransformHandle(eval_fn, 3, ScalarField.COMPLEX)
         with pytest.raises(UnrecognizedAutomorphism, match=message):
             reconstruct(phi, validation_count=5)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("angle", (1.0, 1e-4, 1e-7), ids=("random", "near-1e-4", "near-1e-7"))
+def test_fit_matches_least_squares(field, angle):
+    """The closed-form fit of the mixed and phase probes agrees with
+    ``np.linalg.lstsq`` to about ``eps / angle``, where ``angle`` is the
+    distance of the unit directions ``c[k]`` from the unit ``c0``."""
+    rng = np.random.default_rng(22)
+    n, rows = 6, 40
+    c0 = random_matrix(rng, (n,), field)
+    c0 /= np.linalg.norm(c0)
+    c = c0 + angle * random_matrix(rng, (rows, n), field)
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    v = random_matrix(rng, (rows, 1), field) * c0 + random_matrix(rng, (rows, 1), field) * c
+    if angle == 1.0:  # off the span too, so the fit is a true least-squares one
+        v += 0.1 * random_matrix(rng, (rows, n), field)
+    a, b = _fit_two_directions(c0, c, v)
+    for k in range(rows):
+        ref, *_ = np.linalg.lstsq(np.column_stack([c0, c[k]]), v[k], rcond=None)
+        err = np.hypot(abs(a[k] - ref[0]), abs(b[k] - ref[1])) / np.linalg.norm(ref)
+        assert err <= 50 * np.finfo(float).eps / angle, (k, err)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_table_lookup_matches_the_dense_distance(field):
+    """Against the Frobenius distance of the ``n x n`` matrices, with the
+    rule ``TABLE_MATCH_TOL * (1 + ||Q||)``: each input finds its own
+    output, and a query moved off an input by half the tolerance is still
+    matched while one moved by twice it raises ``KeyError``."""
+    rng = np.random.default_rng(23)
+    n = 5
+    table = probe_table_from_operator(random_semilinear(rng, n, field), validation_count=10,
+                                      seed=4)
+    phi = handle_from_table(table, n, field)
+    inputs = np.array([p.matrix for p, _ in table])
+
+    def dense(q):
+        dists = np.linalg.norm(inputs - q.matrix, axis=(1, 2))
+        best = int(np.argmin(dists))
+        return best, dists[best] <= TABLE_MATCH_TOL * (1.0 + np.linalg.norm(q.matrix))
+
+    for p, out in table:
+        best, covered = dense(p)
+        assert covered
+        np.testing.assert_array_equal(phi(p).matrix, table[best][1].matrix)
+        np.testing.assert_array_equal(phi(p).matrix, out.matrix)
+    for k in (0, n, len(table) - 1):
+        p = table[k][0]
+        # ``u`` has pair(u, f) = 0, so ``(x + t u, f)`` is an idempotent
+        # at distance ``t ||u|| ||f||`` from ``P``
+        r = random_matrix(rng, (n,), field)
+        u = r - np.dot(r, p.f) * p.x
+        unit = TABLE_MATCH_TOL * (1.0 + np.linalg.norm(p.matrix)) / (
+            np.linalg.norm(u) * np.linalg.norm(p.f))
+        near = RankOneIdempotent(p.x + 0.5 * unit * u, p.f)
+        assert dense(near) == (dense(p)[0], True)
+        np.testing.assert_array_equal(phi(near).matrix, table[k][1].matrix)
+        far = RankOneIdempotent(p.x + 2.0 * unit * u, p.f)
+        assert not dense(far)[1]
+        with pytest.raises(KeyError, match="not covered by the probe table"):
+            phi(far)
 
 
 class TestFromRayPair:
