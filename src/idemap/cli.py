@@ -9,14 +9,15 @@ Commands
                  the inducing operator of the ray map it induces.
 ``selftest``     run the built-in verification suites.
 
-Exit codes: 0 success, 1 malformed input, bad arguments or singular
-matrices, 2 the map is not induced / the operator is not a symmetry, 3
-selftest failures.  Reports are byte-identical for identical config and seed.
+Exit codes: 0 success, 1 malformed input, bad arguments or singular matrices,
+2 the map is not induced / the operator is not a symmetry, 3 selftest failures.
+Reports are one line of sorted-key JSON; same config and seed, same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -97,6 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--out", dest="out", default=None,
                         help="optional JSON summary path")
     return parser
+
+
+_parser = functools.cache(build_parser)  # the one parser main uses in a process
 
 
 def _check_expectations(args, n, field):
@@ -265,7 +269,7 @@ def cmd_selftest(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code:  # a usage error: argparse's status 2 means EXIT_NEGATIVE here
             return EXIT_MALFORMED

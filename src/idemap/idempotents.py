@@ -54,9 +54,10 @@ class RankOneIdempotent:
         if xv.shape != fv.shape:
             raise DimensionMismatch(f"rank-one pair: shapes {xv.shape} vs {fv.shape}")
         p = np.dot(xv, fv)
-        scale = 1.0 + np.linalg.norm(xv) * np.linalg.norm(fv)
-        if abs(p - 1.0) > PAIRING_TOL * scale:
-            raise NotIdempotent(f"pairing is {p!r}, expected 1")
+        nx = scipy.linalg.norm(xv, check_finite=False)  # BLAS: the norm cannot overflow
+        tol = PAIRING_TOL * (1.0 + nx * scipy.linalg.norm(fv, check_finite=False))
+        if not abs(p - 1.0) <= tol < np.inf:  # an overflowed product proves nothing
+            raise NotIdempotent(f"pairing is {p!r}, expected 1 within {tol:.3e}")
         self._x = _frozen(xv)
         self._f = _frozen(fv)
 

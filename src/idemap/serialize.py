@@ -24,21 +24,19 @@ class FormatError(ValueError):
     """Raised for malformed or inconsistent JSON payloads."""
 
 
-def _encode_entry(z, field: ScalarField):
-    if field is ScalarField.COMPLEX:
-        z = complex(z)
-        return [float(z.real), float(z.imag)]
-    return float(np.real(z))
-
-
-def _decode_entry(v, field: ScalarField):
-    if field is ScalarField.COMPLEX:
-        if not (isinstance(v, (list, tuple)) and len(v) == 2):
-            raise FormatError(f"complex entry must be [re, im], got {v!r}")
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, (list, tuple)):
-        raise FormatError(f"real entry must be a number, got {v!r}")
-    return float(v)
+def _entries_from_json(data, count, field: ScalarField) -> np.ndarray:
+    """``count`` JSON entries as one array of ``field.dtype``, or FormatError."""
+    pairs = field is ScalarField.COMPLEX
+    what = "complex entry must be [re, im]" if pairs else "real entry must be a number"
+    if None in data:  # numpy reads null as NaN; refuse it as float(None) did
+        raise (FormatError if pairs else TypeError)(f"{what}, got None")
+    try:
+        a = np.array(data, dtype=np.float64)
+    except ValueError as exc:  # ragged entries, or text that is not a number
+        raise FormatError(f"{what}: {exc}") from None
+    if a.shape != ((count, 2) if pairs else (count,)):
+        raise FormatError(f"{what}, got entries of shape {a.shape}")
+    return a.view(np.complex128).reshape(count) if pairs else a
 
 
 def _field_from_json(d) -> ScalarField:
@@ -48,25 +46,24 @@ def _field_from_json(d) -> ScalarField:
         raise FormatError(f"bad or missing field tag: {exc}") from exc
 
 
-def vector_to_json(x, field: ScalarField):
-    return [_encode_entry(z, field) for z in np.asarray(x)]
+def vector_to_json(x, field: ScalarField) -> list:
+    """Entries of ``x`` in row-major order: ``[re, im]`` pairs over the
+    complex field, numbers over the reals."""
+    if field is ScalarField.COMPLEX:
+        return np.ascontiguousarray(x, np.complex128).view(np.float64).reshape(-1, 2).tolist()
+    return np.asarray(np.real(x), dtype=np.float64).ravel().tolist()
 
 
 def vector_from_json(data, n, field: ScalarField):
     if not isinstance(data, (list, tuple)) or len(data) != n:
         raise FormatError(f"vector must have {n} entries")
-    return np.array([_decode_entry(v, field) for v in data], dtype=field.dtype)
+    return _entries_from_json(data, n, field)
 
 
 def matrix_to_json(m) -> dict:
     m = np.asarray(m)
     field = field_of(m)
-    n = m.shape[0]
-    return {
-        "field": field.value,
-        "n": n,
-        "data": [_encode_entry(z, field) for z in m.ravel()],
-    }
+    return {"field": field.value, "n": m.shape[0], "data": vector_to_json(m, field)}
 
 
 def matrix_from_json(d) -> np.ndarray:
@@ -80,17 +77,14 @@ def matrix_from_json(d) -> np.ndarray:
         raise FormatError(f"bad matrix payload: {exc}") from exc
     if n <= 0 or not isinstance(data, list) or len(data) != n * n:
         raise FormatError(f"matrix data must hold n*n = {n * n} entries")
-    flat = [_decode_entry(v, field) for v in data]
-    m = np.array(flat, dtype=field.dtype).reshape(n, n)
+    m = _entries_from_json(data, n * n, field).reshape(n, n)
     if not np.all(np.isfinite(m)):
         raise FormatError("matrix has non-finite entries")
     return m
 
 
 def semilinear_to_json(a: SemilinearOperator) -> dict:
-    d = matrix_to_json(a.matrix)
-    d["auto"] = a.auto.value
-    return d
+    return dict(matrix_to_json(a.matrix), auto=a.auto.value)
 
 
 def semilinear_from_json(d) -> SemilinearOperator:
@@ -121,9 +115,7 @@ def rank_one_from_json(d) -> RankOneIdempotent:
 
 
 def finite_rank_to_json(p: FiniteRankIdempotent) -> dict:
-    d = matrix_to_json(p.matrix)
-    d["kind"] = "finite_rank"
-    return d
+    return dict(matrix_to_json(p.matrix), kind="finite_rank")
 
 
 def finite_rank_from_json(d) -> FiniteRankIdempotent:
@@ -157,5 +149,6 @@ def scalar_to_json(z) -> list:
 
 
 def dumps_report(obj) -> str:
-    """Deterministic serialization: same object, same bytes."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """One line of sorted-key JSON and a newline, written by ``json``'s C
+    encoder: same object, same bytes.  ``python -m json.tool`` indents it."""
+    return json.dumps(obj, sort_keys=True) + "\n"

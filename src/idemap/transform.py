@@ -313,8 +313,8 @@ def _automorphism_probes(n):
     """Probe pair ``(P, Q)`` of complex rank-one idempotents with
     ``trace(P @ Q) = i`` exactly."""
     eye = np.eye(n, dtype=np.complex128)
-    return (RankOneIdempotent(eye[0], eye[0]),
-            RankOneIdempotent(1j * eye[0] + eye[1], eye[0] + (1 - 1j) * eye[1]))
+    checked = RankOneIdempotent._from_checked_row  # exact rows, pairing 1
+    return checked(eye[0], eye[0]), checked(1j * eye[0] + eye[1], eye[0] + (1 - 1j) * eye[1])
 
 
 def automorphism_of(phi: TransformHandle) -> AutomorphismTag:
@@ -381,16 +381,17 @@ def reconstruction_probe_set(n, field: ScalarField, validation_count=50,
         raise ValueError("reconstruction needs dimension >= 3")
     if validation_count < 0:
         raise ValueError(f"validation_count must be >= 0, got {validation_count}")
+    checked = RankOneIdempotent._from_checked_row  # exact rows, pairing 1
     eye = np.eye(n, dtype=field.dtype)
-    standard = tuple(RankOneIdempotent(eye[j], eye[j]) for j in range(n))
-    mixed = tuple(RankOneIdempotent(eye[0] + eye[j], eye[0]) for j in range(1, n))
+    standard = tuple(checked(eye[j], eye[j]) for j in range(n))
+    mixed = tuple(checked(eye[0] + eye[j], eye[0]) for j in range(1, n))
     automorphism, phase = (), ()
     if field is ScalarField.COMPLEX:
         automorphism = _automorphism_probes(n)
-        phase = (RankOneIdempotent(eye[0] + 1j * eye[1], eye[0]),)
+        phase = (checked(eye[0] + 1j * eye[1], eye[0]),)
     rng = np.random.default_rng(seed)
     x, f = _normalized_rows(*_random_rank_one_rows(rng, validation_count, n, field))
-    validation = tuple(map(RankOneIdempotent._from_checked_row, x, f))
+    validation = tuple(map(checked, x, f))
     return ProbeSet(standard, mixed, automorphism, phase, validation)
 
 

@@ -12,9 +12,10 @@ from idemap.sampling import random_invertible
 from idemap.serialize import (
     matrix_to_json,
     rank_one_to_json,
+    semilinear_from_json,
     semilinear_to_json,
 )
-from idemap.transform import probe_table_from_operator
+from idemap.transform import induce, probe_table_from_operator, reconstruct
 
 
 def write_json(path, payload):
@@ -89,6 +90,23 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--in", inp, "--out", out2,
                      "--seed", "3", "--samples", "10"]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_report_is_one_sorted_line(self, tmp_path):
+        rng = np.random.default_rng(4)
+        op = SemilinearOperator(random_invertible(rng, 4, ScalarField.COMPLEX),
+                                AutomorphismTag.CONJUGATION)
+        inp = write_json(tmp_path / "in.json", induced_input(op))
+        out = tmp_path / "report.json"
+        assert main(["reconstruct", "--in", inp, "--out", str(out),
+                     "--seed", "3", "--samples", "10"]) == 0
+        text = out.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        report = json.loads(text)
+        assert text == json.dumps(report, sort_keys=True) + "\n"
+        result = reconstruct(induce(op), validation_count=10, seed=3)
+        a = semilinear_from_json(report["A"])
+        assert a.auto is result.A.auto
+        assert a.matrix.tobytes() == result.A.matrix.tobytes()
 
     def test_table_mode(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -50,6 +50,14 @@ class TestRankOne:
         with pytest.raises(NotIdempotent):
             RankOneIdempotent([2.0, 0, 0], [1.0, 0, 0])
 
+    @pytest.mark.parametrize("x, f", [
+        ([1e200, 1e200, 0], [1e-200, 5, 0]),  # pairing 5e200
+        ([1e200, 0, 1], [1e-200, 1e200, 0]),  # pairing 1, but ||x|| ||f|| overflows
+    ], ids=("huge-pairing", "overflowed-scale"))
+    def test_overflowing_scale_rejected(self, x, f):
+        with pytest.raises(NotIdempotent):
+            RankOneIdempotent(x, f)
+
     def test_idempotent_matrix_invariant(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

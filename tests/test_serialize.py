@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from idemap.cli import main
 from idemap.core import AutomorphismTag, ScalarField, SemilinearOperator
 from idemap.idempotents import FiniteRankIdempotent, rank_one_from_pair
 from idemap.indefinite import IndefiniteSpace
@@ -18,6 +21,7 @@ from idemap.serialize import (
     semilinear_to_json,
     space_from_json,
     space_to_json,
+    vector_from_json,
 )
 
 
@@ -104,6 +108,46 @@ def test_bad_payloads():
         matrix_from_json({"field": "real", "n": 1, "data": [[1.0, 0.0]]})
     with pytest.raises(FormatError, match="field does not match"):
         space_from_json({"eta": matrix_to_json(np.eye(3)), "field": "complex"})
+
+
+# Malformed entries and the exception type each one is refused with.
+_BAD_ENTRIES = [
+    ("complex", [1.0], FormatError),
+    ("complex", [1, 2, 3], FormatError),
+    ("complex", [[1.0]], FormatError),
+    ("complex", None, FormatError),
+    ("real", [1.0], FormatError),
+    ("real", [1, 2, 3], FormatError),
+    ("real", [[1.0]], FormatError),
+    ("real", None, TypeError),
+]
+
+
+@pytest.mark.parametrize("field, bad, exc", _BAD_ENTRIES,
+                         ids=[f"{f}-{json.dumps(b)}" for f, b, _ in _BAD_ENTRIES])
+@pytest.mark.parametrize("everywhere", [False, True], ids=("one", "all"))
+def test_bad_entries(field, bad, exc, everywhere, tmp_path):
+    fld = ScalarField(field)
+    good = [1.0, 0.0] if fld is ScalarField.COMPLEX else 1.0
+
+    def entries(count):
+        return [bad] * count if everywhere else [good, bad] + [good] * (count - 2)
+
+    vec = {"kind": "rank1", "field": field, "n": 4, "x": entries(4), "f": entries(4)}
+    op = dict(semilinear_to_json(SemilinearOperator(np.eye(4, dtype=fld.dtype))),
+              data=entries(16))
+    for decode in (lambda: vector_from_json(entries(4), 4, fld),
+                   lambda: rank_one_from_json(vec), lambda: matrix_from_json(op)):
+        with pytest.raises(exc) as info:
+            decode()
+        assert type(info.value) is exc
+    # the command line refuses either payload as malformed input
+    table = {"phi": {"mode": "table", "n": 4, "field": field,
+                     "probes": [{"in": vec, "out": vec}]}}
+    for payload in (table, {"phi": {"mode": "induced", "operator": op}}):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        assert main(["reconstruct", "--in", str(path), "--samples", "0"]) == 1
 
 
 def test_kind_mismatch():
