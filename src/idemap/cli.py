@@ -47,7 +47,7 @@ from .serialize import (
     space_from_json,
     vector_to_json,
 )
-from .transform import handle_from_table, induce, reconstruct, reconstruction_probe_set
+from .transform import handle_from_table, induce, reconstruct
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -138,7 +138,7 @@ def _load_phi(args, payload):
     if mode == "induced":
         op = semilinear_from_json(phi_def["operator"])
         _check_expectations(args, op.n, op.field)
-        return induce(op), op.n, op.field
+        return induce(op)
     if mode == "table":
         n = int(phi_def["n"])
         field = ScalarField(phi_def["field"])
@@ -147,16 +147,15 @@ def _load_phi(args, payload):
             (rank_one_from_json(e["in"]), rank_one_from_json(e["out"]))
             for e in phi_def["probes"]
         ]
-        return handle_from_table(entries, n, field), n, field
+        return handle_from_table(entries, n, field)
     raise FormatError(f"unknown phi mode {mode!r}")
 
 
 def cmd_reconstruct(args) -> int:
     with open(args.inp) as fh:
         payload = json.load(fh)
-    phi, n, field = _load_phi(args, payload)
+    phi = _load_phi(args, payload)
     result = reconstruct(phi, validation_count=args.samples, seed=args.seed)
-    probes = reconstruction_probe_set(n, field, args.samples, args.seed)
     report = {
         "version": __version__,
         "seed": args.seed,
@@ -165,7 +164,7 @@ def cmd_reconstruct(args) -> int:
         "auto": result.A.auto.value,
         "residual": result.residual,
         "probes": result.probes_used,
-        "probe_set": [rank_one_to_json(p) for p in probes.all_probes()],
+        "probe_set": [rank_one_to_json(p) for p in result.probes.all_probes()],
     }
     _emit(args, report,
           f"reconstructed operator: auto={result.A.auto.value} "

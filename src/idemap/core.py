@@ -66,10 +66,16 @@ def field_of(a) -> ScalarField:
     return ScalarField.COMPLEX if np.iscomplexobj(a) else ScalarField.REAL
 
 
-def _as_vector(x, name="vector"):
-    v = np.asarray(x)
+def _as_array(a):
+    """``a`` as a float or complex array; any other dtype becomes ``float64``."""
+    v = np.asarray(a)
     if v.dtype.kind not in "fc":
         v = v.astype(np.float64)
+    return v
+
+
+def _as_vector(x, name="vector"):
+    v = _as_array(x)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-d, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -78,9 +84,7 @@ def _as_vector(x, name="vector"):
 
 
 def _as_matrix(a, name="matrix", square=True):
-    m = np.asarray(a)
-    if m.dtype.kind not in "fc":
-        m = m.astype(np.float64)
+    m = _as_array(a)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-d, got shape {m.shape}")
     if square and m.shape[0] != m.shape[1]:

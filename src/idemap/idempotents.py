@@ -17,6 +17,7 @@ import scipy.linalg
 from .core import (
     RANK_TOL,
     ScalarField,
+    _as_array,
     _as_matrix,
     _as_vector,
     _frozen,
@@ -49,25 +50,32 @@ class RankOneIdempotent:
     __slots__ = ("_x", "_f")
 
     def __init__(self, x, f):
-        xv = _as_vector(x, "x")
-        fv = _as_vector(f, "f")
-        if xv.shape != fv.shape:
-            raise DimensionMismatch(f"rank-one pair: shapes {xv.shape} vs {fv.shape}")
-        p = np.dot(xv, fv)
-        nx = scipy.linalg.norm(xv, check_finite=False)  # BLAS: the norm cannot overflow
-        tol = PAIRING_TOL * (1.0 + nx * scipy.linalg.norm(fv, check_finite=False))
-        if not abs(p - 1.0) <= tol < np.inf:  # an overflowed product proves nothing
-            raise NotIdempotent(f"pairing is {p!r}, expected 1 within {tol:.3e}")
-        self._x = _frozen(xv)
-        self._f = _frozen(fv)
+        xv = _as_array(x)
+        if xv.ndim == 1:
+            fv = _as_array(f)
+            if fv.shape == xv.shape:
+                tol = _pairing_tol(xv, fv)
+                # An inf or NaN entry makes a norm or the pairing non-finite,
+                # so an accepted pair is finite without a check of its own.
+                if tol < np.inf and abs(np.dot(xv, fv) - 1.0) <= tol:
+                    self._x = _frozen(xv)
+                    self._f = _frozen(fv)
+                    return
+        _refuse_pair(x, f)
 
     @classmethod
     def _from_checked_row(cls, x, f):
         """Wrap one row pair that is already valid: finite, with pairing 1,
         such as a row of :func:`_normalized_rows` or of an idempotent."""
+        return cls._from_frozen_row(_frozen(x), _frozen(f))
+
+    @classmethod
+    def _from_frozen_row(cls, x, f):
+        """Wrap a valid row pair that nothing can write to, such as rows of
+        a :func:`~idemap.core._frozen` block, without a copy."""
         p = object.__new__(cls)
-        p._x = _frozen(x)
-        p._f = _frozen(f)
+        p._x = x
+        p._f = f
         return p
 
     @property
@@ -94,6 +102,28 @@ class RankOneIdempotent:
 
     def __repr__(self):
         return f"RankOneIdempotent(n={self.n}, field={self.field.value})"
+
+
+def _pairing_tol(x, f):
+    """Allowed deviation of ``pair(x, f)`` from 1, scaled by BLAS norms,
+    which cannot overflow; it is infinite when ``||x|| ||f||`` overflows,
+    and then the pairing proves nothing."""
+    return PAIRING_TOL * (1.0 + scipy.linalg.norm(x, check_finite=False)
+                          * scipy.linalg.norm(f, check_finite=False))
+
+
+def _refuse_pair(x, f):
+    """Raise the error for a pair that :class:`RankOneIdempotent` refuses:
+    the checks of :func:`~idemap.core._as_vector` on ``x`` and then ``f``,
+    the shapes, and last the pairing, computed without floating-point
+    warnings."""
+    xv = _as_vector(x, "x")
+    fv = _as_vector(f, "f")
+    if xv.shape != fv.shape:
+        raise DimensionMismatch(f"rank-one pair: shapes {xv.shape} vs {fv.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.dot(xv, fv)
+    raise NotIdempotent(f"pairing is {p!r}, expected 1 within {_pairing_tol(xv, fv):.3e}")
 
 
 class FiniteRankIdempotent:

@@ -26,6 +26,7 @@ from .core import (
     AutomorphismTag,
     ScalarField,
     SemilinearOperator,
+    _as_array,
     _as_matrix,
     _as_vector,
     _frozen,
@@ -89,13 +90,20 @@ class Ray:
     __slots__ = ("_rep",)
 
     def __init__(self, representative):
-        self._rep = _frozen(_ray_rows(_as_vector(representative, "representative")[None])[0])
+        v = _as_array(representative)
+        # A finite, positive squared norm proves the entries finite and
+        # not all zero; any other vector gets the full check and its error.
+        if not (v.ndim == 1 and 0 < np.vdot(v, v).real < np.inf):
+            v = _ray_rows(_as_vector(v, "representative")[None])[0]
+        self._rep = _frozen(v)
 
     @classmethod
-    def _from_checked(cls, v):
-        """Wrap a finite, nonzero representative the library made itself."""
+    def _from_frozen(cls, v):
+        """Wrap a finite, nonzero representative that nothing can write to,
+        such as a row of a :func:`~idemap.core._frozen` block, without a
+        copy or a check."""
         ray = object.__new__(cls)
-        ray._rep = _frozen(v)
+        ray._rep = v
         return ray
 
     @property
@@ -126,8 +134,9 @@ class RayMap:
 
     The map is evaluated on stacked representatives, one row per ray.
     For a wrapped ``eval`` the row evaluator calls it once per row, in
-    row order; a map from :func:`induced_ray_map` has a native row
-    evaluator, of which its ``eval`` is the one-row case.
+    row order, on a ray with a read-only representative; a map from
+    :func:`induced_ray_map` has a native row evaluator, of which its
+    ``eval`` is the one-row case.
     """
 
     eval: Callable[[Ray], Ray]
@@ -139,10 +148,11 @@ class RayMap:
         object.__setattr__(self, "_rows", self._call_per_ray)
 
     def _call_per_ray(self, x):
-        """Row evaluator of a wrapped ``eval``; the rows are wrapped unchecked."""
+        """Row evaluator of a wrapped ``eval``: the rows are frozen once and
+        handed over as read-only views, unchecked."""
         images = []
-        for xk in x:
-            out = self.eval(Ray._from_checked(xk))
+        for xk in _frozen(x):
+            out = self.eval(Ray._from_frozen(xk))
             if not isinstance(out, Ray):
                 raise TypeError("ray map returned a non-ray object")
             if out.n != xk.shape[0]:
@@ -155,8 +165,11 @@ class RayMap:
 def _ray_rows(v):
     """Finite rows ``v``, checked to be valid :class:`Ray` representatives;
     ``Ray(x)`` is the one-row case.  A row is refused when its norm is
-    zero, which happens exactly when every squared entry underflows."""
-    if not (v.conj() * v).real.any(axis=1).all():
+    zero, which happens exactly when every squared entry underflows; an
+    overflowing square counts as nonzero."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        nonzero = (v.conj() * v).real.any(axis=1)
+    if not nonzero.all():
         raise ValueError("a ray needs a nonzero representative")
     return v
 
@@ -174,7 +187,7 @@ def induced_ray_map(u: SemilinearOperator) -> RayMap:
         images = _as_matrix(_row_matvec(matrix, auto.apply(x)), "representative", square=False)
         return _ray_rows(images)
 
-    t = RayMap(lambda ray: Ray._from_checked(rows(ray.representative[None])[0]))
+    t = RayMap(lambda ray: Ray._from_frozen(_frozen(rows(ray.representative[None])[0])))
     object.__setattr__(t, "_rows", rows)
     return t
 

@@ -98,16 +98,18 @@ def _redrawn(count, draw, message):
     most ``DRAW_TRIES`` rounds, before ``RuntimeError(message)``."""
     index = np.arange(count)
     rows, ok = draw(index)
-    for _ in range(DRAW_TRIES - 1):
+    tries = 1
+    # A fully accepted round, the common case, returns before any mask or
+    # index is built (``count_nonzero`` is the cheapest test of it).
+    while np.count_nonzero(ok) < ok.size:
+        if tries == DRAW_TRIES:
+            raise RuntimeError(message)
         index = index[~ok]
-        if not index.size:
-            return rows
         fresh, ok = draw(index)
         for out, new in zip(rows, fresh):
             out[index] = new
-    if ok.all():
-        return rows
-    raise RuntimeError(message)
+        tries += 1
+    return rows
 
 
 def _projected(y0, c, d):

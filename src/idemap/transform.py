@@ -20,6 +20,8 @@ from .core import (
     AutomorphismTag,
     ScalarField,
     SemilinearOperator,
+    _as_array,
+    _frozen,
     _row_dots,
     _row_matvec,
     _row_norms,
@@ -66,8 +68,9 @@ class TransformHandle:
 
     The map is evaluated on stacked rows ``(x, f)``; ``phi(p)`` is the
     one-row case.  A wrapped callable is called once per row, in row order,
-    and must return a :class:`RankOneIdempotent` of the same dimension.
-    Evaluation is pure, so concurrent calls are safe.
+    on an idempotent whose rows are read-only, and must return a
+    :class:`RankOneIdempotent` of the same dimension.  Evaluation is
+    pure, so concurrent calls are safe.
     """
 
     def __init__(self, eval_fn: Callable[[RankOneIdempotent], RankOneIdempotent],
@@ -97,9 +100,10 @@ class TransformHandle:
         return self._rows(*self._stack(ps, "input"))
 
     def _call_per_row(self, x, f):
-        """Row evaluator of a wrapped callable: ``_eval``, looked up per call."""
-        return self._stack([self._eval(RankOneIdempotent._from_checked_row(xk, fk))
-                            for xk, fk in zip(x, f)], "image")
+        """Row evaluator of a wrapped callable: ``_eval``, looked up per call.
+        The rows are frozen once and handed over as read-only views."""
+        return self._stack([self._eval(RankOneIdempotent._from_frozen_row(xk, fk))
+                            for xk, fk in zip(_frozen(x), _frozen(f))], "image")
 
     def _stack(self, ps, role):
         """Rows ``(x, f)`` of ``ps``, each checked to be a
@@ -126,11 +130,16 @@ class RayPair:
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Inducing operator recovered from probes, normalized to unit
-    Frobenius norm with its first largest-modulus entry positive real."""
+    Frobenius norm with its first largest-modulus entry positive real,
+    with the :class:`ProbeSet` it was recovered from."""
 
     A: SemilinearOperator
     residual: float
-    probes_used: int
+    probes: ProbeSet
+
+    @property
+    def probes_used(self) -> int:
+        return len(self.probes.all_probes())
 
 
 @dataclass(frozen=True)
@@ -496,7 +505,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
             f"validation residual {residual:.3e} exceeds {NOT_INDUCED_TOL:.1e}",
             residual=residual,
         )
-    return ReconstructionResult(a_op, residual, len(x))
+    return ReconstructionResult(a_op, residual, probes)
 
 
 def _rank_one_distances(x, f, y, g):
@@ -521,15 +530,16 @@ def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
 
     Well-definedness over ray representatives holds because the
     normalization only depends on the rays.  ``T`` and then ``S`` are
-    called once per row, in row order.  A vanishing ``pair(T x, S f)``
-    (by :func:`rank_one_from_pair`'s rule, which also catches a zero
-    representative) raises :class:`DegenerateImage`, a direct witness
+    called once per row, in row order, on read-only rows.  A vanishing
+    ``pair(T x, S f)`` (by :func:`rank_one_from_pair`'s rule, which also
+    catches a zero representative) raises :class:`DegenerateImage`, a direct witness
     that ``(T, S)`` does not preserve vector/functional orthogonality.
     """
 
     def rows(x, f):
         tx, sf = zip(*[(_image_vector(ts.vector_map(xk), n),
-                         _image_vector(ts.functional_map(fk), n)) for xk, fk in zip(x, f)])
+                         _image_vector(ts.functional_map(fk), n))
+                        for xk, fk in zip(_frozen(x), _frozen(f))])
         try:
             return _normalized_rows(np.array(tx), np.array(sf))
         except DegeneratePair as exc:
@@ -542,9 +552,7 @@ def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
 
 def _image_vector(v, n):
     """A black box's image vector: float or complex, of dimension ``n``."""
-    v = np.asarray(v)
-    if v.dtype.kind not in "fc":
-        v = v.astype(np.float64)
+    v = _as_array(v)
     if v.shape != (n,):
         raise DimensionMismatch(f"image of shape {v.shape}, expected ({n},)")
     return v

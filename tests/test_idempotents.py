@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from idemap.core import ScalarField, kernel_and_range, orthonormal_columns, subspace_contains, \
-    tensor
+from idemap.core import ScalarField, _as_vector, kernel_and_range, orthonormal_columns, \
+    subspace_contains, tensor
 from idemap.errors import DegeneratePair, DimensionMismatch, NotIdempotent
 from idemap.idempotents import (
+    PAIRING_TOL,
     FiniteRankIdempotent,
     RankOneIdempotent,
     decompose,
@@ -32,6 +34,71 @@ def well_definedness_fixture():
     return first, second
 
 
+def reference_rank_one(x, f):
+    """The checks of ``RankOneIdempotent`` in their first order:
+    ``_as_vector`` on ``x`` and then on ``f`` (dimension, then
+    finiteness), the shapes, and last the pairing, which must be 1 within
+    a finite tolerance scaled by the norms.  Returns the rows."""
+    xv, fv = _as_vector(x, "x"), _as_vector(f, "f")
+    if xv.shape != fv.shape:
+        raise DimensionMismatch(f"rank-one pair: shapes {xv.shape} vs {fv.shape}")
+    tol = PAIRING_TOL * (1.0 + scipy.linalg.norm(xv) * scipy.linalg.norm(fv))
+    with np.errstate(over="ignore"):
+        p = np.dot(xv, fv)
+    if not abs(p - 1.0) <= tol < np.inf:
+        raise NotIdempotent(f"pairing is {p!r}")
+    return xv, fv
+
+
+def with_entry(v, i, value):
+    out = np.array(v)
+    out[i] = value
+    return out
+
+
+def _refusal_table():
+    """Valid real and complex pairs; NaN, +inf and -inf at every entry of
+    either side (in the real and in the imaginary part over the complex
+    field); int, bool and list inputs; wrong dimensions and shapes; zero,
+    tiny and huge entries."""
+    real, cplx = ([0.5, 1.0, -2.0], [2.0, 0.0, 0.0]), ([1 + 1j, 0.5, 2j], [0.5 - 0.5j, 0.0, 0.0])
+    cases = [real, cplx]
+    for (x, f), complex_field in ((real, False), (cplx, True)):
+        bad = [np.nan, np.inf, -np.inf]
+        if complex_field:
+            bad += [complex(0.0, value) for value in bad]
+        for value in bad:
+            for i in range(3):
+                cases += [(with_entry(x, i, value), f), (x, with_entry(f, i, value))]
+    tiny = [[t, t, 0.0] for t in (1e-160, 1e-162, 1e-200)]
+    return cases + [
+        ([1, 0, 0], [1, 0, 0]),
+        ([2, 0, 0], [1, 0, 0]),
+        ([True, False, False], [True, True, False]),
+        (np.array([1, 2, 0]), np.array([1.0, 0.0, 0.0])),
+        (1.0, 1.0),
+        ([[1.0, 0, 0]], [[1.0, 0, 0]]),
+        ([1.0, 0, 0], [[1.0, 0, 0]]),
+        ([[np.nan, 0, 0]], [1.0, 0, 0]),
+        ([np.nan, 0, 0], [1.0, 0]),
+        ([1.0, 0, 0], [1.0, np.inf]),
+        ([1.0, 0, 0], [1.0, 0]),
+        ([1.0, 0, 0, 0], [1.0, 0, 0]),
+        ([0.0, 0, 0], [1.0, 0, 0]),
+        ([0.0, 0, 0], [0.0, 0, 0]),
+        *[(t, t) for t in tiny],
+        ([1e-160, 0, 0], [1e160, 0, 0]),
+        ([1e-200, 0, 0], [1e200, 0, 0]),
+        ([1e200, 0, 0], [1e-200, 0, 0]),
+        ([1e200, 1e200, 0], [1e-200, 5, 0]),
+        ([1e200, 0, 1], [1e-200, 1e200, 0]),
+        ([1e200, 0, 0], [1e200, 0, 0]),
+    ]
+
+
+REFUSAL_TABLE = _refusal_table()
+
+
 class TestRankOne:
     def test_basis_pair(self):
         p = rank_one_from_pair([1.0, 0, 0], [1.0, 0, 0])
@@ -53,10 +120,29 @@ class TestRankOne:
     @pytest.mark.parametrize("x, f", [
         ([1e200, 1e200, 0], [1e-200, 5, 0]),  # pairing 5e200
         ([1e200, 0, 1], [1e-200, 1e200, 0]),  # pairing 1, but ||x|| ||f|| overflows
-    ], ids=("huge-pairing", "overflowed-scale"))
+        ([1e200, 0, 0], [1e200, 0, 0]),  # the pairing itself overflows
+    ], ids=("huge-pairing", "overflowed-scale", "overflowed-pairing"))
     def test_overflowing_scale_rejected(self, x, f):
+        # Under the suite's error::RuntimeWarning filter a floating-point
+        # warning on the way would fail this test too.
         with pytest.raises(NotIdempotent):
             RankOneIdempotent(x, f)
+
+    @pytest.mark.parametrize("x, f", REFUSAL_TABLE)
+    def test_refuses_as_the_reference_does(self, x, f):
+        """The constructor accepts exactly the pairs the reference accepts,
+        with the same rows, and refuses the others with its error type."""
+        try:
+            want = reference_rank_one(x, f)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as info:
+                RankOneIdempotent(x, f)
+            assert type(info.value) is type(exc)
+            return
+        p = RankOneIdempotent(x, f)
+        for got, row in ((p.x, want[0]), (p.f, want[1])):
+            assert got.dtype == row.dtype and np.array_equal(got, row)
+            assert not got.flags.writeable
 
     def test_idempotent_matrix_invariant(self):
         rng = np.random.default_rng(0)

@@ -8,6 +8,7 @@ from idemap.core import (
     AutomorphismTag,
     ScalarField,
     SemilinearOperator,
+    _as_vector,
     conjugation_operator,
     up_to_scalar_distance,
 )
@@ -510,10 +511,60 @@ class TestRecovery:
             recover_inducing_operator(space, t, validation_count=15, seed=6)
 
 
+def reference_ray(representative):
+    """The checks of ``Ray`` in their first order: ``_as_vector``
+    (dimension, then finiteness), then a nonzero square among the real and
+    imaginary parts (an overflowing square counts as nonzero)."""
+    v = _as_vector(representative, "representative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (v.conj() * v).real.any():
+            raise ValueError("a ray needs a nonzero representative")
+    return v
+
+
+def _ray_table():
+    """Valid real and complex vectors; NaN, +inf and -inf at every entry
+    (in the real and in the imaginary part over the complex field); int,
+    bool and list inputs; wrong dimensions; zero, tiny and huge entries."""
+    real, cplx = [0.5, 1.0, -2.0], [1 + 1j, 0.5, 2j]
+    cases = [real, cplx]
+    for v, complex_field in ((real, False), (cplx, True)):
+        bad = [np.nan, np.inf, -np.inf]
+        if complex_field:
+            bad += [complex(0.0, value) for value in bad]
+        for value in bad:
+            for i in range(3):
+                out = np.array(v)
+                out[i] = value
+                cases.append(out)
+    return cases + [
+        [1, 0, 0], [0, 0, 0], [True, False, False], [False, False, False],
+        np.array([1, 2, 3]), 1.0, [[1.0, 0, 0]], [[np.nan, 0, 0]], [0.0, 0, 0],
+        [1e-160, 0, 0], [1e-162, 1e-162, 0], [1e-200, 0, 0], [1e-160j, 0, 0],
+        [1e-162j, 0, 0], [1e200, 0, 0], [1e200, 1e200, 1e200], [1e200 + 1e200j, 0, 0],
+    ]
+
+
 class TestRays:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             Ray([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("representative", _ray_table())
+    def test_refuses_as_the_reference_does(self, representative):
+        """``Ray`` accepts exactly the vectors the reference accepts, with
+        the same representative, and refuses the others with its error
+        type."""
+        try:
+            want = reference_ray(representative)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as info:
+                Ray(representative)
+            assert type(info.value) is type(exc)
+            return
+        got = Ray(representative).representative
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
 
     def test_equality_up_to_scalar(self):
         assert rays_equal(Ray([1.0, 2.0, 0]), Ray([-3.0, -6.0, 0]))

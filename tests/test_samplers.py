@@ -580,6 +580,66 @@ def assert_same_reports(a, b):
         assert (va.source_margin, va.image_margin) == (vb.source_margin, vb.image_margin)
 
 
+@pytest.mark.parametrize("field", (ScalarField.REAL, ScalarField.COMPLEX), ids=("real", "complex"))
+def test_black_boxes_get_read_only_rows(field):
+    """A black box that writes into its input gets numpy's read-only
+    ``ValueError``, and one that tries and goes on leaves the sample as
+    the same map that does not try leaves it."""
+    n, rng = 4, np.random.default_rng(8)
+    a = generic_matrix(rng, n, field)
+
+    def write(v):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0.0
+
+    def flip(p):
+        return RankOneIdempotent(p.f, p.x)
+
+    def flip_after_writes(p):
+        write(p.x)
+        write(p.f)
+        return flip(p)
+
+    def ray_image(ray):
+        return Ray(a @ ray.representative)
+
+    def ray_image_after_write(ray):
+        write(ray.representative)
+        return ray_image(ray)
+
+    def writer(v):
+        v[0] = 0.0
+
+    for handle in (TransformHandle(lambda p: writer(p.x), n, field),
+                   from_ray_pair(RayPair(writer, np.flip), n, field)):
+        with pytest.raises(ValueError, match="read-only"):
+            check_preservation(handle, sample_count=4)
+    with pytest.raises(ValueError, match="read-only"):
+        is_symmetry(IndefiniteSpace(np.eye(n)), RayMap(lambda ray: writer(ray.representative)),
+                    sample_count=4)
+
+    flipped = check_preservation(TransformHandle(flip, n, field), sample_count=150, seed=n)
+    assert flipped.violations
+    assert_same_reports(
+        check_preservation(TransformHandle(flip_after_writes, n, field), sample_count=150, seed=n),
+        flipped)
+    paired = check_preservation(from_ray_pair(RayPair(np.flip, np.flip), n, field),
+                                sample_count=150, seed=n)
+
+    def flip_rows_after_write(v):
+        write(v)
+        return np.flip(v)
+
+    assert_same_reports(
+        check_preservation(from_ray_pair(RayPair(flip_rows_after_write, np.flip), n, field),
+                           sample_count=150, seed=n), paired)
+    space = IndefiniteSpace(generic_matrix(rng, n, field))
+    rays = is_symmetry(space, RayMap(ray_image), sample_count=150, seed=n)
+    assert rays.violations
+    assert_same_reports(is_symmetry(space, RayMap(ray_image_after_write), sample_count=150,
+                                    seed=n), rays)
+
+
 # -- typed errors through the fallback ----------------------------------------
 
 def test_black_box_errors_come_through():
