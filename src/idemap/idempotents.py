@@ -64,15 +64,9 @@ class RankOneIdempotent:
         _refuse_pair(x, f)
 
     @classmethod
-    def _from_checked_row(cls, x, f):
-        """Wrap one row pair that is already valid: finite, with pairing 1,
-        such as a row of :func:`_normalized_rows` or of an idempotent."""
-        return cls._from_frozen_row(_frozen(x), _frozen(f))
-
-    @classmethod
     def _from_frozen_row(cls, x, f):
         """Wrap a valid row pair that nothing can write to, such as rows of
-        a :func:`~idemap.core._frozen` block, without a copy."""
+        a :func:`~idemap.core._frozen` block, without a copy or a check."""
         p = object.__new__(cls)
         p._x = x
         p._f = f
@@ -209,10 +203,14 @@ def _normalized_rows(x, f):
     return x / p[:, None], f
 
 
+def _rank_one_views(x, f):
+    """Valid rows ``(x, f)`` as idempotents: views of one frozen copy."""
+    return list(map(RankOneIdempotent._from_frozen_row, _frozen(x), _frozen(f)))
+
+
 def _rank_one_row(x, f):
     """The idempotent of the one-row block ``(x, f)``, once normalized."""
-    x, f = _normalized_rows(x, f)
-    return RankOneIdempotent._from_checked_row(x[0], f[0])
+    return _rank_one_views(*_normalized_rows(x, f))[0]
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,7 @@ def decompose(p) -> list[RankOneIdempotent]:
     ``G = U^H @ P`` so that ``G @ U = I`` and ``P = U @ G``.  The returned
     pieces ``(U[:, i], G[i, :])`` satisfy ``pair(U[:, j], G[i, :]) =
     delta_ij``, multiply to zero pairwise, and sum to ``P``; the check of
-    ``U G = P`` proves them, so they are not checked again.
+    ``U G = P`` proves them, so they are views of one frozen block, unchecked.
 
     The pivoting makes the output deterministic and reproducible.
     """
@@ -275,7 +273,7 @@ def decompose(p) -> list[RankOneIdempotent]:
     resid = np.linalg.norm(u @ g - m)
     if resid > 1e-9 * (1.0 + np.linalg.norm(m)):
         raise NotIdempotent(f"decomposition residual {resid:.3e}")
-    return [RankOneIdempotent._from_checked_row(u[:, i], g[i, :]) for i in range(r)]
+    return _rank_one_views(u.T, g)
 
 
 def majorant(p1, p2) -> FiniteRankIdempotent:

@@ -258,7 +258,7 @@ def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0,
     side at most ``tol``, the other at least ``100 * tol``); violations
     are data about the map, not an error.  Each
     :class:`~idemap.transform.Violation` holds the two sampled
-    representative vectors.
+    representative vectors, as read-only views.
 
     Pairs are drawn, mapped and judged in blocks of
     :data:`~idemap.transform.SAMPLE_BLOCK`.  Each block is drawn directly

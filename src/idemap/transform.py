@@ -11,7 +11,9 @@ recovers ``A`` (up to one scalar) from probe evaluations alone.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -41,6 +43,7 @@ from .idempotents import (
     RankOneIdempotent,
     _normalized_rows,
     _rank_one_row,
+    _rank_one_views,
     as_finite_rank,
     decompose,
 )
@@ -91,13 +94,7 @@ class TransformHandle:
         return self._field
 
     def __call__(self, p: RankOneIdempotent) -> RankOneIdempotent:
-        x, f = self._map_idempotents((p,))
-        return RankOneIdempotent._from_checked_row(x[0], f[0])
-
-    def _map_idempotents(self, ps):
-        """Images of the idempotents ``ps`` as normalized rows ``(x, f)``,
-        from one call of the row evaluator."""
-        return self._rows(*self._stack(ps, "input"))
+        return _rank_one_views(*self._rows(*self._stack((p,), "input")))[0]
 
     def _call_per_row(self, x, f):
         """Row evaluator of a wrapped callable: ``_eval``, looked up per call.
@@ -142,11 +139,12 @@ class ReconstructionResult:
         return len(self.probes.all_probes())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Violation:
     """A sampled pair on which a biconditional fails decisively: two
     :class:`RankOneIdempotent` (:func:`check_preservation`) or two
-    representative vectors (:func:`~idemap.indefinite.is_symmetry`)."""
+    representative vectors (:func:`~idemap.indefinite.is_symmetry`), as
+    read-only views of the sampled rows; violations compare by identity."""
 
     first: object
     second: object
@@ -222,14 +220,6 @@ def _draw_idempotent_pairs(rng, n, field, crafted, plain):
                             np.stack((f[:size], qf), axis=1).reshape(-1, n))
 
 
-def _witness(rows, i):
-    """Row ``i`` of a block as a report entry: a :class:`RankOneIdempotent`
-    for idempotent rows ``(x, f)``, a copy of the vector for ray rows."""
-    if isinstance(rows, tuple):
-        return RankOneIdempotent._from_checked_row(rows[0][i], rows[1][i])
-    return rows[i].copy()
-
-
 def _sample_biconditional(n, field, sample_count, seed, tol, draw, image,
                           margins) -> SampleReport:
     """The sample behind :func:`check_preservation` and
@@ -248,9 +238,14 @@ def _sample_biconditional(n, field, sample_count, seed, tol, draw, image,
         rows = draw(rng, head, size - head)
         pre, post = margins(rows), margins(image(rows))
         decisive = ((pre <= tol) & (post >= 100 * tol)) | ((post <= tol) & (pre >= 100 * tol))
-        for k in np.flatnonzero(decisive):
-            violations.append(Violation(_witness(rows, 2 * k), _witness(rows, 2 * k + 1),
-                                        float(pre[k]), float(post[k])))
+        pairs = np.flatnonzero(decisive)
+        if pairs.size:
+            # Witnesses: read-only views of the decisive pairs' rows, frozen once.
+            pick = (2 * pairs[:, None] + [0, 1]).ravel()
+            w = (_rank_one_views(rows[0][pick], rows[1][pick]) if isinstance(rows, tuple)
+                 else _frozen(rows[pick]))
+            violations.extend(Violation(w[2 * j], w[2 * j + 1], float(pre[k]), float(post[k]))
+                              for j, k in enumerate(pairs))
     return SampleReport(tuple(violations), sample_count)
 
 
@@ -264,7 +259,7 @@ def check_preservation(phi: TransformHandle, sample_count=500, seed=0,
     margin: one side's normalized product norm is at most ``tol`` while
     the other side's is at least ``100 * tol``.  A nonempty violation
     list is data about the map, not an error; each :class:`Violation`
-    holds the two sampled idempotents.
+    holds the two sampled idempotents, as read-only views.
 
     Pairs are drawn, mapped and judged in blocks of ``SAMPLE_BLOCK``.
     Each block is drawn directly from the seeded generator, so the same
@@ -318,12 +313,12 @@ def extend(phi: TransformHandle, p, decomposition=None) -> FiniteRankIdempotent:
         ) from exc
 
 
-def _automorphism_probes(n):
-    """Probe pair ``(P, Q)`` of complex rank-one idempotents with
-    ``trace(P @ Q) = i`` exactly."""
+def _automorphism_rows(n):
+    """Rows ``(x, f)`` of the probe pair ``(P, Q)`` of complex rank-one
+    idempotents with ``trace(P @ Q) = i`` exactly (pairings exactly 1)."""
     eye = np.eye(n, dtype=np.complex128)
-    checked = RankOneIdempotent._from_checked_row  # exact rows, pairing 1
-    return checked(eye[0], eye[0]), checked(1j * eye[0] + eye[1], eye[0] + (1 - 1j) * eye[1])
+    return (np.array([eye[0], 1j * eye[0] + eye[1]]),
+            np.array([eye[0], eye[0] + (1 - 1j) * eye[1]]))
 
 
 def automorphism_of(phi: TransformHandle) -> AutomorphismTag:
@@ -337,12 +332,12 @@ def automorphism_of(phi: TransformHandle) -> AutomorphismTag:
     """
     if phi.field is ScalarField.REAL:
         return AutomorphismTag.IDENTITY
-    return _trace_tag(*phi._map_idempotents(_automorphism_probes(phi.n)))
+    return _trace_tag(*phi._rows(*_automorphism_rows(phi.n)))
 
 
 def _trace_tag(x, f):
     """Ring automorphism measured by the images ``(x, f)`` of the
-    :func:`_automorphism_probes`, from ``trace(P Q) = pair(x_Q, f_P)
+    :func:`_automorphism_rows`, from ``trace(P Q) = pair(x_Q, f_P)
     pair(x_P, f_Q)``."""
     return _tag_of(np.dot(x[1], f[0]) * np.dot(x[0], f[1]), "trace probe returned")
 
@@ -365,7 +360,9 @@ class ProbeSet:
     ``standard`` pins the column directions of the operator, ``mixed``
     their relative scales, ``automorphism``/``phase`` the ring
     automorphism (complex only), and ``validation`` the final residual.
-    A probe-response table must cover exactly these inputs.
+    A probe-response table must cover exactly these inputs.  The probes
+    are views of one frozen block ``rows = (x, f)``, in :meth:`all_probes`
+    order, which is left out of ``repr`` and comparison.
     """
 
     standard: tuple
@@ -373,6 +370,7 @@ class ProbeSet:
     automorphism: tuple
     phase: tuple
     validation: tuple
+    rows: tuple = dataclasses.field(repr=False, compare=False)
 
     def all_probes(self):
         return list(self.standard) + list(self.mixed) + list(self.automorphism) \
@@ -390,18 +388,21 @@ def reconstruction_probe_set(n, field: ScalarField, validation_count=50,
         raise ValueError("reconstruction needs dimension >= 3")
     if validation_count < 0:
         raise ValueError(f"validation_count must be >= 0, got {validation_count}")
-    checked = RankOneIdempotent._from_checked_row  # exact rows, pairing 1
+    # Standard and mixed probes: exact rows of the identity, pairing 1.
     eye = np.eye(n, dtype=field.dtype)
-    standard = tuple(checked(eye[j], eye[j]) for j in range(n))
-    mixed = tuple(checked(eye[0] + eye[j], eye[0]) for j in range(1, n))
-    automorphism, phase = (), ()
-    if field is ScalarField.COMPLEX:
-        automorphism = _automorphism_probes(n)
-        phase = (checked(eye[0] + 1j * eye[1], eye[0]),)
+    x, f = [eye, eye[0] + eye[1:]], [eye, np.tile(eye[0], (n - 1, 1))]
+    phases = int(field is ScalarField.COMPLEX)
+    if phases:
+        ax, af = _automorphism_rows(n)
+        x += [ax, (eye[0] + 1j * eye[1])[None]]
+        f += [af, eye[:1]]
     rng = np.random.default_rng(seed)
-    x, f = _normalized_rows(*_random_rank_one_rows(rng, validation_count, n, field))
-    validation = tuple(map(checked, x, f))
-    return ProbeSet(standard, mixed, automorphism, phase, validation)
+    vx, vf = _normalized_rows(*_random_rank_one_rows(rng, validation_count, n, field))
+    rows = _frozen(np.concatenate(x + [vx])), _frozen(np.concatenate(f + [vf]))
+    probes = iter(map(RankOneIdempotent._from_frozen_row, *rows))
+    groups = (tuple(islice(probes, size))
+              for size in (n, n - 1, 2 * phases, phases, validation_count))
+    return ProbeSet(*groups, rows=rows)
 
 
 def _fit_two_directions(c0, c, v):
@@ -452,7 +453,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     n, field = phi.n, phi.field
     probes = reconstruction_probe_set(n, field, validation_count, seed)
     try:
-        x, f = phi._map_idempotents(probes.all_probes())
+        x, f = phi._rows(*probes.rows)
     except (NotIdempotent, DegeneratePair, DegenerateImage,
             DimensionMismatch, TypeError) as exc:
         raise DegenerateProbe(f"probe image invalid: {exc}") from exc
@@ -498,7 +499,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
         raise NotInduced(f"assembled matrix unusable: {exc}", residual=None) from exc
 
     distances = _rank_one_distances(x[first:], f[first:],
-                                    *induce(a_op)._map_idempotents(probes.validation))
+                                    *induce(a_op)._rows(*(r[first:] for r in probes.rows)))
     residual = float(distances.max()) if distances.size else 0.0
     if not residual <= NOT_INDUCED_TOL:
         raise NotInduced(
@@ -563,10 +564,8 @@ def probe_table_from_operator(a: SemilinearOperator, validation_count=50,
     """Evaluate the induced map of ``a`` on the whole documented probe
     set; the resulting ``(input, output)`` list feeds
     :func:`handle_from_table`."""
-    probes = reconstruction_probe_set(a.n, a.field, validation_count, seed).all_probes()
-    x, f = induce(a)._map_idempotents(probes)
-    return [(p, RankOneIdempotent._from_checked_row(xk, fk))
-            for p, xk, fk in zip(probes, x, f)]
+    probes = reconstruction_probe_set(a.n, a.field, validation_count, seed)
+    return list(zip(probes.all_probes(), _rank_one_views(*induce(a)._rows(*probes.rows))))
 
 
 def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:

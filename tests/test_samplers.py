@@ -50,6 +50,7 @@ from idemap.transform import (
     extend,
     from_ray_pair,
     handle_from_table,
+    identity_handle,
     induce,
     probe_table_from_operator,
     reconstruct,
@@ -638,6 +639,52 @@ def test_black_boxes_get_read_only_rows(field):
     assert rays.violations
     assert_same_reports(is_symmetry(space, RayMap(ray_image_after_write), sample_count=150,
                                     seed=n), rays)
+
+
+def assert_read_only(*arrays):
+    for v in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0.0
+
+
+def _violating_reports(n, field):
+    """``check_preservation`` reports of the transpose map and
+    ``is_symmetry`` reports of a generic operator, each from a native and
+    a black-box evaluator, all with violations."""
+    rng = np.random.default_rng(5 * n)
+    space = IndefiniteSpace(generic_matrix(rng, n, field))
+    u = SemilinearOperator(generic_matrix(rng, n, field))
+    flipped = TransformHandle(lambda p: RankOneIdempotent(p.f, p.x), n, field)
+    reports = [check_preservation(phi, sample_count=150, seed=n)
+               for phi in (transpose_handle(n, field), flipped)]
+    reports += [is_symmetry(space, t, sample_count=150, seed=n)
+                for t in (induced_ray_map(u), RayMap(lambda ray: Ray(u(ray.representative))))]
+    assert all(report.violations for report in reports)
+    return reports
+
+
+@pytest.mark.parametrize("n", (3, 6))
+@pytest.mark.parametrize("field", (ScalarField.REAL, ScalarField.COMPLEX), ids=("real", "complex"))
+def test_witnesses_are_read_only(n, field):
+    """Every witness of a violation, idempotent or ray representative, is
+    a read-only view of the sampled rows."""
+    for report in _violating_reports(n, field):
+        for v in report.violations:
+            for w in (v.first, v.second):
+                assert_read_only(*((w.x, w.f) if isinstance(w, RankOneIdempotent) else (w,)))
+
+
+@pytest.mark.parametrize("field", (ScalarField.REAL, ScalarField.COMPLEX), ids=("real", "complex"))
+def test_reports_with_violations_compare_and_hash(field):
+    """Violations compare by identity, so same-seed reports with
+    violations compare without numpy's ambiguous truth value and hash;
+    violation-free reports still compare by value."""
+    for a, b in zip(_violating_reports(3, field), _violating_reports(3, field)):
+        assert a == a and a != b
+        assert len({a, b}) == 2
+    ok = [check_preservation(identity_handle(3, field), sample_count=20, seed=1)
+          for _ in range(2)]
+    assert ok[0] == ok[1] and hash(ok[0]) == hash(ok[1])
 
 
 # -- typed errors through the fallback ----------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -619,3 +621,31 @@ def test_probe_set_is_deterministic():
         np.testing.assert_array_equal(p.x, q.x)
         np.testing.assert_array_equal(p.f, q.f)
     assert len(a.all_probes()) == 4 + 3 + 2 + 1 + 5
+
+
+@pytest.mark.parametrize("n", (3, 6))
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_library_rows_are_read_only_views_of_one_block(n, field):
+    """The probe set's block holds the rows of ``all_probes()`` bit for bit
+    and in order, ``reconstruct`` reports that many probes, and every
+    probe, probe-table response and ``decompose`` piece is read-only."""
+    rng = np.random.default_rng(n)
+    probes = reconstruction_probe_set(n, field, 7, seed=n)
+    all_probes = probes.all_probes()
+    x, f = probes.rows
+    for block, want in ((x, [p.x for p in all_probes]), (f, [p.f for p in all_probes])):
+        want = np.array(want)
+        assert (block.dtype, block.shape) == (want.dtype, want.shape)
+        assert block.tobytes() == want.tobytes()
+    assert "rows" not in repr(probes)
+    assert dataclasses.replace(probes, rows=None) == probes
+
+    a = random_semilinear(rng, n, field)
+    result = reconstruct(induce(a), validation_count=7, seed=n)
+    assert result.probes_used == len(result.probes.all_probes()) == len(x)
+    responses = [q for _, q in probe_table_from_operator(a, 7, n)]
+    pieces = decompose(random_idempotent(rng, n, 2, field))
+    for p in all_probes + responses + pieces:
+        for v in (p.x, p.f):
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 0.0
