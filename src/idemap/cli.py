@@ -88,13 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_sym, default_samples=500)
     p_sym.add_argument("--mode", choices=["characterize", "recover"], default=None,
                        help="override the mode stored in the input file")
-    p_sym.add_argument("--tol", type=float, default=1e-8)
 
     p_self = sub.add_parser("selftest", help="run the verification suites")
     p_self.add_argument("--seed", type=int, default=42)
     p_self.add_argument("--samples", type=int, default=200,
                         help="budget per suite (0 = vacuous pass)")
-    p_self.add_argument("--tol", type=float, default=1e-8)
     p_self.add_argument("--out", dest="out", default=None,
                         help="optional JSON summary path")
     return parser
@@ -126,7 +124,7 @@ def _emit(args, report, summary_line):
 
 def _config_dict(args, command):
     cfg = {"command": command, "seed": args.seed, "samples": args.samples}
-    for key in ("tol", "n", "field"):
+    for key in ("n", "field"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     return cfg
@@ -206,8 +204,7 @@ def cmd_symmetry(args) -> int:
     if mode != "characterize":
         raise FormatError(f"unknown symmetry mode {mode!r}")
     ch = characterize(space, u)
-    check = is_symmetry(space, induced_ray_map(u), sample_count=args.samples,
-                        seed=args.seed, tol=args.tol)
+    check = is_symmetry(space, induced_ray_map(u), sample_count=args.samples, seed=args.seed)
     report = {
         "version": __version__,
         "seed": args.seed,
@@ -241,8 +238,7 @@ def cmd_selftest(args) -> int:
     if args.samples == 0:
         print("warning: budget 0 makes every suite pass vacuously",
               file=sys.stderr)
-    tol_scale = args.tol / 1e-8
-    results = run_all(seed=args.seed, budget=args.samples, tol_scale=tol_scale)
+    results = run_all(seed=args.seed, budget=args.samples)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name}: {r.detail} ({r.cases} cases)")

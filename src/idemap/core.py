@@ -198,25 +198,25 @@ def kernel_and_range(a, tol=None):
     return kernel, range_
 
 
-def orthonormal_columns(a, tol=None):
-    """Orthonormal basis of the column space of ``a`` (SVD based)."""
+def orthonormal_columns(a):
+    """Orthonormal basis of the column space of ``a`` (SVD based), of the
+    rank that singular values above ``RANK_TOL`` times the largest give."""
     m = _as_matrix(a, "matrix", square=False)
     if m.shape[1] == 0:
         return m.copy()
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if tol is None:
-        smax = s[0] if s.size and s[0] > 0 else 1.0
-        tol = RANK_TOL * smax
-    rank = int(np.sum(s > tol))
+    smax = s[0] if s.size and s[0] > 0 else 1.0
+    rank = int(np.sum(s > RANK_TOL * smax))
     return u[:, :rank]
 
 
-def subspace_contains(b_big, b_small, tol=1e-8):
-    """True if every column of ``b_small`` lies in ``span(b_big)``."""
+def subspace_contains(b_big, b_small):
+    """True if every column of ``b_small`` lies in the span of the
+    orthonormal columns ``b_big``, each residual norm at most ``1e-8``."""
     if b_small.shape[1] == 0:
         return True
     resid = b_small - b_big @ (b_big.conj().T @ b_small)
-    return bool(np.linalg.norm(resid, axis=0).max() <= tol)
+    return bool(np.linalg.norm(resid, axis=0).max() <= 1e-8)
 
 
 def up_to_scalar_distance(b, a):

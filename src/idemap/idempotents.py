@@ -127,9 +127,11 @@ class FiniteRankIdempotent:
 
     def __init__(self, matrix):
         m = _as_matrix(matrix, "idempotent")
-        fro = np.linalg.norm(m)
-        resid = np.linalg.norm(m @ m - m)
-        if resid > IDEM_TOL * (1.0 + fro**2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.linalg.norm(m @ m - m)
+            bound = IDEM_TOL * (1.0 + np.linalg.norm(m)**2)
+        # An overflowed residual or bound proves nothing: refuse it.
+        if not resid <= bound < np.inf:
             raise NotIdempotent(f"||P@P - P|| = {resid:.3e} exceeds tolerance")
         tr = np.trace(m)
         rank = int(round(float(tr.real)))
@@ -215,7 +217,7 @@ def _rank_one_row(x, f):
 
 @dataclass(frozen=True)
 class Relation:
-    """Flags for the products of two idempotents at a given tolerance."""
+    """Flags for the products of two idempotents, as :func:`relate` decides them."""
 
     pq_zero: bool
     qp_zero: bool
@@ -224,19 +226,15 @@ class Relation:
     q_leq_p: bool
 
 
-def default_relation_tol(p_matrix, q_matrix) -> float:
-    return 1e-8 * (1.0 + np.linalg.norm(p_matrix)) * (1.0 + np.linalg.norm(q_matrix))
-
-
-def relate(p, q, tol=None) -> Relation:
+def relate(p, q) -> Relation:
     """Evaluate ``PQ = 0``, ``QP = 0``, orthogonality and the order
-    relations ``P <= Q`` (``PQ = QP = P``) and ``Q <= P``."""
+    relations ``P <= Q`` (``PQ = QP = P``) and ``Q <= P``, each product
+    residual within ``1e-8 (1 + ||P||)(1 + ||Q||)`` (Frobenius norms)."""
     pm = matrix_of(p)
     qm = matrix_of(q)
     if pm.shape != qm.shape:
         raise DimensionMismatch(f"relate: shapes {pm.shape} vs {qm.shape}")
-    if tol is None:
-        tol = default_relation_tol(pm, qm)
+    tol = 1e-8 * (1.0 + np.linalg.norm(pm)) * (1.0 + np.linalg.norm(qm))
     pq = pm @ qm
     qp = qm @ pm
     pq_zero = bool(np.linalg.norm(pq) <= tol)

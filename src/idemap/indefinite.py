@@ -42,6 +42,7 @@ from .errors import DimensionMismatch
 from .idempotents import _normalized_rows
 from .sampling import _eta_orthogonal_rows, random_matrix
 from .transform import (
+    MARGIN_TOL,
     ReconstructionResult,
     SampleReport,
     TransformHandle,
@@ -118,14 +119,15 @@ class Ray:
         return f"Ray(n={self.n})"
 
 
-def rays_equal(r1: Ray, r2: Ray, tol=1e-10) -> bool:
-    """Linear dependence of the representatives (angle criterion)."""
+def rays_equal(r1: Ray, r2: Ray) -> bool:
+    """Linear dependence of the representatives (angle criterion): ``b``
+    lies within ``1e-10 ||b||`` of its projection on ``a``."""
     if r1.n != r2.n:
         raise DimensionMismatch(f"rays_equal: dimensions {r1.n} vs {r2.n}")
     a = r1.representative
     b = r2.representative
     coef = np.vdot(a, b) / np.vdot(a, a)
-    return bool(np.linalg.norm(b - coef * a) <= tol * np.linalg.norm(b))
+    return bool(np.linalg.norm(b - coef * a) <= 1e-10 * np.linalg.norm(b))
 
 
 @dataclass(frozen=True)
@@ -215,8 +217,9 @@ def _orthogonality_margins(eta, x, y):
     return _row_abs(_row_dots(y.conj(), w)) / (_row_norms(w) * _row_norms(y))
 
 
-def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray, tol=1e-8) -> bool:
-    """``|<eta x, y>| <= tol * ||eta x|| * ||y||`` for the representatives.
+def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray) -> bool:
+    """``|<eta x, y>| <= MARGIN_TOL * ||eta x|| * ||y||`` for the
+    representatives, with the samplers' :data:`~idemap.transform.MARGIN_TOL`.
 
     Homogeneous in both representatives, so the choice within each ray is
     irrelevant.
@@ -225,7 +228,7 @@ def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray, tol=1e-8) -> bo
         raise DimensionMismatch(f"rays of dimensions {rx.n}, {ry.n} in dimension {space.n}")
     margin = _orthogonality_margins(space.eta, rx.representative[None],
                                     ry.representative[None])
-    return bool(margin[0] <= tol)
+    return bool(margin[0] <= MARGIN_TOL)
 
 
 def eta_orthogonal_partner(space: IndefiniteSpace, x, rng):
@@ -249,16 +252,15 @@ def _draw_ray_pairs(rng, space: IndefiniteSpace, crafted, plain):
     return np.stack((v[:size], np.concatenate((y, v[size:]))), axis=1).reshape(-1, space.n)
 
 
-def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0,
-                tol=1e-8) -> SampleReport:
+def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0) -> SampleReport:
     """Check the biconditional ``T x ._eta T y = 0  iff  x ._eta y = 0``.
 
     Half the sampled pairs are crafted to be exactly ``eta``-orthogonal.
     A pair is reported only when the margins disagree decisively (one
-    side at most ``tol``, the other at least ``100 * tol``); violations
-    are data about the map, not an error.  Each
-    :class:`~idemap.transform.Violation` holds the two sampled
-    representative vectors, as read-only views.
+    side at most :data:`~idemap.transform.MARGIN_TOL`, the other at least
+    ``100 * MARGIN_TOL``); violations are data about the map, not an
+    error.  Each :class:`~idemap.transform.Violation` holds the two
+    sampled representative vectors, as read-only views.
 
     Pairs are drawn, mapped and judged in blocks of
     :data:`~idemap.transform.SAMPLE_BLOCK`.  Each block is drawn directly
@@ -271,7 +273,7 @@ def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0,
     raises ``ValueError``; zero gives a vacuous report.
     """
     return _sample_biconditional(
-        space.n, space.field, sample_count, seed, tol,
+        space.n, space.field, sample_count, seed,
         draw=lambda rng, crafted, plain: _draw_ray_pairs(rng, space, crafted, plain),
         image=t._rows,
         margins=lambda v: _orthogonality_margins(space.eta, v[0::2], v[1::2]))
@@ -300,15 +302,16 @@ class Characterization:
 CHARACTERIZE_TOL = 1e-8
 
 
-def characterize(space: IndefiniteSpace, u: SemilinearOperator,
-                 tol=CHARACTERIZE_TOL) -> Characterization:
+def characterize(space: IndefiniteSpace, u: SemilinearOperator) -> Characterization:
     """Test whether ``u`` scales the metric, on all basis pairs.
 
     For the identity tag the identity under test is
     ``(U e_i, U e_j) = c (e_i, e_j)``; for the conjugation tag it is
     ``(U e_i, U e_j) = d (e_j, e_i)_{eta*}`` with ``eta*`` the conjugate
     transpose.  The constant is fitted on the basis pair with the largest
-    right-hand side and then verified on all ``n^2`` pairs.
+    right-hand side and then verified on all ``n^2`` pairs, within
+    ``CHARACTERIZE_TOL`` times one plus the largest entries of both sides.
+    Raises ``ValueError`` when ``M^H eta M`` or the constant overflows.
     """
     if u.n != space.n:
         raise DimensionMismatch("operator dimension does not match the space")
@@ -317,14 +320,18 @@ def characterize(space: IndefiniteSpace, u: SemilinearOperator,
         kind, rhs = SymmetryKind.LINEAR, eta.T
     else:
         kind, rhs = SymmetryKind.CONJUGATE, eta.conj().T
-    # ``U e_i`` is column ``i`` of ``M``, so ``lhs[i, j] = (U e_j)^H eta
-    # (U e_i)`` is the transpose of ``M^H eta M``.
-    lhs = (m.conj().T @ eta @ m).T.astype(np.complex128)
     rhs = rhs.astype(np.complex128)
     ref = np.unravel_index(int(np.argmax(np.abs(rhs))), rhs.shape)
-    constant = lhs[ref] / rhs[ref]
+    # ``U e_i`` is column ``i`` of ``M``, so ``lhs[i, j] = (U e_j)^H eta
+    # (U e_i)`` is the transpose of ``M^H eta M``.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = (m.conj().T @ eta @ m).T.astype(np.complex128)
+        constant = lhs[ref] / rhs[ref]
     scale = 1.0 + np.abs(lhs).max() + abs(constant) * np.abs(rhs).max()
-    if np.abs(lhs - constant * rhs).max() > tol * scale:
+    # An overflowed entry would make the residual NaN, which passes the check.
+    if not math.isfinite(scale):
+        raise ValueError("characterize: M^H eta M or its constant overflows")
+    if np.abs(lhs - constant * rhs).max() > CHARACTERIZE_TOL * scale:
         return Characterization(SymmetryKind.NONE, None)
     if space.field is ScalarField.REAL:
         constant = float(constant.real)

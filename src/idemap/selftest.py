@@ -22,12 +22,13 @@ sufficiency, necessity      ``min(50, max(4, b // 4))`` metrics x
 recovery                    ``min(50, max(4, b // 4))`` cases
 ==========================  ===============================================
 
-``tol_scale`` multiplies every pass threshold (1.0 reproduces the
-documented tolerances).  A budget of 0 makes every suite pass vacuously;
-a negative budget is refused.  A failing suite lists one reason per
-failing case, or the exception it raised, in ``SuiteResult.failures``.
-The suites with a corpus (metric kinds, conjugate-linear cases) also
-fail when fewer than a fifth of their cases are of the kind they must cover.
+Zero products, orders and symmetry kinds are decided by the library's
+own tolerances, which no caller sets.  A budget of 0 makes every suite
+pass vacuously; a negative budget is refused.  A failing suite lists one
+reason per failing case, or the exception it raised, in
+``SuiteResult.failures``.  The suites with a corpus (metric kinds,
+conjugate-linear cases) also fail when fewer than a fifth of their cases
+are of the kind they must cover.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ from .core import (
     up_to_scalar_distance,
 )
 from .errors import NotInduced
-from .idempotents import decompose, default_relation_tol, majorant, relate
+from .idempotents import decompose, majorant, relate
 from .indefinite import (
-    CHARACTERIZE_TOL,
     IndefiniteSpace,
     SymmetryKind,
     characterize,
@@ -90,11 +90,11 @@ def _suite(name):
     A body that raises fails the suite with the exception as its reason."""
     def wrap(body):
         @functools.wraps(body)
-        def suite(rng, budget, tol_scale) -> SuiteResult:
+        def suite(rng, budget) -> SuiteResult:
             if budget == 0:
                 return SuiteResult(name, True, 0, "vacuous pass (budget 0)")
             try:
-                cases, failures, detail = body(rng, budget, tol_scale)
+                cases, failures, detail = body(rng, budget)
             except Exception as exc:
                 reason = f"suite raised {type(exc).__name__}: {exc}"
                 return SuiteResult(name, False, 0, reason, (reason,))
@@ -112,12 +112,12 @@ def _seed(rng):
 
 
 @_suite("roundtrip_reconstruction")
-def suite_roundtrip(rng, budget, tol_scale):
+def suite_roundtrip(rng, budget):
     """Reconstruction inverts induction up to one scalar, with the right tag."""
     combos = [(n, field, tag) for n in DIMS
               for field, tag in ((_REAL, _ID), (_COMPLEX, _ID), (_COMPLEX, _CONJ))]
     cases = min(budget, 100)
-    threshold = 1e-7 * tol_scale
+    threshold = 1e-7
     failures = []
     worst = 0.0
     for i in range(cases):
@@ -140,22 +140,21 @@ def suite_roundtrip(rng, budget, tol_scale):
 
 
 @_suite("zero_product_preservation")
-def suite_preservation(rng, budget, tol_scale):
+def suite_preservation(rng, budget):
     """Induced maps keep zero products; the transpose map must not."""
-    tol = 1e-8 * tol_scale
     pairs = max(10, min(budget, 1000))
     maps = ((3, _REAL, _ID), (4, _COMPLEX, _ID), (5, _COMPLEX, _CONJ),
             (6, _COMPLEX, _ID))
     failures = []
     for i, (n, field, tag) in enumerate(maps):
         phi = induce(random_semilinear(rng, n, field, auto=tag))
-        report = check_preservation(phi, sample_count=pairs, seed=_seed(rng), tol=tol)
+        report = check_preservation(phi, sample_count=pairs, seed=_seed(rng))
         if report.pairs_tested != pairs or report.violations:
             failures.append(f"case {i} (n={n}, {field.value}, {tag.value}): "
                             f"{len(report.violations)} violations in "
                             f"{report.pairs_tested}/{pairs} pairs")
     flipped = check_preservation(transpose_handle(3, _COMPLEX),
-                                 sample_count=pairs, seed=_seed(rng), tol=tol)
+                                 sample_count=pairs, seed=_seed(rng))
     caught = len(flipped.violations)
     if not caught:
         failures.append(f"case {len(maps)} (transpose, n=3): no violation in "
@@ -166,9 +165,9 @@ def suite_preservation(rng, budget, tol_scale):
 
 
 @_suite("trace_identity")
-def suite_trace_identity(rng, budget, tol_scale):
+def suite_trace_identity(rng, budget):
     """``trace(ext(P) ext(Q)) = h(trace(P Q))`` for induced maps."""
-    threshold = 1e-8 * tol_scale
+    threshold = 1e-8
     pairs = max(1, min(budget, 800) // 4)
     maps = ((3, _REAL, _ID), (4, _COMPLEX, _ID), (5, _COMPLEX, _CONJ),
             (6, _COMPLEX, _CONJ))
@@ -192,10 +191,10 @@ def suite_trace_identity(rng, budget, tol_scale):
 
 
 @_suite("extension_well_defined")
-def suite_extension(rng, budget, tol_scale):
+def suite_extension(rng, budget):
     """Extension output does not depend on the chosen decomposition, to
-    ``1e-8 * tol_scale`` relative to the extension's Frobenius norm."""
-    threshold = 1e-8 * tol_scale
+    ``1e-8`` relative to the extension's Frobenius norm."""
+    threshold = 1e-8
     per_rank = max(1, min(budget, 200) // 2)
     failures = []
     worst = 0.0
@@ -224,7 +223,7 @@ def suite_extension(rng, budget, tol_scale):
 
 
 @_suite("majorant_order")
-def suite_majorant(rng, budget, tol_scale):
+def suite_majorant(rng, budget):
     """The common majorant dominates both inputs under ``relate``."""
     cases = min(budget, 200)
     failures = []
@@ -238,8 +237,7 @@ def suite_majorant(rng, budget, tol_scale):
         except Exception as exc:
             failures.append(_raised(i, exc))
             continue
-        dominated = [relate(p, big, tol=default_relation_tol(p.matrix, big.matrix)
-                            * tol_scale).p_leq_q for p in (p1, p2)]
+        dominated = [relate(p, big).p_leq_q for p in (p1, p2)]
         if big.rank > n or not all(dominated):
             failures.append(f"case {i} (n={n}, {field.value}): rank {big.rank}, "
                             f"P1 <= P: {dominated[0]}, P2 <= P: {dominated[1]}")
@@ -271,10 +269,9 @@ def _metric(rng, n, field, index):
 
 
 @_suite("symmetry_sufficiency")
-def suite_sufficiency(rng, budget, tol_scale):
+def suite_sufficiency(rng, budget):
     """Generated metric isometries are symmetries with the right constant."""
     count, pairs = min(50, max(4, budget // 4)), max(10, min(budget, 1000))
-    tol = 1e-8 * tol_scale
     failures = []
     non_self_adjoint = 0
     for i in range(count):
@@ -285,16 +282,15 @@ def suite_sufficiency(rng, budget, tol_scale):
         space = IndefiniteSpace(eta)
         scale = float(rng.uniform(0.5, 4.0))
         v = generate_eta_isometry(space, _seed(rng), scale=scale)
-        ch = characterize(space, v, tol=CHARACTERIZE_TOL * tol_scale)
+        ch = characterize(space, v)
         case = f"case {i} (n={n}, {field.value})"
-        if ch.kind is not SymmetryKind.LINEAR or abs(ch.constant - scale) > tol:
+        if ch.kind is not SymmetryKind.LINEAR or abs(ch.constant - scale) > 1e-8:
             failures.append(f"{case}: characterized {ch.kind.value} with "
                             f"constant {ch.constant}, expected {scale}")
             continue
         c = float(rng.uniform(0.5, 2.0))
         scaled = SemilinearOperator(c * v.matrix, v.auto)
-        report = is_symmetry(space, induced_ray_map(scaled), sample_count=pairs,
-                             seed=_seed(rng), tol=tol)
+        report = is_symmetry(space, induced_ray_map(scaled), sample_count=pairs, seed=_seed(rng))
         if report.pairs_tested != pairs or report.violations:
             failures.append(f"{case}: {len(report.violations)} violations in "
                             f"{report.pairs_tested}/{pairs} pairs")
@@ -306,7 +302,7 @@ def suite_sufficiency(rng, budget, tol_scale):
 
 
 @_suite("symmetry_necessity")
-def suite_necessity(rng, budget, tol_scale):
+def suite_necessity(rng, budget):
     """Generic operators are flagged and their ray maps caught violating."""
     count, pairs = min(50, max(4, budget // 4)), max(10, min(budget, 1000))
     failures = []
@@ -315,14 +311,13 @@ def suite_necessity(rng, budget, tol_scale):
         field = _COMPLEX if i % 2 else _REAL
         space = IndefiniteSpace(_metric(rng, n, field, i)[0])
         u = random_semilinear(rng, n, field, auto=_ID)
-        ch = characterize(space, u, tol=CHARACTERIZE_TOL * tol_scale)
+        ch = characterize(space, u)
         case = f"case {i} (n={n}, {field.value})"
         if ch.kind is not SymmetryKind.NONE:
             failures.append(f"{case}: characterized {ch.kind.value} with "
                             f"constant {ch.constant}, expected none")
             continue
-        report = is_symmetry(space, induced_ray_map(u), sample_count=pairs,
-                             seed=_seed(rng), tol=1e-8 * tol_scale)
+        report = is_symmetry(space, induced_ray_map(u), sample_count=pairs, seed=_seed(rng))
         if not report.violations:
             failures.append(f"{case}: no violation in {report.pairs_tested} pairs")
     return (count, failures,
@@ -331,10 +326,10 @@ def suite_necessity(rng, budget, tol_scale):
 
 
 @_suite("symmetry_recovery")
-def suite_recovery(rng, budget, tol_scale):
+def suite_recovery(rng, budget):
     """The inducing operator of a symmetry is recovered up to a scalar."""
     count = min(50, max(4, budget // 4))
-    threshold = 1e-6 * tol_scale
+    threshold = 1e-6
     failures = []
     worst = 0.0
     conjugate_cases = 0
@@ -385,8 +380,8 @@ SUITES = (
 )
 
 
-def run_all(seed=42, budget=200, tol_scale=1.0) -> list[SuiteResult]:
+def run_all(seed=42, budget=200) -> list[SuiteResult]:
     if budget < 0:
         raise ValueError(f"selftest budget must be >= 0, got {budget}")
     rng = np.random.default_rng(seed)
-    return [suite(rng, budget, tol_scale) for suite in SUITES]
+    return [suite(rng, budget) for suite in SUITES]

@@ -58,6 +58,9 @@ NOT_INDUCED_TOL = 1e-6
 #: Relative distance within which :func:`handle_from_table` matches a query.
 TABLE_MATCH_TOL = 1e-8
 
+#: Normalized margin at or below which a sampled pair counts as a zero product.
+MARGIN_TOL = 1e-8
+
 #: Pairs the samplers draw, evaluate and judge together; every per-call
 #: temporary array is of this size, whatever the sample count.  Each
 #: block pays a fixed Python cost for its draws and redraw rounds: for
@@ -220,7 +223,7 @@ def _draw_idempotent_pairs(rng, n, field, crafted, plain):
                             np.stack((f[:size], qf), axis=1).reshape(-1, n))
 
 
-def _sample_biconditional(n, field, sample_count, seed, tol, draw, image,
+def _sample_biconditional(n, field, sample_count, seed, draw, image,
                           margins) -> SampleReport:
     """The sample behind :func:`check_preservation` and
     :func:`~idemap.indefinite.is_symmetry`.  Per block of at most
@@ -237,8 +240,8 @@ def _sample_biconditional(n, field, sample_count, seed, tol, draw, image,
         head = min(max(crafted - start, 0), size)
         rows = draw(rng, head, size - head)
         pre, post = margins(rows), margins(image(rows))
-        decisive = ((pre <= tol) & (post >= 100 * tol)) | ((post <= tol) & (pre >= 100 * tol))
-        pairs = np.flatnonzero(decisive)
+        pairs = np.flatnonzero((np.minimum(pre, post) <= MARGIN_TOL)
+                               & (np.maximum(pre, post) >= 100 * MARGIN_TOL))
         if pairs.size:
             # Witnesses: read-only views of the decisive pairs' rows, frozen once.
             pick = (2 * pairs[:, None] + [0, 1]).ravel()
@@ -249,17 +252,16 @@ def _sample_biconditional(n, field, sample_count, seed, tol, draw, image,
     return SampleReport(tuple(violations), sample_count)
 
 
-def check_preservation(phi: TransformHandle, sample_count=500, seed=0,
-                       tol=1e-8) -> SampleReport:
+def check_preservation(phi: TransformHandle, sample_count=500, seed=0) -> SampleReport:
     """Sample idempotent pairs and check ``PQ = 0  iff  phi(P)phi(Q) = 0``.
 
     Half the pairs are crafted to satisfy ``PQ = 0`` exactly (zero
     products have measure zero, so rejection sampling would never see
     them).  A pair is reported only when the biconditional fails with
-    margin: one side's normalized product norm is at most ``tol`` while
-    the other side's is at least ``100 * tol``.  A nonempty violation
-    list is data about the map, not an error; each :class:`Violation`
-    holds the two sampled idempotents, as read-only views.
+    margin: one side's normalized product norm is at most ``MARGIN_TOL``
+    while the other side's is at least ``100 * MARGIN_TOL``.  A nonempty
+    violation list is data about the map, not an error; each
+    :class:`Violation` holds the two sampled idempotents, as read-only views.
 
     Pairs are drawn, mapped and judged in blocks of ``SAMPLE_BLOCK``.
     Each block is drawn directly from the seeded generator, so the same
@@ -272,7 +274,7 @@ def check_preservation(phi: TransformHandle, sample_count=500, seed=0,
     """
     n, field = phi.n, phi.field
     return _sample_biconditional(
-        n, field, sample_count, seed, tol,
+        n, field, sample_count, seed,
         draw=lambda rng, crafted, plain: _draw_idempotent_pairs(
             rng, n, field, crafted, plain),
         image=lambda rows: phi._rows(*rows),

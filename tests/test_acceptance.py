@@ -19,7 +19,7 @@ from idemap import selftest
 def _accept(criterion, suite, budget):
     """Run one suite at its full budget; returns the elapsed seconds."""
     start = time.monotonic()
-    r = suite(np.random.default_rng(100 + criterion), budget, 1.0)
+    r = suite(np.random.default_rng(100 + criterion), budget)
     elapsed = time.monotonic() - start
     assert r.passed, r.failures
     print(f"[acceptance] criterion {criterion}: PASS - {r.detail}, {elapsed:.1f}s")

@@ -1,15 +1,19 @@
-"""What the traced benchmark run (``perfbench/tracing.py``) needs from
-idemap: every function, method and suite it wraps must still resolve, and
-a table handle must look its ``_eval`` up at call time.  The tracer only
-warns on stderr when either breaks, and the traced layer silently drops
-out of the report."""
+"""What the benchmark needs from idemap.  The traced run
+(``perfbench/tracing.py``): every function, method and suite it wraps must
+still resolve, and a table handle must look its ``_eval`` up at call time.
+The tracer only warns on stderr when either breaks, and the traced layer
+silently drops out of the report.  The ``cli`` workload: every command
+line it runs must parse, or the whole benchmark run fails."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import idemap.cli
+from idemap.cli import build_parser
 from idemap.core import ScalarField, identity_operator
 from idemap.transform import handle_from_table, probe_table_from_operator
 
@@ -48,3 +52,25 @@ def test_table_handle_eval_is_looked_up_at_call_time():
     p = table[0][0]
     np.testing.assert_array_equal(phi(p).matrix, table[0][1].matrix)
     assert tracer.calls[tracer.names.index("transform.table_lookup")] == 1
+
+
+def test_cli_workload_command_lines_parse(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.build_cli(np.random.default_rng(3), str(tmp_path))
+    lines = []
+
+    def parse(argv):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the benchmark's command line does not parse: {argv}")
+        lines.append(argv)
+        return 0
+
+    monkeypatch.setattr(idemap.cli, "main", parse)
+    for op in ops:
+        op.run()
+    assert len(lines) == len(ops) == 47
+    flags = {arg for argv in lines for arg in argv if arg.startswith("--")}
+    assert flags == {"--in", "--out", "--seed", "--samples", "--mode"}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -47,8 +48,11 @@ class TestArguments:
         ["reconstruct"],
         ["selftest", "--samples", "abc"],
         ["reconstruct", "--in", "in.json", "--tol", "1e-6"],
+        ["symmetry", "--in", "in.json", "--tol", "1e-6"],
+        ["selftest", "--tol", "1e-8"],
         ["unknown"],
-    ], ids=("missing-in", "bad-int", "reconstruct-tol", "unknown-command"))
+    ], ids=("missing-in", "bad-int", "reconstruct-tol", "symmetry-tol", "selftest-tol",
+            "unknown-command"))
     def test_argument_errors_exit_1(self, argv, capsys):
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
@@ -216,6 +220,16 @@ class TestSymmetryCommand:
         )
         assert main(["symmetry", "--in", inp, "--samples", "50"]) == 0
 
+    def test_tol_is_refused(self, tmp_path, capsys):
+        # with a readable input, unlike the argument-error cases: the flag
+        # itself is refused, not the missing file
+        inp = write_json(
+            tmp_path / "id.json",
+            self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "characterize"),
+        )
+        assert main(["symmetry", "--in", inp, "--tol", "1e-6"]) == 1
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_generic_triangular_exits_2(self, tmp_path):
         u = SemilinearOperator(np.array([[1.0, 2.0, 0], [0, 1.0, 3.0],
                                          [0, 0, 1.0]]))
@@ -279,6 +293,15 @@ class TestSymmetryCommand:
                          "--out", str(out), "--samples", "-3"]) == 1
             assert not out.exists()
 
+    def test_overflowing_characterization_exits_1(self, tmp_path, capsys):
+        u = SemilinearOperator(1e155 * np.array([[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1.0]]))
+        inp = write_json(tmp_path / "huge.json",
+                         self._payload(np.diag([1.0, 1.0, -1.0]), u, "characterize"))
+        out = tmp_path / "rep.json"
+        assert main(["symmetry", "--in", inp, "--out", str(out), "--samples", "20"]) == 1
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()  # the parent wrote "constant": [Infinity, 0.0]
+
     def test_unknown_mode_exits_1(self, tmp_path, capsys):
         inp = write_json(tmp_path / "invert.json",
                          self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "invert"))
@@ -312,9 +335,19 @@ class TestSelftestCommand:
         assert main(["selftest", "--samples", "-3"]) == 1
         assert "[PASS]" not in capsys.readouterr().out
 
-    def test_broken_tolerance_exits_3(self, capsys):
-        assert main(["selftest", "--samples", "16", "--tol", "1e-20"]) == 3
-        assert "\n    case 0 " in capsys.readouterr().out  # failure reasons
+    def test_wrong_reconstruction_exits_3(self, monkeypatch, capsys):
+        # an operator moved by 1e-5 I is beyond the roundtrip threshold of 1e-7
+        def moved(*args, **kwargs):
+            result = reconstruct(*args, **kwargs)
+            m = result.A.matrix
+            return dataclasses.replace(
+                result, A=SemilinearOperator(m + 1e-5 * np.eye(len(m)), result.A.auto))
+
+        monkeypatch.setattr(selftest, "reconstruct", moved)
+        assert main(["selftest", "--samples", "16"]) == 3
+        out = capsys.readouterr().out
+        assert "[FAIL] roundtrip_reconstruction" in out
+        assert "\n    case 0 (" in out  # failure reasons
 
     @pytest.mark.parametrize("name, error", [
         ("generate_eta_isometry", ArithmeticError("isometry generation failed")),

@@ -165,6 +165,15 @@ class TestFiniteRank:
     def test_zero_is_valid(self):
         assert FiniteRankIdempotent(np.zeros((3, 3))).rank == 0
 
+    def test_overflowing_residual_rejected(self):
+        # ||P@P - P|| and its bound 1e-9 (1 + ||P||^2) both overflow to inf,
+        # and inf > inf is false: the check must not pass, nor warn on the way.
+        m = [[1, 1e160, 0], [1e160, 0, 0], [0, 0, 0]]
+        with pytest.raises(NotIdempotent):
+            FiniteRankIdempotent(m)
+        with pytest.raises(NotIdempotent):
+            decompose(m)
+
 
 class TestRelate:
     def test_orthogonal_basis_idempotents(self):

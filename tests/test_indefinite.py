@@ -234,6 +234,16 @@ class TestCharacterize:
         assert ch.kind is SymmetryKind.NONE
         assert ch.constant is None
 
+    @pytest.mark.parametrize("scale, m", [
+        (1e155, [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]),  # not a scaled isometry
+        (1e160, np.eye(3)),
+    ], ids=("non-isometry", "identity"))
+    def test_overflow_is_refused(self, scale, m):
+        # M^H eta M overflows; NaN residuals would pass the check.
+        u = SemilinearOperator(scale * np.asarray(m))
+        with pytest.raises(ValueError, match="overflow"):
+            characterize(IndefiniteSpace(MINKOWSKI), u)
+
     def test_constant_matches_trace_formula(self):
         rng = np.random.default_rng(5)
         for i in range(20):

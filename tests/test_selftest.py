@@ -1,16 +1,18 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from idemap import selftest
+from idemap.core import SemilinearOperator
 from idemap.idempotents import FiniteRankIdempotent
 from idemap.selftest import SUITES, run_all
 from idemap.transform import RayPair, extend, from_ray_pair
 
 
 def test_all_suites_pass_at_small_budget():
-    results = run_all(seed=5, budget=24, tol_scale=1.0)
+    results = run_all(seed=5, budget=24)
     assert len(results) == len(SUITES) == 8
     for r in results:
         assert r.passed, (r.name, r.failures)
@@ -23,11 +25,36 @@ def test_zero_budget_is_vacuous():
     assert all("vacuous" in r.detail for r in results)
 
 
-def test_impossible_tolerance_fails():
-    results = run_all(seed=5, budget=16, tol_scale=1e-12)
-    failed = [r for r in results if not r.passed]
-    assert failed
-    assert all(r.failures and r.failures[0].startswith("case ") for r in failed)
+def _moved_operator(func):
+    """``func`` with the operator of its result moved by ``1e-5 I``: a
+    wrong result that only the suite's distance threshold can catch."""
+    def moved(*args, **kwargs):
+        result = func(*args, **kwargs)
+        m = result.A.matrix
+        return dataclasses.replace(
+            result, A=SemilinearOperator(m + 1e-5 * np.eye(len(m)), result.A.auto))
+    return moved
+
+
+def _moved_constant(func):
+    """``func`` with the constant of its characterization off by a relative 1e-6."""
+    def moved(*args, **kwargs):
+        ch = func(*args, **kwargs)
+        return dataclasses.replace(ch, constant=ch.constant * (1 + 1e-6))
+    return moved
+
+
+@pytest.mark.parametrize("suite, name, patch", [
+    (selftest.suite_roundtrip, "reconstruct", _moved_operator),
+    (selftest.suite_sufficiency, "characterize", _moved_constant),
+    (selftest.suite_recovery, "recover_inducing_operator", _moved_operator),
+], ids=("roundtrip", "sufficiency", "recovery"))
+def test_suite_fails_a_result_beyond_its_threshold(suite, name, patch, monkeypatch):
+    monkeypatch.setattr(selftest, name, patch(getattr(selftest, name)))
+    result = suite(np.random.default_rng(5), 16)
+    assert not result.passed
+    assert len(result.failures) == result.cases
+    assert all(re.match(r"case \d+ \(", f) for f in result.failures), result.failures
 
 
 def test_negative_budget_raises():
@@ -48,8 +75,8 @@ def test_extension_threshold_is_relative_to_the_extension():
     # and rounding noise.  An absolute 1e-8 failed it.
     rng = np.random.default_rng(87)
     for suite in SUITES[:SUITES.index(selftest.suite_extension)]:
-        suite(rng, 200, 1.0)
-    result = selftest.suite_extension(rng, 200, 1.0)
+        suite(rng, 200)
+    result = selftest.suite_extension(rng, 200)
     assert result.passed, result.failures
     worst = re.search(r"worst relative disagreement (\S+)", result.detail)
     assert float(worst.group(1)) < 1e-10
@@ -78,7 +105,7 @@ def _decomposition_dependent(phi, p, decomposition):
 ], ids=("wrong-functional-side", "decomposition-dependent"))
 def test_extension_suite_fails_a_wrong_extension(name, patch, reason, monkeypatch):
     monkeypatch.setattr(selftest, name, patch)
-    result = selftest.suite_extension(np.random.default_rng(0), 24, 1.0)
+    result = selftest.suite_extension(np.random.default_rng(0), 24)
     assert not result.passed
     assert len(result.failures) == result.cases
     assert all(reason in f for f in result.failures)
