@@ -18,12 +18,22 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularOperator
 
-#: Relative singular-value floor below which a matrix counts as singular.
-TOL_SINGULAR = 1e-10
-
-#: Rank-threshold factor for kernel/range splits, relative to the largest
-#: singular value of the input.
-RANK_TOL = 1e-9
+# The tolerance table: each check compares a residual with ``RULE * scale``
+# and names both in its docstring.  The README's "Tolerances" table lists them.
+#: A matrix is singular, ``s_min <= c s_max``; two rays are one.
+SINGULAR_RTOL = 1e-10
+#: A singular value or a principal-angle sine counts as zero.
+RANK_RTOL = 1e-9
+#: ``pair(x, f)`` is 1 (a rank-one idempotent) or 0 (a degenerate pair).
+PAIRING_RTOL = 1e-10
+#: A matrix identity holds: ``P P = P``, ``U G = P``, ``V* eta V = s eta``.
+IDENTITY_RTOL = 1e-9
+#: A relation holds: ``PQ = 0``, eta-orthogonality, order, an integer trace.
+RELATION_TOL = 1e-8
+#: A recovered value matches: ``h(i) = +-i``, the validation residual.
+RECOVERY_TOL = 1e-6
+#: A quantity is zero at roundoff.
+ROUNDOFF_RTOL = 1e-12
 
 
 class ScalarField(enum.Enum):
@@ -74,6 +84,18 @@ def _as_array(a):
     return v
 
 
+def _in_range(a):
+    """``a`` at a safe scale: times the power of two that brings its largest
+    real or imaginary part into ``[0.5, 1)`` if that part is outside ``[2^-500,
+    2^500]``, so that a scale-invariant check on it cannot overflow."""
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    big = max(np.abs(part).max() for part in parts)
+    if 2.0**-500 <= big <= 2.0**500:
+        return a
+    e = -np.frexp(big)[1]  # in two factors, since 2^e alone can overflow
+    return a * np.ldexp(1.0, e // 2) * np.ldexp(1.0, e - e // 2)
+
+
 def _as_vector(x, name="vector"):
     v = _as_array(x)
     if v.ndim != 1:
@@ -96,9 +118,9 @@ def _as_matrix(a, name="matrix", square=True):
 
 def _require_invertible(m, name):
     """Raise :class:`SingularOperator` unless the smallest singular value
-    of ``m`` exceeds ``TOL_SINGULAR`` times the largest."""
+    of ``m`` exceeds ``SINGULAR_RTOL`` times the largest."""
     s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= TOL_SINGULAR * s[0]:
+    if s[-1] <= SINGULAR_RTOL * s[0]:
         raise SingularOperator(
             f"{name} is numerically singular (smin {s[-1]:.3e}, smax {s[0]:.3e})"
         )
@@ -178,7 +200,7 @@ def kernel_and_range(a, tol=None):
     """Orthonormal bases of the kernel and the column space of ``a``.
 
     Rank is decided by a singular-value threshold.  ``tol`` defaults to
-    ``RANK_TOL`` times the largest singular value.  Both bases are
+    ``RANK_RTOL`` times the largest singular value.  Both bases are
     orthonormal in coordinates; for a square input the dimensions add up
     to ``n``.
 
@@ -191,7 +213,7 @@ def kernel_and_range(a, tol=None):
     u, s, vh = np.linalg.svd(m)
     if tol is None:
         smax = s[0] if s.size and s[0] > 0 else 1.0
-        tol = RANK_TOL * smax
+        tol = RANK_RTOL * smax
     rank = int(np.sum(s > tol))
     kernel = vh[rank:].conj().T
     range_ = u[:, :rank]
@@ -200,23 +222,14 @@ def kernel_and_range(a, tol=None):
 
 def orthonormal_columns(a):
     """Orthonormal basis of the column space of ``a`` (SVD based), of the
-    rank that singular values above ``RANK_TOL`` times the largest give."""
+    rank that singular values above ``RANK_RTOL`` times the largest give."""
     m = _as_matrix(a, "matrix", square=False)
     if m.shape[1] == 0:
         return m.copy()
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     smax = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > RANK_TOL * smax))
+    rank = int(np.sum(s > RANK_RTOL * smax))
     return u[:, :rank]
-
-
-def subspace_contains(b_big, b_small):
-    """True if every column of ``b_small`` lies in the span of the
-    orthonormal columns ``b_big``, each residual norm at most ``1e-8``."""
-    if b_small.shape[1] == 0:
-        return True
-    resid = b_small - b_big @ (b_big.conj().T @ b_small)
-    return bool(np.linalg.norm(resid, axis=0).max() <= 1e-8)
 
 
 def up_to_scalar_distance(b, a):
@@ -241,7 +254,7 @@ class SemilinearOperator:
     ----------
     matrix : (n, n) array_like
         Invertible coordinate matrix.  Invertibility is enforced through
-        the relative singular-value floor ``TOL_SINGULAR``.
+        the relative singular-value floor ``SINGULAR_RTOL``.
     auto : AutomorphismTag
         Identity or conjugation; conjugation needs complex coordinates.
     """

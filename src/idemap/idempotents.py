@@ -15,7 +15,10 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
-    RANK_TOL,
+    IDENTITY_RTOL,
+    PAIRING_RTOL,
+    RANK_RTOL,
+    RELATION_TOL,
     ScalarField,
     _as_array,
     _as_matrix,
@@ -29,15 +32,6 @@ from .core import (
     orthonormal_columns,
 )
 from .errors import DegeneratePair, DimensionMismatch, NotIdempotent
-
-#: Allowed deviation of the normalizing pairing from 1.
-PAIRING_TOL = 1e-10
-
-#: Factor for the idempotency residual ``||P@P - P||_F``.
-IDEM_TOL = 1e-9
-
-#: Allowed deviation of the trace from the nearest integer rank.
-TRACE_INT_TOL = 1e-8
 
 
 class RankOneIdempotent:
@@ -99,10 +93,10 @@ class RankOneIdempotent:
 
 
 def _pairing_tol(x, f):
-    """Allowed deviation of ``pair(x, f)`` from 1, scaled by BLAS norms,
-    which cannot overflow; it is infinite when ``||x|| ||f||`` overflows,
-    and then the pairing proves nothing."""
-    return PAIRING_TOL * (1.0 + scipy.linalg.norm(x, check_finite=False)
+    """Allowed deviation of ``pair(x, f)`` from 1: ``PAIRING_RTOL`` times
+    ``1 + ||x|| ||f||`` in BLAS norms, which cannot overflow; it is infinite
+    when ``||x|| ||f||`` overflows, and then the pairing proves nothing."""
+    return PAIRING_RTOL * (1.0 + scipy.linalg.norm(x, check_finite=False)
                           * scipy.linalg.norm(f, check_finite=False))
 
 
@@ -121,7 +115,8 @@ def _refuse_pair(x, f):
 
 
 class FiniteRankIdempotent:
-    """Dense idempotent matrix with its rank read from the trace."""
+    """Dense idempotent, ``||P P - P|| <= IDENTITY_RTOL (1 + ||P||^2)`` (both
+    finite), with its rank read from the trace (within ``RELATION_TOL``)."""
 
     __slots__ = ("_matrix", "_rank")
 
@@ -129,13 +124,13 @@ class FiniteRankIdempotent:
         m = _as_matrix(matrix, "idempotent")
         with np.errstate(over="ignore", invalid="ignore"):
             resid = np.linalg.norm(m @ m - m)
-            bound = IDEM_TOL * (1.0 + np.linalg.norm(m)**2)
+            bound = IDENTITY_RTOL * (1.0 + np.linalg.norm(m)**2)
         # An overflowed residual or bound proves nothing: refuse it.
         if not resid <= bound < np.inf:
             raise NotIdempotent(f"||P@P - P|| = {resid:.3e} exceeds tolerance")
         tr = np.trace(m)
         rank = int(round(float(tr.real)))
-        if abs(tr - rank) > TRACE_INT_TOL:
+        if abs(tr - rank) > RELATION_TOL:
             raise NotIdempotent(f"trace {tr!r} is not close to an integer")
         if rank < 0 or rank > m.shape[0]:
             raise NotIdempotent(f"trace-derived rank {rank} out of range")
@@ -193,13 +188,13 @@ def _normalized_rows(x, f):
     """Rows ``x[k] / pair(x[k], f[k])`` and ``f[k]``: the normalization of
     :func:`rank_one_from_pair`, which is its one-row case.
 
-    The degeneracy rule keeps ``|pair(x, f)| > 1e-10 ||x|| ||f||``, so the
-    rounding error of the new pairing stays far below ``PAIRING_TOL``
-    and the rows need no :class:`RankOneIdempotent` check."""
+    The degeneracy rule keeps ``|pair(x, f)| > PAIRING_RTOL ||x|| ||f||``,
+    so the rounding error of the new pairing stays far below the bound of
+    :class:`RankOneIdempotent`, and the rows need no check of their own."""
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
         raise ValueError("rank-one rows have non-finite entries")
     p = _row_dots(x, f)
-    degenerate = _row_abs(p) <= 1e-10 * _row_norms(x) * _row_norms(f)
+    degenerate = _row_abs(p) <= PAIRING_RTOL * _row_norms(x) * _row_norms(f)
     if degenerate.any():
         raise DegeneratePair(f"pairing {p[np.argmax(degenerate)]!r} too close to zero")
     return x / p[:, None], f
@@ -229,23 +224,22 @@ class Relation:
 def relate(p, q) -> Relation:
     """Evaluate ``PQ = 0``, ``QP = 0``, orthogonality and the order
     relations ``P <= Q`` (``PQ = QP = P``) and ``Q <= P``, each product
-    residual within ``1e-8 (1 + ||P||)(1 + ||Q||)`` (Frobenius norms)."""
+    residual within ``RELATION_TOL`` times ``(1 + ||P||)(1 + ||Q||)``
+    (Frobenius norms).  Raises ``ValueError`` when that bound or a
+    residual overflows."""
     pm = matrix_of(p)
     qm = matrix_of(q)
     if pm.shape != qm.shape:
         raise DimensionMismatch(f"relate: shapes {pm.shape} vs {qm.shape}")
-    tol = 1e-8 * (1.0 + np.linalg.norm(pm)) * (1.0 + np.linalg.norm(qm))
-    pq = pm @ qm
-    qp = qm @ pm
-    pq_zero = bool(np.linalg.norm(pq) <= tol)
-    qp_zero = bool(np.linalg.norm(qp) <= tol)
-    p_leq_q = bool(
-        np.linalg.norm(pq - pm) <= tol and np.linalg.norm(qp - pm) <= tol
-    )
-    q_leq_p = bool(
-        np.linalg.norm(pq - qm) <= tol and np.linalg.norm(qp - qm) <= tol
-    )
-    return Relation(pq_zero, qp_zero, pq_zero and qp_zero, p_leq_q, q_leq_p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol = RELATION_TOL * (1.0 + np.linalg.norm(pm)) * (1.0 + np.linalg.norm(qm))
+        pq, qp = pm @ qm, qm @ pm
+        resid = [np.linalg.norm(r) for r in (pq, qp, pq - pm, qp - pm, pq - qm, qp - qm)]
+    # An overflowed bound passes every residual, and an overflowed residual none.
+    if not np.isfinite([tol, *resid]).all():
+        raise ValueError("relate: a product norm or its bound overflows")
+    pq_zero, qp_zero, pq_p, qp_p, pq_q, qp_q = (bool(r <= tol) for r in resid)
+    return Relation(pq_zero, qp_zero, pq_zero and qp_zero, pq_p and qp_p, pq_q and qp_q)
 
 
 def decompose(p) -> list[RankOneIdempotent]:
@@ -256,7 +250,8 @@ def decompose(p) -> list[RankOneIdempotent]:
     ``G = U^H @ P`` so that ``G @ U = I`` and ``P = U @ G``.  The returned
     pieces ``(U[:, i], G[i, :])`` satisfy ``pair(U[:, j], G[i, :]) =
     delta_ij``, multiply to zero pairwise, and sum to ``P``; the check of
-    ``U G = P`` proves them, so they are views of one frozen block, unchecked.
+    ``U G = P``, within ``IDENTITY_RTOL`` times ``1 + ||P||``, proves them,
+    so they are views of one frozen block, unchecked.
 
     The pivoting makes the output deterministic and reproducible.
     """
@@ -269,7 +264,7 @@ def decompose(p) -> list[RankOneIdempotent]:
     u = q[:, :r]
     g = u.conj().T @ m
     resid = np.linalg.norm(u @ g - m)
-    if resid > 1e-9 * (1.0 + np.linalg.norm(m)):
+    if resid > IDENTITY_RTOL * (1.0 + np.linalg.norm(m)):
         raise NotIdempotent(f"decomposition residual {resid:.3e}")
     return _rank_one_views(u.T, g)
 
@@ -283,8 +278,8 @@ def majorant(p1, p2) -> FiniteRankIdempotent:
     ``n - dim M + dim(M ∩ N)``, the least any majorant can have (a
     majorant's range contains ``N`` and its kernel lies in ``M``).  The
     singular values of ``Q M`` are the sines of the principal angles
-    between ``M`` and ``N``; those at most ``RANK_TOL`` count as zero,
-    which puts their directions in ``M ∩ N``.
+    between ``M`` and ``N``; those at most ``RANK_RTOL`` (scale 1) count
+    as zero, which puts their directions in ``M ∩ N``.
     """
     m1 = matrix_of(p1)
     m2 = matrix_of(p2)
@@ -294,6 +289,6 @@ def majorant(p1, p2) -> FiniteRankIdempotent:
     big_m, _ = kernel_and_range(np.vstack([m1, m2]))
     u, s, vh = np.linalg.svd(big_m - big_n @ (big_n.conj().T @ big_m),
                              full_matrices=False)
-    r = int(np.sum(s > RANK_TOL))
+    r = int(np.sum(s > RANK_RTOL))
     kernel_part = (big_m @ (vh[:r].conj().T / s[:r])) @ u[:, :r].conj().T
     return FiniteRankIdempotent(np.eye(m1.shape[0]) - kernel_part)

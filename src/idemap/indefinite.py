@@ -23,6 +23,11 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    IDENTITY_RTOL,
+    RANK_RTOL,
+    RELATION_TOL,
+    ROUNDOFF_RTOL,
+    SINGULAR_RTOL,
     AutomorphismTag,
     ScalarField,
     SemilinearOperator,
@@ -30,6 +35,7 @@ from .core import (
     _as_matrix,
     _as_vector,
     _frozen,
+    _in_range,
     _require_invertible,
     _row_abs,
     _row_dots,
@@ -42,7 +48,6 @@ from .errors import DimensionMismatch
 from .idempotents import _normalized_rows
 from .sampling import _eta_orthogonal_rows, random_matrix
 from .transform import (
-    MARGIN_TOL,
     ReconstructionResult,
     SampleReport,
     TransformHandle,
@@ -60,6 +65,7 @@ class IndefiniteSpace:
             raise ValueError("indefinite spaces need dimension >= 3")
         _require_invertible(m, "eta")
         self._eta = _frozen(m)
+        self._safe_eta = _in_range(self._eta)
         self._eta_inv = None
         self._skew_projection = None
 
@@ -120,14 +126,14 @@ class Ray:
 
 
 def rays_equal(r1: Ray, r2: Ray) -> bool:
-    """Linear dependence of the representatives (angle criterion): ``b``
-    lies within ``1e-10 ||b||`` of its projection on ``a``."""
+    """Linear dependence of the representatives, read at a safe scale: ``b``
+    lies within ``SINGULAR_RTOL ||b||`` of its projection on ``a``."""
     if r1.n != r2.n:
         raise DimensionMismatch(f"rays_equal: dimensions {r1.n} vs {r2.n}")
-    a = r1.representative
-    b = r2.representative
+    a = _in_range(r1.representative)
+    b = _in_range(r2.representative)
     coef = np.vdot(a, b) / np.vdot(a, a)
-    return bool(np.linalg.norm(b - coef * a) <= 1e-10 * np.linalg.norm(b))
+    return bool(np.linalg.norm(b - coef * a) <= SINGULAR_RTOL * np.linalg.norm(b))
 
 
 @dataclass(frozen=True)
@@ -177,9 +183,9 @@ def _ray_rows(v):
 
 
 def induced_ray_map(u: SemilinearOperator) -> RayMap:
-    """The ray map ``x -> u(x)``, evaluated natively on rows; its ``eval``
-    is the one-row case and keeps the error messages of ``u(x)``."""
-    matrix, auto = u.matrix, u.auto
+    """The ray map ``x -> u(x)``, evaluated natively on rows with ``u`` at a
+    safe scale; its ``eval`` is the one-row case and keeps the errors of ``u(x)``."""
+    matrix, auto = _in_range(u.matrix), u.auto
 
     def rows(x):
         if x.shape[1] != u.n:
@@ -218,17 +224,17 @@ def _orthogonality_margins(eta, x, y):
 
 
 def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray) -> bool:
-    """``|<eta x, y>| <= MARGIN_TOL * ||eta x|| * ||y||`` for the
-    representatives, with the samplers' :data:`~idemap.transform.MARGIN_TOL`.
+    """``|<eta x, y>| <= RELATION_TOL * ||eta x|| * ||y||`` for the
+    representatives, with both and ``eta`` at a safe scale: the samplers' rule.
 
     Homogeneous in both representatives, so the choice within each ray is
     irrelevant.
     """
     if rx.n != space.n or ry.n != space.n:
         raise DimensionMismatch(f"rays of dimensions {rx.n}, {ry.n} in dimension {space.n}")
-    margin = _orthogonality_margins(space.eta, rx.representative[None],
-                                    ry.representative[None])
-    return bool(margin[0] <= MARGIN_TOL)
+    margin = _orthogonality_margins(space._safe_eta, _in_range(rx.representative)[None],
+                                    _in_range(ry.representative)[None])
+    return bool(margin[0] <= RELATION_TOL)
 
 
 def eta_orthogonal_partner(space: IndefiniteSpace, x, rng):
@@ -239,7 +245,7 @@ def eta_orthogonal_partner(space: IndefiniteSpace, x, rng):
     ray = Ray(x)
     if ray.n != space.n:
         raise DimensionMismatch(f"vector of dimension {ray.n} in dimension {space.n}")
-    return _eta_orthogonal_rows(rng, ray.representative[None] @ space.eta.T, space.field)[0]
+    return _eta_orthogonal_rows(rng, ray.representative[None] @ space._safe_eta.T, space.field)[0]
 
 
 def _draw_ray_pairs(rng, space: IndefiniteSpace, crafted, plain):
@@ -248,7 +254,7 @@ def _draw_ray_pairs(rng, space: IndefiniteSpace, crafted, plain):
     then the crafted partners."""
     size = crafted + plain
     v = random_matrix(rng, (size + plain, space.n), space.field)
-    y = _eta_orthogonal_rows(rng, v[:crafted] @ space.eta.T, space.field)
+    y = _eta_orthogonal_rows(rng, v[:crafted] @ space._safe_eta.T, space.field)
     return np.stack((v[:size], np.concatenate((y, v[size:]))), axis=1).reshape(-1, space.n)
 
 
@@ -257,10 +263,11 @@ def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0) -> 
 
     Half the sampled pairs are crafted to be exactly ``eta``-orthogonal.
     A pair is reported only when the margins disagree decisively (one
-    side at most :data:`~idemap.transform.MARGIN_TOL`, the other at least
-    ``100 * MARGIN_TOL``); violations are data about the map, not an
-    error.  Each :class:`~idemap.transform.Violation` holds the two
-    sampled representative vectors, as read-only views.
+    side's ``|<eta x, y>| / (||eta x|| ||y||)``, ``eta`` at a safe scale,
+    at most ``RELATION_TOL``, the other at least ``100 * RELATION_TOL``);
+    violations are data about the map, not an error.  Each
+    :class:`~idemap.transform.Violation` holds the two sampled
+    representative vectors, as read-only views.
 
     Pairs are drawn, mapped and judged in blocks of
     :data:`~idemap.transform.SAMPLE_BLOCK`.  Each block is drawn directly
@@ -276,7 +283,7 @@ def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0) -> 
         space.n, space.field, sample_count, seed,
         draw=lambda rng, crafted, plain: _draw_ray_pairs(rng, space, crafted, plain),
         image=t._rows,
-        margins=lambda v: _orthogonality_margins(space.eta, v[0::2], v[1::2]))
+        margins=lambda v: _orthogonality_margins(space._safe_eta, v[0::2], v[1::2]))
 
 
 class SymmetryKind(enum.Enum):
@@ -298,10 +305,6 @@ class Characterization:
         return self.kind is not SymmetryKind.NONE
 
 
-#: Tolerance factor for the characterization identity on basis pairs.
-CHARACTERIZE_TOL = 1e-8
-
-
 def characterize(space: IndefiniteSpace, u: SemilinearOperator) -> Characterization:
     """Test whether ``u`` scales the metric, on all basis pairs.
 
@@ -310,7 +313,7 @@ def characterize(space: IndefiniteSpace, u: SemilinearOperator) -> Characterizat
     ``(U e_i, U e_j) = d (e_j, e_i)_{eta*}`` with ``eta*`` the conjugate
     transpose.  The constant is fitted on the basis pair with the largest
     right-hand side and then verified on all ``n^2`` pairs, within
-    ``CHARACTERIZE_TOL`` times one plus the largest entries of both sides.
+    ``RELATION_TOL`` times one plus the largest entries of both sides.
     Raises ``ValueError`` when ``M^H eta M`` or the constant overflows.
     """
     if u.n != space.n:
@@ -331,7 +334,7 @@ def characterize(space: IndefiniteSpace, u: SemilinearOperator) -> Characterizat
     # An overflowed entry would make the residual NaN, which passes the check.
     if not math.isfinite(scale):
         raise ValueError("characterize: M^H eta M or its constant overflows")
-    if np.abs(lhs - constant * rhs).max() > CHARACTERIZE_TOL * scale:
+    if np.abs(lhs - constant * rhs).max() > RELATION_TOL * scale:
         return Characterization(SymmetryKind.NONE, None)
     if space.field is ScalarField.REAL:
         constant = float(constant.real)
@@ -348,9 +351,10 @@ def _eta_skew_basis(space: IndefiniteSpace):
     of each matrix, before the nullspace is extracted.  The system is
     ``2n^2 x 2n^2`` (``n^2 x n^2`` over the reals) and its SVD costs
     ``O(n^6)``: this is the route of last resort for metrics the pencil
-    routes of :func:`_skew_projection` cannot take.
+    routes of :func:`_skew_projection` cannot take.  A singular value at
+    most ``RANK_RTOL`` times ``max(1, ||eta||)`` counts as zero.
     """
-    n, field, eta = space.n, space.field, space.eta
+    n, field, eta = space.n, space.field, space._safe_eta
     dim = 2 * n * n if field is ScalarField.COMPLEX else n * n
     if dim > 2048:  # complex n = 32 takes about 8 s; n = 64 would need minutes and GBs
         raise ArithmeticError(f"the nullspace fallback would solve for {dim} unknowns, above 2048")
@@ -359,23 +363,14 @@ def _eta_skew_basis(space: IndefiniteSpace):
         kmat = np.eye(1, dim, k).view(field.dtype).reshape(n, n)
         cols.append((eta @ kmat + kmat.conj().T @ eta).view(np.float64).ravel())
     kernel, _ = kernel_and_range(np.column_stack(cols),
-                                 tol=1e-9 * max(1.0, np.linalg.norm(eta)))
+                                 tol=RANK_RTOL * max(1.0, np.linalg.norm(eta)))
     return kernel
 
-
-#: Largest ``||B_t|| / ||eta||`` (Frobenius) for which ``eta`` is taken as
-#: ``e^{it} H_t`` (see :func:`_skew_projection`).
-_HERMITIAN_RTOL = 1e-12
 
 #: Certificate of the pencil eigenbasis, in units of the eigenvalue error
 #: estimate ``eps cond(W) rho`` (``rho`` the spectral radius): every
 #: eigenvalue lies within this of its partner, and no two within twice it.
 _PENCIL_MARGIN = 1e3
-
-#: Largest ``||eta K + K* eta|| / (||eta|| ||K||)`` on the probe of
-#: :func:`_pencil_projection`, a tenth of the residual
-#: :func:`generate_eta_isometry` accepts.
-_PENCIL_PROBE_RTOL = 1e-10
 
 
 def _self_adjoint_projection(h):
@@ -419,7 +414,8 @@ def _pencil_projection(h, b):
 
     The spectral certificate bounds the error of the eigenvalues, not of
     the eigenvectors, which grows as the separation shrinks; so the
-    constraint is also checked on the projection of one fixed probe.
+    constraint is also checked on the projection of one fixed probe, within
+    ``IDENTITY_RTOL / 10 ||eta|| ||K||``, a tenth of what generation accepts.
     """
     complex_field = np.iscomplexobj(h)
     try:
@@ -464,14 +460,15 @@ def _pencil_projection(h, b):
     field = ScalarField.COMPLEX if complex_field else ScalarField.REAL
     k = project(random_matrix(np.random.default_rng(0), eta.shape, field))
     resid = np.linalg.norm(eta @ k + k.conj().T @ eta)
-    if resid > _PENCIL_PROBE_RTOL * np.linalg.norm(eta) * np.linalg.norm(k):
+    if resid > IDENTITY_RTOL / 10 * np.linalg.norm(eta) * np.linalg.norm(k):
         return None
     return project
 
 
 def _closed_form_or_pencil(eta):
     """The projection of :func:`_skew_projection` from the Hermitian pencil
-    ``eta = H + iB``, or ``None`` when neither route certifies it."""
+    ``eta = H + iB``, or ``None`` when neither route certifies it.  ``B_t``
+    vanishes when ``||B_t||`` is at most ``ROUNDOFF_RTOL ||eta||``."""
     h = (eta + eta.conj().T) / 2
     hh = np.vdot(h, h).real
     if np.iscomplexobj(eta):
@@ -481,14 +478,14 @@ def _closed_form_or_pencil(eta):
         t = math.atan2(2 * np.vdot(h, b).real, hh - bb) / 2
         c, s = math.cos(t), math.sin(t)
         h_t, b_t = (c * h + s * b, c * b - s * h) if t else (h, b)
-        if np.vdot(b_t, b_t).real <= _HERMITIAN_RTOL**2 * (hh + bb):
+        if np.vdot(b_t, b_t).real <= ROUNDOFF_RTOL**2 * (hh + bb):
             return _self_adjoint_projection(h_t)
         return _pencil_projection(h, b)
     # ``B = -iA`` for the skew part ``A``, so ``<H, B> = 0`` and ``t`` is 0
     # or pi/2: ``H_t`` is ``S`` or ``-iA``.  The pencil is kept real as ``(S, A)``.
     a = (eta - eta.T) / 2
     aa = np.vdot(a, a)
-    if min(hh, aa) <= _HERMITIAN_RTOL**2 * (hh + aa):
+    if min(hh, aa) <= ROUNDOFF_RTOL**2 * (hh + aa):
         project = _self_adjoint_projection(h if aa <= hh else -1j * a)
         return lambda g: project(g).real
     return _pencil_projection(h, a)
@@ -510,7 +507,7 @@ def _skew_projection(space: IndefiniteSpace):
     up to rounding.
     """
     if space._skew_projection is None:
-        project = _closed_form_or_pencil(space.eta)
+        project = _closed_form_or_pencil(space._safe_eta)
         if project is None:
             basis, n, dtype = _eta_skew_basis(space), space.n, space.field.dtype
 
@@ -526,8 +523,9 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     Draws a Gaussian matrix, orthogonally projects it onto the solution
     space of ``eta K + K* eta = 0`` (so that ``exp(K)`` preserves the
     metric exactly), exponentiates, and multiplies by ``sqrt(scale)``.
-    When the solution space is trivial the output degenerates to
-    ``sqrt(scale) * I``, which still satisfies the identity.
+    When the solution space is trivial (``||K|| <= ROUNDOFF_RTOL``) the
+    output degenerates to ``sqrt(scale) * I``.  The identity is checked to
+    ``IDENTITY_RTOL scale (1 + ||eta||)``, with ``eta`` at a safe scale.
 
     The projection takes ``O(n^3)``, or ``O(n^6)`` for a metric whose
     Hermitian pencil cannot be certified (see :func:`_skew_projection`).
@@ -541,13 +539,13 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     rng = np.random.default_rng(seed)
     k = _skew_projection(space)(random_matrix(rng, (space.n, space.n), space.field))
     norm_k = np.linalg.norm(k)
-    if norm_k > 1e-12:
+    if norm_k > ROUNDOFF_RTOL:
         k = k / norm_k
     else:
         k = np.zeros_like(k)
     v_mat = scipy.linalg.expm(k) * np.sqrt(scale)
-    resid = np.linalg.norm(v_mat.conj().T @ space.eta @ v_mat - scale * space.eta)
-    if resid > 1e-9 * scale * (1.0 + np.linalg.norm(space.eta)):
+    resid = np.linalg.norm(v_mat.conj().T @ space._safe_eta @ v_mat - scale * space._safe_eta)
+    if resid > IDENTITY_RTOL * scale * (1.0 + np.linalg.norm(space._safe_eta)):
         raise ArithmeticError(f"isometry generation failed, residual {resid:.3e}")
     # ``||K|| <= 1``, so ``cond(exp(K)) <= e^2``: no singularity check.
     return SemilinearOperator._from_checked(v_mat, AutomorphismTag.IDENTITY)

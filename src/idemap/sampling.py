@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AutomorphismTag, ScalarField, SemilinearOperator, _row_abs, _row_dots, \
-    _row_norms
+from .core import RELATION_TOL, AutomorphismTag, ScalarField, SemilinearOperator, _row_abs, \
+    _row_dots, _row_norms
 from .idempotents import FiniteRankIdempotent, RankOneIdempotent, _rank_one_row
 
 
@@ -114,10 +114,10 @@ def _redrawn(count, draw, message):
 
 def _projected(y0, c, d):
     """Rows ``y = y0 - pair(y0, c) / pair(d, c) * d``, so that ``pair(y, c)
-    = 0``, and a mask of the rows that keep more than ``1e-8`` of the
-    norm of ``y0`` (the others are degenerate)."""
+    = 0``, and a mask of the rows that keep more than ``RELATION_TOL`` times
+    the norm of ``y0`` (the others are degenerate)."""
     y = y0 - (_row_dots(y0, c) / _row_dots(d, c))[:, None] * d
-    return y, _row_norms(y) > 1e-8 * _row_norms(y0)
+    return y, _row_norms(y) > RELATION_TOL * _row_norms(y0)
 
 
 def _accepted(x, f):

@@ -19,11 +19,16 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    IDENTITY_RTOL,
+    RECOVERY_TOL,
+    RELATION_TOL,
+    ROUNDOFF_RTOL,
     AutomorphismTag,
     ScalarField,
     SemilinearOperator,
     _as_array,
     _frozen,
+    _in_range,
     _row_dots,
     _row_matvec,
     _row_norms,
@@ -48,18 +53,6 @@ from .idempotents import (
     decompose,
 )
 from .sampling import _random_rank_one_rows, _zero_product_rows
-
-#: Match tolerance for the trace probe deciding the ring automorphism.
-AUTOMORPHISM_TOL = 1e-6
-
-#: Validation residual above which a probed map is declared not induced.
-NOT_INDUCED_TOL = 1e-6
-
-#: Relative distance within which :func:`handle_from_table` matches a query.
-TABLE_MATCH_TOL = 1e-8
-
-#: Normalized margin at or below which a sampled pair counts as a zero product.
-MARGIN_TOL = 1e-8
 
 #: Pairs the samplers draw, evaluate and judge together; every per-call
 #: temporary array is of this size, whatever the sample count.  Each
@@ -171,10 +164,10 @@ class SampleReport:
 def induce(a: SemilinearOperator) -> TransformHandle:
     """Map ``(x, f) -> (A x, (A^{-1})' f)``, i.e. ``P -> A @ h(P) @ A^{-1}``.
 
-    The same handle is produced by any nonzero scalar multiple of ``a``.
+    Every nonzero multiple of ``a`` gives the same handle, so ``a`` is read at a safe scale.
     """
     auto = a.auto
-    matrix = a.matrix
+    matrix = _in_range(a.matrix)
     # Functional side of the conjugation: (A^{-1})' f = (M^T)^{-1} h(f).
     dual = np.linalg.inv(matrix.T)
 
@@ -240,8 +233,8 @@ def _sample_biconditional(n, field, sample_count, seed, draw, image,
         head = min(max(crafted - start, 0), size)
         rows = draw(rng, head, size - head)
         pre, post = margins(rows), margins(image(rows))
-        pairs = np.flatnonzero((np.minimum(pre, post) <= MARGIN_TOL)
-                               & (np.maximum(pre, post) >= 100 * MARGIN_TOL))
+        pairs = np.flatnonzero((np.minimum(pre, post) <= RELATION_TOL)
+                               & (np.maximum(pre, post) >= 100 * RELATION_TOL))
         if pairs.size:
             # Witnesses: read-only views of the decisive pairs' rows, frozen once.
             pick = (2 * pairs[:, None] + [0, 1]).ravel()
@@ -258,8 +251,8 @@ def check_preservation(phi: TransformHandle, sample_count=500, seed=0) -> Sample
     Half the pairs are crafted to satisfy ``PQ = 0`` exactly (zero
     products have measure zero, so rejection sampling would never see
     them).  A pair is reported only when the biconditional fails with
-    margin: one side's normalized product norm is at most ``MARGIN_TOL``
-    while the other side's is at least ``100 * MARGIN_TOL``.  A nonempty
+    margin: one side's ``||PQ|| / (||P|| ||Q||)`` is at most ``RELATION_TOL``
+    while the other side's is at least ``100 * RELATION_TOL``.  A nonempty
     violation list is data about the map, not an error; each
     :class:`Violation` holds the two sampled idempotents, as read-only views.
 
@@ -290,8 +283,8 @@ def extend(phi: TransformHandle, p, decomposition=None) -> FiniteRankIdempotent:
     orthogonal rank-one decomposition is used.  ``decomposition`` may
     supply explicit pieces (e.g. to exercise that independence): ``rank P``
     of them (else :class:`DimensionMismatch`) summing to ``P`` within
-    ``1e-9 (1 + ||P||)`` (else ``ValueError``), which makes them mutually
-    orthogonal.  The mapped rows ``(X, F)`` sum to ``X^T F``.
+    ``IDENTITY_RTOL (1 + ||P||)`` (else ``ValueError``), which makes them
+    mutually orthogonal.  The mapped rows ``(X, F)`` sum to ``X^T F``.
     """
     fp = as_finite_rank(p)
     if fp.rank == 0:
@@ -303,7 +296,7 @@ def extend(phi: TransformHandle, p, decomposition=None) -> FiniteRankIdempotent:
         if len(x) != fp.rank:
             raise DimensionMismatch(f"decomposition has {len(x)} pieces, rank is {fp.rank}")
         resid = np.linalg.norm(x.T @ f - fp.matrix)
-        if resid > 1e-9 * (1.0 + np.linalg.norm(fp.matrix)):
+        if resid > IDENTITY_RTOL * (1.0 + np.linalg.norm(fp.matrix)):
             raise ValueError(f"decomposition does not sum to the idempotent "
                              f"(residual {resid:.3e})")
     x, f = phi._rows(x, f)
@@ -347,10 +340,10 @@ def _trace_tag(x, f):
 def _tag_of(h_i, probe):
     """The ring automorphism ``h`` whose value ``h(i)`` a probe measured:
     ``i`` for the identity, ``-i`` for conjugation, within
-    ``AUTOMORPHISM_TOL``."""
-    if abs(h_i - 1j) <= AUTOMORPHISM_TOL:
+    ``RECOVERY_TOL`` (scale 1)."""
+    if abs(h_i - 1j) <= RECOVERY_TOL:
         return AutomorphismTag.IDENTITY
-    if abs(h_i + 1j) <= AUTOMORPHISM_TOL:
+    if abs(h_i + 1j) <= RECOVERY_TOL:
         return AutomorphismTag.CONJUGATION
     raise UnrecognizedAutomorphism(f"{probe} {h_i!r}, expected i or -i")
 
@@ -441,11 +434,12 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     Raises
     ------
     NotInduced
-        If the validation residual exceeds ``NOT_INDUCED_TOL`` (the map
+        If the validation residual exceeds ``RECOVERY_TOL`` (scale 1; the map
         is not an operator conjugation) or the assembled matrix is
         singular.
     DegenerateProbe
-        If any probe image is invalid or a fit loses a column component.
+        If any probe image is invalid or a fit loses a column component
+        (one at most ``ROUNDOFF_RTOL`` times the norm of the probe image).
     KeyError
         If a probe table (:func:`handle_from_table`) does not cover the
         probes asked for.
@@ -467,7 +461,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     columns = x[:n] / _row_norms(x[:n])[:, None]
     v = np.concatenate((x[n:2 * n - 1], x[first - phases:first]))
     a, b = _fit_two_directions(columns[0], columns[list(range(1, n)) + [1] * phases], v)
-    floor = 1e-12 * _row_norms(v)
+    floor = ROUNDOFF_RTOL * _row_norms(v)
     for j in range(1, n):
         if abs(a[j - 1]) <= floor[j - 1] or abs(b[j - 1]) <= floor[j - 1]:
             raise DegenerateProbe(
@@ -503,9 +497,9 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     distances = _rank_one_distances(x[first:], f[first:],
                                     *induce(a_op)._rows(*(r[first:] for r in probes.rows)))
     residual = float(distances.max()) if distances.size else 0.0
-    if not residual <= NOT_INDUCED_TOL:
+    if not residual <= RECOVERY_TOL:
         raise NotInduced(
-            f"validation residual {residual:.3e} exceeds {NOT_INDUCED_TOL:.1e}",
+            f"validation residual {residual:.3e} exceeds {RECOVERY_TOL:.1e}",
             residual=residual,
         )
     return ReconstructionResult(a_op, residual, probes)
@@ -576,9 +570,9 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
     The table is checked once, here: it must not be empty, and every
     entry must be an ``(input, output)`` pair of :class:`RankOneIdempotent`
     of dimension ``n``.  Each query is matched to the nearest input row by
-    the validation residual's distance, in one vectorised call; a query
-    outside the covered set raises ``KeyError``, which :func:`reconstruct`
-    passes on (the table is malformed input, not evidence about the map).
+    the validation residual's distance, in one vectorised call; one farther
+    than ``RELATION_TOL (1 + ||x|| ||f||)`` raises ``KeyError``, which
+    :func:`reconstruct` passes on (malformed input, not evidence about the map).
     """
     entries = list(entries)
     if not entries:
@@ -590,7 +584,7 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
     def eval_fn(p: RankOneIdempotent) -> RankOneIdempotent:
         dists = _rank_one_distances(p.x[None], p.f[None], x, f)
         best = int(np.argmin(dists))
-        if dists[best] > TABLE_MATCH_TOL * (1.0 + np.linalg.norm(p.x) * np.linalg.norm(p.f)):
+        if dists[best] > RELATION_TOL * (1.0 + np.linalg.norm(p.x) * np.linalg.norm(p.f)):
             raise KeyError("query is not covered by the probe table")
         return outputs[best]
 

@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idemap.core as core
 from idemap.core import (
     AutomorphismTag,
     ScalarField,
@@ -203,3 +207,15 @@ def test_up_to_scalar_distance():
     assert up_to_scalar_distance(5j * an, an) <= 1e-12
     b = np.eye(3) / np.sqrt(3)
     assert up_to_scalar_distance(b, an) > 0.1
+
+
+def test_readme_tolerance_table_lists_the_rules_of_core():
+    """The README's "Tolerances" table has one row per rule of ``core``'s
+    tolerance table (its public float constants), with its value."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Tolerances\n", 1)[1].split("\n#", 1)[0]
+    listed = [(name, float(value)) for name, value
+              in re.findall(r"^\| `([A-Z_]+)` \| `([-+.e\d]+)` \|", section, re.M)]
+    rules = [(name, value) for name, value in vars(core).items()
+             if name.isupper() and not name.startswith("_") and isinstance(value, float)]
+    assert sorted(listed) == sorted(rules)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from idemap.core import ScalarField, _as_vector, kernel_and_range, orthonormal_columns, \
-    subspace_contains, tensor
+from idemap.core import PAIRING_RTOL, ScalarField, _as_vector, kernel_and_range, \
+    orthonormal_columns, tensor
 from idemap.errors import DegeneratePair, DimensionMismatch, NotIdempotent
 from idemap.idempotents import (
-    PAIRING_TOL,
     FiniteRankIdempotent,
     RankOneIdempotent,
     decompose,
@@ -19,6 +18,15 @@ from idemap.sampling import random_idempotent, random_invertible, random_rank_on
 
 E11 = np.diag([1.0, 0.0, 0.0])
 E22 = np.diag([0.0, 1.0, 0.0])
+
+
+def subspace_contains(b_big, b_small):
+    """True if every column of ``b_small`` lies in the span of the
+    orthonormal columns ``b_big``, each residual norm at most ``1e-8``."""
+    if b_small.shape[1] == 0:
+        return True
+    resid = b_small - b_big @ (b_big.conj().T @ b_small)
+    return bool(np.linalg.norm(resid, axis=0).max() <= 1e-8)
 
 
 def well_definedness_fixture():
@@ -42,7 +50,7 @@ def reference_rank_one(x, f):
     xv, fv = _as_vector(x, "x"), _as_vector(f, "f")
     if xv.shape != fv.shape:
         raise DimensionMismatch(f"rank-one pair: shapes {xv.shape} vs {fv.shape}")
-    tol = PAIRING_TOL * (1.0 + scipy.linalg.norm(xv) * scipy.linalg.norm(fv))
+    tol = PAIRING_RTOL * (1.0 + scipy.linalg.norm(xv) * scipy.linalg.norm(fv))
     with np.errstate(over="ignore"):
         p = np.dot(xv, fv)
     if not abs(p - 1.0) <= tol < np.inf:
@@ -194,6 +202,14 @@ class TestRelate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             relate(E11, np.eye(4))
+
+    def test_overflowing_norm_is_refused(self):
+        # ||P|| = 1e200 overflows when squared; an infinite bound would pass
+        # PQ = 1e200 e1 (x) e2 as zero.
+        p = RankOneIdempotent([1.0, 0, 0], [1.0, 1e200, 0])
+        q = RankOneIdempotent([0, 1.0, 0], [0, 1.0, 0])
+        with pytest.raises(ValueError, match="overflow"):
+            relate(p, q)
 
     def test_rank_one_zero_product_criterion(self):
         # PQ = 0 iff pair(y, f) = 0 for P=(x,f), Q=(y,g)

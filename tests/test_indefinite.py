@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idemap.core import (
+    RELATION_TOL,
     AutomorphismTag,
     ScalarField,
     SemilinearOperator,
@@ -15,7 +16,6 @@ from idemap.core import (
 from idemap.errors import DimensionMismatch, NotInduced, SingularOperator
 import idemap.indefinite as indefinite
 from idemap.indefinite import (
-    CHARACTERIZE_TOL,
     Characterization,
     IndefiniteSpace,
     Ray,
@@ -150,6 +150,12 @@ class TestRayOrthogonality:
         scaled = ray_eta_orthogonal(space, Ray(sa * x), Ray(b * y))
         assert base == scaled
 
+    def test_scale_is_invisible(self):
+        # ||eta e1|| = 1e200 squares to infinity unless read at a safe scale.
+        e1, big = Ray([1.0, 0, 0]), Ray([1e200, 0, 0])
+        assert not ray_eta_orthogonal(IndefiniteSpace(1e200 * MINKOWSKI), e1, e1)
+        assert not ray_eta_orthogonal(IndefiniteSpace(MINKOWSKI), big, big)
+
     def test_crafted_partner_is_orthogonal(self):
         rng = np.random.default_rng(0)
         space = IndefiniteSpace(nonsa_eta(4, complex))
@@ -206,6 +212,18 @@ class TestIsSymmetry:
                            sample_count=300, seed=15).ok
 
 
+@pytest.mark.parametrize("op_scale, eta_scale", [(1e155, 1.0), (1.0, 1e200)],
+                         ids=("operator", "metric"))
+def test_is_symmetry_does_not_see_the_scale(op_scale, eta_scale):
+    """The verdicts at a scale whose squares overflow are those at scale 1."""
+    a = np.array([[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1.0]])
+    want = is_symmetry(IndefiniteSpace(MINKOWSKI), induced_ray_map(SemilinearOperator(a)))
+    got = is_symmetry(IndefiniteSpace(eta_scale * MINKOWSKI),
+                      induced_ray_map(SemilinearOperator(op_scale * a)))
+    assert len(want.violations) == len(got.violations) == 250
+    assert all(np.isfinite([v.source_margin, v.image_margin]).all() for v in got.violations)
+
+
 class TestCharacterize:
     def test_identity_is_linear_symmetry(self):
         space = IndefiniteSpace(nonsa_eta(3, complex))
@@ -259,7 +277,7 @@ class TestCharacterize:
             assert abs(ch.constant - fitted) <= 1e-8 * max(1.0, abs(fitted))
 
 
-def characterize_by_basis_pairs(space, u, tol=CHARACTERIZE_TOL):
+def characterize_by_basis_pairs(space, u, tol=RELATION_TOL):
     """Reference for :func:`characterize`: both sides of its identity
     evaluated on each of the ``n^2`` basis pairs."""
     n = space.n
@@ -353,6 +371,14 @@ class TestGenerateEtaIsometry:
         report = is_symmetry(space, induced_ray_map(scaled), sample_count=300,
                              seed=12)
         assert report.ok
+
+    @pytest.mark.parametrize("eta_scale", [1e200, 1e-200])
+    def test_scale_of_the_metric_is_invisible(self, eta_scale):
+        # At 1e200 the residual and its bound overflow to inf, which passes
+        # the certificate unchecked.
+        want = generate_eta_isometry(IndefiniteSpace(MINKOWSKI), 3, 2.0).matrix
+        got = generate_eta_isometry(IndefiniteSpace(eta_scale * MINKOWSKI), 3, 2.0).matrix
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_bad_scale_rejected(self):
         space = IndefiniteSpace(MINKOWSKI)
@@ -580,6 +606,11 @@ class TestRays:
         assert rays_equal(Ray([1.0, 2.0, 0]), Ray([-3.0, -6.0, 0]))
         assert rays_equal(Ray([1j, 0, 0]), Ray([1.0 + 0j, 0, 0]))
         assert not rays_equal(Ray([1.0, 0, 0]), Ray([1.0, 1e-4, 0]))
+
+    def test_equality_does_not_overflow(self):
+        # ||b|| = 1e200 squares to infinity unless read at a safe scale.
+        assert not rays_equal(Ray([1e200, 0, 0]), Ray([0, 1e200, 0]))
+        assert rays_equal(Ray([1e200, 0, 0]), Ray([-3e-100, 0, 0]))
 
     def test_dimension_mismatch_is_typed(self):
         space = IndefiniteSpace(MINKOWSKI)

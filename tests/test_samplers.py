@@ -421,9 +421,9 @@ def test_invalid_ray_raises_like_the_rows():
     zero = raised(Ray, np.zeros(3))
     assert zero[0] is ValueError
     assert raised(_ray_rows, np.zeros((2, 3))) == zero
-    overflowing = induced_ray_map(SemilinearOperator(1e300 * np.eye(3)))
+    overflowing = induced_ray_map(SemilinearOperator(np.eye(3) + np.ones((3, 3))))
     with np.errstate(over="ignore"):
-        assert raised(overflowing._rows, np.full((2, 3), 1e300)) == raised(Ray, [np.inf, 0, 0])
+        assert raised(overflowing._rows, np.full((2, 3), 1e308)) == raised(Ray, [np.inf, 0, 0])
 
 
 # -- native and black-box handles -------------------------------------------

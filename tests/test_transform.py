@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from idemap.core import (
+    RECOVERY_TOL,
+    RELATION_TOL,
     AutomorphismTag,
     ScalarField,
     SemilinearOperator,
@@ -32,8 +34,6 @@ from idemap.sampling import (
     remix_decomposition,
 )
 from idemap.transform import (
-    NOT_INDUCED_TOL,
-    TABLE_MATCH_TOL,
     RayPair,
     TransformHandle,
     _fit_two_directions,
@@ -121,6 +121,13 @@ class TestCheckPreservation:
         report = check_preservation(phi, sample_count=500, seed=5)
         assert report.ok
         assert report.pairs_tested == 500
+
+    def test_scale_of_the_operator_is_invisible(self):
+        # The images of 1e155 * A square to infinity unless read at a safe scale.
+        a = np.array([[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1.0]])
+        for scale in (1.0, 1e155):
+            report = check_preservation(induce(SemilinearOperator(scale * a)))
+            assert report.ok and report.pairs_tested == 500
 
     def test_identity_has_no_violations(self):
         report = check_preservation(identity_handle(3, ScalarField.REAL),
@@ -400,7 +407,7 @@ def test_fit_matches_least_squares(field, angle):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_table_lookup_matches_the_dense_distance(field):
     """Against the Frobenius distance of the ``n x n`` matrices, with the
-    rule ``TABLE_MATCH_TOL * (1 + ||Q||)``: each input finds its own
+    rule ``RELATION_TOL * (1 + ||Q||)``: each input finds its own
     output, and a query moved off an input by half the tolerance is still
     matched while one moved by twice it raises ``KeyError``."""
     rng = np.random.default_rng(23)
@@ -413,7 +420,7 @@ def test_table_lookup_matches_the_dense_distance(field):
     def dense(q):
         dists = np.linalg.norm(inputs - q.matrix, axis=(1, 2))
         best = int(np.argmin(dists))
-        return best, dists[best] <= TABLE_MATCH_TOL * (1.0 + np.linalg.norm(q.matrix))
+        return best, dists[best] <= RELATION_TOL * (1.0 + np.linalg.norm(q.matrix))
 
     for p, out in table:
         best, covered = dense(p)
@@ -426,7 +433,7 @@ def test_table_lookup_matches_the_dense_distance(field):
         # at distance ``t ||u|| ||f||`` from ``P``
         r = random_matrix(rng, (n,), field)
         u = r - np.dot(r, p.f) * p.x
-        unit = TABLE_MATCH_TOL * (1.0 + np.linalg.norm(p.matrix)) / (
+        unit = RELATION_TOL * (1.0 + np.linalg.norm(p.matrix)) / (
             np.linalg.norm(u) * np.linalg.norm(p.f))
         near = RankOneIdempotent(p.x + 0.5 * unit * u, p.f)
         assert dense(near) == (dense(p)[0], True)
@@ -536,7 +543,7 @@ class TestProbeTable:
 
     def test_validation_threshold_is_pinned(self):
         # one validation response moved off the induced map by about eps:
-        # 1e-5 lands between NOT_INDUCED_TOL and 1e-3, 1e-8 below NOT_INDUCED_TOL
+        # 1e-5 lands between RECOVERY_TOL and 1e-3, 1e-8 below RECOVERY_TOL
         op = random_semilinear(np.random.default_rng(20), 4, ScalarField.COMPLEX)
 
         def bumped_table(eps):
@@ -549,9 +556,9 @@ class TestProbeTable:
 
         with pytest.raises(NotInduced) as exc:
             reconstruct(bumped_table(1e-5), validation_count=10, seed=3)
-        assert NOT_INDUCED_TOL < exc.value.residual < 1e-3
+        assert RECOVERY_TOL < exc.value.residual < 1e-3
         assert reconstruct(bumped_table(1e-8), validation_count=10,
-                           seed=3).residual <= NOT_INDUCED_TOL
+                           seed=3).residual <= RECOVERY_TOL
 
 
 class TestHandleValidation:
