@@ -84,16 +84,20 @@ def _as_array(a):
     return v
 
 
-def _in_range(a):
-    """``a`` at a safe scale: times the power of two that brings its largest
-    real or imaginary part into ``[0.5, 1)`` if that part is outside ``[2^-500,
-    2^500]``, so that a scale-invariant check on it cannot overflow."""
+def _range_exponent(a):
+    """``None`` if the largest real or imaginary part of ``a`` is in ``[2^-500,
+    2^500]``, else the ``e`` for which ``a 2^e`` brings it into ``[0.5, 1)``:
+    the safe scale, at which a scale-invariant check cannot overflow."""
     parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
     big = max(np.abs(part).max() for part in parts)
-    if 2.0**-500 <= big <= 2.0**500:
-        return a
-    e = -np.frexp(big)[1]  # in two factors, since 2^e alone can overflow
-    return a * np.ldexp(1.0, e // 2) * np.ldexp(1.0, e - e // 2)
+    return None if 2.0**-500 <= big <= 2.0**500 else -int(np.frexp(big)[1])
+
+
+def _in_range(a):
+    """``a`` at the safe scale of :func:`_range_exponent`."""
+    e = _range_exponent(a)
+    # In two factors, since 2^e alone can overflow.
+    return a if e is None else a * np.ldexp(1.0, e // 2) * np.ldexp(1.0, e - e // 2)
 
 
 def _as_vector(x, name="vector"):
@@ -196,13 +200,12 @@ def trace(a):
     return np.trace(m)
 
 
-def kernel_and_range(a, tol=None):
+def kernel_and_range(a):
     """Orthonormal bases of the kernel and the column space of ``a``.
 
-    Rank is decided by a singular-value threshold.  ``tol`` defaults to
-    ``RANK_RTOL`` times the largest singular value.  Both bases are
-    orthonormal in coordinates; for a square input the dimensions add up
-    to ``n``.
+    A singular value counts as zero at ``RANK_RTOL`` times the largest.
+    Both bases are orthonormal in coordinates; for a square input the
+    dimensions add up to ``n``.
 
     Returns
     -------
@@ -211,13 +214,9 @@ def kernel_and_range(a, tol=None):
     """
     m = _as_matrix(a, "operator", square=False)
     u, s, vh = np.linalg.svd(m)
-    if tol is None:
-        smax = s[0] if s.size and s[0] > 0 else 1.0
-        tol = RANK_RTOL * smax
-    rank = int(np.sum(s > tol))
-    kernel = vh[rank:].conj().T
-    range_ = u[:, :rank]
-    return kernel, range_
+    smax = s[0] if s.size and s[0] > 0 else 1.0
+    rank = int(np.sum(s > RANK_RTOL * smax))
+    return vh[rank:].conj().T, u[:, :rank]
 
 
 def orthonormal_columns(a):

@@ -24,7 +24,6 @@ import scipy.linalg
 
 from .core import (
     IDENTITY_RTOL,
-    RANK_RTOL,
     RELATION_TOL,
     ROUNDOFF_RTOL,
     SINGULAR_RTOL,
@@ -42,7 +41,6 @@ from .core import (
     _row_matvec,
     _row_norms,
     field_of,
-    kernel_and_range,
 )
 from .errors import DimensionMismatch
 from .idempotents import _normalized_rows
@@ -343,30 +341,6 @@ def characterize(space: IndefiniteSpace, u: SemilinearOperator) -> Characterizat
     return Characterization(kind, constant)
 
 
-def _eta_skew_basis(space: IndefiniteSpace):
-    """Orthonormal (realified) basis of ``{K : eta K + K* eta = 0}``.
-
-    The constraint is only real-linear over the complex field (because of
-    the conjugate transpose), so it is realified, as the ``float64`` view
-    of each matrix, before the nullspace is extracted.  The system is
-    ``2n^2 x 2n^2`` (``n^2 x n^2`` over the reals) and its SVD costs
-    ``O(n^6)``: this is the route of last resort for metrics the pencil
-    routes of :func:`_skew_projection` cannot take.  A singular value at
-    most ``RANK_RTOL`` times ``max(1, ||eta||)`` counts as zero.
-    """
-    n, field, eta = space.n, space.field, space._safe_eta
-    dim = 2 * n * n if field is ScalarField.COMPLEX else n * n
-    if dim > 2048:  # complex n = 32 takes about 8 s; n = 64 would need minutes and GBs
-        raise ArithmeticError(f"the nullspace fallback would solve for {dim} unknowns, above 2048")
-    cols = []
-    for k in range(dim):
-        kmat = np.eye(1, dim, k).view(field.dtype).reshape(n, n)
-        cols.append((eta @ kmat + kmat.conj().T @ eta).view(np.float64).ravel())
-    kernel, _ = kernel_and_range(np.column_stack(cols),
-                                 tol=RANK_RTOL * max(1.0, np.linalg.norm(eta)))
-    return kernel
-
-
 #: Certificate of the pencil eigenbasis, in units of the eigenvalue error
 #: estimate ``eps cond(W) rho`` (``rho`` the spectral radius): every
 #: eigenvalue lies within this of its partner, and no two within twice it.
@@ -374,24 +348,28 @@ _PENCIL_MARGIN = 1e3
 
 
 def _self_adjoint_projection(h):
-    """Projection onto ``{K : h K + K* h = 0}`` for a Hermitian ``h``.
+    """Projection onto ``{K : h K + K* h = 0}`` for a Hermitian ``h``, or
+    ``None`` when ``h`` is singular (``SINGULAR_RTOL``).
 
-    The space is ``h^{-1}`` times the skew-Hermitian matrices
-    (Gohberg, Lancaster and Rodman, *Indefinite Linear Algebra and
-    Applications*, 2005).  The projection of ``G`` is ``K = h^{-1} S``
-    with ``P S + S P = h^{-1} G - G* h^{-1}`` and ``P = h^{-2}``.  In the
-    eigenbasis ``h = U diag(mu) U*`` this Lyapunov equation is diagonal,
-    and ``K~ = U* K U`` is entrywise ``(mu_j^2 G~_ij - mu_i mu_j
-    conj(G~_ji)) / (mu_i^2 + mu_j^2)`` with ``G~ = U* G U``.
+    The space is ``h^{-1}`` times the skew-Hermitian matrices (Gohberg,
+    Lancaster and Rodman, *Indefinite Linear Algebra and Applications*,
+    2005).  The projection of ``G`` is ``K = h^{-1} S`` with ``P S + S P =
+    h^{-1} G - G* h^{-1}`` and ``P = h^{-2}``.  In the eigenbasis ``h = U
+    diag(mu) U*`` this Lyapunov equation is diagonal, and ``K~ = U* K U``
+    is entrywise ``(mu_j^2 G~_ij - mu_i mu_j conj(G~_ji)) / (mu_i^2 +
+    mu_j^2)`` with ``G~ = U* G U``; a real ``G`` has a real projection.
     """
     mu, u = np.linalg.eigh(h)
+    if np.abs(mu).min() <= SINGULAR_RTOL * np.abs(mu).max():
+        return None
     mu2 = mu**2
     denom = mu2[:, None] + mu2
     cross = np.outer(mu, mu)
 
     def project(g):
         gt = u.conj().T @ g @ u
-        return u @ ((gt * mu2 - gt.conj().T * cross) / denom) @ u.conj().T
+        k = u @ ((gt * mu2 - gt.conj().T * cross) / denom) @ u.conj().T
+        return k if np.iscomplexobj(g) else k.real
 
     return project
 
@@ -410,12 +388,8 @@ def _pencil_projection(h, b):
     ``K`` obeys ``E_ij (d_i + d_j) = 0`` with ``E = W^T h W`` and ``mu_j =
     -mu_i``, and the projection of a real matrix onto that complex span
     is the real projection.  The projection solves the normal equations
-    of the ``d`` directions: ``O(n^3)`` per call.
-
-    The spectral certificate bounds the error of the eigenvalues, not of
-    the eigenvectors, which grows as the separation shrinks; so the
-    constraint is also checked on the projection of one fixed probe, within
-    ``IDENTITY_RTOL / 10 ||eta|| ||K||``, a tenth of what generation accepts.
+    of the ``d`` directions: ``O(n^3)`` per call.  The spectral certificate
+    bounds the eigenvalues' error, not the eigenvectors': see :func:`_corrected`.
     """
     complex_field = np.iscomplexobj(h)
     try:
@@ -456,19 +430,13 @@ def _pencil_projection(h, b):
         k = (w * (t @ np.linalg.solve(gram, rhs))) @ w_inv
         return k if complex_field else k.real
 
-    eta = h + 1j * b if complex_field else h + b
-    field = ScalarField.COMPLEX if complex_field else ScalarField.REAL
-    k = project(random_matrix(np.random.default_rng(0), eta.shape, field))
-    resid = np.linalg.norm(eta @ k + k.conj().T @ eta)
-    if resid > IDENTITY_RTOL / 10 * np.linalg.norm(eta) * np.linalg.norm(k):
-        return None
     return project
 
 
-def _closed_form_or_pencil(eta):
-    """The projection of :func:`_skew_projection` from the Hermitian pencil
-    ``eta = H + iB``, or ``None`` when neither route certifies it.  ``B_t``
-    vanishes when ``||B_t||`` is at most ``ROUNDOFF_RTOL ||eta||``."""
+def _hermitian_pencil(eta):
+    """``(H, B, H_t, vanishes)`` for the Hermitian pencil ``eta = H + iB`` and
+    ``e^{-it} eta = H_t + i B_t`` at the ``t`` that minimises ``||B_t||``;
+    ``B_t`` vanishes when it is at most ``ROUNDOFF_RTOL ||eta||``."""
     h = (eta + eta.conj().T) / 2
     hh = np.vdot(h, h).real
     if np.iscomplexobj(eta):
@@ -478,43 +446,66 @@ def _closed_form_or_pencil(eta):
         t = math.atan2(2 * np.vdot(h, b).real, hh - bb) / 2
         c, s = math.cos(t), math.sin(t)
         h_t, b_t = (c * h + s * b, c * b - s * h) if t else (h, b)
-        if np.vdot(b_t, b_t).real <= ROUNDOFF_RTOL**2 * (hh + bb):
-            return _self_adjoint_projection(h_t)
-        return _pencil_projection(h, b)
+        return h, b, h_t, np.vdot(b_t, b_t).real <= ROUNDOFF_RTOL**2 * (hh + bb)
     # ``B = -iA`` for the skew part ``A``, so ``<H, B> = 0`` and ``t`` is 0
     # or pi/2: ``H_t`` is ``S`` or ``-iA``.  The pencil is kept real as ``(S, A)``.
     a = (eta - eta.T) / 2
     aa = np.vdot(a, a)
-    if min(hh, aa) <= ROUNDOFF_RTOL**2 * (hh + aa):
-        project = _self_adjoint_projection(h if aa <= hh else -1j * a)
-        return lambda g: project(g).real
-    return _pencil_projection(h, a)
+    return h, a, h if aa <= hh else -1j * a, min(hh, aa) <= ROUNDOFF_RTOL**2 * (hh + aa)
+
+
+def _closed_form_or_pencil(eta):
+    """The closed form for ``H_t`` if ``B_t`` vanishes, else the pencil, or ``None``."""
+    h, b, h_t, vanishes = _hermitian_pencil(eta)
+    return _self_adjoint_projection(h_t) if vanishes else _pencil_projection(h, b)
 
 
 def _skew_projection(space: IndefiniteSpace):
-    """Orthogonal projection onto ``{K : eta K + K* eta = 0}`` in the real
-    Frobenius inner product, as a function of ``K``; cached on the space.
-
-    With ``eta = H + iB`` (``H``, ``B`` Hermitian) the constraint holds
-    exactly when ``K`` is skew for ``H`` and ``B``, and so for the pencil
-    ``e^{-it} eta = H_t + i B_t``.  If ``B_t`` vanishes at the ``t`` that
-    minimises it (Hermitian metrics, a phase times one, real skew ones)
-    the projection is the closed form for ``H_t``; otherwise the certified
-    eigenbasis of ``H^{-1} B``; and for a singular ``H``, a pencil
-    spectrum that is repeated or defective within its error estimate, or
-    eigenvectors that fail the probe, the ``O(n^6)`` nullspace of
-    :func:`_eta_skew_basis`.  The projection does not depend on the route,
-    up to rounding.
-    """
+    """Orthogonal projection onto ``{K : eta K + K* eta = 0}``, the matrices
+    skew for both ``H_t`` and ``B_t``, in the real Frobenius inner product, up
+    to :func:`_corrected`; cached on the space.  The route of
+    :func:`_closed_form_or_pencil`, else the identity (a singular ``H``, a
+    repeated or defective spectrum), which leaves it to the correction."""
     if space._skew_projection is None:
-        project = _closed_form_or_pencil(space._safe_eta)
-        if project is None:
-            basis, n, dtype = _eta_skew_basis(space), space.n, space.field.dtype
-
-            def project(g):
-                return (basis @ (basis.T @ g.view(np.float64).ravel())).view(dtype).reshape(n, n)
-        space._skew_projection = project
+        space._skew_projection = _closed_form_or_pencil(space._safe_eta) or (lambda g: g)
     return space._skew_projection
+
+
+#: Iteration cap of the LSQR correction; Hermitian-plus-triangle metrics at
+#: complex n = 32 (``cond(eta)`` up to 8e4) and real n = 45 needed at most 5359.
+_LSQR_ITERATIONS = 20000
+
+
+def _corrected(eta, k):
+    """``k`` if ``||L k|| <= IDENTITY_RTOL / 10 ||eta|| ||k||`` for ``L(K) = eta K
+    + K* eta``; else the projection of ``P k`` onto the kernel of ``L``, for ``P``
+    the closed form of :func:`_self_adjoint_projection` for ``H_t`` (the identity
+    if ``H_t`` is singular), whose range holds that kernel.  It is ``P k - P d``
+    for the least-norm ``d`` with ``L P d = L P k``, by matrix-free LSQR (Paige
+    and Saunders, ACM TOMS 8, 1982) on the ``float64`` view, until ``L`` of it is
+    at most ``ROUNDOFF_RTOL ||eta|| ||P k||`` or for ``_LSQR_ITERATIONS``; ``L P``
+    needs 5-11x fewer iterations than ``L``."""
+
+    def constraint(m):
+        return eta @ m + m.conj().T @ eta
+
+    scale = np.linalg.norm(eta) * np.linalg.norm(k)
+    if np.linalg.norm(constraint(k)) <= IDENTITY_RTOL / 10 * scale:
+        return k
+    from scipy.sparse.linalg import LinearOperator, lsqr  # only here: keeps the import light
+
+    p = _self_adjoint_projection(_hermitian_pencil(eta)[2]) or (lambda m: m)
+    k, shape, dtype = p(k), k.shape, k.dtype
+
+    def realified(fn):
+        return lambda v: fn(v.view(dtype).reshape(shape)).view(np.float64).ravel()
+
+    b = constraint(k).view(np.float64).ravel()
+    op = LinearOperator((b.size,) * 2, realified(lambda m: constraint(p(m))), dtype=np.float64,
+                        rmatvec=realified(lambda r: p(eta.conj().T @ r + eta @ r.conj().T)))
+    btol = ROUNDOFF_RTOL * np.linalg.norm(eta) * np.linalg.norm(k) / np.linalg.norm(b)
+    d = lsqr(op, b, atol=0, btol=btol, conlim=0, iter_lim=_LSQR_ITERATIONS)[0]
+    return k - p(d.view(dtype).reshape(shape))
 
 
 def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> SemilinearOperator:
@@ -525,27 +516,27 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     metric exactly), exponentiates, and multiplies by ``sqrt(scale)``.
     When the solution space is trivial (``||K|| <= ROUNDOFF_RTOL``) the
     output degenerates to ``sqrt(scale) * I``.  The identity is checked to
-    ``IDENTITY_RTOL scale (1 + ||eta||)``, with ``eta`` at a safe scale.
+    ``IDENTITY_RTOL scale (1 + ||eta||)``, with ``eta`` at a safe scale,
+    and a miss raises ``ArithmeticError``.
 
-    The projection takes ``O(n^3)``, or ``O(n^6)`` for a metric whose
-    Hermitian pencil cannot be certified (see :func:`_skew_projection`).
-    Such a metric raises ``ArithmeticError`` above 2048 realified
-    unknowns (complex n > 32, real n > 45).
+    The route (:func:`_skew_projection`) takes ``O(n^3)``; LSQR corrects a
+    projection that misses its certificate (:func:`_corrected`), so the
+    result is the route's ``K`` projected, within the route's error of ``G``
+    projected.  Generation follows the metric as given, up to that
+    certificate, also where its kernel is ill-determined.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if not np.isfinite(scale):
         raise ValueError("scale must be finite")
-    rng = np.random.default_rng(seed)
-    k = _skew_projection(space)(random_matrix(rng, (space.n, space.n), space.field))
+    g = random_matrix(np.random.default_rng(seed), (space.n, space.n), space.field)
+    eta = space._safe_eta
+    k = _corrected(eta, _skew_projection(space)(g))
     norm_k = np.linalg.norm(k)
-    if norm_k > ROUNDOFF_RTOL:
-        k = k / norm_k
-    else:
-        k = np.zeros_like(k)
+    k = k / norm_k if norm_k > ROUNDOFF_RTOL else np.zeros_like(k)
     v_mat = scipy.linalg.expm(k) * np.sqrt(scale)
-    resid = np.linalg.norm(v_mat.conj().T @ space._safe_eta @ v_mat - scale * space._safe_eta)
-    if resid > IDENTITY_RTOL * scale * (1.0 + np.linalg.norm(space._safe_eta)):
+    resid = np.linalg.norm(v_mat.conj().T @ eta @ v_mat - scale * eta)
+    if resid > IDENTITY_RTOL * scale * (1.0 + np.linalg.norm(eta)):
         raise ArithmeticError(f"isometry generation failed, residual {resid:.3e}")
     # ``||K|| <= 1``, so ``cond(exp(K)) <= e^2``: no singularity check.
     return SemilinearOperator._from_checked(v_mat, AutomorphismTag.IDENTITY)
@@ -565,7 +556,8 @@ def recover_inducing_operator(space: IndefiniteSpace, t: RayMap,
     residual.  Raises :class:`~idemap.errors.NotInduced` when ``t`` is
     not a symmetry transformation.
     """
-    eta, eta_inv = space.eta, space.eta_inv
+    eta = space._safe_eta
+    eta_inv = space.eta_inv if eta is space.eta else np.linalg.inv(eta)
 
     def rows(x, f):
         tx = t._rows(x)

@@ -29,6 +29,7 @@ from .core import (
     _as_array,
     _frozen,
     _in_range,
+    _range_exponent,
     _row_dots,
     _row_matvec,
     _row_norms,
@@ -521,6 +522,17 @@ def _rank_one_distances(x, f, y, g):
                    + np.abs(a22 * b12) ** 2 + (a22 * b22) ** 2)
 
 
+def _balanced(x, f):
+    """``(x 2^k, f 2^-k)``, the tensor of ``(x, f)`` up to underflow, with ``x``
+    (else ``f``) at the safe scale of :func:`~idemap.core._range_exponent`."""
+    kx, kf = _range_exponent(x), _range_exponent(f)
+    if kx is None and kf is None:
+        return x, f
+    k = -kf if kx is None else kx
+    return (np.ldexp(x.view(np.float64), k).view(x.dtype),
+            np.ldexp(f.view(np.float64), -k).view(f.dtype))
+
+
 def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
     """Lift representative-level maps ``(T, S)`` to a map on idempotents:
     ``(x, f) -> normalized (T x, S f)``.
@@ -570,9 +582,11 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
     The table is checked once, here: it must not be empty, and every
     entry must be an ``(input, output)`` pair of :class:`RankOneIdempotent`
     of dimension ``n``.  Each query is matched to the nearest input row by
-    the validation residual's distance, in one vectorised call; one farther
-    than ``RELATION_TOL (1 + ||x|| ||f||)`` raises ``KeyError``, which
-    :func:`reconstruct` passes on (malformed input, not evidence about the map).
+    the validation residual's distance, in one vectorised call, with ``x``
+    and ``f`` at one scale (:func:`_balanced`); one farther
+    than ``RELATION_TOL (1 + ||x|| ||f||)``, or at a distance that is not
+    finite, raises ``KeyError``, which :func:`reconstruct` passes on
+    (malformed input, not evidence about the map).
     """
     entries = list(entries)
     if not entries:
@@ -582,9 +596,10 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
     outputs = [q for _, q in entries]
 
     def eval_fn(p: RankOneIdempotent) -> RankOneIdempotent:
-        dists = _rank_one_distances(p.x[None], p.f[None], x, f)
+        px, pf = _balanced(p.x, p.f)
+        dists = _rank_one_distances(px[None], pf[None], x, f)
         best = int(np.argmin(dists))
-        if dists[best] > RELATION_TOL * (1.0 + np.linalg.norm(p.x) * np.linalg.norm(p.f)):
+        if not dists[best] <= RELATION_TOL * (1.0 + np.linalg.norm(px) * np.linalg.norm(pf)):
             raise KeyError("query is not covered by the probe table")
         return outputs[best]
 

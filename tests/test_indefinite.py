@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,14 +85,46 @@ def phase_metric(rng, n, field, family):
     return np.exp(0.3j) * corpus_metric(rng, n, ScalarField.COMPLEX, 2)
 
 
+def eta_skew_basis(space):
+    """Orthonormal (realified) basis of ``{K : eta K + K* eta = 0}``: the
+    nullspace of the constraint on the ``float64`` view of ``K`` (it is only
+    real-linear over the complex field), a ``2n^2 x 2n^2`` system (``n^2 x
+    n^2`` over the reals) solved by SVD in ``O(n^6)``.  A singular value at
+    most ``1e-9 max(1, ||eta||)`` counts as zero."""
+    n, field, eta = space.n, space.field, space._safe_eta
+    dim = 2 * n * n if field is ScalarField.COMPLEX else n * n
+    cols = []
+    for k in range(dim):
+        kmat = np.eye(1, dim, k).view(field.dtype).reshape(n, n)
+        cols.append((eta @ kmat + kmat.conj().T @ eta).view(np.float64).ravel())
+    _, s, vh = np.linalg.svd(np.column_stack(cols))
+    return vh[int(np.sum(s > 1e-9 * max(1.0, np.linalg.norm(eta)))):].conj().T
+
+
 def nullspace_isometry(space, seed, scale=1.0):
     """Reference for :func:`generate_eta_isometry`: the seeded Gaussian
     projected onto the nullspace basis of the realified constraint."""
     n, field = space.n, space.field
-    basis = indefinite._eta_skew_basis(space)
+    basis = eta_skew_basis(space)
     g = random_matrix(np.random.default_rng(seed), (n, n), field)
     k = (basis @ (basis.T @ g.view(np.float64).ravel())).view(field.dtype).reshape(n, n)
     return scipy.linalg.expm(k / np.linalg.norm(k)) * np.sqrt(scale)
+
+
+def assert_generates(eta, seed, scale=2.0):
+    """The seeded projection, corrected, meets its certificate ``||eta K + K*
+    eta|| <= 1e-10 ||eta|| ||K||`` (``K`` as projected), and generation gives
+    a nontrivial isometry of ``eta`` within its own certificate."""
+    space = IndefiniteSpace(eta)
+    k = indefinite._skew_projection(space)(
+        random_matrix(np.random.default_rng(seed), eta.shape, space.field))
+    corrected = indefinite._corrected(eta, k)
+    resid = np.linalg.norm(eta @ corrected + corrected.conj().T @ eta)
+    assert resid <= 1e-10 * np.linalg.norm(eta) * np.linalg.norm(k)
+    v = generate_eta_isometry(space, seed, scale).matrix
+    resid = np.linalg.norm(v.conj().T @ eta @ v - scale * eta)
+    assert resid <= 1e-9 * scale * (1 + np.linalg.norm(eta))
+    assert np.linalg.norm(v / np.sqrt(scale) - np.eye(len(eta))) > 1e-3
 
 
 class TestEtaProduct:
@@ -425,14 +458,39 @@ class TestGenerateEtaIsometry:
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
         assert np.linalg.norm(got - np.eye(6)) > 1e-3
 
-    def test_large_fallback_is_refused(self):
-        # Identity plus a Gaussian strict upper triangle at complex n = 64:
-        # at this seed the pencil probe refuses, and the nullspace would
-        # be an 8192 x 8192 system.
-        eta = corpus_metric(np.random.default_rng(11), 64, ScalarField.COMPLEX, 1)
+    @pytest.mark.parametrize("field, n, seed", ((ScalarField.COMPLEX, 32, 427),
+                                                (ScalarField.REAL, 45, 26)), ids=("complex", "real"))
+    def test_hermitian_beside_triangle_at_the_old_range_edge(self, field, n, seed):
+        # The largest sizes the SVD nullspace took.  The complex Hermitian
+        # block has an eigenvalue at 3.1e-3 (``cond(eta)`` 4.6e3): LSQR on all
+        # of ``K`` needs 23456 iterations, above the cap; restricted to the
+        # ``H``-skew matrices, 3202.
+        rng = np.random.default_rng(seed)
+        h = random_matrix(rng, (n // 2, n // 2), field)
+        t = np.eye(n - n // 2) + 0.5 * np.triu(random_matrix(rng, (n - n // 2,) * 2, field), 1)
+        space = IndefiniteSpace(scipy.linalg.block_diag(h + h.conj().T, t))
+        assert indefinite._closed_form_or_pencil(space.eta) is None
+        want = nullspace_isometry(space, seed=5)
+        got = generate_eta_isometry(space, seed=5).matrix
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed", (11, 25))
+    def test_complex_n64_inaccurate_pencil_is_corrected(self, seed):
+        # Identity plus a Gaussian strict upper triangle: at these seeds the
+        # pencil eigenvectors miss the certificate by about 2x, and a few
+        # LSQR iterations correct the projection (8192 realified unknowns).
+        eta = corpus_metric(np.random.default_rng(seed), 64, ScalarField.COMPLEX, 1)
+        assert_generates(eta, seed=0)
+
+    def test_complex_n64_block_scalar_metric(self):
+        # ``S* diag(I, -I, (1+i) I) S`` repeats the pencil eigenvalues 0 and
+        # 1: no route, and LSQR projects the Gaussian's ``H``-skew part.
+        # ``cond(S)`` is about 10.
+        s = np.eye(64) + random_matrix(np.random.default_rng(24), (64, 64), ScalarField.COMPLEX) / 16
+        d = np.repeat([1, -1, 1 + 1j], [22, 21, 21])
+        eta = s.conj().T @ (d[:, None] * s)
         assert indefinite._closed_form_or_pencil(eta) is None
-        with pytest.raises(ArithmeticError, match="8192 unknowns, above 2048"):
-            generate_eta_isometry(IndefiniteSpace(eta), seed=0)
+        assert_generates(eta, seed=0)
 
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("sign", (1, -1), ids=("definite", "indefinite"))
@@ -453,7 +511,7 @@ class TestGenerateEtaIsometry:
                 *([[s, x], [-x, s]] for s, x in zip((1, sign, -1), m))) @ w_inv
             project = indefinite._closed_form_or_pencil(eta)
             if project is not None:
-                k = project(random_matrix(rng, (6, 6), field))
+                k = indefinite._corrected(eta, project(random_matrix(rng, (6, 6), field)))
                 resid = np.linalg.norm(eta @ k + k.conj().T @ eta)
                 assert resid <= 1e-10 * np.linalg.norm(eta) * np.linalg.norm(k)
             space = IndefiniteSpace(eta)
@@ -464,23 +522,19 @@ class TestGenerateEtaIsometry:
         "kind", (0, 1, 2, 3, *PHASE_FAMILIES),
         ids=("signature", "triangle", "hermitian", "gaussian", *PHASE_FAMILIES))
     def test_complex_n64_without_the_nullspace(self, kind, monkeypatch):
-        # The 8192 x 8192 nullspace would take minutes; the closed form
-        # and the pencil must not need it.  The skew metric is real.
-        def no_fallback(space):
-            raise AssertionError("fell back to the nullspace")
+        # The closed form and the certified pencil need no LSQR correction
+        # at this seed.  The skew metric is real.
+        def no_correction(*args, **kwargs):
+            raise AssertionError("projection needed the LSQR correction")
 
-        monkeypatch.setattr(indefinite, "_eta_skew_basis", no_fallback)
+        monkeypatch.setattr(scipy.sparse.linalg, "lsqr", no_correction)
         rng = np.random.default_rng(19)
         if kind in PHASE_FAMILIES:
             field = ScalarField.REAL if kind == "skew" else ScalarField.COMPLEX
             eta = phase_metric(rng, 64, field, kind)
         else:
             eta = corpus_metric(rng, 64, ScalarField.COMPLEX, kind)
-        space = IndefiniteSpace(eta)
-        v = generate_eta_isometry(space, seed=20, scale=2.0).matrix
-        resid = np.linalg.norm(v.conj().T @ eta @ v - 2.0 * eta)
-        assert resid <= 1e-9 * 2.0 * (1 + np.linalg.norm(eta))
-        assert np.linalg.norm(v / np.sqrt(2.0) - np.eye(64)) > 1e-3
+        assert_generates(eta, seed=20)
 
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     def test_no_svd_after_the_space_is_built(self, field, monkeypatch):
@@ -537,6 +591,17 @@ class TestRecovery:
         assert up_to_scalar_distance(
             result.A.matrix, u.matrix / np.linalg.norm(u.matrix)
         ) <= 1e-6
+
+    @pytest.mark.parametrize("eta_scale", [1e200, 1e-200])
+    def test_scale_of_the_metric_is_invisible(self, eta_scale):
+        # At 1e200 the probe functionals ``eta^{-1} f`` squared to zero
+        # unless read at a safe scale, and were refused as zero rays.
+        space = IndefiniteSpace(eta_scale * MINKOWSKI)
+        v = generate_eta_isometry(space, 3, 2.0)
+        result = recover_inducing_operator(space, induced_ray_map(v), validation_count=15, seed=7)
+        assert result.residual <= 1e-10
+        assert up_to_scalar_distance(
+            result.A.matrix, v.matrix / np.linalg.norm(v.matrix)) <= 1e-10
 
     def test_non_symmetry_rejected(self):
         rng = np.random.default_rng(5)

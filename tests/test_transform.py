@@ -541,6 +541,19 @@ class TestProbeTable:
         with pytest.raises(KeyError, match="not covered by the probe table"):
             phi(stranger)
 
+    @pytest.mark.parametrize("scale", (1.0, 1e200, 1e-200))
+    def test_query_scale_is_invisible(self, scale):
+        # At 1e+-200 the query's norms square to inf or 0: its distances were
+        # NaN, and ``argmin`` answered with the first entry's output.
+        table = probe_table_from_operator(identity_operator(3), validation_count=2)
+        phi = handle_from_table(table, 3, ScalarField.COMPLEX)
+        stranger = RankOneIdempotent(np.array([1, 1, 0j]) * scale, np.array([1, 0, 1j]) / scale)
+        with pytest.raises(KeyError, match="not covered by the probe table"):
+            phi(stranger)
+        for p, q in table:
+            np.testing.assert_array_equal(
+                phi(RankOneIdempotent(p.x * scale, p.f / scale)).matrix, q.matrix)
+
     def test_validation_threshold_is_pinned(self):
         # one validation response moved off the induced map by about eps:
         # 1e-5 lands between RECOVERY_TOL and 1e-3, 1e-8 below RECOVERY_TOL
