@@ -39,8 +39,8 @@ from .selftest import run_all
 from .serialize import (
     FormatError,
     dumps_report,
-    rank_one_from_json,
-    rank_one_to_json,
+    rank_ones_from_json,
+    rank_ones_to_json,
     scalar_to_json,
     semilinear_from_json,
     semilinear_to_json,
@@ -141,11 +141,9 @@ def _load_phi(args, payload):
         n = int(phi_def["n"])
         field = ScalarField(phi_def["field"])
         _check_expectations(args, n, field)
-        entries = [
-            (rank_one_from_json(e["in"]), rank_one_from_json(e["out"]))
-            for e in phi_def["probes"]
-        ]
-        return handle_from_table(entries, n, field)
+        payloads = [e[k] for e in phi_def["probes"] for k in ("in", "out")]
+        ps = rank_ones_from_json(payloads)
+        return handle_from_table(zip(ps[0::2], ps[1::2]), n, field)
     raise FormatError(f"unknown phi mode {mode!r}")
 
 
@@ -162,7 +160,7 @@ def cmd_reconstruct(args) -> int:
         "auto": result.A.auto.value,
         "residual": result.residual,
         "probes": result.probes_used,
-        "probe_set": [rank_one_to_json(p) for p in result.probes.all_probes()],
+        "probe_set": rank_ones_to_json(*result.probes.rows),
     }
     _emit(args, report,
           f"reconstructed operator: auto={result.A.auto.value} "

@@ -84,20 +84,21 @@ def _as_array(a):
     return v
 
 
-def _range_exponent(a):
-    """``None`` if the largest real or imaginary part of ``a`` is in ``[2^-500,
-    2^500]``, else the ``e`` for which ``a 2^e`` brings it into ``[0.5, 1)``:
-    the safe scale, at which a scale-invariant check cannot overflow."""
-    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-    big = max(np.abs(part).max() for part in parts)
-    return None if 2.0**-500 <= big <= 2.0**500 else -int(np.frexp(big)[1])
+def _range_exponent(a, axis=None):
+    """0 if the largest real or imaginary part of ``a`` (of each slice along
+    ``axis``; of all of ``a`` for ``None``) is in ``[2^-500, 2^500]``, else
+    the ``e`` for which ``a 2^e`` brings it into ``[0.5, 1)``: the safe
+    scale, at which a scale-invariant check cannot overflow."""
+    # A complex array read as its real and imaginary parts side by side.
+    big = np.abs(np.ascontiguousarray(a).view(a.real.dtype)).max(axis=axis)
+    return ((big < 2.0**-500) | (big > 2.0**500)) * -np.frexp(big)[1]
 
 
 def _in_range(a):
     """``a`` at the safe scale of :func:`_range_exponent`."""
-    e = _range_exponent(a)
+    e = int(_range_exponent(a))
     # In two factors, since 2^e alone can overflow.
-    return a if e is None else a * np.ldexp(1.0, e // 2) * np.ldexp(1.0, e - e // 2)
+    return a if e == 0 else a * np.ldexp(1.0, e // 2) * np.ldexp(1.0, e - e // 2)
 
 
 def _as_vector(x, name="vector"):

@@ -47,14 +47,10 @@ class RankOneIdempotent:
         xv = _as_array(x)
         if xv.ndim == 1:
             fv = _as_array(f)
-            if fv.shape == xv.shape:
-                tol = _pairing_tol(xv, fv)
-                # An inf or NaN entry makes a norm or the pairing non-finite,
-                # so an accepted pair is finite without a check of its own.
-                if tol < np.inf and abs(np.dot(xv, fv) - 1.0) <= tol:
-                    self._x = _frozen(xv)
-                    self._f = _frozen(fv)
-                    return
+            if fv.shape == xv.shape and _accepts_pair(xv, fv):
+                self._x = _frozen(xv)
+                self._f = _frozen(fv)
+                return
         _refuse_pair(x, f)
 
     @classmethod
@@ -92,6 +88,15 @@ class RankOneIdempotent:
         return f"RankOneIdempotent(n={self.n}, field={self.field.value})"
 
 
+def _accepts_pair(x, f):
+    """The rule of :class:`RankOneIdempotent` for 1-d ``x`` and ``f`` of one
+    shape: ``|pair(x, f) - 1| <= _pairing_tol(x, f) < inf``.  An inf or NaN
+    entry makes a norm or the pairing non-finite, so an accepted pair is
+    finite without a check of its own."""
+    tol = _pairing_tol(x, f)
+    return tol < np.inf and abs(np.dot(x, f) - 1.0) <= tol
+
+
 def _pairing_tol(x, f):
     """Allowed deviation of ``pair(x, f)`` from 1: ``PAIRING_RTOL`` times
     ``1 + ||x|| ||f||`` in BLAS norms, which cannot overflow; it is infinite
@@ -116,7 +121,8 @@ def _refuse_pair(x, f):
 
 class FiniteRankIdempotent:
     """Dense idempotent, ``||P P - P|| <= IDENTITY_RTOL (1 + ||P||^2)`` (both
-    finite), with its rank read from the trace (within ``RELATION_TOL``)."""
+    finite), with its rank read from the trace, within ``RELATION_TOL (1 +
+    ||P||)``: the trace's rounding error grows with the entries."""
 
     __slots__ = ("_matrix", "_rank")
 
@@ -124,13 +130,14 @@ class FiniteRankIdempotent:
         m = _as_matrix(matrix, "idempotent")
         with np.errstate(over="ignore", invalid="ignore"):
             resid = np.linalg.norm(m @ m - m)
-            bound = IDENTITY_RTOL * (1.0 + np.linalg.norm(m)**2)
+            norm = np.linalg.norm(m)
+            bound = IDENTITY_RTOL * (1.0 + norm**2)
         # An overflowed residual or bound proves nothing: refuse it.
         if not resid <= bound < np.inf:
             raise NotIdempotent(f"||P@P - P|| = {resid:.3e} exceeds tolerance")
         tr = np.trace(m)
         rank = int(round(float(tr.real)))
-        if abs(tr - rank) > RELATION_TOL:
+        if abs(tr - rank) > RELATION_TOL * (1.0 + norm):
             raise NotIdempotent(f"trace {tr!r} is not close to an integer")
         if rank < 0 or rank > m.shape[0]:
             raise NotIdempotent(f"trace-derived rank {rank} out of range")

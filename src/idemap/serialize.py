@@ -11,12 +11,13 @@ Spaces are ``{"n", "field", "eta"}``.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 
 from .core import AutomorphismTag, ScalarField, SemilinearOperator, field_of
-from .idempotents import FiniteRankIdempotent, RankOneIdempotent
+from .idempotents import FiniteRankIdempotent, RankOneIdempotent, _accepts_pair, _rank_one_views
 from .indefinite import IndefiniteSpace
 
 
@@ -47,11 +48,12 @@ def _field_from_json(d) -> ScalarField:
 
 
 def vector_to_json(x, field: ScalarField) -> list:
-    """Entries of ``x`` in row-major order: ``[re, im]`` pairs over the
-    complex field, numbers over the reals."""
+    """Entries of ``x`` as nested lists of its shape: ``[re, im]`` pairs over
+    the complex field, numbers over the reals."""
     if field is ScalarField.COMPLEX:
-        return np.ascontiguousarray(x, np.complex128).view(np.float64).reshape(-1, 2).tolist()
-    return np.asarray(np.real(x), dtype=np.float64).ravel().tolist()
+        x = np.ascontiguousarray(x, np.complex128)
+        return x.view(np.float64).reshape(*x.shape, 2).tolist()
+    return np.asarray(np.real(x), dtype=np.float64).tolist()
 
 
 def vector_from_json(data, n, field: ScalarField):
@@ -63,7 +65,7 @@ def vector_from_json(data, n, field: ScalarField):
 def matrix_to_json(m) -> dict:
     m = np.asarray(m)
     field = field_of(m)
-    return {"field": field.value, "n": m.shape[0], "data": vector_to_json(m, field)}
+    return {"field": field.value, "n": m.shape[0], "data": vector_to_json(m.ravel(), field)}
 
 
 def matrix_from_json(d) -> np.ndarray:
@@ -96,22 +98,70 @@ def semilinear_from_json(d) -> SemilinearOperator:
     return SemilinearOperator(m, auto)
 
 
+def rank_ones_to_json(x, f) -> list:
+    """Payloads of the rank-one rows ``(x, f)``, each side encoded as one
+    block; :func:`rank_one_to_json` is the one-row case."""
+    field = ScalarField.COMPLEX if np.iscomplexobj(x) or np.iscomplexobj(f) else ScalarField.REAL
+    n = x.shape[1]
+    return [{"kind": "rank1", "field": field.value, "n": n, "x": xk, "f": fk}
+            for xk, fk in zip(vector_to_json(x, field), vector_to_json(f, field))]
+
+
 def rank_one_to_json(p: RankOneIdempotent) -> dict:
-    return {"kind": "rank1", "field": p.field.value, "n": p.n,
-            "x": vector_to_json(p.x, p.field), "f": vector_to_json(p.f, p.field)}
+    return rank_ones_to_json(p.x[None], p.f[None])[0]
+
+
+def _rank_one_rows_from_json(ds):
+    """Rows ``(x, f)`` of rank1 payloads of one field and dimension, each
+    side decoded as one block, with the pairs not yet checked.  One payload
+    is checked in the order :func:`rank_one_from_json` documents."""
+    heads = set()
+    for d in ds:
+        if not isinstance(d, dict) or d.get("kind") != "rank1":
+            raise FormatError("expected a rank1 idempotent payload")
+        field = _field_from_json(d)
+        try:
+            heads.add((field, int(d["n"])))
+        except KeyError as exc:
+            raise FormatError(f"missing key: {exc}") from exc
+    if len(heads) != 1:
+        raise FormatError("rank1 payloads of several fields or dimensions")
+    (field, n), = heads
+    rows = []
+    for key in ("x", "f"):
+        try:
+            data = [d[key] for d in ds]
+        except KeyError as exc:
+            raise FormatError(f"missing key: {exc}") from exc
+        if not all(isinstance(v, (list, tuple)) and len(v) == n for v in data):
+            raise FormatError(f"vector must have {n} entries")
+        flat = list(itertools.chain.from_iterable(data))
+        rows.append(_entries_from_json(flat, len(flat), field).reshape(len(ds), n))
+    return rows
 
 
 def rank_one_from_json(d) -> RankOneIdempotent:
-    if not isinstance(d, dict) or d.get("kind") != "rank1":
-        raise FormatError("expected a rank1 idempotent payload")
-    field = _field_from_json(d)
+    """The idempotent of a rank1 payload: its kind, field tag and ``n``,
+    then ``x`` and ``f`` in turn, then the pair by
+    :class:`RankOneIdempotent`'s rule."""
+    x, f = _rank_one_rows_from_json([d])
+    return RankOneIdempotent(x[0], f[0])
+
+
+def rank_ones_from_json(ds) -> list:
+    """The idempotents of a list of rank1 payloads, decoded as one block
+    when they share a field and dimension; each pair is checked by
+    :class:`RankOneIdempotent`'s rule.  If the block is refused, the
+    payloads are decoded one by one, so the first one refused raises the
+    error :func:`rank_one_from_json` gives it."""
     try:
-        n = int(d["n"])
-        x = vector_from_json(d["x"], n, field)
-        f = vector_from_json(d["f"], n, field)
-    except KeyError as exc:
-        raise FormatError(f"missing key: {exc}") from exc
-    return RankOneIdempotent(x, f)
+        x, f = _rank_one_rows_from_json(ds)
+    except (FormatError, OverflowError, TypeError, ValueError):
+        pass
+    else:
+        if all(map(_accepts_pair, x, f)):
+            return _rank_one_views(x, f)
+    return [rank_one_from_json(d) for d in ds]
 
 
 def finite_rank_to_json(p: FiniteRankIdempotent) -> dict:

@@ -523,14 +523,52 @@ def _rank_one_distances(x, f, y, g):
 
 
 def _balanced(x, f):
-    """``(x 2^k, f 2^-k)``, the tensor of ``(x, f)`` up to underflow, with ``x``
-    (else ``f``) at the safe scale of :func:`~idemap.core._range_exponent`."""
-    kx, kf = _range_exponent(x), _range_exponent(f)
-    if kx is None and kf is None:
+    """Rows ``(x 2^k, f 2^-k)``, the tensor of each row up to underflow, with
+    the row of ``x`` (else of ``f``) at the safe scale of
+    :func:`~idemap.core._range_exponent`."""
+    kx = _range_exponent(x, axis=1)
+    k = np.where(kx != 0, kx, -_range_exponent(f, axis=1))[:, None]
+    if not k.any():
         return x, f
-    k = -kf if kx is None else kx
+    x, f = np.ascontiguousarray(x), np.ascontiguousarray(f)
     return (np.ldexp(x.view(np.float64), k).view(x.dtype),
             np.ldexp(f.view(np.float64), -k).view(f.dtype))
+
+
+#: Query rows times table entries that one step of a table lookup ranks at
+#: once, so its temporaries stay a few arrays of this size.
+_LOOKUP_CELLS = 1 << 16
+#: Rounding error of the ranking estimate per unit of ``n + 2``, over its
+#: squared norms, with margin for the exact distance's own rounding.
+_ESTIMATE_EPS = 32 * np.finfo(np.float64).eps
+
+
+def _nearest_entries(x, f, y, g, t2):
+    """Index of the table input ``(y, g)`` nearest to each query row ``(x,
+    f)`` by :func:`_rank_one_distances`, the first of equals, with ``t2 = (||y||
+    ||g||)^2``; ``KeyError`` unless each is within ``RELATION_TOL (1 + ||x||
+    ||f||)``.
+
+    The squared distances are first estimated in closed form, ``||x||^2
+    ||f||^2 + ||y||^2 ||g||^2 - 2 Re[(x^H y)(f^H g)]``, with two matrix
+    products for all pairs.  The estimate cancels, so it only selects: an
+    entry is measured again exactly unless its estimate, less its rounding
+    bound (``_ESTIMATE_EPS (n + 2)`` times the sum of the squared norms),
+    exceeds the least estimate of the row plus its bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _row_norms(x) * _row_norms(f)
+        scale = s[:, None] ** 2 + t2
+        est = scale - 2.0 * (x.conj() @ y.T * (f.conj() @ g.T)).real
+        err = _ESTIMATE_EPS * (x.shape[1] + 2) * scale
+        # A NaN estimate makes its whole row candidates; a NaN distance is
+        # then the row's answer (as ``argmin`` gives it), and refused.
+        q, m = np.nonzero(~(est - err > (est + err).min(axis=1, keepdims=True)))
+        exact = np.full(est.shape, np.inf)
+        exact[q, m] = _rank_one_distances(x[q], f[q], y[m], g[m])
+    best = np.argmin(exact, axis=1)
+    if not np.all(exact.min(axis=1) <= RELATION_TOL * (1.0 + s)):
+        raise KeyError("query is not covered by the probe table")
+    return best
 
 
 def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
@@ -581,29 +619,32 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
 
     The table is checked once, here: it must not be empty, and every
     entry must be an ``(input, output)`` pair of :class:`RankOneIdempotent`
-    of dimension ``n``.  Each query is matched to the nearest input row by
-    the validation residual's distance, in one vectorised call, with ``x``
-    and ``f`` at one scale (:func:`_balanced`); one farther
-    than ``RELATION_TOL (1 + ||x|| ||f||)``, or at a distance that is not
-    finite, raises ``KeyError``, which :func:`reconstruct` passes on
-    (malformed input, not evidence about the map).
+    of dimension ``n``.  A block of queries is answered by one lookup,
+    the handle's ``_eval(x, f)``, looked up at each call: each row gets the
+    output of the input nearest to it by the validation residual's
+    distance (:func:`_nearest_entries`), with every row read at one scale
+    (:func:`_balanced`).  A row farther than ``RELATION_TOL (1 + ||x||
+    ||f||)``, or at a distance that is not finite, raises ``KeyError``,
+    which :func:`reconstruct` passes on (malformed input, not evidence
+    about the map).
     """
     entries = list(entries)
     if not entries:
         raise ValueError("probe table is empty")
     if any(len(entry) != 2 for entry in entries):
         raise TypeError("table entry is not an (input, output) pair")
-    outputs = [q for _, q in entries]
+    phi = TransformHandle(None, n, field, _rows=lambda x, f: phi._eval(x, f))
+    y, g = _balanced(*phi._stack([p for p, _ in entries], "table input"))
+    outputs = [_frozen(r) for r in phi._stack([q for _, q in entries], "table output")]
+    t2 = (_row_norms(y) * _row_norms(g)) ** 2
+    step = max(1, _LOOKUP_CELLS // len(entries))
 
-    def eval_fn(p: RankOneIdempotent) -> RankOneIdempotent:
-        px, pf = _balanced(p.x, p.f)
-        dists = _rank_one_distances(px[None], pf[None], x, f)
-        best = int(np.argmin(dists))
-        if not dists[best] <= RELATION_TOL * (1.0 + np.linalg.norm(px) * np.linalg.norm(pf)):
-            raise KeyError("query is not covered by the probe table")
-        return outputs[best]
+    def lookup(x, f):
+        x, f = _balanced(x, f)
+        best = np.empty(len(x), dtype=np.intp)
+        for k in range(0, len(x), step):
+            best[k:k + step] = _nearest_entries(x[k:k + step], f[k:k + step], y, g, t2)
+        return outputs[0][best], outputs[1][best]
 
-    phi = TransformHandle(eval_fn, n, field)
-    x, f = phi._stack([p for p, _ in entries], "table input")
-    phi._stack(outputs, "table output")
+    phi._eval = lookup
     return phi

@@ -1,22 +1,31 @@
 import dataclasses
+import hashlib
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from idemap import selftest
-from idemap.cli import main
-from idemap.core import AutomorphismTag, ScalarField, SemilinearOperator, \
+import idemap.cli
+from idemap import __version__, selftest
+from idemap.cli import build_parser, main
+from idemap.core import RELATION_TOL, AutomorphismTag, ScalarField, SemilinearOperator, \
     up_to_scalar_distance
 from idemap.errors import ExtensionInconsistent
 from idemap.sampling import random_invertible
 from idemap.serialize import (
+    dumps_report,
     matrix_to_json,
+    rank_one_from_json,
     rank_one_to_json,
     semilinear_from_json,
     semilinear_to_json,
 )
-from idemap.transform import induce, probe_table_from_operator, reconstruct
+from idemap.transform import TransformHandle, _rank_one_distances, induce, \
+    probe_table_from_operator, reconstruct
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def write_json(path, payload):
@@ -150,6 +159,28 @@ class TestReconstructCommand:
         assert code == 1
         assert "not covered by the probe table" in capsys.readouterr().err
 
+    def test_table_refusals_follow_table_order(self, tmp_path, capsys):
+        """A missing side of any entry is reported first; else the payloads
+        are read as ``in``, ``out`` of each entry in turn, and a refused
+        ``out`` is reported before a later entry's refused ``in``."""
+        op = SemilinearOperator(random_invertible(np.random.default_rng(6), 3,
+                                                  ScalarField.COMPLEX))
+        payload = table_input(op, samples=4, seed=1)
+        probes = payload["phi"]["probes"]
+        good = json.loads(json.dumps(probes))
+        probes[1]["out"]["x"].pop()
+        probes[3]["in"]["kind"] = "finite_rank"
+        del probes[4]["out"]
+        # Each refusal is mended, in turn, once it has been reported.
+        for message, mend in (("malformed input: 'out'", 4),
+                              ("vector must have 3 entries", 1),
+                              ("expected a rank1 idempotent payload", None)):
+            inp = write_json(tmp_path / "t.json", payload)
+            assert main(["reconstruct", "--in", inp, "--samples", "4", "--seed", "1"]) == 1
+            assert message in capsys.readouterr().err
+            if mend is not None:
+                probes[mend] = good[mend]
+
     def test_malformed_input_exits_1(self, tmp_path):
         p = tmp_path / "garbage.json"
         p.write_text("{not json")
@@ -189,6 +220,68 @@ class TestReconstructCommand:
         inp = write_json(tmp_path / "in.json", induced_input(op))
         assert main(["reconstruct", "--in", inp, "--n", "4"]) == 1
         assert main(["reconstruct", "--in", inp, "--field", "complex"]) == 1
+
+
+def per_probe_report(argv):
+    """The report of ``idemap reconstruct`` built one probe at a time: each
+    table entry decoded alone, each query answered by a scan of the whole
+    table (the first input at the least ``_rank_one_distances``; these
+    tables' rows are all at a safe scale), each probe encoded alone."""
+    args = build_parser().parse_args(argv)
+    with open(args.inp) as fh:
+        phi_def = json.load(fh)["phi"]
+    if phi_def["mode"] == "induced":
+        phi = induce(semilinear_from_json(phi_def["operator"]))
+    else:
+        table = [(rank_one_from_json(e["in"]), rank_one_from_json(e["out"]))
+                 for e in phi_def["probes"]]
+        ys, gs = np.array([p.x for p, _ in table]), np.array([p.f for p, _ in table])
+
+        def scan(p):
+            dists = _rank_one_distances(p.x[None], p.f[None], ys, gs)
+            best = int(np.argmin(dists))
+            assert dists[best] <= RELATION_TOL * (1 + np.linalg.norm(p.x) * np.linalg.norm(p.f))
+            return table[best][1]
+
+        phi = TransformHandle(scan, int(phi_def["n"]), ScalarField(phi_def["field"]))
+    result = reconstruct(phi, validation_count=args.samples, seed=args.seed)
+
+    def entries(v, cplx):
+        return [[float(z.real), float(z.imag)] for z in v] if cplx else [float(z) for z in v]
+
+    def probe(p):
+        cplx = np.iscomplexobj(p.x) or np.iscomplexobj(p.f)
+        return {"kind": "rank1", "field": "complex" if cplx else "real", "n": p.n,
+                "x": entries(p.x, cplx), "f": entries(p.f, cplx)}
+
+    return dumps_report({
+        "version": __version__, "seed": args.seed,
+        "config": {"command": "reconstruct", "seed": args.seed, "samples": args.samples},
+        "A": semilinear_to_json(result.A), "auto": result.A.auto.value,
+        "residual": result.residual, "probes": result.probes_used,
+        "probe_set": [probe(p) for p in result.probes.all_probes()]}).encode()
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_benchmark_reports_match_the_per_probe_path(seed, tmp_path, monkeypatch):
+    """The ``reconstruct`` reports of the ``cli`` benchmark workload, induced
+    and from a table, have the SHA-256 digests of the reports built one
+    probe at a time: the block lookup, the block decoding of the table and
+    the block encoding of ``probe_set`` change no byte."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    lines = []
+    with monkeypatch.context() as m:
+        m.setattr(idemap.cli, "main", lambda argv: lines.append(argv) or 0)
+        for op in workloads.build_cli(np.random.default_rng(seed), str(tmp_path)):
+            op.run()
+    lines = [argv for argv in lines if argv[0] == "reconstruct"]
+    assert len(lines) == 18
+    for argv in lines:
+        assert main(argv) == 0
+        out = Path(argv[argv.index("--out") + 1])
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == hashlib.sha256(per_probe_report(argv)).hexdigest()), argv
 
 
 class TestSymmetryCommand:

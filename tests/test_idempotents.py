@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from idemap.core import PAIRING_RTOL, ScalarField, _as_vector, kernel_and_range, \
-    orthonormal_columns, tensor
+from idemap.core import PAIRING_RTOL, RELATION_TOL, ScalarField, _as_vector, \
+    kernel_and_range, orthonormal_columns, tensor
 from idemap.errors import DegeneratePair, DimensionMismatch, NotIdempotent
 from idemap.idempotents import (
     FiniteRankIdempotent,
@@ -172,6 +172,21 @@ class TestFiniteRank:
 
     def test_zero_is_valid(self):
         assert FiniteRankIdempotent(np.zeros((3, 3))).rank == 0
+
+    def test_trace_bound_scales_with_the_norm(self):
+        """``P = [[1, b, 0], [0, 0, 0], [0, 0, t]]`` has ``||P P - P|| = t - t^2``,
+        far inside its bound at ``b = 1e4``, and trace ``1 + t``.  With ``t``
+        twice ``RELATION_TOL (1 + ||P||)`` the trace is refused (a check
+        that ignored the trace would accept it); with half that, rank 1."""
+        for factor, refused in ((2.0, True), (0.5, False)):
+            m = np.array([[1.0, 1e4, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+            m[2, 2] = factor * RELATION_TOL * (1.0 + np.linalg.norm(m))
+            assert np.linalg.norm(m @ m - m) <= 1e-9 * (1.0 + np.linalg.norm(m) ** 2)
+            if refused:
+                with pytest.raises(NotIdempotent, match="not close to an integer"):
+                    FiniteRankIdempotent(m)
+            else:
+                assert FiniteRankIdempotent(m).rank == 1
 
     def test_overflowing_residual_rejected(self):
         # ||P@P - P|| and its bound 1e-9 (1 + ||P||^2) both overflow to inf,
@@ -344,6 +359,20 @@ class TestMajorant:
             assert big.rank <= n
             assert relate(p1, big).p_leq_q
             assert relate(p2, big).p_leq_q
+
+    def test_large_norm_majorant_is_accepted(self):
+        """Draw 4 of ``default_rng(1016)``: real n = 16 idempotents of ranks 4
+        and 11 whose principal-angle sine is 2.5e-4.  Their majorant has
+        ``||P||`` about 4.1e3 and trace 15 + 1.3e-8, off an integer by more
+        than ``RELATION_TOL`` but within ``RELATION_TOL (1 + ||P||)``."""
+        rng = np.random.default_rng(1016)
+        for _ in range(5):
+            p1 = random_idempotent(rng, 16, 4, ScalarField.REAL)
+            p2 = random_idempotent(rng, 16, 11, ScalarField.REAL)
+        big = majorant(p1, p2)
+        assert big.rank == 15 and np.linalg.norm(big.matrix) > 4e3
+        assert abs(np.trace(big.matrix) - 15) > RELATION_TOL
+        assert relate(p1, big).p_leq_q and relate(p2, big).p_leq_q
 
     @pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
     def test_nested_and_equal_pairs(self, field):

@@ -17,6 +17,7 @@ from idemap.serialize import (
     matrix_to_json,
     rank_one_from_json,
     rank_one_to_json,
+    rank_ones_from_json,
     semilinear_from_json,
     semilinear_to_json,
     space_from_json,
@@ -161,3 +162,65 @@ def test_kind_mismatch():
 def test_dumps_report_deterministic():
     obj = {"b": [1.0, 2.5], "a": {"z": 1, "y": -0.25}}
     assert dumps_report(obj) == dumps_report({"a": {"y": -0.25, "z": 1}, "b": [1.0, 2.5]})
+
+
+def _faulty(d, change):
+    d = json.loads(json.dumps(d))
+    change(d)
+    return d
+
+
+#: Changes to a valid complex n = 4 payload, each refused by one check of
+#: ``rank_one_from_json``, in the order it makes them.
+_FAULTS = {
+    "kind": lambda d: d.update(kind="finite_rank"),
+    "field": lambda d: d.pop("field"),
+    "n-missing": lambda d: d.pop("n"),
+    "n-text": lambda d: d.update(n="four"),
+    "x-missing": lambda d: d.pop("x"),
+    "x-short": lambda d: d["x"].pop(),
+    "x-null": lambda d: d["x"].__setitem__(1, None),
+    "f-text": lambda d: d["f"].__setitem__(0, ["a", 0.0]),
+    "f-nan": lambda d: d["f"].__setitem__(2, [float("nan"), 0.0]),
+    "pairing": lambda d: d.update(x=[[2 * re, 2 * im] for re, im in d["x"]]),
+}
+
+
+def _refusal(d):
+    try:
+        rank_one_from_json(d)
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError("payload accepted")
+
+
+@pytest.mark.parametrize("first", sorted(_FAULTS))
+def test_block_decoding_refuses_the_first_refused_payload(first):
+    """Decoded as one block, a list of payloads raises the error that the
+    first refused payload raises alone, whatever is wrong further on."""
+    rng = np.random.default_rng(2)
+    good = [rank_one_to_json(random_rank_one(rng, 4, ScalarField.COMPLEX)) for _ in range(6)]
+    want = _refusal(_faulty(good[2], _FAULTS[first]))
+    for later in sorted(_FAULTS):
+        ds = good[:2] + [_faulty(good[2], _FAULTS[first])] + good[3:5] \
+            + [_faulty(good[5], _FAULTS[later])]
+        with pytest.raises(want[0]) as info:
+            rank_ones_from_json(ds)
+        assert (type(info.value), str(info.value)) == want
+
+
+def test_block_decoding_gives_the_one_by_one_rows():
+    """Payloads of one field and dimension, of mixed fields, and of mixed
+    dimensions decode to the rows that ``rank_one_from_json`` gives each."""
+    rng = np.random.default_rng(3)
+    cplx = [rank_one_to_json(random_rank_one(rng, 4, ScalarField.COMPLEX)) for _ in range(3)]
+    real = [rank_one_to_json(random_rank_one(rng, 4, ScalarField.REAL)) for _ in range(2)]
+    wide = [rank_one_to_json(random_rank_one(rng, 5, ScalarField.REAL))]
+    for ds in (cplx, real, cplx + real, real + wide, []):
+        got = rank_ones_from_json(ds)
+        assert len(got) == len(ds)
+        for p, d in zip(got, ds):
+            want = rank_one_from_json(d)
+            for a, b in ((p.x, want.x), (p.f, want.f)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable

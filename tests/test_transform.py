@@ -9,6 +9,7 @@ from idemap.core import (
     AutomorphismTag,
     ScalarField,
     SemilinearOperator,
+    _range_exponent,
     conjugation_operator,
     identity_operator,
     up_to_scalar_distance,
@@ -34,9 +35,11 @@ from idemap.sampling import (
     remix_decomposition,
 )
 from idemap.transform import (
+    _LOOKUP_CELLS,
     RayPair,
     TransformHandle,
     _fit_two_directions,
+    _rank_one_distances,
     automorphism_of,
     check_preservation,
     extend,
@@ -442,6 +445,121 @@ def test_table_lookup_matches_the_dense_distance(field):
         assert not dense(far)[1]
         with pytest.raises(KeyError, match="not covered by the probe table"):
             phi(far)
+
+
+def scaled_row(x, f, k):
+    """``(x 2^k, f 2^-k)``, the same idempotent, exactly."""
+    def ldexp(a, e):
+        return np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e) if np.iscomplexobj(a) \
+            else np.ldexp(a, e)
+    return ldexp(x, k), ldexp(f, -k)
+
+
+def per_row_lookup(table, x, f):
+    """The table lookup one query row at a time: every row, query or table
+    input, read with ``x`` (else ``f``) at the safe scale of
+    ``_range_exponent``; the first input at the least ``_rank_one_distances``
+    answers, if within ``RELATION_TOL (1 + ||x|| ||f||)``, else ``KeyError``."""
+    def safe(u, v):
+        return scaled_row(u, v, int(_range_exponent(u)) or -int(_range_exponent(v)))
+
+    inputs = [safe(p.x, p.f) for p, _ in table]
+    ys, gs = np.array([y for y, _ in inputs]), np.array([g for _, g in inputs])
+    out = []
+    for xk, fk in zip(x, f):
+        px, pf = safe(xk, fk)
+        dists = _rank_one_distances(px[None], pf[None], ys, gs)
+        best = int(np.argmin(dists))
+        if not dists[best] <= RELATION_TOL * (1.0 + np.linalg.norm(px) * np.linalg.norm(pf)):
+            raise KeyError("query is not covered by the probe table")
+        out.append(table[best][1])
+    return np.array([q.x for q in out]), np.array([q.f for q in out])
+
+
+def off_input(rng, p, t):
+    """``(x + t u, f)`` with ``pair(u, f) = 0`` and ``||u|| ||f||`` equal to
+    ``RELATION_TOL (1 + ||P||)``: an idempotent ``t`` tolerances from ``P``."""
+    field = ScalarField.COMPLEX if np.iscomplexobj(p.x) else ScalarField.REAL
+    r = random_matrix(rng, (p.n,), field)
+    u = r - np.dot(r, p.f) * p.x
+    u *= RELATION_TOL * (1.0 + np.linalg.norm(p.matrix)) / (np.linalg.norm(u) * np.linalg.norm(p.f))
+    return RankOneIdempotent(p.x + t * u, p.f)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_block_lookup_matches_the_per_row_scan(field):
+    """A whole block answered at once gives, bit for bit, the outputs of the
+    per-row scan: on the table's inputs, on queries near them, and on
+    queries between two inputs a fraction of a tolerance apart, where the
+    ranking estimate cannot tell them apart and the exact distance must.
+    Query rows and table inputs are read at scales ``2^+-600``."""
+    rng = np.random.default_rng(41)
+    n = 5
+    table = probe_table_from_operator(random_semilinear(rng, n, field), validation_count=12,
+                                      seed=2)
+    ks = (0, n, len(table) - 2)
+    # A second input 0.4 tolerances from input k, along the direction that
+    # default_rng(k) draws, answering with output k + 1.
+    near = [(off_input(np.random.default_rng(k), table[k][0], 0.4), table[k + 1][1])
+            for k in ks]
+    table = table + near
+    queries = [p for p, _ in table]
+    for k in ks:  # on the line through both inputs, and off it
+        queries += [off_input(np.random.default_rng(k), table[k][0], t)
+                    for t in (0.1, 0.19, 0.21, 0.3, 0.6)]
+        queries.append(off_input(rng, table[k][0], 0.5))
+    table = [(RankOneIdempotent(*scaled_row(p.x, p.f, 600 * (-1) ** j)), q)
+             if j % 3 == 0 else (p, q) for j, (p, q) in enumerate(table)]
+    rows = [scaled_row(p.x, p.f, (0, 600, -600)[j % 3]) for j, p in enumerate(queries)]
+    x, f = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    phi = handle_from_table(table, n, field)
+    got, want = phi._rows(x, f), per_row_lookup(table, x, f)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    # the near inputs answer some of the queries between them
+    assert {q.x.tobytes() for _, q in near} & {r.tobytes() for r in got[0]}
+
+
+def test_duplicate_inputs_resolve_to_the_first_entry():
+    table = probe_table_from_operator(identity_operator(3), validation_count=4, seed=5)
+    p, q = table[2]
+    other = table[3][1]
+    for entries, want in ((table + [(p, other)], q), ([(p, other)] + table, other)):
+        phi = handle_from_table(entries, 3, ScalarField.COMPLEX)
+        np.testing.assert_array_equal(phi(p).matrix, want.matrix)
+
+
+def test_uncovered_row_inside_a_block_raises():
+    rng = np.random.default_rng(42)
+    table = probe_table_from_operator(identity_operator(3), validation_count=4, seed=5)
+    phi = handle_from_table(table, 3, ScalarField.COMPLEX)
+    stranger = random_rank_one(rng, 3, ScalarField.COMPLEX)
+    block = [table[0][0], table[1][0], stranger, table[2][0], table[3][0]]
+    with pytest.raises(KeyError, match="not covered by the probe table"):
+        phi._rows(np.array([p.x for p in block]), np.array([p.f for p in block]))
+
+
+def test_block_larger_than_one_chunk_is_answered():
+    table = probe_table_from_operator(identity_operator(3), validation_count=2, seed=6)
+    phi = handle_from_table(table, 3, ScalarField.COMPLEX)
+    count = 2 * (_LOOKUP_CELLS // len(table)) + 3
+    pick = np.arange(count) % len(table)
+    x, f = phi._rows(np.array([table[k][0].x for k in pick]),
+                     np.array([table[k][0].f for k in pick]))
+    assert x.tobytes() == np.array([table[k][1].x for k in pick]).tobytes()
+    assert f.tobytes() == np.array([table[k][1].f for k in pick]).tobytes()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_reconstruct_costs_one_lookup(field):
+    """``reconstruct`` maps its whole probe set in one call of the table's
+    ``_eval``, which the handle looks up at call time."""
+    a = random_semilinear(np.random.default_rng(43), 4, field)
+    phi = handle_from_table(probe_table_from_operator(a, 20, 1), 4, field)
+    calls, lookup = [], phi._eval
+    phi._eval = lambda x, f: calls.append(len(x)) or lookup(x, f)
+    reconstruct(phi, validation_count=20, seed=1)
+    assert calls == [len(reconstruction_probe_set(4, field, 20, 1).all_probes())]
 
 
 class TestFromRayPair:
