@@ -38,6 +38,7 @@ from .indefinite import SymmetryKind, characterize, induced_ray_map, is_symmetry
 from .selftest import run_all
 from .serialize import (
     FormatError,
+    _n_from_json,
     dumps_report,
     rank_ones_from_json,
     rank_ones_to_json,
@@ -122,23 +123,36 @@ def _emit(args, report, summary_line):
         sys.stdout.write(text)
 
 
-def _config_dict(args, command):
-    cfg = {"command": command, "seed": args.seed, "samples": args.samples}
+def _report(args, command, **body):
+    """The report of ``command``: the version, the seed and the config of
+    ``args`` (with ``--n`` and ``--field`` when given), and ``body``."""
+    config = {"command": command, "seed": args.seed, "samples": args.samples}
     for key in ("n", "field"):
         if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
-    return cfg
+            config[key] = getattr(args, key)
+    return {"version": __version__, "seed": args.seed, "config": config, **body}
+
+
+def _read(args):
+    """The JSON object in the ``--in`` file; any other top level is refused."""
+    with open(args.inp) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise FormatError("input must be a JSON object")
+    return payload
 
 
 def _load_phi(args, payload):
     phi_def = payload.get("phi", payload)
+    if not isinstance(phi_def, dict):
+        raise FormatError("phi must be a JSON object")
     mode = phi_def.get("mode")
     if mode == "induced":
         op = semilinear_from_json(phi_def["operator"])
         _check_expectations(args, op.n, op.field)
         return induce(op)
     if mode == "table":
-        n = int(phi_def["n"])
+        n = _n_from_json(phi_def["n"])
         field = ScalarField(phi_def["field"])
         _check_expectations(args, n, field)
         payloads = [e[k] for e in phi_def["probes"] for k in ("in", "out")]
@@ -148,20 +162,14 @@ def _load_phi(args, payload):
 
 
 def cmd_reconstruct(args) -> int:
-    with open(args.inp) as fh:
-        payload = json.load(fh)
-    phi = _load_phi(args, payload)
+    phi = _load_phi(args, _read(args))
     result = reconstruct(phi, validation_count=args.samples, seed=args.seed)
-    report = {
-        "version": __version__,
-        "seed": args.seed,
-        "config": _config_dict(args, "reconstruct"),
-        "A": semilinear_to_json(result.A),
-        "auto": result.A.auto.value,
-        "residual": result.residual,
-        "probes": result.probes_used,
-        "probe_set": rank_ones_to_json(*result.probes.rows),
-    }
+    report = _report(args, "reconstruct",
+                     A=semilinear_to_json(result.A),
+                     auto=result.A.auto.value,
+                     residual=result.residual,
+                     probes=result.probes_used,
+                     probe_set=rank_ones_to_json(*result.probes.rows))
     _emit(args, report,
           f"reconstructed operator: auto={result.A.auto.value} "
           f"residual={result.residual:.3e} probes={result.probes_used}")
@@ -169,8 +177,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
-    with open(args.inp) as fh:
-        payload = json.load(fh)
+    payload = _read(args)
     if "eta" in payload:
         space = space_from_json({"eta": payload["eta"]})
     else:
@@ -185,15 +192,11 @@ def cmd_symmetry(args) -> int:
         result = recover_inducing_operator(space, induced_ray_map(u),
                                            validation_count=args.samples,
                                            seed=args.seed)
-        report = {
-            "version": __version__,
-            "seed": args.seed,
-            "config": _config_dict(args, "symmetry.recover"),
-            "U": semilinear_to_json(result.A),
-            "auto": result.A.auto.value,
-            "residual": result.residual,
-            "probes": result.probes_used,
-        }
+        report = _report(args, "symmetry.recover",
+                         U=semilinear_to_json(result.A),
+                         auto=result.A.auto.value,
+                         residual=result.residual,
+                         probes=result.probes_used)
         _emit(args, report,
               f"recovered inducing operator: auto={result.A.auto.value} "
               f"residual={result.residual:.3e}")
@@ -203,27 +206,16 @@ def cmd_symmetry(args) -> int:
         raise FormatError(f"unknown symmetry mode {mode!r}")
     ch = characterize(space, u)
     check = is_symmetry(space, induced_ray_map(u), sample_count=args.samples, seed=args.seed)
-    report = {
-        "version": __version__,
-        "seed": args.seed,
-        "config": _config_dict(args, "symmetry.characterize"),
-        "characterization": {
-            "kind": ch.kind.value,
-            "constant": scalar_to_json(ch.constant) if ch.constant is not None else None,
-        },
-        "symmetry_check": {
-            "violations": [
-                {
-                    "x": vector_to_json(v.first, space.field),
-                    "y": vector_to_json(v.second, space.field),
-                    "source_margin": v.source_margin,
-                    "image_margin": v.image_margin,
-                }
-                for v in check.violations
-            ],
-            "pairs": check.pairs_tested,
-        },
-    }
+    constant = scalar_to_json(ch.constant) if ch.constant is not None else None
+    violations = [{"x": vector_to_json(v.first, space.field),
+                   "y": vector_to_json(v.second, space.field),
+                   "source_margin": v.source_margin,
+                   "image_margin": v.image_margin}
+                  for v in check.violations]
+    report = _report(args, "symmetry.characterize",
+                     characterization={"kind": ch.kind.value, "constant": constant},
+                     symmetry_check={"violations": violations,
+                                     "pairs": check.pairs_tested})
     _emit(args, report,
           f"characterization: kind={ch.kind.value} "
           f"violations={len(check.violations)}/{check.pairs_tested}")
@@ -245,16 +237,11 @@ def cmd_selftest(args) -> int:
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} suites passed")
     if args.out:
-        report = {
-            "version": __version__,
-            "seed": args.seed,
-            "config": _config_dict(args, "selftest"),
-            "suites": [
-                {"name": r.name, "passed": r.passed, "cases": r.cases,
-                 "detail": r.detail, "failures": list(r.failures)}
-                for r in results
-            ],
-        }
+        report = _report(args, "selftest", suites=[
+            {"name": r.name, "passed": r.passed, "cases": r.cases,
+             "detail": r.detail, "failures": list(r.failures)}
+            for r in results
+        ])
         with open(args.out, "w") as fh:
             fh.write(dumps_report(report))
     return EXIT_SELFTEST if failed else EXIT_OK

@@ -137,13 +137,19 @@ def _frozen(a, dtype=None):
     return out
 
 
-def pair(x, f):
-    """Bilinear pairing ``sum_j x_j f_j`` of a vector with a functional."""
+def _as_vector_pair(x, f, what):
+    """``x`` and then ``f`` checked by :func:`_as_vector`, then checked to
+    be of one shape; ``what`` names the caller in the shape error."""
     xv = _as_vector(x, "x")
     fv = _as_vector(f, "f")
     if xv.shape != fv.shape:
-        raise DimensionMismatch(f"pair: shapes {xv.shape} vs {fv.shape}")
-    return np.dot(xv, fv)
+        raise DimensionMismatch(f"{what}: shapes {xv.shape} vs {fv.shape}")
+    return xv, fv
+
+
+def pair(x, f):
+    """Bilinear pairing ``sum_j x_j f_j`` of a vector with a functional."""
+    return np.dot(*_as_vector_pair(x, f, "pair"))
 
 
 def _row_dots(x, f):
@@ -187,11 +193,7 @@ def tensor(x, f):
 
     Entry ``(j, k)`` is ``x[j] * f[k]``; the trace equals ``pair(x, f)``.
     """
-    xv = _as_vector(x, "x")
-    fv = _as_vector(f, "f")
-    if xv.shape != fv.shape:
-        raise DimensionMismatch(f"tensor: shapes {xv.shape} vs {fv.shape}")
-    return np.outer(xv, fv)
+    return np.outer(*_as_vector_pair(x, f, "tensor"))
 
 
 def trace(a):
@@ -199,6 +201,13 @@ def trace(a):
     decomposition of the matrix into a finite sum of ``tensor(x_i, f_i)``."""
     m = _as_matrix(a, "operator")
     return np.trace(m)
+
+
+def _numerical_rank(s):
+    """Count of the singular values ``s`` (largest first) above ``RANK_RTOL``
+    times the largest, or above ``RANK_RTOL`` if that is 0 or ``s`` is empty."""
+    smax = s[0] if s.size and s[0] > 0 else 1.0
+    return int(np.sum(s > RANK_RTOL * smax))
 
 
 def kernel_and_range(a):
@@ -215,8 +224,7 @@ def kernel_and_range(a):
     """
     m = _as_matrix(a, "operator", square=False)
     u, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > RANK_RTOL * smax))
+    rank = _numerical_rank(s)
     return vh[rank:].conj().T, u[:, :rank]
 
 
@@ -227,9 +235,7 @@ def orthonormal_columns(a):
     if m.shape[1] == 0:
         return m.copy()
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    smax = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > RANK_RTOL * smax))
-    return u[:, :rank]
+    return u[:, :_numerical_rank(s)]
 
 
 def up_to_scalar_distance(b, a):

@@ -22,7 +22,7 @@ from .core import (
     ScalarField,
     _as_array,
     _as_matrix,
-    _as_vector,
+    _as_vector_pair,
     _frozen,
     _row_abs,
     _row_dots,
@@ -107,13 +107,9 @@ def _pairing_tol(x, f):
 
 def _refuse_pair(x, f):
     """Raise the error for a pair that :class:`RankOneIdempotent` refuses:
-    the checks of :func:`~idemap.core._as_vector` on ``x`` and then ``f``,
-    the shapes, and last the pairing, computed without floating-point
-    warnings."""
-    xv = _as_vector(x, "x")
-    fv = _as_vector(f, "f")
-    if xv.shape != fv.shape:
-        raise DimensionMismatch(f"rank-one pair: shapes {xv.shape} vs {fv.shape}")
+    the checks of :func:`~idemap.core._as_vector_pair`, and last the
+    pairing, computed without floating-point warnings."""
+    xv, fv = _as_vector_pair(x, f, "rank-one pair")
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.dot(xv, fv)
     raise NotIdempotent(f"pairing is {p!r}, expected 1 within {_pairing_tol(xv, fv):.3e}")
@@ -184,10 +180,7 @@ def rank_one_from_pair(x, f) -> RankOneIdempotent:
     Raises :class:`DegeneratePair` when the pairing is (numerically) zero,
     in which case the pair spans a nilpotent rather than an idempotent.
     """
-    xv = _as_vector(x, "x")
-    fv = _as_vector(f, "f")
-    if xv.shape != fv.shape:
-        raise DimensionMismatch(f"rank-one pair: shapes {xv.shape} vs {fv.shape}")
+    xv, fv = _as_vector_pair(x, f, "rank-one pair")
     return _rank_one_row(xv[None], fv[None])
 
 

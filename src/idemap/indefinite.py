@@ -41,14 +41,14 @@ from .core import (
     _row_matvec,
     _row_norms,
     field_of,
+    up_to_scalar_distance,
 )
 from .errors import DimensionMismatch
-from .idempotents import _normalized_rows
 from .sampling import _eta_orthogonal_rows, random_matrix
 from .transform import (
     ReconstructionResult,
     SampleReport,
-    TransformHandle,
+    _lift,
     _sample_biconditional,
     reconstruct,
 )
@@ -124,14 +124,13 @@ class Ray:
 
 
 def rays_equal(r1: Ray, r2: Ray) -> bool:
-    """Linear dependence of the representatives, read at a safe scale: ``b``
-    lies within ``SINGULAR_RTOL ||b||`` of its projection on ``a``."""
+    """Linear dependence of the representatives ``a``, ``b``, read at a safe
+    scale: ``up_to_scalar_distance(b, a) <= SINGULAR_RTOL ||b||``."""
     if r1.n != r2.n:
         raise DimensionMismatch(f"rays_equal: dimensions {r1.n} vs {r2.n}")
-    a = _in_range(r1.representative)
     b = _in_range(r2.representative)
-    coef = np.vdot(a, b) / np.vdot(a, a)
-    return bool(np.linalg.norm(b - coef * a) <= SINGULAR_RTOL * np.linalg.norm(b))
+    return bool(up_to_scalar_distance(b, _in_range(r1.representative))
+                <= SINGULAR_RTOL * np.linalg.norm(b))
 
 
 @dataclass(frozen=True)
@@ -559,10 +558,10 @@ def recover_inducing_operator(space: IndefiniteSpace, t: RayMap,
     eta = space._safe_eta
     eta_inv = space.eta_inv if eta is space.eta else np.linalg.inv(eta)
 
-    def rows(x, f):
+    def images(x, f):
         tx = t._rows(x)
         sf = t._rows(_row_matvec(eta_inv, np.conj(f)))
-        return _normalized_rows(tx, np.conj(_row_matvec(eta, sf)))
+        return tx, np.conj(_row_matvec(eta, sf))
 
-    return reconstruct(TransformHandle(None, space.n, space.field, _rows=rows),
+    return reconstruct(_lift(images, space.n, space.field),
                        validation_count=validation_count, seed=seed)

@@ -33,11 +33,19 @@ def _entries_from_json(data, count, field: ScalarField) -> np.ndarray:
         raise (FormatError if pairs else TypeError)(f"{what}, got None")
     try:
         a = np.array(data, dtype=np.float64)
-    except ValueError as exc:  # ragged entries, or text that is not a number
+    except (OverflowError, ValueError) as exc:  # ragged, not a number, beyond float range
         raise FormatError(f"{what}: {exc}") from None
     if a.shape != ((count, 2) if pairs else (count,)):
         raise FormatError(f"{what}, got entries of shape {a.shape}")
     return a.view(np.complex128).reshape(count) if pairs else a
+
+
+def _n_from_json(value) -> int:
+    """``int(value)``, or FormatError for a number that ``json`` read as infinity."""
+    try:
+        return int(value)
+    except OverflowError:
+        raise FormatError(f"n must be a finite number, got {value!r}") from None
 
 
 def _field_from_json(d) -> ScalarField:
@@ -73,7 +81,7 @@ def matrix_from_json(d) -> np.ndarray:
         raise FormatError("matrix payload must be an object")
     field = _field_from_json(d)
     try:
-        n = int(d["n"])
+        n = _n_from_json(d["n"])
         data = d["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad matrix payload: {exc}") from exc
@@ -121,7 +129,7 @@ def _rank_one_rows_from_json(ds):
             raise FormatError("expected a rank1 idempotent payload")
         field = _field_from_json(d)
         try:
-            heads.add((field, int(d["n"])))
+            heads.add((field, _n_from_json(d["n"])))
         except KeyError as exc:
             raise FormatError(f"missing key: {exc}") from exc
     if len(heads) != 1:
@@ -156,7 +164,7 @@ def rank_ones_from_json(ds) -> list:
     error :func:`rank_one_from_json` gives it."""
     try:
         x, f = _rank_one_rows_from_json(ds)
-    except (FormatError, OverflowError, TypeError, ValueError):
+    except (TypeError, ValueError):
         pass
     else:
         if all(map(_accepts_pair, x, f)):
@@ -186,7 +194,7 @@ def space_from_json(d) -> IndefiniteSpace:
     if not isinstance(d, dict) or "eta" not in d:
         raise FormatError("space payload needs an eta matrix")
     eta = matrix_from_json(d["eta"])
-    if "n" in d and int(d["n"]) != eta.shape[0]:
+    if "n" in d and _n_from_json(d["n"]) != eta.shape[0]:
         raise FormatError("space n does not match eta")
     if "field" in d and ScalarField(d["field"]) is not field_of(eta):
         raise FormatError("space field does not match eta")

@@ -162,6 +162,24 @@ class SampleReport:
         return not self.violations
 
 
+def _lift(images, n, field: ScalarField) -> TransformHandle:
+    """The handle of ``(x, f) -> normalized (T x, S f)``, from the image rows
+    ``images(x, f) = (T x, S f)`` of a ray pair; the normalization depends only
+    on the rays.  A vanishing ``pair(T x, S f)`` (by :func:`rank_one_from_pair`'s
+    rule, which also catches a zero representative) raises :class:`DegenerateImage`,
+    a witness that ``(T, S)`` does not preserve vector/functional orthogonality."""
+
+    def rows(x, f):
+        tx, sf = images(x, f)
+        try:
+            return _normalized_rows(tx, sf)
+        except DegeneratePair as exc:
+            raise DegenerateImage(
+                f"image pairing vanishes while the source pairing is 1: {exc}") from exc
+
+    return TransformHandle(None, n, field, _rows=rows)
+
+
 def induce(a: SemilinearOperator) -> TransformHandle:
     """Map ``(x, f) -> (A x, (A^{-1})' f)``, i.e. ``P -> A @ h(P) @ A^{-1}``.
 
@@ -172,11 +190,10 @@ def induce(a: SemilinearOperator) -> TransformHandle:
     # Functional side of the conjugation: (A^{-1})' f = (M^T)^{-1} h(f).
     dual = np.linalg.inv(matrix.T)
 
-    def rows(x, f):
-        return _normalized_rows(_row_matvec(matrix, auto.apply(x)),
-                                _row_matvec(dual, auto.apply(f)))
+    def images(x, f):
+        return _row_matvec(matrix, auto.apply(x)), _row_matvec(dual, auto.apply(f))
 
-    return TransformHandle(None, a.n, a.field, _rows=rows)
+    return _lift(images, a.n, a.field)
 
 
 def identity_handle(n, field: ScalarField) -> TransformHandle:
@@ -572,29 +589,18 @@ def _nearest_entries(x, f, y, g, t2):
 
 
 def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
-    """Lift representative-level maps ``(T, S)`` to a map on idempotents:
-    ``(x, f) -> normalized (T x, S f)``.
+    """Lift representative-level maps ``(T, S)`` to a map on idempotents,
+    ``(x, f) -> normalized (T x, S f)``, by :func:`_lift` and its rule for
+    a vanishing image pairing.  ``T`` and then ``S`` are called once per
+    row, in row order, on read-only rows."""
 
-    Well-definedness over ray representatives holds because the
-    normalization only depends on the rays.  ``T`` and then ``S`` are
-    called once per row, in row order, on read-only rows.  A vanishing
-    ``pair(T x, S f)`` (by :func:`rank_one_from_pair`'s rule, which also
-    catches a zero representative) raises :class:`DegenerateImage`, a direct witness
-    that ``(T, S)`` does not preserve vector/functional orthogonality.
-    """
-
-    def rows(x, f):
+    def images(x, f):
         tx, sf = zip(*[(_image_vector(ts.vector_map(xk), n),
                          _image_vector(ts.functional_map(fk), n))
                         for xk, fk in zip(_frozen(x), _frozen(f))])
-        try:
-            return _normalized_rows(np.array(tx), np.array(sf))
-        except DegeneratePair as exc:
-            raise DegenerateImage(
-                f"image pairing vanishes while the source pairing is 1: {exc}"
-            ) from exc
+        return np.array(tx), np.array(sf)
 
-    return TransformHandle(None, n, field, _rows=rows)
+    return _lift(images, n, field)
 
 
 def _image_vector(v, n):

@@ -13,6 +13,8 @@ from idemap.cli import build_parser, main
 from idemap.core import RELATION_TOL, AutomorphismTag, ScalarField, SemilinearOperator, \
     up_to_scalar_distance
 from idemap.errors import ExtensionInconsistent
+from idemap.indefinite import IndefiniteSpace, characterize, induced_ray_map, is_symmetry, \
+    recover_inducing_operator
 from idemap.sampling import random_invertible
 from idemap.serialize import (
     dumps_report,
@@ -185,6 +187,16 @@ class TestReconstructCommand:
         p = tmp_path / "garbage.json"
         p.write_text("{not json")
         assert main(["reconstruct", "--in", str(p)]) == 1
+
+    @pytest.mark.parametrize("command, payload", [
+        ("reconstruct", [1, 2]),
+        ("reconstruct", {"phi": 5}),
+        ("symmetry", [1, 2]),
+    ], ids=("reconstruct-list", "reconstruct-phi-number", "symmetry-list"))
+    def test_input_that_is_not_an_object_exits_1(self, command, payload, tmp_path, capsys):
+        inp = write_json(tmp_path / "in.json", payload)
+        assert main([command, "--in", inp]) == 1
+        assert "malformed input" in capsys.readouterr().err
 
     def test_unknown_phi_mode_exits_1(self, tmp_path, capsys):
         inp = write_json(tmp_path / "oracle.json", {"phi": {"mode": "oracle"}})
@@ -462,3 +474,75 @@ class TestSelftestCommand:
         report = json.loads(open(out).read())
         assert len(report["suites"]) == 8
         assert all(s["passed"] for s in report["suites"])
+
+
+def real_entries(a):
+    return [float(z) for z in np.ravel(a)]
+
+
+class TestReportBytes:
+    """Each report has the bytes of ``dumps_report`` of the dict built here
+    from the library's own results at the same seed, so a key dropped or
+    renamed in any report shows."""
+
+    HYPERBOLIC = np.array([[1.0, 0, 0], [0, np.cosh(1.0), np.sinh(1.0)],
+                           [0, np.sinh(1.0), np.cosh(1.0)]])
+    TRIANGULAR = np.array([[1.0, 2.0, 0], [0, 1.0, 3.0], [0, 0, 1.0]])
+
+    def _symmetry(self, tmp_path, eta, u, argv):
+        inp = write_json(tmp_path / "in.json", {"eta": matrix_to_json(eta),
+                                                "operator": semilinear_to_json(u)})
+        out = tmp_path / "report.json"
+        code = main(["symmetry", "--in", inp, "--out", str(out), *argv])
+        return code, out.read_bytes()
+
+    @pytest.mark.parametrize("eta, matrix, code", [
+        (np.diag([1.0, 1.0, -1.0]), HYPERBOLIC, 0),
+        (np.eye(3), TRIANGULAR, 2),
+    ], ids=("symmetry", "generic"))
+    def test_characterize(self, eta, matrix, code, tmp_path):
+        u = SemilinearOperator(matrix)
+        got = self._symmetry(tmp_path, eta, u, ["--mode", "characterize", "--seed", "9",
+                                                "--samples", "60", "--n", "3",
+                                                "--field", "real"])
+        space = IndefiniteSpace(eta)
+        ch = characterize(space, u)
+        check = is_symmetry(space, induced_ray_map(u), sample_count=60, seed=9)
+        assert bool(check.violations) == bool(code)
+        constant = None if ch.constant is None else [float(ch.constant.real),
+                                                     float(ch.constant.imag)]
+        assert got == (code, dumps_report({
+            "version": __version__, "seed": 9,
+            "config": {"command": "symmetry.characterize", "seed": 9, "samples": 60,
+                       "n": 3, "field": "real"},
+            "characterization": {"kind": ch.kind.value, "constant": constant},
+            "symmetry_check": {
+                "violations": [{"x": real_entries(v.first), "y": real_entries(v.second),
+                                "source_margin": v.source_margin,
+                                "image_margin": v.image_margin}
+                               for v in check.violations],
+                "pairs": 60}}).encode())
+
+    def test_recover(self, tmp_path):
+        eta, u = np.diag([1.0, 1.0, -1.0]), SemilinearOperator(self.HYPERBOLIC)
+        got = self._symmetry(tmp_path, eta, u, ["--mode", "recover", "--seed", "9",
+                                                "--samples", "15"])
+        result = recover_inducing_operator(IndefiniteSpace(eta), induced_ray_map(u),
+                                           validation_count=15, seed=9)
+        assert got == (0, dumps_report({
+            "version": __version__, "seed": 9,
+            "config": {"command": "symmetry.recover", "seed": 9, "samples": 15},
+            "U": {"field": "real", "n": 3, "data": real_entries(result.A.matrix),
+                  "auto": "id"},
+            "auto": "id", "residual": result.residual,
+            "probes": result.probes_used}).encode())
+
+    def test_selftest(self, tmp_path):
+        out = tmp_path / "self.json"
+        assert main(["selftest", "--samples", "8", "--seed", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == dumps_report({
+            "version": __version__, "seed": 3,
+            "config": {"command": "selftest", "seed": 3, "samples": 8},
+            "suites": [{"name": r.name, "passed": r.passed, "cases": r.cases,
+                        "detail": r.detail, "failures": list(r.failures)}
+                       for r in selftest.run_all(seed=3, budget=8)]}).encode()

@@ -14,12 +14,14 @@ from idemap.core import (
     conjugation_operator,
     up_to_scalar_distance,
 )
-from idemap.errors import DimensionMismatch, NotInduced, SingularOperator
+from idemap.errors import DegenerateImage, DegenerateProbe, DimensionMismatch, NotInduced, \
+    SingularOperator
 import idemap.indefinite as indefinite
 from idemap.indefinite import (
     Characterization,
     IndefiniteSpace,
     Ray,
+    RayMap,
     SymmetryKind,
     characterize,
     eta_orthogonal_partner,
@@ -610,6 +612,17 @@ class TestRecovery:
         t = induced_ray_map(u)
         with pytest.raises(NotInduced):
             recover_inducing_operator(space, t, validation_count=15, seed=6)
+
+    def test_vanishing_image_pairing_is_a_degenerate_probe(self):
+        """The ray pair is lifted by the rule of ``from_ray_pair``: an image
+        pairing that vanishes is refused as a degenerate image.  Here the
+        second trace probe's image is the pair ``(e1, e2)``."""
+        e = np.eye(3, dtype=complex)
+        t = RayMap(lambda ray: Ray(e[0] if abs(ray.representative[0])
+                                   >= abs(ray.representative[1]) else e[1]))
+        with pytest.raises(DegenerateProbe, match="image pairing vanishes") as info:
+            recover_inducing_operator(IndefiniteSpace(e), t)
+        assert isinstance(info.value.__cause__, DegenerateImage)
 
 
 def reference_ray(representative):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from idemap.cli import main
+from idemap.cli import _load_phi, build_parser, main
 from idemap.core import AutomorphismTag, ScalarField, SemilinearOperator
 from idemap.idempotents import FiniteRankIdempotent, rank_one_from_pair
 from idemap.indefinite import IndefiniteSpace
@@ -149,6 +149,47 @@ def test_bad_entries(field, bad, exc, everywhere, tmp_path):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(payload))
         assert main(["reconstruct", "--in", str(path), "--samples", "0"]) == 1
+
+
+_OP = semilinear_to_json(SemilinearOperator(np.eye(3)))
+_VEC = rank_one_to_json(rank_one_from_pair([1.0, 0, 0], [1.0, 0, 0]))
+_HUGE = 10**400  # an integer too large for a float
+_INF = float("inf")  # ``n`` written as ``1e400``, as ``json`` reads it
+
+
+def _table(vec, n=3):
+    return {"phi": {"mode": "table", "n": n, "field": "real",
+                    "probes": [{"in": vec, "out": vec}]}}
+
+
+def _load_table(payload):
+    return _load_phi(build_parser().parse_args(["reconstruct", "--in", "in.json"]), payload)
+
+
+#: Per site of a number beyond float range: the decoder, the payload it
+#: reads, the command and the command-line input holding that payload.
+_BEYOND_FLOAT_RANGE = {
+    "matrix-entry": (semilinear_from_json, dict(_OP, data=[_HUGE] + _OP["data"][1:]),
+                     "reconstruct", lambda op: {"phi": {"mode": "induced", "operator": op}}),
+    "matrix-n": (semilinear_from_json, dict(_OP, n=_INF),
+                 "reconstruct", lambda op: {"phi": {"mode": "induced", "operator": op}}),
+    "rank1-entry": (rank_one_from_json, dict(_VEC, x=[_HUGE, 0.0, 0.0]), "reconstruct", _table),
+    "rank1-n": (rank_one_from_json, dict(_VEC, n=_INF), "reconstruct", _table),
+    "table-n": (_load_table, _table(_VEC, n=_INF), "reconstruct", lambda phi: phi),
+    "space-n": (space_from_json, {"eta": _OP, "n": _INF},
+                "symmetry", lambda space: {"space": space, "operator": _OP}),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_BEYOND_FLOAT_RANGE))
+def test_numbers_beyond_float_range_are_malformed(site, tmp_path, capsys):
+    decode, payload, command, wrap = _BEYOND_FLOAT_RANGE[site]
+    with pytest.raises(FormatError):
+        decode(payload)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(wrap(payload)).replace("Infinity", "1e400"))
+    assert main([command, "--in", str(path)]) == 1
+    assert "malformed input" in capsys.readouterr().err
 
 
 def test_kind_mismatch():

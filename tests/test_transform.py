@@ -593,6 +593,16 @@ class TestFromRayPair:
         with pytest.raises(DegenerateImage):
             phi(p)
 
+    def test_maps_are_called_t_then_s_per_row_in_row_order(self):
+        calls = []
+        phi = from_ray_pair(RayPair(lambda x: calls.append(("T", x.tobytes())) or x,
+                                    lambda f: calls.append(("S", f.tobytes())) or f),
+                            3, ScalarField.COMPLEX)
+        reconstruct(phi, validation_count=4, seed=2)
+        x, f = reconstruction_probe_set(3, ScalarField.COMPLEX, 4, 2).rows
+        assert calls == [call for xk, fk in zip(x, f)
+                         for call in (("T", xk.tobytes()), ("S", fk.tobytes()))]
+
     def test_integer_images_become_float(self):
         phi = from_ray_pair(RayPair(lambda x: np.array([1, 2, 0]), lambda f: np.array([1, 0, 0])),
                             3, ScalarField.REAL)
