@@ -22,13 +22,13 @@ from .errors import DimensionMismatch, SingularOperator
 # and names both in its docstring.  The README's "Tolerances" table lists them.
 #: A matrix is singular, ``s_min <= c s_max``; two rays are one.
 SINGULAR_RTOL = 1e-10
-#: A singular value or a principal-angle sine counts as zero.
+#: A singular value, a pivot of a pivoted QR or an angle's sine counts as zero.
 RANK_RTOL = 1e-9
 #: ``pair(x, f)`` is 1 (a rank-one idempotent) or 0 (a degenerate pair).
 PAIRING_RTOL = 1e-10
-#: A matrix identity holds: ``P P = P``, ``U G = P``, ``V* eta V = s eta``.
+#: A matrix identity holds: ``U G = P``, ``F X^T = I``, ``V* eta V = s eta``.
 IDENTITY_RTOL = 1e-9
-#: A relation holds: ``PQ = 0``, eta-orthogonality, order, an integer trace.
+#: A relation holds: ``PQ = 0``, eta-orthogonality, order.
 RELATION_TOL = 1e-8
 #: A recovered value matches: ``h(i) = +-i``, the validation residual.
 RECOVERY_TOL = 1e-6
@@ -204,8 +204,8 @@ def trace(a):
 
 
 def _numerical_rank(s):
-    """Count of the singular values ``s`` (largest first) above ``RANK_RTOL``
-    times the largest, or above ``RANK_RTOL`` if that is 0 or ``s`` is empty."""
+    """Count of ``s`` (singular values or pivoted-QR ``|diag R|``, largest first) above
+    ``RANK_RTOL`` times the largest, or above ``RANK_RTOL`` if that is 0 or ``s`` is empty."""
     smax = s[0] if s.size and s[0] > 0 else 1.0
     return int(np.sum(s > RANK_RTOL * smax))
 

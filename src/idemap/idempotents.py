@@ -2,9 +2,8 @@
 relations, orthogonal rank-one decomposition, and common majorants.
 
 A rank-one idempotent is stored as a normalized pair ``(x, f)`` with
-``pair(x, f) = 1``; its matrix is ``tensor(x, f)``.  Finite-rank
-idempotents are stored as dense matrices and their rank is read off the
-trace, which is an exact integer for true idempotents.
+``pair(x, f) = 1``; its matrix is ``tensor(x, f)``.  A finite-rank one is
+``r`` such rows ``(X, F)`` with ``F X^T = I_r``, the sum of ``r`` orthogonal ones.
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ from .core import (
     _as_matrix,
     _as_vector_pair,
     _frozen,
+    _numerical_rank,
     _row_abs,
     _row_dots,
     _row_norms,
-    field_of,
     kernel_and_range,
     orthonormal_columns,
 )
@@ -116,48 +115,65 @@ def _refuse_pair(x, f):
 
 
 class FiniteRankIdempotent:
-    """Dense idempotent, ``||P P - P|| <= IDENTITY_RTOL (1 + ||P||^2)`` (both
-    finite), with its rank read from the trace, within ``RELATION_TOL (1 +
-    ||P||)``: the trace's rounding error grows with the entries."""
+    """Frozen rows ``(X, F)``, ``r x n`` each, with ``F X^T = I_r`` (the rule of
+    :func:`_require_rows`) and matrix ``X^T F``.  A dense ``P`` is read once, by a pivoted QR:
+    ``r`` counts the ``|diag R|`` kept by :func:`~idemap.core._numerical_rank`, ``U = Q[:, :r]``,
+    the rows are ``(U^T, G = U^H P)``, and ``||U G - P|| <= IDENTITY_RTOL (1 + ||P||)``."""
 
-    __slots__ = ("_matrix", "_rank")
+    __slots__ = ("_x", "_f")
 
     def __init__(self, matrix):
         m = _as_matrix(matrix, "idempotent")
+        q, r, _ = scipy.linalg.qr(m, pivoting=True, check_finite=False)
+        u = q[:, :_numerical_rank(np.abs(np.diag(r)))]
+        g = u.conj().T @ m
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = np.linalg.norm(m @ m - m)
-            norm = np.linalg.norm(m)
-            bound = IDENTITY_RTOL * (1.0 + norm**2)
+            resid = np.linalg.norm(u @ g - m)
+            bound = IDENTITY_RTOL * (1.0 + np.linalg.norm(m))
         # An overflowed residual or bound proves nothing: refuse it.
         if not resid <= bound < np.inf:
-            raise NotIdempotent(f"||P@P - P|| = {resid:.3e} exceeds tolerance")
-        tr = np.trace(m)
-        rank = int(round(float(tr.real)))
-        if abs(tr - rank) > RELATION_TOL * (1.0 + norm):
-            raise NotIdempotent(f"trace {tr!r} is not close to an integer")
-        if rank < 0 or rank > m.shape[0]:
-            raise NotIdempotent(f"trace-derived rank {rank} out of range")
-        self._matrix = _frozen(m)
-        self._rank = rank
+            raise NotIdempotent(f"||U G - P|| = {resid:.3e} exceeds tolerance")
+        _require_rows(u.T, g)
+        self._x, self._f = _frozen(u.T), _frozen(g)
+
+    @classmethod
+    def _from_rows(cls, x, f):
+        """Frozen copies of rows valid by construction, without a check."""
+        p = object.__new__(cls)
+        p._x, p._f = _frozen(x), _frozen(f)
+        return p
+
+    @property
+    def rows(self):
+        return self._x, self._f
 
     @property
     def matrix(self):
-        return self._matrix
+        return self._x.T @ self._f
 
     @property
     def rank(self) -> int:
-        return self._rank
+        return len(self._x)
 
     @property
     def n(self) -> int:
-        return self._matrix.shape[0]
+        return self._x.shape[1]
 
-    @property
-    def field(self) -> ScalarField:
-        return field_of(self._matrix)
+    field = RankOneIdempotent.field  # complex when either side is
 
     def __repr__(self):
-        return f"FiniteRankIdempotent(n={self.n}, rank={self._rank})"
+        return f"FiniteRankIdempotent(n={self.n}, rank={self.rank})"
+
+
+def _require_rows(x, f):
+    """The rows rule: raise :class:`NotIdempotent` unless ``||F X^T - I_r|| <= IDENTITY_RTOL
+    (1 + ||X|| ||F||)``, finite, in BLAS norms, which cannot overflow (1e200 by 1e-200 is 1)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = IDENTITY_RTOL * (1.0 + scipy.linalg.norm(np.ravel(x), check_finite=False)
+                                 * scipy.linalg.norm(np.ravel(f), check_finite=False))
+        resid = np.linalg.norm(f @ x.T - np.eye(len(x)))
+    if not resid <= bound < np.inf:
+        raise NotIdempotent(f"||F X^T - I|| = {resid:.3e} exceeds tolerance")
 
 
 def matrix_of(p):
@@ -243,30 +259,12 @@ def relate(p, q) -> Relation:
 
 
 def decompose(p) -> list[RankOneIdempotent]:
-    """Split an idempotent into mutually orthogonal rank-one idempotents.
-
-    Uses a column-pivoted QR factorization of ``P`` (largest column norm
-    first) to pick an orthonormal basis ``U`` of the range, then solves
-    ``G = U^H @ P`` so that ``G @ U = I`` and ``P = U @ G``.  The returned
-    pieces ``(U[:, i], G[i, :])`` satisfy ``pair(U[:, j], G[i, :]) =
-    delta_ij``, multiply to zero pairwise, and sum to ``P``; the check of
-    ``U G = P``, within ``IDENTITY_RTOL`` times ``1 + ||P||``, proves them,
-    so they are views of one frozen block, unchecked.
-
-    The pivoting makes the output deterministic and reproducible.
-    """
-    fp = as_finite_rank(p)
-    r = fp.rank
-    if r == 0:
+    """Split an idempotent into mutually orthogonal rank-one idempotents:
+    views of the rows of :func:`as_finite_rank`."""
+    x, f = as_finite_rank(p).rows
+    if not len(x):
         raise ValueError("cannot decompose a rank-zero idempotent")
-    m = fp.matrix
-    q, _, _ = scipy.linalg.qr(m, pivoting=True)
-    u = q[:, :r]
-    g = u.conj().T @ m
-    resid = np.linalg.norm(u @ g - m)
-    if resid > IDENTITY_RTOL * (1.0 + np.linalg.norm(m)):
-        raise NotIdempotent(f"decomposition residual {resid:.3e}")
-    return _rank_one_views(u.T, g)
+    return list(map(RankOneIdempotent._from_frozen_row, x, f))
 
 
 def majorant(p1, p2) -> FiniteRankIdempotent:
@@ -279,7 +277,8 @@ def majorant(p1, p2) -> FiniteRankIdempotent:
     majorant's range contains ``N`` and its kernel lies in ``M``).  The
     singular values of ``Q M`` are the sines of the principal angles
     between ``M`` and ``N``; those at most ``RANK_RTOL`` (scale 1) count
-    as zero, which puts their directions in ``M ∩ N``.
+    as zero, which puts their directions in ``M ∩ N``.  With ``Q M = U S V^H``
+    (full SVD, ``k`` values kept) the rows are ``(W^T, W^H P)``, ``W = U[:, k:]``.
     """
     m1 = matrix_of(p1)
     m2 = matrix_of(p2)
@@ -287,8 +286,8 @@ def majorant(p1, p2) -> FiniteRankIdempotent:
         raise DimensionMismatch(f"majorant: shapes {m1.shape} vs {m2.shape}")
     big_n = orthonormal_columns(np.hstack([m1, m2]))
     big_m, _ = kernel_and_range(np.vstack([m1, m2]))
-    u, s, vh = np.linalg.svd(big_m - big_n @ (big_n.conj().T @ big_m),
-                             full_matrices=False)
-    r = int(np.sum(s > RANK_RTOL))
-    kernel_part = (big_m @ (vh[:r].conj().T / s[:r])) @ u[:, :r].conj().T
-    return FiniteRankIdempotent(np.eye(m1.shape[0]) - kernel_part)
+    u, s, vh = np.linalg.svd(big_m - big_n @ (big_n.conj().T @ big_m))
+    k = int(np.sum(s > RANK_RTOL))
+    wh = u[:, k:].conj().T
+    f = wh - (wh @ big_m @ (vh[:k].conj().T / s[:k])) @ u[:, :k].conj().T
+    return FiniteRankIdempotent._from_rows(u[:, k:].T, f)

@@ -65,12 +65,12 @@ def random_rank_one(rng, n, field: ScalarField) -> RankOneIdempotent:
 
 
 def random_idempotent(rng, n, rank, field: ScalarField) -> FiniteRankIdempotent:
-    """Random idempotent ``S @ diag(1..1, 0..0) @ S^{-1}`` with mild cond(S)."""
+    """Rows ``(S[:, :r]^T, S^{-1}[:r])`` of ``S diag(I_r, 0) S^{-1}``, with mild cond(S)."""
     if not 0 <= rank <= n:
         raise ValueError(f"rank {rank} out of range for dimension {n}")
     s = random_invertible(rng, n, field, max_cond=IDEMPOTENT_MAX_COND)
     inv = np.linalg.inv(s)
-    return FiniteRankIdempotent(s[:, :rank] @ inv[:rank, :])
+    return FiniteRankIdempotent._from_rows(s[:, :rank].T, inv[:rank, :])
 
 
 def remix_decomposition(rng, pieces) -> list[RankOneIdempotent]:

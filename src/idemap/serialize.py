@@ -41,11 +41,10 @@ def _entries_from_json(data, count, field: ScalarField) -> np.ndarray:
 
 
 def _n_from_json(value) -> int:
-    """``int(value)``, or FormatError for a number that ``json`` read as infinity."""
-    try:
-        return int(value)
-    except OverflowError:
-        raise FormatError(f"n must be a finite number, got {value!r}") from None
+    """``value`` if it is a JSON integer (an ``int``, not a ``bool``), else FormatError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"n must be an integer, got {value!r}")
+    return value
 
 
 def _field_from_json(d) -> ScalarField:

@@ -50,8 +50,9 @@ from .idempotents import (
     _normalized_rows,
     _rank_one_row,
     _rank_one_views,
+    _require_rows,
     as_finite_rank,
-    decompose,
+    matrix_of,
 )
 from .sampling import _random_rank_one_rows, _zero_product_rows
 
@@ -293,37 +294,37 @@ def check_preservation(phi: TransformHandle, sample_count=500, seed=0) -> Sample
 
 
 def extend(phi: TransformHandle, p, decomposition=None) -> FiniteRankIdempotent:
-    """Extension to finite rank: decompose, map each piece, and sum.
+    """Extension to finite rank: map the rows of ``P``, or of its pieces.
 
-    When ``phi`` genuinely preserves zero products the mapped pieces are
-    again mutually orthogonal rank-one idempotents and the sum is an
-    idempotent of the same rank; and the value does not depend on which
-    orthogonal rank-one decomposition is used.  ``decomposition`` may
-    supply explicit pieces (e.g. to exercise that independence): ``rank P``
-    of them (else :class:`DimensionMismatch`) summing to ``P`` within
-    ``IDENTITY_RTOL (1 + ||P||)`` (else ``ValueError``), which makes them
-    mutually orthogonal.  The mapped rows ``(X, F)`` sum to ``X^T F``.
-    """
+    When ``phi`` genuinely preserves zero products the mapped pieces are again mutually
+    orthogonal rank-one idempotents and the sum is an idempotent of the same rank; and the value
+    does not depend on which orthogonal rank-one decomposition is used.  ``decomposition`` may
+    supply explicit pieces (e.g. to exercise that independence): ``rank P`` of them (else
+    :class:`DimensionMismatch`) summing to ``P`` within ``IDENTITY_RTOL (1 + ||P||)`` (else
+    ``ValueError``), which makes them mutually orthogonal.  Mapped rows that fail ``F X^T = I``
+    raise :class:`ExtensionInconsistent`."""
     fp = as_finite_rank(p)
     if fp.rank == 0:
         return fp
+    if fp.n != phi.n:
+        raise DimensionMismatch(f"handle dimension {phi.n}, input dimension {fp.n}")
     if decomposition is None:
-        x, f = phi._stack(decompose(fp), "input")
+        x, f = fp.rows
     else:
         x, f = phi._stack(decomposition, "input")
         if len(x) != fp.rank:
             raise DimensionMismatch(f"decomposition has {len(x)} pieces, rank is {fp.rank}")
-        resid = np.linalg.norm(x.T @ f - fp.matrix)
-        if resid > IDENTITY_RTOL * (1.0 + np.linalg.norm(fp.matrix)):
-            raise ValueError(f"decomposition does not sum to the idempotent "
-                             f"(residual {resid:.3e})")
+        m = matrix_of(p)
+        resid = np.linalg.norm(x.T @ f - m)
+        if resid > IDENTITY_RTOL * (1.0 + np.linalg.norm(m)):
+            raise ValueError(
+                f"decomposition does not sum to the idempotent (residual {resid:.3e})")
     x, f = phi._rows(x, f)
     try:
-        return FiniteRankIdempotent(x.T @ f)
+        _require_rows(x, f)
     except NotIdempotent as exc:
-        raise ExtensionInconsistent(
-            f"mapped pieces do not sum to an idempotent: {exc}"
-        ) from exc
+        raise ExtensionInconsistent(f"mapped pieces do not sum to an idempotent: {exc}") from exc
+    return FiniteRankIdempotent._from_rows(x, f)
 
 
 def _automorphism_rows(n):

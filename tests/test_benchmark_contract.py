@@ -3,10 +3,12 @@
 still resolve, and a table handle must look its ``_eval`` up at call time.
 The tracer only warns on stderr when either breaks, and the traced layer
 silently drops out of the report.  The ``cli`` workload: every command
-line it runs must parse, or the whole benchmark run fails."""
+line it runs must parse, or the whole benchmark run fails.  The
+``algebra`` workload: its references must hold for idemap's results."""
 
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -74,3 +76,23 @@ def test_cli_workload_command_lines_parse(tmp_path, monkeypatch):
     assert len(lines) == len(ops) == 47
     flags = {arg for argv in lines for arg in argv if arg.startswith("--")}
     assert flags == {"--in", "--out", "--seed", "--samples", "--mode"}
+
+
+def test_algebra_references_hold(tmp_path, monkeypatch):
+    """Every ``algebra`` op but isometry generation (seconds a call at
+    complex n = 32, and tested on its own) ends ``ok`` against its numpy
+    reference: ``extend`` with and without a decomposition, the trace
+    identity, ``majorant`` checked by ``relate``, and ``characterize``, at
+    n = 3-64 over both fields."""
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    # The worker pins BLAS threads in os.environ when it is imported.
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+    ops = [op for op in workloads.build_algebra(np.random.default_rng(3), str(tmp_path))
+           if op.kind != "generate_eta_isometry"]
+    outcomes = [(op.kind, op.n, worker.run_op(op)[1]) for op in ops]
+    assert {n for _, n, _ in outcomes} == {3, 4, 5, 6, 7, 8, 16, 24, 64}
+    assert {kind for kind, _, _ in outcomes} == {
+        "extend", "extend_remixed", "trace_identity", "majorant", "characterize"}
+    assert [o for o in outcomes if o[2] != "ok"] == []

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from idemap.core import PAIRING_RTOL, RELATION_TOL, ScalarField, _as_vector, \
+from idemap.core import IDENTITY_RTOL, PAIRING_RTOL, RELATION_TOL, ScalarField, _as_vector, \
     kernel_and_range, orthonormal_columns, tensor
 from idemap.errors import DegeneratePair, DimensionMismatch, NotIdempotent
 from idemap.idempotents import (
     FiniteRankIdempotent,
     RankOneIdempotent,
+    _require_rows,
     decompose,
     majorant,
     rank_one_from_pair,
@@ -173,24 +174,58 @@ class TestFiniteRank:
     def test_zero_is_valid(self):
         assert FiniteRankIdempotent(np.zeros((3, 3))).rank == 0
 
-    def test_trace_bound_scales_with_the_norm(self):
-        """``P = [[1, b, 0], [0, 0, 0], [0, 0, t]]`` has ``||P P - P|| = t - t^2``,
-        far inside its bound at ``b = 1e4``, and trace ``1 + t``.  With ``t``
-        twice ``RELATION_TOL (1 + ||P||)`` the trace is refused (a check
-        that ignored the trace would accept it); with half that, rank 1."""
-        for factor, refused in ((2.0, True), (0.5, False)):
+    def test_factor_bound_scales_with_the_norm(self):
+        """``P = [[1, b, 0], [0, 0, 0], [0, 0, t]]`` at ``b = 1e4``: with ``t``
+        half of ``IDENTITY_RTOL (1 + ||P||)`` the QR rank is 1 and ``U G``
+        misses ``P`` by ``t``, within the bound; with twice that, or with
+        half of ``RELATION_TOL (1 + ||P||)``, the rank is 2 and ``F X^T`` is
+        ``diag(1, t)``, far from ``I``."""
+        for rule, factor, refused in ((IDENTITY_RTOL, 0.5, False), (IDENTITY_RTOL, 2.0, True),
+                                      (RELATION_TOL, 0.5, True)):
             m = np.array([[1.0, 1e4, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-            m[2, 2] = factor * RELATION_TOL * (1.0 + np.linalg.norm(m))
-            assert np.linalg.norm(m @ m - m) <= 1e-9 * (1.0 + np.linalg.norm(m) ** 2)
+            m[2, 2] = factor * rule * (1.0 + np.linalg.norm(m))
             if refused:
-                with pytest.raises(NotIdempotent, match="not close to an integer"):
+                with pytest.raises(NotIdempotent, match="F X"):
                     FiniteRankIdempotent(m)
             else:
-                assert FiniteRankIdempotent(m).rank == 1
+                p = FiniteRankIdempotent(m)
+                assert p.rank == 1
+                bound = IDENTITY_RTOL * (1.0 + np.linalg.norm(m))
+                assert np.linalg.norm(p.matrix - m) <= bound
+
+    @pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+    @pytest.mark.parametrize("n", [3, 6, 16, 64])
+    def test_rank_of_a_similar_diagonal(self, n, field):
+        """``S diag(I_r, 0) S^-1`` has the rank ``r`` it is built with, for
+        every ``r`` from 0 to ``n`` and ``cond(S)`` from 1 to 1e5."""
+        rng = np.random.default_rng(n)
+        for cond in np.logspace(0.0, 5.0, 6):
+            u, v = (np.linalg.qr(random_invertible(rng, n, field))[0] for _ in range(2))
+            s = (u * np.logspace(0.0, -np.log10(cond), n)) @ v.conj().T
+            inv = np.linalg.inv(s)
+            for r in range(n + 1):
+                p = FiniteRankIdempotent(s[:, :r] @ inv[:r])
+                assert p.rank == r, (cond, r)
+
+    def test_rows_are_frozen_and_sum_to_the_matrix(self):
+        m = tensor([1.0, 1.0, 0], [1.0, 0, 0]) + tensor([0, 0, 1.0], [0, 0, 1.0])
+        p = FiniteRankIdempotent(m)
+        x, f = p.rows
+        assert p.rank == len(x) == 2 and x.shape == f.shape == (2, 3)
+        assert not x.flags.writeable and not f.flags.writeable
+        np.testing.assert_array_equal(p.matrix, x.T @ f)
+        np.testing.assert_allclose(p.matrix, m, atol=1e-12)
+
+    def test_rows_rule_reads_the_rows_at_their_scale(self):
+        # pairing 1 at ||X|| ||F|| = 1: accepted, though ||X|| = 1e200
+        _require_rows(np.array([[1e200, 0.0, 0.0]]), np.array([[1e-200, 0.0, 0.0]]))
+        # ||X|| ||F|| overflows: the bound proves nothing, refused without a warning
+        with pytest.raises(NotIdempotent):
+            _require_rows(np.array([[1e200, 0.0, 0.0]]), np.array([[1e200, 0.0, 0.0]]))
 
     def test_overflowing_residual_rejected(self):
-        # ||P@P - P|| and its bound 1e-9 (1 + ||P||^2) both overflow to inf,
-        # and inf > inf is false: the check must not pass, nor warn on the way.
+        # ||P|| overflows to inf, and so does the bound IDENTITY_RTOL (1 + ||P||)
+        # of ||U G - P||: the check must not pass, nor warn on the way.
         m = [[1, 1e160, 0], [1e160, 0, 0], [0, 0, 0]]
         with pytest.raises(NotIdempotent):
             FiniteRankIdempotent(m)
@@ -363,15 +398,17 @@ class TestMajorant:
     def test_large_norm_majorant_is_accepted(self):
         """Draw 4 of ``default_rng(1016)``: real n = 16 idempotents of ranks 4
         and 11 whose principal-angle sine is 2.5e-4.  Their majorant has
-        ``||P||`` about 4.1e3 and trace 15 + 1.3e-8, off an integer by more
-        than ``RELATION_TOL`` but within ``RELATION_TOL (1 + ||P||)``."""
+        ``||P||`` about 4.1e3; a rank read off its trace was once refused.
+        Its rows meet the rows rule, and its dense matrix is read back at
+        the same rank."""
         rng = np.random.default_rng(1016)
         for _ in range(5):
             p1 = random_idempotent(rng, 16, 4, ScalarField.REAL)
             p2 = random_idempotent(rng, 16, 11, ScalarField.REAL)
         big = majorant(p1, p2)
         assert big.rank == 15 and np.linalg.norm(big.matrix) > 4e3
-        assert abs(np.trace(big.matrix) - 15) > RELATION_TOL
+        _require_rows(*big.rows)
+        assert FiniteRankIdempotent(big.matrix).rank == 15
         assert relate(p1, big).p_leq_q and relate(p2, big).p_leq_q
 
     @pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])

@@ -192,6 +192,28 @@ def test_numbers_beyond_float_range_are_malformed(site, tmp_path, capsys):
     assert "malformed input" in capsys.readouterr().err
 
 
+#: Values of ``n`` that are not JSON integers; ``int`` would take each.
+_NOT_INTEGERS = [3.9, 3.0, "3", True]
+
+
+@pytest.mark.parametrize("n", _NOT_INTEGERS, ids=json.dumps)
+def test_n_must_be_a_json_integer(n, tmp_path, capsys):
+    # data of the size ``int(n)`` gives, which a truncating decoder accepts
+    with pytest.raises(FormatError):
+        matrix_from_json({"field": "real", "n": n, "data": [1.0] * int(n) ** 2})
+    with pytest.raises(FormatError):
+        rank_one_from_json(dict(_VEC, n=n))
+    for ds in ([dict(_VEC, n=n)] * 2, [_VEC, dict(_VEC, n=n)]):  # one block, then mixed
+        with pytest.raises(FormatError):
+            rank_ones_from_json(ds)
+    with pytest.raises(FormatError):
+        space_from_json({"eta": _OP, "n": n})
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_table(_VEC, n=n)))
+    assert main(["reconstruct", "--in", str(path)]) == 1
+    assert "malformed input" in capsys.readouterr().err
+
+
 def test_kind_mismatch():
     p = rank_one_from_pair([1.0, 0, 0], [1.0, 0, 0])
     d = rank_one_to_json(p)
