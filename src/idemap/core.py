@@ -88,9 +88,14 @@ def _range_exponent(a, axis=None):
     """0 if the largest real or imaginary part of ``a`` (of each slice along
     ``axis``; of all of ``a`` for ``None``) is in ``[2^-500, 2^500]``, else
     the ``e`` for which ``a 2^e`` brings it into ``[0.5, 1)``: the safe
-    scale, at which a scale-invariant check cannot overflow."""
+    scale, at which a scale-invariant check cannot overflow.  One 0 stands
+    for every slice when every part of ``a`` is in that range: the
+    whole-array test costs a fraction of the slice-wise maximum."""
     # A complex array read as its real and imaginary parts side by side.
-    big = np.abs(np.ascontiguousarray(a).view(a.real.dtype)).max(axis=axis)
+    parts = np.abs(np.ascontiguousarray(a).view(a.real.dtype))
+    if 2.0**-500 <= parts.min() and parts.max() <= 2.0**500:
+        return 0
+    big = parts.max(axis=axis)
     return ((big < 2.0**-500) | (big > 2.0**500)) * -np.frexp(big)[1]
 
 
@@ -99,6 +104,20 @@ def _in_range(a):
     e = int(_range_exponent(a))
     # In two factors, since 2^e alone can overflow.
     return a if e == 0 else a * np.ldexp(1.0, e // 2) * np.ldexp(1.0, e - e // 2)
+
+
+def _rows_in_range(a):
+    """Each row of ``a`` at the safe scale of :func:`_range_exponent`."""
+    return _ldexp_rows(a, _range_exponent(a, axis=1))
+
+
+def _ldexp_rows(a, k):
+    """Row ``i`` of ``a`` times ``2^k[i]``, exact up to underflow; ``a`` itself
+    when every ``k`` is 0."""
+    if not np.any(k):
+        return a
+    a = np.ascontiguousarray(a)
+    return np.ldexp(a.view(a.real.dtype), k[:, None]).view(a.dtype)
 
 
 def _as_vector(x, name="vector"):

@@ -186,7 +186,8 @@ def matrix_of(p):
 def as_finite_rank(p) -> FiniteRankIdempotent:
     if isinstance(p, FiniteRankIdempotent):
         return p
-    return FiniteRankIdempotent(matrix_of(p))
+    # A raw array is checked once, by ``__init__``.
+    return FiniteRankIdempotent(p.matrix if isinstance(p, RankOneIdempotent) else p)
 
 
 def rank_one_from_pair(x, f) -> RankOneIdempotent:

@@ -40,6 +40,7 @@ from .core import (
     _row_dots,
     _row_matvec,
     _row_norms,
+    _rows_in_range,
     field_of,
     up_to_scalar_distance,
 )
@@ -154,7 +155,9 @@ class RayMap:
 
     def _call_per_ray(self, x):
         """Row evaluator of a wrapped ``eval``: the rows are frozen once and
-        handed over as read-only views, unchecked."""
+        handed over as read-only views, unchecked.  Each image row is
+        returned at its safe scale (:func:`~idemap.core._rows_in_range`), so
+        that no margin on it overflows."""
         images = []
         for xk in _frozen(x):
             out = self.eval(Ray._from_frozen(xk))
@@ -164,7 +167,7 @@ class RayMap:
                 raise DimensionMismatch(
                     f"ray map changed the dimension from {xk.shape[0]} to {out.n}")
             images.append(out.representative)
-        return np.array(images)
+        return _rows_in_range(np.array(images))
 
 
 def _ray_rows(v):

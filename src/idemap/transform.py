@@ -12,6 +12,8 @@ recovers ``A`` (up to one scalar) from probe evaluations alone.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
@@ -29,10 +31,12 @@ from .core import (
     _as_array,
     _frozen,
     _in_range,
+    _ldexp_rows,
     _range_exponent,
     _row_dots,
     _row_matvec,
     _row_norms,
+    _rows_in_range,
 )
 from .errors import (
     DegenerateImage,
@@ -96,9 +100,11 @@ class TransformHandle:
 
     def _call_per_row(self, x, f):
         """Row evaluator of a wrapped callable: ``_eval``, looked up per call.
-        The rows are frozen once and handed over as read-only views."""
-        return self._stack([self._eval(RankOneIdempotent._from_frozen_row(xk, fk))
-                            for xk, fk in zip(_frozen(x), _frozen(f))], "image")
+        The rows are frozen once and handed over as read-only views; the
+        image rows are returned balanced (:func:`_balanced`), so that no
+        check on them overflows."""
+        return _balanced(*self._stack([self._eval(RankOneIdempotent._from_frozen_row(xk, fk))
+                                       for xk, fk in zip(_frozen(x), _frozen(f))], "image"))
 
     def _stack(self, ps, role):
         """Rows ``(x, f)`` of ``ps``, each checked to be a
@@ -391,13 +397,37 @@ class ProbeSet:
             + list(self.phase) + list(self.validation)
 
 
+#: Probe sets :func:`reconstruction_probe_set` keeps, least recently used
+#: first out.  A complex n = 64 set holds about 0.42 MB at 50 validation
+#: probes (180 rows) and 1.5 MB at 500, so 64 such sets take 27 MB or 94 MB.
+#: The benchmark's ``recover`` cycle asks for 16 keys and its ``cli`` cycle
+#: for 25, so neither evicts its own sets.
+_PROBE_SETS = 64
+
+
 def reconstruction_probe_set(n, field: ScalarField, validation_count=50,
                              seed=0) -> ProbeSet:
     """Probe inputs for dimension ``n``: ``(e_j, e_j)`` for each ``j``,
     ``(e_1 + e_j, e_1)`` for ``j >= 2``, the automorphism and phase probes
     over the complex field, and ``validation_count`` seeded random
     validation idempotents (0 means no validation probes), drawn as one
-    block by :func:`~idemap.sampling._random_rank_one_rows`."""
+    block by :func:`~idemap.sampling._random_rank_one_rows`.
+
+    The set is a pure function of its arguments and immutable, so it is
+    drawn once and shared: the last ``_PROBE_SETS`` (64) sets are kept, 27 MB
+    if all are complex n = 64 sets of 50 validation probes (94 MB at 500).
+    ``n``, ``validation_count`` and ``seed`` must be integers
+    (``operator.index``; a numpy integer is the same key as a Python one): a
+    ``None`` seed or a ``Generator`` would draw fresh randomness on every
+    call, so it raises ``TypeError``, as a float does.  Invalid values
+    raise ``ValueError`` on every call."""
+    return _probe_set(operator.index(n), field, operator.index(validation_count),
+                      operator.index(seed))
+
+
+@functools.lru_cache(maxsize=_PROBE_SETS)
+def _probe_set(n, field, validation_count, seed) -> ProbeSet:
+    """The body of :func:`reconstruction_probe_set`, memoized on its key."""
     if n < 3:
         raise ValueError("reconstruction needs dimension >= 3")
     if validation_count < 0:
@@ -449,6 +479,10 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
        ``validation_count`` seeded random rank-one idempotents, recording
        the worst residual ``||phi(P) - A h(P) A^{-1}||_F``.  The expected
        images come from one call of ``induce(A)``'s row evaluator.
+
+    The probes are :func:`reconstruction_probe_set`'s, drawn once per
+    ``(n, field, validation_count, seed)`` and shared by every result with
+    that key, so ``validation_count`` and ``seed`` must be integers.
 
     Raises
     ------
@@ -545,12 +579,8 @@ def _balanced(x, f):
     the row of ``x`` (else of ``f``) at the safe scale of
     :func:`~idemap.core._range_exponent`."""
     kx = _range_exponent(x, axis=1)
-    k = np.where(kx != 0, kx, -_range_exponent(f, axis=1))[:, None]
-    if not k.any():
-        return x, f
-    x, f = np.ascontiguousarray(x), np.ascontiguousarray(f)
-    return (np.ldexp(x.view(np.float64), k).view(x.dtype),
-            np.ldexp(f.view(np.float64), -k).view(f.dtype))
+    k = np.where(kx != 0, kx, -_range_exponent(f, axis=1))
+    return _ldexp_rows(x, k), _ldexp_rows(f, -k)
 
 
 #: Query rows times table entries that one step of a table lookup ranks at
@@ -593,13 +623,14 @@ def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
     """Lift representative-level maps ``(T, S)`` to a map on idempotents,
     ``(x, f) -> normalized (T x, S f)``, by :func:`_lift` and its rule for
     a vanishing image pairing.  ``T`` and then ``S`` are called once per
-    row, in row order, on read-only rows."""
+    row, in row order, on read-only rows, and each image row is read at its
+    safe scale (:func:`~idemap.core._rows_in_range`)."""
 
     def images(x, f):
         tx, sf = zip(*[(_image_vector(ts.vector_map(xk), n),
                          _image_vector(ts.functional_map(fk), n))
                         for xk, fk in zip(_frozen(x), _frozen(f))])
-        return np.array(tx), np.array(sf)
+        return _rows_in_range(np.array(tx)), _rows_in_range(np.array(sf))
 
     return _lift(images, n, field)
 

@@ -259,6 +259,16 @@ def test_is_symmetry_does_not_see_the_scale(op_scale, eta_scale):
     assert all(np.isfinite([v.source_margin, v.image_margin]).all() for v in got.violations)
 
 
+def test_wrapped_ray_map_does_not_see_the_scale():
+    """A wrapped ray map whose images square to infinity gets the verdict
+    of the native map, with finite margins."""
+    a = np.array([[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1.0]])
+    got = is_symmetry(IndefiniteSpace(MINKOWSKI),
+                      RayMap(lambda r: Ray(1e155 * (a @ r.representative))))
+    assert len(got.violations) == 250
+    assert all(np.isfinite([v.source_margin, v.image_margin]).all() for v in got.violations)
+
+
 class TestCharacterize:
     def test_identity_is_linear_symmetry(self):
         space = IndefiniteSpace(nonsa_eta(3, complex))

@@ -34,6 +34,7 @@ from idemap.sampling import (
     random_semilinear,
     remix_decomposition,
 )
+import idemap.transform as transform
 from idemap.transform import (
     _LOOKUP_CELLS,
     RayPair,
@@ -131,6 +132,14 @@ class TestCheckPreservation:
         for scale in (1.0, 1e155):
             report = check_preservation(induce(SemilinearOperator(scale * a)))
             assert report.ok and report.pairs_tested == 500
+
+    def test_out_of_range_black_box_rows_are_balanced(self):
+        # The identity, answered as rows (2^520 x, 2^-520 f) whose squares
+        # overflow and underflow unless each row is read balanced.
+        phi = TransformHandle(lambda p: RankOneIdempotent(2.0**520 * p.x, 2.0**-520 * p.f),
+                              3, ScalarField.REAL)
+        report = check_preservation(phi)
+        assert report.ok and report.pairs_tested == 500
 
     def test_identity_has_no_violations(self):
         report = check_preservation(identity_handle(3, ScalarField.REAL),
@@ -569,6 +578,14 @@ class TestFromRayPair:
         p = rank_one_from_pair([1.0, 2.0, 0], [1.0, 0, 0])
         np.testing.assert_allclose(phi(p).matrix, p.matrix, atol=1e-12)
 
+    def test_out_of_range_images_are_rescaled(self):
+        # pair(1e155 x, f) is 1e155: its degeneracy test overflows unless
+        # the image rows are read at a safe scale.
+        phi = from_ray_pair(RayPair(lambda x: 1e155 * x, lambda f: f), 3, ScalarField.REAL)
+        p = rank_one_from_pair([1.0, 2.0, 0], [1.0, 0, 0])
+        np.testing.assert_allclose(phi(p).matrix, p.matrix, atol=1e-12)
+        assert check_preservation(phi).ok
+
     def test_operator_pair_matches_induce(self):
         rng = np.random.default_rng(13)
         m = random_invertible(rng, 4, ScalarField.COMPLEX)
@@ -769,6 +786,54 @@ def test_probe_set_is_deterministic():
         np.testing.assert_array_equal(p.x, q.x)
         np.testing.assert_array_equal(p.f, q.f)
     assert len(a.all_probes()) == 4 + 3 + 2 + 1 + 5
+
+
+class TestProbeSetCache:
+    """``reconstruction_probe_set`` draws each set once and shares it."""
+
+    def test_same_key_is_the_same_object(self):
+        a = reconstruction_probe_set(5, ScalarField.COMPLEX, 6, seed=11)
+        assert reconstruction_probe_set(5, ScalarField.COMPLEX, 6, seed=11) is a
+        assert reconstruction_probe_set(5, ScalarField.REAL, 6, seed=11) is not a
+
+    def test_numpy_integers_are_the_same_key(self):
+        a = reconstruction_probe_set(np.int64(4), ScalarField.REAL, np.int64(5), seed=np.int64(3))
+        assert reconstruction_probe_set(4, ScalarField.REAL, 5, seed=3) is a
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": None},
+        {"seed": np.random.default_rng(0)},
+        {"seed": 1.5},
+        {"validation_count": 5.0},
+    ], ids=("none-seed", "generator-seed", "float-seed", "float-count"))
+    def test_non_integer_keys_raise_type_error(self, kwargs):
+        with pytest.raises(TypeError):
+            reconstruction_probe_set(3, ScalarField.REAL, **kwargs)
+
+    @pytest.mark.parametrize("args, match", [
+        ((2, ScalarField.REAL, 5, 0), "dimension >= 3"),
+        ((3, ScalarField.REAL, -1, 0), "validation_count must be >= 0"),
+        ((3, ScalarField.REAL, 5, -1), "negative"),
+    ], ids=("n", "count", "seed"))
+    def test_errors_are_raised_on_every_call(self, args, match):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                reconstruction_probe_set(*args)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_cached_set_equals_a_fresh_draw(self, field):
+        cached = reconstruction_probe_set(6, field, 9, seed=8)
+        fresh = transform._probe_set.__wrapped__(6, field, 9, 8)
+        assert fresh is not cached
+        sizes = [(len(p.standard), len(p.mixed), len(p.automorphism), len(p.phase),
+                  len(p.validation)) for p in (cached, fresh)]
+        assert sizes[0] == sizes[1]
+        for got, want in zip(cached.rows, fresh.rows):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_bound(self):
+        assert transform._probe_set.cache_info().maxsize == transform._PROBE_SETS == 64
 
 
 @pytest.mark.parametrize("n", (3, 6))
