@@ -583,42 +583,6 @@ def _balanced(x, f):
     return _ldexp_rows(x, k), _ldexp_rows(f, -k)
 
 
-#: Query rows times table entries that one step of a table lookup ranks at
-#: once, so its temporaries stay a few arrays of this size.
-_LOOKUP_CELLS = 1 << 16
-#: Rounding error of the ranking estimate per unit of ``n + 2``, over its
-#: squared norms, with margin for the exact distance's own rounding.
-_ESTIMATE_EPS = 32 * np.finfo(np.float64).eps
-
-
-def _nearest_entries(x, f, y, g, t2):
-    """Index of the table input ``(y, g)`` nearest to each query row ``(x,
-    f)`` by :func:`_rank_one_distances`, the first of equals, with ``t2 = (||y||
-    ||g||)^2``; ``KeyError`` unless each is within ``RELATION_TOL (1 + ||x||
-    ||f||)``.
-
-    The squared distances are first estimated in closed form, ``||x||^2
-    ||f||^2 + ||y||^2 ||g||^2 - 2 Re[(x^H y)(f^H g)]``, with two matrix
-    products for all pairs.  The estimate cancels, so it only selects: an
-    entry is measured again exactly unless its estimate, less its rounding
-    bound (``_ESTIMATE_EPS (n + 2)`` times the sum of the squared norms),
-    exceeds the least estimate of the row plus its bound."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = _row_norms(x) * _row_norms(f)
-        scale = s[:, None] ** 2 + t2
-        est = scale - 2.0 * (x.conj() @ y.T * (f.conj() @ g.T)).real
-        err = _ESTIMATE_EPS * (x.shape[1] + 2) * scale
-        # A NaN estimate makes its whole row candidates; a NaN distance is
-        # then the row's answer (as ``argmin`` gives it), and refused.
-        q, m = np.nonzero(~(est - err > (est + err).min(axis=1, keepdims=True)))
-        exact = np.full(est.shape, np.inf)
-        exact[q, m] = _rank_one_distances(x[q], f[q], y[m], g[m])
-    best = np.argmin(exact, axis=1)
-    if not np.all(exact.min(axis=1) <= RELATION_TOL * (1.0 + s)):
-        raise KeyError("query is not covered by the probe table")
-    return best
-
-
 def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
     """Lift representative-level maps ``(T, S)`` to a map on idempotents,
     ``(x, f) -> normalized (T x, S f)``, by :func:`_lift` and its rule for
@@ -655,16 +619,13 @@ def probe_table_from_operator(a: SemilinearOperator, validation_count=50,
 def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
     """Black-box handle answering from a probe-response table.
 
-    The table is checked once, here: it must not be empty, and every
-    entry must be an ``(input, output)`` pair of :class:`RankOneIdempotent`
-    of dimension ``n``.  A block of queries is answered by one lookup,
-    the handle's ``_eval(x, f)``, looked up at each call: each row gets the
-    output of the input nearest to it by the validation residual's
-    distance (:func:`_nearest_entries`), with every row read at one scale
-    (:func:`_balanced`).  A row farther than ``RELATION_TOL (1 + ||x||
-    ||f||)``, or at a distance that is not finite, raises ``KeyError``,
-    which :func:`reconstruct` passes on (malformed input, not evidence
-    about the map).
+    The table is checked once, here: it must not be empty, every entry must
+    be an ``(input, output)`` pair of :class:`RankOneIdempotent` of dimension
+    ``n``, and a real table must hold no complex entry (``ValueError``).  The
+    outputs are one frozen block, read at a safe scale (:func:`_balanced`).  A
+    block of queries is answered by one lookup, the handle's ``_eval(x, f)``,
+    looked up at each call: a row gets the output of the first input equal to
+    it as ``field``'s dtype, and any other row raises ``KeyError``.
     """
     entries = list(entries)
     if not entries:
@@ -672,16 +633,25 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
     if any(len(entry) != 2 for entry in entries):
         raise TypeError("table entry is not an (input, output) pair")
     phi = TransformHandle(None, n, field, _rows=lambda x, f: phi._eval(x, f))
-    y, g = _balanced(*phi._stack([p for p, _ in entries], "table input"))
-    outputs = [_frozen(r) for r in phi._stack([q for _, q in entries], "table output")]
-    t2 = (_row_norms(y) * _row_norms(g)) ** 2
-    step = max(1, _LOOKUP_CELLS // len(entries))
+    inputs = phi._stack([p for p, _ in entries], "table input")
+    outputs = phi._stack([q for _, q in entries], "table output")
+    if field is ScalarField.REAL and any(map(np.iscomplexobj, inputs + outputs)):
+        raise ValueError("probe table of the real field holds a complex entry")
+    outputs = [_frozen(r) for r in _balanced(*outputs)]
+
+    def keys(x, f):
+        # Complex query rows stay complex, so they match no real input; -0.0 + 0.0 is 0.0.
+        rows = np.concatenate((x, f), axis=1)
+        return [r.tobytes() for r in rows.astype(np.result_type(rows, field.dtype)) + 0.0]
+
+    # Walked backwards, so that the first of equal inputs is the one kept.
+    index = {key: k for k, key in reversed(list(enumerate(keys(*inputs))))}
 
     def lookup(x, f):
-        x, f = _balanced(x, f)
-        best = np.empty(len(x), dtype=np.intp)
-        for k in range(0, len(x), step):
-            best[k:k + step] = _nearest_entries(x[k:k + step], f[k:k + step], y, g, t2)
+        best = [index.get(key) for key in keys(x, f)]
+        if None in best:
+            raise KeyError("query is not covered by the probe table: its inputs must be the "
+                           "probe rows exactly, as idemap reconstruct lists them under probe_set")
         return outputs[0][best], outputs[1][best]
 
     phi._eval = lookup

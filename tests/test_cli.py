@@ -13,6 +13,7 @@ from idemap.cli import build_parser, main
 from idemap.core import RELATION_TOL, AutomorphismTag, ScalarField, SemilinearOperator, \
     up_to_scalar_distance
 from idemap.errors import ExtensionInconsistent
+from idemap.idempotents import RankOneIdempotent
 from idemap.indefinite import IndefiniteSpace, characterize, induced_ray_map, is_symmetry, \
     recover_inducing_operator
 from idemap.sampling import random_invertible
@@ -139,6 +140,26 @@ class TestReconstructCommand:
             recovered, op.matrix / np.linalg.norm(op.matrix)
         ) <= 1e-8
 
+    @pytest.mark.parametrize("field", (ScalarField.REAL, ScalarField.COMPLEX),
+                             ids=("real", "complex"))
+    @pytest.mark.parametrize("k", (600, -600, 1000, -1000))
+    def test_out_of_range_table_outputs(self, field, k, tmp_path):
+        # Outputs written as (x 2^k, f 2^-k), the same idempotents, give the
+        # report of the table as written in range, with no overflow warning.
+        op = SemilinearOperator(random_invertible(np.random.default_rng(7), 3, field))
+        reports = []
+        for scale in (0, k):
+            payload = table_input(op, samples=10, seed=5)
+            for entry in payload["phi"]["probes"]:
+                entry["out"]["x"] = np.ldexp(np.array(entry["out"]["x"]), scale).tolist()
+                entry["out"]["f"] = np.ldexp(np.array(entry["out"]["f"]), -scale).tolist()
+            inp = write_json(tmp_path / "t.json", payload)
+            out = tmp_path / f"report{scale}.json"
+            assert main(["reconstruct", "--in", inp, "--out", str(out),
+                         "--seed", "5", "--samples", "10"]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0] == reports[1]
+
     def test_inconsistent_table_exits_2(self, tmp_path):
         rng = np.random.default_rng(2)
         op = SemilinearOperator(random_invertible(rng, 3, ScalarField.COMPLEX))
@@ -151,6 +172,16 @@ class TestReconstructCommand:
         code = main(["reconstruct", "--in", inp, "--seed", "5",
                      "--samples", "10"])
         assert code == 2
+
+    def test_complex_entry_in_a_real_table_exits_1(self, tmp_path, capsys):
+        op = SemilinearOperator(random_invertible(np.random.default_rng(8), 3, ScalarField.REAL))
+        payload = table_input(op, samples=4, seed=1)
+        p = rank_one_from_json(payload["phi"]["probes"][0]["in"])
+        payload["phi"]["probes"][0]["in"] = rank_one_to_json(
+            RankOneIdempotent(p.x + 1e-3j * np.roll(p.x, 1), p.f))
+        inp = write_json(tmp_path / "t.json", payload)
+        assert main(["reconstruct", "--in", inp, "--samples", "4", "--seed", "1"]) == 1
+        assert "real field holds a complex entry" in capsys.readouterr().err
 
     def test_uncovered_table_exits_1(self, tmp_path, capsys):
         # a table built for 50 validation probes does not cover the 20 asked for
