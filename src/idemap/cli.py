@@ -9,8 +9,9 @@ Commands
                  the inducing operator of the ray map it induces.
 ``selftest``     run the built-in verification suites.
 
-Exit codes: 0 success, 1 malformed input, bad arguments or singular matrices,
-2 the map is not induced / the operator is not a symmetry, 3 selftest failures.
+Exit codes: 0 success, 1 malformed input (input nested deeper than 64 levels
+included), bad arguments or singular matrices, 2 the map is not induced / the
+operator is not a symmetry, 3 selftest failures.
 Reports are one line of sorted-key JSON; same config and seed, same bytes.
 """
 
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+
+import orjson
 
 from . import __version__
 from .core import ScalarField
@@ -40,6 +42,7 @@ from .serialize import (
     FormatError,
     _n_from_json,
     dumps_report,
+    loads_input,
     rank_ones_from_json,
     rank_ones_to_json,
     scalar_to_json,
@@ -59,7 +62,7 @@ _NEGATIVE_ERRORS = (NotInduced, DegenerateProbe, UnrecognizedAutomorphism,
                     DegenerateImage)
 _MALFORMED_ERRORS = (FormatError, SingularOperator, DimensionMismatch,
                      NotIdempotent, DegeneratePair, KeyError, TypeError,
-                     ValueError, json.JSONDecodeError)
+                     ValueError, orjson.JSONDecodeError)
 
 
 def _add_io_flags(p, default_samples):
@@ -116,7 +119,7 @@ def _check_expectations(args, n, field):
 def _emit(args, report, summary_line):
     text = dumps_report(report)
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(summary_line)
     else:
@@ -135,8 +138,8 @@ def _report(args, command, **body):
 
 def _read(args):
     """The JSON object in the ``--in`` file; any other top level is refused."""
-    with open(args.inp) as fh:
-        payload = json.load(fh)
+    with open(args.inp, "rb") as fh:
+        payload = loads_input(fh.read())
     if not isinstance(payload, dict):
         raise FormatError("input must be a JSON object")
     return payload
@@ -242,7 +245,7 @@ def cmd_selftest(args) -> int:
              "detail": r.detail, "failures": list(r.failures)}
             for r in results
         ])
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dumps_report(report))
     return EXIT_SELFTEST if failed else EXIT_OK
 

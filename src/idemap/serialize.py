@@ -7,14 +7,18 @@ idempotents add ``"kind": "finite_rank"``.  A rank-one idempotent
 travels as its pair alone, ``{"kind": "rank1", "field", "n", "x",
 "f"}``; a ``"data"`` matrix in older payloads is ignored on reading.
 Spaces are ``{"n", "field", "eta"}``.
+
+The JSON text itself is read by :func:`loads_input` and written by
+:func:`dumps_report`, both through ``orjson``.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
+import re
 
 import numpy as np
+import orjson
 
 from .core import AutomorphismTag, ScalarField, SemilinearOperator, field_of
 from .idempotents import FiniteRankIdempotent, RankOneIdempotent, _accepts_pair, _rank_one_views
@@ -205,7 +209,44 @@ def scalar_to_json(z) -> list:
     return [float(z.real), float(z.imag)]
 
 
+#: Deepest nesting of arrays and objects that :func:`loads_input` reads;
+#: valid payloads nest at most 7 levels deep.
+MAX_INPUT_DEPTH = 64
+
+_ESCAPE_PAIR = re.compile(rb"\\.", re.DOTALL)
+_NOT_BRACKET = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+#: +1 for an opening bracket, -1 for a closing one, 0 for any other byte.
+_DEPTH_STEP = np.zeros(256, np.int8)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
+
+
+def _nesting_depth(data: bytes) -> int:
+    """The deepest nesting of arrays and objects in the JSON text ``data``.
+    Escape pairs ``\\X`` are dropped, so that every quote left opens or
+    closes a string; of the rest only the bytes ``[]{}"`` are kept, so the
+    text is not copied whole; the brackets outside strings are the even
+    parts of a split on the quotes, and the depth is the largest sum of
+    their steps over a prefix."""
+    if b"\\" in data:
+        data = _ESCAPE_PAIR.sub(b"", data)
+    brackets = b"".join(data.translate(None, _NOT_BRACKET).split(b'"')[0::2])
+    return int(np.cumsum(_DEPTH_STEP[np.frombuffer(brackets, np.uint8)]).max(initial=0))
+
+
+def loads_input(data: bytes):
+    """The JSON value of the UTF-8 text ``data``, read by ``orjson``.  Text
+    nested deeper than :data:`MAX_INPUT_DEPTH` is refused first, with
+    :class:`FormatError`: ``orjson`` sets no recursion limit of its own."""
+    depth = _nesting_depth(data)
+    if depth > MAX_INPUT_DEPTH:
+        raise FormatError(f"input nests {depth} levels deep, more than {MAX_INPUT_DEPTH}")
+    return orjson.loads(data)
+
+
 def dumps_report(obj) -> str:
-    """One line of sorted-key JSON and a newline, written by ``json``'s C
-    encoder: same object, same bytes.  ``python -m json.tool`` indents it."""
-    return json.dumps(obj, sort_keys=True) + "\n"
+    """One line of sorted-key JSON and a newline, written by ``orjson``:
+    compact separators, and each float in the shortest spelling that reads
+    back to its bits, so that the same object gives the same bytes.
+    ``python -m json.tool`` indents it."""
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE).decode()

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import idemap.cli
@@ -53,6 +54,22 @@ def table_input(op, samples, seed):
             ],
         }
     }
+
+
+def nested(depth):
+    """JSON text of ``depth`` nested arrays."""
+    return "[" * depth + "]" * depth
+
+
+#: Input texts refused before any payload is read: by the parser, or by the
+#: nesting limit that comes before it.
+_MALFORMED_TEXTS = {
+    "not-json": "{not json",
+    "nested-200000": nested(200_000),  # json.load raised RecursionError here
+    "nan": '{"phi": NaN}',
+    "infinity": '{"phi": -Infinity}',
+    "bom": "\ufeff{}",
+}
 
 
 class TestArguments:
@@ -118,11 +135,20 @@ class TestReconstructCommand:
         text = out.read_text()
         assert text.endswith("}\n") and text.count("\n") == 1
         report = json.loads(text)
-        assert text == json.dumps(report, sort_keys=True) + "\n"
+        assert text == orjson.dumps(
+            report, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE).decode()
+
+        def sorted_at_every_depth(v):
+            if isinstance(v, dict):
+                return list(v) == sorted(v) and all(map(sorted_at_every_depth, v.values()))
+            return not isinstance(v, list) or all(map(sorted_at_every_depth, v))
+
+        assert sorted_at_every_depth(report)
         result = reconstruct(induce(op), validation_count=10, seed=3)
         a = semilinear_from_json(report["A"])
         assert a.auto is result.A.auto
         assert a.matrix.tobytes() == result.A.matrix.tobytes()
+        assert report["residual"] == result.residual
 
     def test_table_mode(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -214,10 +240,25 @@ class TestReconstructCommand:
             if mend is not None:
                 probes[mend] = good[mend]
 
-    def test_malformed_input_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("text", _MALFORMED_TEXTS.values(), ids=_MALFORMED_TEXTS.keys())
+    def test_malformed_input_exits_1(self, text, tmp_path, capsys):
         p = tmp_path / "garbage.json"
-        p.write_text("{not json")
+        p.write_text(text, encoding="utf-8")
         assert main(["reconstruct", "--in", str(p)]) == 1
+        assert "malformed input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", (64, 65))
+    def test_nesting_limit(self, depth, tmp_path, capsys):
+        # An induced input whose unused key takes it down to ``depth`` levels.
+        note = []
+        for _ in range(depth - 3):
+            note = [note]
+        payload = induced_input(SemilinearOperator(np.diag([1.0, 2.0, 3.0])))
+        payload["phi"]["note"] = note
+        inp = write_json(tmp_path / "in.json", payload)
+        refused = depth > 64
+        assert main(["reconstruct", "--in", inp, "--samples", "4"]) == int(refused)
+        assert ("nests 65 levels deep, more than 64" in capsys.readouterr().err) == refused
 
     @pytest.mark.parametrize("command, payload", [
         ("reconstruct", [1, 2]),

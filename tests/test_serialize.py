@@ -13,6 +13,7 @@ from idemap.serialize import (
     dumps_report,
     finite_rank_from_json,
     finite_rank_to_json,
+    loads_input,
     matrix_from_json,
     matrix_to_json,
     rank_one_from_json,
@@ -190,6 +191,35 @@ def test_numbers_beyond_float_range_are_malformed(site, tmp_path, capsys):
     path.write_text(json.dumps(wrap(payload)).replace("Infinity", "1e400"))
     assert main([command, "--in", str(path)]) == 1
     assert "malformed input" in capsys.readouterr().err
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+#: JSON texts about the nesting limit of ``loads_input``, and whether each is
+#: refused: brackets and escaped quotes inside strings and keys do not count.
+_DEPTHS = {
+    "64": (_nested(64), False),
+    "65": (_nested(65), True),
+    "opening-brackets-in-a-string": ('["' + "[{" * 40 + '", ' + _nested(63) + "]", False),
+    "closing-brackets-in-a-string": ('["' + "]}" * 40 + '", ' + _nested(64) + "]", True),
+    "escaped-quote-in-a-string": ('["\\"' + "[" * 70 + '"]', False),
+    "brackets-and-escaped-quote-in-a-key": ('{"' + "[" * 70 + '\\"": ' + _nested(63) + "}",
+                                            False),
+    "escaped-backslash-then-quote-in-a-key": ('{"k\\\\": ' + _nested(63) + "}", False),
+    "escaped-backslash-then-quote-too-deep": ('{"k\\\\": ' + _nested(64) + "}", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEPTHS))
+def test_input_nesting_limit(name):
+    text, refused = _DEPTHS[name]
+    if refused:
+        with pytest.raises(FormatError, match="nests 65 levels deep, more than 64"):
+            loads_input(text.encode())
+    else:
+        assert loads_input(text.encode()) == json.loads(text)
 
 
 #: Values of ``n`` that are not JSON integers; ``int`` would take each.
