@@ -21,20 +21,9 @@ import argparse
 import functools
 import sys
 
-import orjson
-
 from . import __version__
 from .core import ScalarField
-from .errors import (
-    DegenerateImage,
-    DegenerateProbe,
-    DegeneratePair,
-    DimensionMismatch,
-    NotIdempotent,
-    NotInduced,
-    SingularOperator,
-    UnrecognizedAutomorphism,
-)
+from .errors import DegenerateImage, DegenerateProbe, NotInduced, UnrecognizedAutomorphism
 from .indefinite import SymmetryKind, characterize, induced_ray_map, is_symmetry, \
     recover_inducing_operator
 from .selftest import run_all
@@ -60,9 +49,8 @@ EXIT_SELFTEST = 3
 
 _NEGATIVE_ERRORS = (NotInduced, DegenerateProbe, UnrecognizedAutomorphism,
                     DegenerateImage)
-_MALFORMED_ERRORS = (FormatError, SingularOperator, DimensionMismatch,
-                     NotIdempotent, DegeneratePair, KeyError, TypeError,
-                     ValueError, orjson.JSONDecodeError)
+# Every refusal of malformed input, orjson's decode errors included, is a ``ValueError``.
+_MALFORMED_ERRORS = (ValueError, KeyError, TypeError)
 
 
 def _add_io_flags(p, default_samples):

@@ -35,6 +35,23 @@ RECOVERY_TOL = 1e-6
 #: A quantity is zero at roundoff.
 ROUNDOFF_RTOL = 1e-12
 
+#: The three answers of :func:`_verdict`; ``UNDECIDED`` is the one that is false.
+HOLDS, UNDECIDED, FAILS = 1, 0, -1
+#: What a refusal says when its check is UNDECIDED.
+OVERFLOWED = "undecided: the arithmetic overflowed"
+
+
+def _verdict(residual, holds_to, fails_from=None):
+    """The decision rule of every check: ``HOLDS`` when ``residual <=
+    holds_to``, ``FAILS`` when ``residual > holds_to`` and ``residual >=
+    fails_from`` (``holds_to`` by default), else ``UNDECIDED``: between the
+    two bounds, or when the residual or a bound is NaN or infinite, since an
+    overflow proves nothing.  Residuals and bounds are at least 0, Python
+    floats (one answer) or arrays (an answer per entry)."""
+    hi = holds_to if fails_from is None else fails_from
+    finite = (holds_to < np.inf) & (hi < np.inf) & (residual < np.inf)
+    return finite * ((residual <= holds_to) * 1 - ((residual > holds_to) & (residual >= hi)))
+
 
 class ScalarField(enum.Enum):
     """Base field of a computation: real or complex coordinates."""
@@ -141,13 +158,13 @@ def _as_matrix(a, name="matrix", square=True):
 
 
 def _require_invertible(m, name):
-    """Raise :class:`SingularOperator` unless the smallest singular value
-    of ``m`` exceeds ``SINGULAR_RTOL`` times the largest."""
+    """Raise :class:`SingularOperator` unless ``s_min <= SINGULAR_RTOL s_max``
+    FAILS for the singular values of ``m``."""
     s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= SINGULAR_RTOL * s[0]:
-        raise SingularOperator(
-            f"{name} is numerically singular (smin {s[-1]:.3e}, smax {s[0]:.3e})"
-        )
+    verdict = _verdict(float(s[-1]), SINGULAR_RTOL * float(s[0]))
+    if verdict != FAILS:
+        raise SingularOperator(f"{name} is {'numerically singular' if verdict else OVERFLOWED} "
+                               f"(smin {s[-1]:.3e}, smax {s[0]:.3e})")
 
 
 def _frozen(a, dtype=None):

@@ -14,7 +14,10 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    FAILS,
+    HOLDS,
     IDENTITY_RTOL,
+    OVERFLOWED,
     PAIRING_RTOL,
     RANK_RTOL,
     RELATION_TOL,
@@ -27,6 +30,8 @@ from .core import (
     _row_abs,
     _row_dots,
     _row_norms,
+    _rows_in_range,
+    _verdict,
     kernel_and_range,
     orthonormal_columns,
 )
@@ -50,7 +55,11 @@ class RankOneIdempotent:
                 self._x = _frozen(xv)
                 self._f = _frozen(fv)
                 return
-        _refuse_pair(x, f)
+        # Refused: the checks of ``_as_vector_pair``, and last the pairing.
+        xv, fv = _as_vector_pair(x, f, "rank-one pair")
+        p, tol = np.vdot(xv.conj(), fv), _pairing_tol(xv, fv)
+        why = f"expected 1 within {tol:.3e}" if _verdict(float(abs(p - 1.0)), tol) else OVERFLOWED
+        raise NotIdempotent(f"pairing is {p!r}, {why}")
 
     @classmethod
     def _from_frozen_row(cls, x, f):
@@ -89,29 +98,17 @@ class RankOneIdempotent:
 
 def _accepts_pair(x, f):
     """The rule of :class:`RankOneIdempotent` for 1-d ``x`` and ``f`` of one
-    shape: ``|pair(x, f) - 1| <= _pairing_tol(x, f) < inf``.  An inf or NaN
-    entry makes a norm or the pairing non-finite, so an accepted pair is
-    finite without a check of its own."""
-    tol = _pairing_tol(x, f)
-    return tol < np.inf and abs(np.dot(x, f) - 1.0) <= tol
+    shape: ``|pair(x, f) - 1| <= _pairing_tol(x, f)`` HOLDS.  An inf or NaN entry makes a
+    norm or the pairing (``np.vdot(x.conj(), f)``, bit-identical to ``np.dot``, which warns
+    on overflow) non-finite, so an accepted pair is finite without a check of its own."""
+    return _verdict(float(abs(np.vdot(x.conj(), f) - 1.0)), _pairing_tol(x, f)) == HOLDS
 
 
 def _pairing_tol(x, f):
     """Allowed deviation of ``pair(x, f)`` from 1: ``PAIRING_RTOL`` times
-    ``1 + ||x|| ||f||`` in BLAS norms, which cannot overflow; it is infinite
-    when ``||x|| ||f||`` overflows, and then the pairing proves nothing."""
+    ``1 + ||x|| ||f||`` in BLAS norms, which cannot overflow themselves."""
     return PAIRING_RTOL * (1.0 + scipy.linalg.norm(x, check_finite=False)
                           * scipy.linalg.norm(f, check_finite=False))
-
-
-def _refuse_pair(x, f):
-    """Raise the error for a pair that :class:`RankOneIdempotent` refuses:
-    the checks of :func:`~idemap.core._as_vector_pair`, and last the
-    pairing, computed without floating-point warnings."""
-    xv, fv = _as_vector_pair(x, f, "rank-one pair")
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = np.dot(xv, fv)
-    raise NotIdempotent(f"pairing is {p!r}, expected 1 within {_pairing_tol(xv, fv):.3e}")
 
 
 class FiniteRankIdempotent:
@@ -129,10 +126,10 @@ class FiniteRankIdempotent:
         g = u.conj().T @ m
         with np.errstate(over="ignore", invalid="ignore"):
             resid = np.linalg.norm(u @ g - m)
-            bound = IDENTITY_RTOL * (1.0 + np.linalg.norm(m))
-        # An overflowed residual or bound proves nothing: refuse it.
-        if not resid <= bound < np.inf:
-            raise NotIdempotent(f"||U G - P|| = {resid:.3e} exceeds tolerance")
+            verdict = _verdict(float(resid), IDENTITY_RTOL * (1.0 + float(np.linalg.norm(m))))
+        if verdict != HOLDS:
+            raise NotIdempotent(f"||U G - P|| = {resid:.3e} "
+                                f"{'exceeds tolerance' if verdict else OVERFLOWED}")
         _require_rows(u.T, g)
         self._x, self._f = _frozen(u.T), _frozen(g)
 
@@ -167,13 +164,15 @@ class FiniteRankIdempotent:
 
 def _require_rows(x, f):
     """The rows rule: raise :class:`NotIdempotent` unless ``||F X^T - I_r|| <= IDENTITY_RTOL
-    (1 + ||X|| ||F||)``, finite, in BLAS norms, which cannot overflow (1e200 by 1e-200 is 1)."""
+    (1 + ||X|| ||F||)`` HOLDS, in BLAS norms, which cannot overflow (1e200 by 1e-200 is 1)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = IDENTITY_RTOL * (1.0 + scipy.linalg.norm(np.ravel(x), check_finite=False)
-                                 * scipy.linalg.norm(np.ravel(f), check_finite=False))
-        resid = np.linalg.norm(f @ x.T - np.eye(len(x)))
-    if not resid <= bound < np.inf:
-        raise NotIdempotent(f"||F X^T - I|| = {resid:.3e} exceeds tolerance")
+        resid = float(np.linalg.norm(f @ x.T - np.eye(len(x))))
+    scale = (scipy.linalg.norm(np.ravel(x), check_finite=False)
+             * scipy.linalg.norm(np.ravel(f), check_finite=False))
+    verdict = _verdict(resid, IDENTITY_RTOL * (1.0 + scale))
+    if verdict != HOLDS:
+        raise NotIdempotent(f"||F X^T - I|| = {resid:.3e} "
+                            f"{'exceeds tolerance' if verdict else OVERFLOWED}")
 
 
 def matrix_of(p):
@@ -193,27 +192,29 @@ def as_finite_rank(p) -> FiniteRankIdempotent:
 def rank_one_from_pair(x, f) -> RankOneIdempotent:
     """Normalize ``(x, f)`` into the idempotent ``tensor(x, f) / pair(x, f)``.
 
-    The rays of ``x`` and ``f`` are preserved; only ``x`` is rescaled.
-    Raises :class:`DegeneratePair` when the pairing is (numerically) zero,
-    in which case the pair spans a nilpotent rather than an idempotent.
+    The rays of ``x`` and ``f``, each read at its safe scale (:func:`~idemap.core._rows_in_range`),
+    are preserved; only ``x`` is rescaled.  Raises :class:`DegeneratePair` when the pairing is
+    (numerically) zero, in which case the pair spans a nilpotent rather than an idempotent.
     """
     xv, fv = _as_vector_pair(x, f, "rank-one pair")
-    return _rank_one_row(xv[None], fv[None])
+    return _rank_one_row(_rows_in_range(xv[None]), _rows_in_range(fv[None]))
 
 
 def _normalized_rows(x, f):
     """Rows ``x[k] / pair(x[k], f[k])`` and ``f[k]``: the normalization of
     :func:`rank_one_from_pair`, which is its one-row case.
 
-    The degeneracy rule keeps ``|pair(x, f)| > PAIRING_RTOL ||x|| ||f||``,
-    so the rounding error of the new pairing stays far below the bound of
+    The degeneracy rule ``|pair(x, f)| <= PAIRING_RTOL ||x|| ||f||`` must FAIL, so the
+    rounding error of the new pairing stays far below the bound of
     :class:`RankOneIdempotent`, and the rows need no check of their own."""
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
         raise ValueError("rank-one rows have non-finite entries")
     p = _row_dots(x, f)
-    degenerate = _row_abs(p) <= PAIRING_RTOL * _row_norms(x) * _row_norms(f)
-    if degenerate.any():
-        raise DegeneratePair(f"pairing {p[np.argmax(degenerate)]!r} too close to zero")
+    verdicts = _verdict(_row_abs(p), PAIRING_RTOL * _row_norms(x) * _row_norms(f))
+    if (verdicts != FAILS).any():
+        k = np.argmax(verdicts != FAILS)
+        raise DegeneratePair(f"pairing {p[k]!r} "
+                             f"{'too close to zero' if verdicts[k] else OVERFLOWED}")
     return x / p[:, None], f
 
 
@@ -242,20 +243,19 @@ def relate(p, q) -> Relation:
     """Evaluate ``PQ = 0``, ``QP = 0``, orthogonality and the order
     relations ``P <= Q`` (``PQ = QP = P``) and ``Q <= P``, each product
     residual within ``RELATION_TOL`` times ``(1 + ||P||)(1 + ||Q||)``
-    (Frobenius norms).  Raises ``ValueError`` when that bound or a
-    residual overflows."""
+    (Frobenius norms).  Raises ``ValueError`` when one is UNDECIDED (overflows)."""
     pm = matrix_of(p)
     qm = matrix_of(q)
     if pm.shape != qm.shape:
         raise DimensionMismatch(f"relate: shapes {pm.shape} vs {qm.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        tol = RELATION_TOL * (1.0 + np.linalg.norm(pm)) * (1.0 + np.linalg.norm(qm))
+        tol = float(RELATION_TOL * (1.0 + np.linalg.norm(pm)) * (1.0 + np.linalg.norm(qm)))
         pq, qp = pm @ qm, qm @ pm
-        resid = [np.linalg.norm(r) for r in (pq, qp, pq - pm, qp - pm, pq - qm, qp - qm)]
-    # An overflowed bound passes every residual, and an overflowed residual none.
-    if not np.isfinite([tol, *resid]).all():
+        verdicts = [_verdict(float(np.linalg.norm(r)), tol)
+                    for r in (pq, qp, pq - pm, qp - pm, pq - qm, qp - qm)]
+    if not all(verdicts):  # one is UNDECIDED
         raise ValueError("relate: a product norm or its bound overflows")
-    pq_zero, qp_zero, pq_p, qp_p, pq_q, qp_q = (bool(r <= tol) for r in resid)
+    pq_zero, qp_zero, pq_p, qp_p, pq_q, qp_q = (v == HOLDS for v in verdicts)
     return Relation(pq_zero, qp_zero, pq_zero and qp_zero, pq_p and qp_p, pq_q and qp_q)
 
 

@@ -23,6 +23,8 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    FAILS,
+    HOLDS,
     IDENTITY_RTOL,
     RELATION_TOL,
     ROUNDOFF_RTOL,
@@ -41,6 +43,7 @@ from .core import (
     _row_matvec,
     _row_norms,
     _rows_in_range,
+    _verdict,
     field_of,
     up_to_scalar_distance,
 )
@@ -126,12 +129,12 @@ class Ray:
 
 def rays_equal(r1: Ray, r2: Ray) -> bool:
     """Linear dependence of the representatives ``a``, ``b``, read at a safe
-    scale: ``up_to_scalar_distance(b, a) <= SINGULAR_RTOL ||b||``."""
+    scale: ``up_to_scalar_distance(b, a) <= SINGULAR_RTOL ||b||`` HOLDS."""
     if r1.n != r2.n:
         raise DimensionMismatch(f"rays_equal: dimensions {r1.n} vs {r2.n}")
     b = _in_range(r2.representative)
-    return bool(up_to_scalar_distance(b, _in_range(r1.representative))
-                <= SINGULAR_RTOL * np.linalg.norm(b))
+    return _verdict(up_to_scalar_distance(b, _in_range(r1.representative)),
+                    SINGULAR_RTOL * float(np.linalg.norm(b))) == HOLDS
 
 
 @dataclass(frozen=True)
@@ -200,12 +203,6 @@ def induced_ray_map(u: SemilinearOperator) -> RayMap:
     return t
 
 
-def apply_ray_map(t: RayMap, x):
-    """Representative of the image of the ray of ``x``: the one-row case
-    of the map's row evaluator."""
-    return t._rows(Ray(x).representative[None])[0]
-
-
 def eta_product(space: IndefiniteSpace, x, y):
     """The product ``<eta x, y>``, conjugate-linear in ``y``."""
     xv = _as_vector(x, "x")
@@ -224,7 +221,7 @@ def _orthogonality_margins(eta, x, y):
 
 
 def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray) -> bool:
-    """``|<eta x, y>| <= RELATION_TOL * ||eta x|| * ||y||`` for the
+    """``|<eta x, y>| <= RELATION_TOL * ||eta x|| * ||y||`` HOLDS for the
     representatives, with both and ``eta`` at a safe scale: the samplers' rule.
 
     Homogeneous in both representatives, so the choice within each ray is
@@ -234,7 +231,7 @@ def ray_eta_orthogonal(space: IndefiniteSpace, rx: Ray, ry: Ray) -> bool:
         raise DimensionMismatch(f"rays of dimensions {rx.n}, {ry.n} in dimension {space.n}")
     margin = _orthogonality_margins(space._safe_eta, _in_range(rx.representative)[None],
                                     _in_range(ry.representative)[None])
-    return bool(margin[0] <= RELATION_TOL)
+    return _verdict(float(margin[0]), RELATION_TOL) == HOLDS
 
 
 def eta_orthogonal_partner(space: IndefiniteSpace, x, rng):
@@ -313,8 +310,8 @@ def characterize(space: IndefiniteSpace, u: SemilinearOperator) -> Characterizat
     ``(U e_i, U e_j) = d (e_j, e_i)_{eta*}`` with ``eta*`` the conjugate
     transpose.  The constant is fitted on the basis pair with the largest
     right-hand side and then verified on all ``n^2`` pairs, within
-    ``RELATION_TOL`` times one plus the largest entries of both sides.
-    Raises ``ValueError`` when ``M^H eta M`` or the constant overflows.
+    ``RELATION_TOL`` times one plus the largest entries of both sides, which
+    HOLDS or FAILS (``NONE``); UNDECIDED (an overflow) raises ``ValueError``.
     """
     if u.n != space.n:
         raise DimensionMismatch("operator dimension does not match the space")
@@ -330,11 +327,11 @@ def characterize(space: IndefiniteSpace, u: SemilinearOperator) -> Characterizat
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = (m.conj().T @ eta @ m).T.astype(np.complex128)
         constant = lhs[ref] / rhs[ref]
-    scale = 1.0 + np.abs(lhs).max() + abs(constant) * np.abs(rhs).max()
-    # An overflowed entry would make the residual NaN, which passes the check.
-    if not math.isfinite(scale):
+        scale = 1.0 + np.abs(lhs).max() + abs(constant) * np.abs(rhs).max()
+        verdict = _verdict(float(np.abs(lhs - constant * rhs).max()), RELATION_TOL * float(scale))
+    if not verdict:
         raise ValueError("characterize: M^H eta M or its constant overflows")
-    if np.abs(lhs - constant * rhs).max() > RELATION_TOL * scale:
+    if verdict == FAILS:
         return Characterization(SymmetryKind.NONE, None)
     if space.field is ScalarField.REAL:
         constant = float(constant.real)
@@ -517,9 +514,9 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     space of ``eta K + K* eta = 0`` (so that ``exp(K)`` preserves the
     metric exactly), exponentiates, and multiplies by ``sqrt(scale)``.
     When the solution space is trivial (``||K|| <= ROUNDOFF_RTOL``) the
-    output degenerates to ``sqrt(scale) * I``.  The identity is checked to
-    ``IDENTITY_RTOL scale (1 + ||eta||)``, with ``eta`` at a safe scale,
-    and a miss raises ``ArithmeticError``.
+    output degenerates to ``sqrt(scale) * I``.  ``E = exp(K)`` is certified before the
+    scaling, ``||E* eta E - eta|| <= IDENTITY_RTOL (1 + ||eta||)`` with ``eta`` at a
+    safe scale; unless that HOLDS, ``ArithmeticError``.
 
     The route (:func:`_skew_projection`) takes ``O(n^3)``; LSQR corrects a
     projection that misses its certificate (:func:`_corrected`), so the
@@ -536,12 +533,13 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     k = _corrected(eta, _skew_projection(space)(g))
     norm_k = np.linalg.norm(k)
     k = k / norm_k if norm_k > ROUNDOFF_RTOL else np.zeros_like(k)
-    v_mat = scipy.linalg.expm(k) * np.sqrt(scale)
-    resid = np.linalg.norm(v_mat.conj().T @ eta @ v_mat - scale * eta)
-    if resid > IDENTITY_RTOL * scale * (1.0 + np.linalg.norm(eta)):
+    e = scipy.linalg.expm(k)
+    resid = float(np.linalg.norm(e.conj().T @ eta @ e - eta))
+    # ``||K|| <= 1`` and ``eta`` is in range, so only a NaN ``K`` leaves it UNDECIDED.
+    if _verdict(resid, IDENTITY_RTOL * (1.0 + float(np.linalg.norm(eta)))) != HOLDS:
         raise ArithmeticError(f"isometry generation failed, residual {resid:.3e}")
     # ``||K|| <= 1``, so ``cond(exp(K)) <= e^2``: no singularity check.
-    return SemilinearOperator._from_checked(v_mat, AutomorphismTag.IDENTITY)
+    return SemilinearOperator._from_checked(e * np.sqrt(scale), AutomorphismTag.IDENTITY)
 
 
 def recover_inducing_operator(space: IndefiniteSpace, t: RayMap,

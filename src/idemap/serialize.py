@@ -175,22 +175,10 @@ def rank_ones_from_json(ds) -> list:
     return [rank_one_from_json(d) for d in ds]
 
 
-def finite_rank_to_json(p: FiniteRankIdempotent) -> dict:
-    return dict(matrix_to_json(p.matrix), kind="finite_rank")
-
-
 def finite_rank_from_json(d) -> FiniteRankIdempotent:
     if not isinstance(d, dict) or d.get("kind") != "finite_rank":
         raise FormatError("expected a finite_rank idempotent payload")
     return FiniteRankIdempotent(matrix_from_json(d))
-
-
-def space_to_json(space: IndefiniteSpace) -> dict:
-    return {
-        "n": space.n,
-        "field": space.field.value,
-        "eta": matrix_to_json(space.eta),
-    }
 
 
 def space_from_json(d) -> IndefiniteSpace:

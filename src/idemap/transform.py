@@ -21,7 +21,10 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    FAILS,
+    HOLDS,
     IDENTITY_RTOL,
+    OVERFLOWED,
     RECOVERY_TOL,
     RELATION_TOL,
     ROUNDOFF_RTOL,
@@ -33,10 +36,12 @@ from .core import (
     _in_range,
     _ldexp_rows,
     _range_exponent,
+    _row_abs,
     _row_dots,
     _row_matvec,
     _row_norms,
     _rows_in_range,
+    _verdict,
 )
 from .errors import (
     DegenerateImage,
@@ -247,7 +252,7 @@ def _sample_biconditional(n, field, sample_count, seed, draw, image,
     :func:`~idemap.indefinite.is_symmetry`.  Per block of at most
     ``SAMPLE_BLOCK`` pairs, ``draw(rng, crafted, plain)`` gives the
     rows of the pairs (the two members of each interleaved), ``image``
-    maps the rows and ``margins`` gives one margin per pair."""
+    maps the rows and ``margins`` gives one margin per pair, at most 1."""
     if sample_count < 0:
         raise ValueError(f"sample_count must be >= 0, got {sample_count}")
     rng = np.random.default_rng(seed)
@@ -258,8 +263,9 @@ def _sample_biconditional(n, field, sample_count, seed, draw, image,
         head = min(max(crafted - start, 0), size)
         rows = draw(rng, head, size - head)
         pre, post = margins(rows), margins(image(rows))
-        pairs = np.flatnonzero((np.minimum(pre, post) <= RELATION_TOL)
-                               & (np.maximum(pre, post) >= 100 * RELATION_TOL))
+        # A violation: one margin HOLDS at RELATION_TOL and the other FAILS at 100 times it.
+        sides = _verdict(np.stack((pre, post)), RELATION_TOL, 100 * RELATION_TOL)
+        pairs = np.flatnonzero(sides[0] * sides[1] == HOLDS * FAILS)
         if pairs.size:
             # Witnesses: read-only views of the decisive pairs' rows, frozen once.
             pick = (2 * pairs[:, None] + [0, 1]).ravel()
@@ -306,9 +312,9 @@ def extend(phi: TransformHandle, p, decomposition=None) -> FiniteRankIdempotent:
     orthogonal rank-one idempotents and the sum is an idempotent of the same rank; and the value
     does not depend on which orthogonal rank-one decomposition is used.  ``decomposition`` may
     supply explicit pieces (e.g. to exercise that independence): ``rank P`` of them (else
-    :class:`DimensionMismatch`) summing to ``P`` within ``IDENTITY_RTOL (1 + ||P||)`` (else
-    ``ValueError``), which makes them mutually orthogonal.  Mapped rows that fail ``F X^T = I``
-    raise :class:`ExtensionInconsistent`."""
+    :class:`DimensionMismatch`) summing to ``P`` within ``IDENTITY_RTOL (1 + ||P||)`` (it must
+    HOLD, else ``ValueError``), which makes them mutually orthogonal.  Mapped rows that fail
+    ``F X^T = I`` raise :class:`ExtensionInconsistent`."""
     fp = as_finite_rank(p)
     if fp.rank == 0:
         return fp
@@ -321,10 +327,11 @@ def extend(phi: TransformHandle, p, decomposition=None) -> FiniteRankIdempotent:
         if len(x) != fp.rank:
             raise DimensionMismatch(f"decomposition has {len(x)} pieces, rank is {fp.rank}")
         m = matrix_of(p)
-        resid = np.linalg.norm(x.T @ f - m)
-        if resid > IDENTITY_RTOL * (1.0 + np.linalg.norm(m)):
-            raise ValueError(
-                f"decomposition does not sum to the idempotent (residual {resid:.3e})")
+        resid = float(np.linalg.norm(x.T @ f - m))
+        verdict = _verdict(resid, IDENTITY_RTOL * (1.0 + float(np.linalg.norm(m))))
+        if verdict != HOLDS:
+            raise ValueError(f"decomposition does not sum to the idempotent (residual "
+                             f"{resid:.3e}{'' if verdict else ', ' + OVERFLOWED})")
     x, f = phi._rows(x, f)
     try:
         _require_rows(x, f)
@@ -366,11 +373,12 @@ def _tag_of(h_i, probe):
     """The ring automorphism ``h`` whose value ``h(i)`` a probe measured:
     ``i`` for the identity, ``-i`` for conjugation, within
     ``RECOVERY_TOL`` (scale 1)."""
-    if abs(h_i - 1j) <= RECOVERY_TOL:
-        return AutomorphismTag.IDENTITY
-    if abs(h_i + 1j) <= RECOVERY_TOL:
-        return AutomorphismTag.CONJUGATION
-    raise UnrecognizedAutomorphism(f"{probe} {h_i!r}, expected i or -i")
+    for tag, value in ((AutomorphismTag.IDENTITY, 1j), (AutomorphismTag.CONJUGATION, -1j)):
+        verdict = _verdict(float(abs(h_i - value)), RECOVERY_TOL)
+        if verdict == HOLDS:
+            return tag
+    raise UnrecognizedAutomorphism(
+        f"{probe} {h_i!r}, expected i or -i{'' if verdict else ', ' + OVERFLOWED}")
 
 
 @dataclass(frozen=True)
@@ -514,9 +522,10 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     columns = x[:n] / _row_norms(x[:n])[:, None]
     v = np.concatenate((x[n:2 * n - 1], x[first - phases:first]))
     a, b = _fit_two_directions(columns[0], columns[list(range(1, n)) + [1] * phases], v)
-    floor = ROUNDOFF_RTOL * _row_norms(v)
+    # A component is lost unless ``|component| <= ROUNDOFF_RTOL ||image||`` FAILS.
+    lost = (_verdict(_row_abs(np.array([a, b])), ROUNDOFF_RTOL * _row_norms(v)) != FAILS).tolist()
     for j in range(1, n):
-        if abs(a[j - 1]) <= floor[j - 1] or abs(b[j - 1]) <= floor[j - 1]:
+        if lost[0][j - 1] or lost[1][j - 1]:
             raise DegenerateProbe(
                 f"mixed probe {j} lost a column component (a={a[j - 1]!r}, b={b[j - 1]!r})"
             )
@@ -526,7 +535,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
         tag = AutomorphismTag.IDENTITY
     else:
         tag = _trace_tag(x[2 * n - 1:2 * n + 1], f[2 * n - 1:2 * n + 1])
-        if abs(a[-1]) <= floor[-1]:
+        if lost[0][-1]:
             raise DegenerateProbe("phase probe lost the first column component")
         phase_tag = _tag_of((b[-1] / a[-1]) / scales[1], "phase probe returned h(i) =")
         if phase_tag is not tag:
@@ -550,11 +559,10 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     distances = _rank_one_distances(x[first:], f[first:],
                                     *induce(a_op)._rows(*(r[first:] for r in probes.rows)))
     residual = float(distances.max()) if distances.size else 0.0
-    if not residual <= RECOVERY_TOL:
-        raise NotInduced(
-            f"validation residual {residual:.3e} exceeds {RECOVERY_TOL:.1e}",
-            residual=residual,
-        )
+    verdict = _verdict(residual, RECOVERY_TOL)
+    if verdict != HOLDS:
+        why = f"exceeds {RECOVERY_TOL:.1e}" if verdict else OVERFLOWED
+        raise NotInduced(f"validation residual {residual:.3e} {why}", residual=residual)
     return ReconstructionResult(a_op, residual, probes)
 
 

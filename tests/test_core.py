@@ -119,6 +119,13 @@ class TestSemilinearOperator:
         with pytest.raises(SingularOperator):
             SemilinearOperator(np.diag([1.0, 1.0, 0.0]))
 
+    def test_overflowed_singular_values_are_refused(self):
+        # s_max overflows to inf: the singularity test is UNDECIDED, and the
+        # refusal says so.
+        a = 1.5e308
+        with pytest.raises(SingularOperator, match="arithmetic overflowed"):
+            SemilinearOperator([[a, a, 0], [a, -a, 0], [0, 0, a]])
+
     def test_conjugation_needs_complex(self):
         with pytest.raises(ValueError):
             SemilinearOperator(np.eye(3), AutomorphismTag.CONJUGATION)
@@ -207,6 +214,40 @@ def test_up_to_scalar_distance():
     assert up_to_scalar_distance(5j * an, an) <= 1e-12
     b = np.eye(3) / np.sqrt(3)
     assert up_to_scalar_distance(b, an) > 0.1
+
+
+#: ``(residual, holds_to, fails_from, answer)`` of :func:`idemap.core._verdict`.
+VERDICT_CASES = {
+    "at-holds_to": (1.0, 1.0, None, core.HOLDS),
+    "below": (0.25, 1.0, None, core.HOLDS),
+    "zero": (0.0, 0.0, None, core.HOLDS),
+    "just-above": (np.nextafter(1.0, 2.0), 1.0, None, core.FAILS),
+    "gap": (50.0, 1.0, 100.0, core.UNDECIDED),
+    "gap-just-above": (np.nextafter(1.0, 2.0), 1.0, 100.0, core.UNDECIDED),
+    "at-fails_from": (100.0, 1.0, 100.0, core.FAILS),
+    "at-holds_to-with-gap": (1.0, 1.0, 100.0, core.HOLDS),
+    "nan-residual": (np.nan, 1.0, None, core.UNDECIDED),
+    "inf-residual": (np.inf, 1.0, None, core.UNDECIDED),
+    "inf-residual-with-gap": (np.inf, 1.0, 100.0, core.UNDECIDED),
+    "inf-holds_to": (0.25, np.inf, None, core.UNDECIDED),
+    "nan-holds_to": (0.25, np.nan, None, core.UNDECIDED),
+    "inf-fails_from": (0.25, 1.0, np.inf, core.UNDECIDED),
+}
+
+
+@pytest.mark.parametrize("residual, holds_to, fails_from, answer", VERDICT_CASES.values(),
+                         ids=VERDICT_CASES.keys())
+def test_verdict(residual, holds_to, fails_from, answer):
+    """One answer for Python floats, and the same answer per entry of an
+    array: HOLDS at or below ``holds_to``, FAILS above it and at or above
+    ``fails_from``, UNDECIDED in the gap and on a NaN or infinite number."""
+    args = (float(residual), float(holds_to)) + (() if fails_from is None else (fails_from,))
+    got = core._verdict(*args)
+    assert type(got) is int and got == answer
+    rows = [np.full(3, value) for value in args]
+    rows[0][1] = 0.0  # a residual of 0 HOLDS below any finite bound
+    want = [answer, core.HOLDS if np.isfinite(args[1:]).all() else core.UNDECIDED, answer]
+    assert core._verdict(*rows).tolist() == want
 
 
 def test_readme_tolerance_table_lists_the_rules_of_core():

@@ -122,6 +122,22 @@ class TestRankOne:
         with pytest.raises(DegeneratePair):
             rank_one_from_pair([0, 1.0, 0], [0, 0, 1.0])
 
+    @pytest.mark.parametrize("scale", (1e-200, 1e200))
+    def test_pair_out_of_range_is_read_at_a_safe_scale(self, scale):
+        # As given, the pairing underflows to 0 (a false DegeneratePair) or
+        # overflows (a RuntimeWarning, an error under the suite's filter).
+        p = rank_one_from_pair([scale, 0, 0], [scale, 0, 0])
+        np.testing.assert_allclose(p.matrix, E11, rtol=1e-15, atol=0)
+
+    def test_cancelling_pair_out_of_range_is_degenerate(self):
+        with pytest.raises(DegeneratePair):
+            rank_one_from_pair([1e200, 1e200, 0], [1e200, -1e200, 0])
+
+    def test_overflowed_bound_says_so(self):
+        # The pairing is 1, but ||x|| ||f|| overflows: UNDECIDED, refused.
+        with pytest.raises(NotIdempotent, match="arithmetic overflowed"):
+            RankOneIdempotent([1e160, 1, 0], [0, 1, 1e158])
+
     def test_invalid_pairing_rejected(self):
         with pytest.raises(NotIdempotent):
             RankOneIdempotent([2.0, 0, 0], [1.0, 0, 0])

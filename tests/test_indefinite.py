@@ -425,6 +425,17 @@ class TestGenerateEtaIsometry:
         got = generate_eta_isometry(IndefiniteSpace(eta_scale * MINKOWSKI), 3, 2.0).matrix
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("scale", (1e200, 1e250))
+    def test_large_scale_is_certified_before_scaling(self, scale):
+        # Certified at ``scale``, the residual overflowed to inf (refused) or
+        # to NaN (returned unchecked, with RuntimeWarnings).
+        space = IndefiniteSpace(1e100 * np.diag([1.0, 1, 1, -1, -1, -1]))
+        v = generate_eta_isometry(space, seed=0, scale=scale)
+        e = generate_eta_isometry(space, seed=0).matrix
+        np.testing.assert_array_equal(v.matrix, e * np.sqrt(scale))
+        resid = np.linalg.norm(e.conj().T @ space.eta @ e - space.eta)
+        assert resid <= 1e-9 * np.linalg.norm(space.eta)
+
     def test_bad_scale_rejected(self):
         space = IndefiniteSpace(MINKOWSKI)
         with pytest.raises(ValueError):

@@ -31,7 +31,6 @@ from idemap.indefinite import (
     RayMap,
     _draw_ray_pairs,
     _ray_rows,
-    apply_ray_map,
     eta_orthogonal_partner,
     generate_eta_isometry,
     induced_ray_map,
@@ -117,6 +116,12 @@ def reference_preservation(phi, x, f, tol=1e-8):
         if _decisive(pre, post, tol):
             found.append((p, q, pre, post))
     return found
+
+
+def apply_ray_map(t, x):
+    """Representative of the image of the ray of ``x``: the one-row case
+    of the map's row evaluator."""
+    return t._rows(Ray(x).representative[None])[0]
 
 
 def reference_symmetry(space, t, v, tol=1e-8):
