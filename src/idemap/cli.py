@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from . import __version__
@@ -133,20 +134,29 @@ def _read(args):
     return payload
 
 
+def _key(payload, key):
+    """``payload[key]``; a missing key is a FormatError that names it, as
+    ``serialize``'s decoders report one."""
+    try:
+        return payload[key]
+    except KeyError as exc:
+        raise FormatError(f"missing key: {exc}") from exc
+
+
 def _load_phi(args, payload):
     phi_def = payload.get("phi", payload)
     if not isinstance(phi_def, dict):
         raise FormatError("phi must be a JSON object")
     mode = phi_def.get("mode")
     if mode == "induced":
-        op = semilinear_from_json(phi_def["operator"])
+        op = semilinear_from_json(_key(phi_def, "operator"))
         _check_expectations(args, op.n, op.field)
         return induce(op)
     if mode == "table":
-        n = _n_from_json(phi_def["n"])
-        field = ScalarField(phi_def["field"])
+        n = _n_from_json(_key(phi_def, "n"))
+        field = ScalarField(_key(phi_def, "field"))
         _check_expectations(args, n, field)
-        payloads = [e[k] for e in phi_def["probes"] for k in ("in", "out")]
+        payloads = [_key(e, k) for e in _key(phi_def, "probes") for k in ("in", "out")]
         ps = rank_ones_from_json(payloads)
         return handle_from_table(zip(ps[0::2], ps[1::2]), n, field)
     raise FormatError(f"unknown phi mode {mode!r}")
@@ -174,7 +184,7 @@ def cmd_symmetry(args) -> int:
     else:
         space = space_from_json(payload.get("space", {}))
     mode = args.mode or payload.get("mode", "characterize")
-    u = semilinear_from_json(payload["operator"])
+    u = semilinear_from_json(_key(payload, "operator"))
     _check_expectations(args, space.n, space.field)
     if u.n != space.n:
         raise FormatError("operator dimension does not match eta")
@@ -250,6 +260,11 @@ def main(argv=None) -> int:
         "symmetry": cmd_symmetry,
         "selftest": cmd_selftest,
     }
+    # A command's decoded input is many small lists and dicts, none in a
+    # reference cycle, so the cyclic collector would only walk them: it is
+    # paused for the command, and left as it was found on every way out.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args)
     except _NEGATIVE_ERRORS as exc:
@@ -261,6 +276,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry():

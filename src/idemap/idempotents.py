@@ -104,6 +104,21 @@ def _accepts_pair(x, f):
     return _verdict(float(abs(np.vdot(x.conj(), f) - 1.0)), _pairing_tol(x, f)) == HOLDS
 
 
+def _accepts_rows(x, f):
+    """A test sufficient for every row ``(x[k], f[k])`` of two ``m x n`` blocks to pass
+    :func:`_accepts_pair`; when it is False, that rule decides row by row.  Each pairing is
+    within ``PAIRING_RTOL`` of 1, and the rule allows ``PAIRING_RTOL (1 + ||x|| ||f||)``
+    with ``||x|| ||f|| >= |pair(x, f)|``, about 1: the margin covers the rounding gap between
+    two sums of the pairing, at most ``3 n eps ||x|| ||f||``.  ``n max|x| max|f| < 1e300``
+    on each row bounds ``||x|| ||f||`` and every product, so none overflows; NaN and
+    ``n = 0`` fail."""
+    n = x.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = n * np.max(np.abs(x), axis=1, initial=0.0) * np.max(np.abs(f), axis=1, initial=0.0)
+    return (3 * n * np.finfo(float).eps <= PAIRING_RTOL and bool(np.all(scale < 1e300))
+            and bool(np.all(np.abs(_row_dots(x, f) - 1.0) <= PAIRING_RTOL)))
+
+
 def _pairing_tol(x, f):
     """Allowed deviation of ``pair(x, f)`` from 1: ``PAIRING_RTOL`` times
     ``1 + ||x|| ||f||`` in BLAS norms, which cannot overflow themselves."""

@@ -21,7 +21,8 @@ import numpy as np
 import orjson
 
 from .core import AutomorphismTag, ScalarField, SemilinearOperator, field_of
-from .idempotents import FiniteRankIdempotent, RankOneIdempotent, _accepts_pair, _rank_one_views
+from .idempotents import FiniteRankIdempotent, RankOneIdempotent, _accepts_pair, _accepts_rows, \
+    _rank_one_views
 from .indefinite import IndefiniteSpace
 
 
@@ -161,16 +162,18 @@ def rank_one_from_json(d) -> RankOneIdempotent:
 
 def rank_ones_from_json(ds) -> list:
     """The idempotents of a list of rank1 payloads, decoded as one block
-    when they share a field and dimension; each pair is checked by
-    :class:`RankOneIdempotent`'s rule.  If the block is refused, the
-    payloads are decoded one by one, so the first one refused raises the
-    error :func:`rank_one_from_json` gives it."""
+    when they share a field and dimension.  The block is accepted whole when
+    every pairing is within ``PAIRING_RTOL`` of 1 and no entry is near
+    overflow, a test sufficient for :class:`RankOneIdempotent`'s rule;
+    otherwise each pair is checked by that rule.  If the block is refused,
+    the payloads are decoded one by one, so the first one refused raises
+    the error :func:`rank_one_from_json` gives it."""
     try:
         x, f = _rank_one_rows_from_json(ds)
     except (TypeError, ValueError):
         pass
     else:
-        if all(map(_accepts_pair, x, f)):
+        if _accepts_rows(x, f) or all(map(_accepts_pair, x, f)):
             return _rank_one_views(x, f)
     return [rank_one_from_json(d) for d in ds]
 

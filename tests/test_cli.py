@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import importlib
 import json
@@ -13,12 +14,13 @@ from idemap import __version__, selftest
 from idemap.cli import build_parser, main
 from idemap.core import RELATION_TOL, AutomorphismTag, ScalarField, SemilinearOperator, \
     up_to_scalar_distance
-from idemap.errors import ExtensionInconsistent
+from idemap.errors import ExtensionInconsistent, NotInduced
 from idemap.idempotents import RankOneIdempotent
 from idemap.indefinite import IndefiniteSpace, characterize, induced_ray_map, is_symmetry, \
     recover_inducing_operator
 from idemap.sampling import random_invertible
 from idemap.serialize import (
+    FormatError,
     dumps_report,
     matrix_to_json,
     rank_one_from_json,
@@ -91,6 +93,58 @@ class TestArguments:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
+
+
+class TestCollector:
+    """``main`` runs a command with the cyclic collector paused, and leaves
+    it as it found it on every way out."""
+
+    @pytest.fixture(params=(True, False), ids=("collecting", "paused"))
+    def collecting(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize("outcome, code", [
+        (0, 0), (1, 1), (2, 2), (3, 3),
+        (FormatError("bad"), 1), (OSError("gone"), 1), (NotInduced("no"), 2),
+    ], ids=("return-0", "return-1", "return-2", "return-3",
+            "malformed", "os-error", "negative"))
+    def test_handler_runs_paused(self, outcome, code, collecting, monkeypatch):
+        seen = []
+
+        def handler(args):
+            seen.append(gc.isenabled())
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(idemap.cli, "cmd_selftest", handler)
+        assert main(["selftest"]) == code
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+    def test_unexpected_error_propagates(self, collecting, monkeypatch):
+        def handler(args):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(idemap.cli, "cmd_reconstruct", handler)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["reconstruct", "--in", "in.json"])
+        assert gc.isenabled() is collecting
+
+    def test_usage_error_and_help(self, collecting, capsys):
+        assert main(["unknown"]) == 1
+        assert gc.isenabled() is collecting
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert gc.isenabled() is collecting
+
+    def test_a_command_end_to_end(self, collecting, tmp_path):
+        inp = write_json(tmp_path / "in.json", induced_input(SemilinearOperator(np.eye(3))))
+        assert main(["reconstruct", "--in", inp, "--samples", "4"]) == 0
+        assert gc.isenabled() is collecting
 
 
 class TestReconstructCommand:
@@ -231,7 +285,7 @@ class TestReconstructCommand:
         probes[3]["in"]["kind"] = "finite_rank"
         del probes[4]["out"]
         # Each refusal is mended, in turn, once it has been reported.
-        for message, mend in (("malformed input: 'out'", 4),
+        for message, mend in (("missing key: 'out'", 4),
                               ("vector must have 3 entries", 1),
                               ("expected a rank1 idempotent payload", None)):
             inp = write_json(tmp_path / "t.json", payload)
@@ -269,6 +323,16 @@ class TestReconstructCommand:
         inp = write_json(tmp_path / "in.json", payload)
         assert main([command, "--in", inp]) == 1
         assert "malformed input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ("operator", "n", "field", "probes", "in"))
+    def test_missing_key_is_named(self, key, tmp_path, capsys):
+        op = SemilinearOperator(np.diag([1.0, 2.0, 3.0]))
+        payload = table_input(op, samples=4, seed=1) if key != "operator" else induced_input(op)
+        phi = payload["phi"]
+        del (phi["probes"][2] if key == "in" else phi)[key]
+        inp = write_json(tmp_path / "in.json", payload)
+        assert main(["reconstruct", "--in", inp, "--samples", "4", "--seed", "1"]) == 1
+        assert f"error: malformed input: missing key: '{key}'" in capsys.readouterr().err
 
     def test_unknown_phi_mode_exits_1(self, tmp_path, capsys):
         inp = write_json(tmp_path / "oracle.json", {"phi": {"mode": "oracle"}})
@@ -484,6 +548,13 @@ class TestSymmetryCommand:
                          self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "invert"))
         assert main(["symmetry", "--in", inp]) == 1
         assert "unknown symmetry mode 'invert'" in capsys.readouterr().err
+
+    def test_missing_operator_is_named(self, tmp_path, capsys):
+        payload = self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "characterize")
+        del payload["operator"]
+        inp = write_json(tmp_path / "no-op.json", payload)
+        assert main(["symmetry", "--in", inp]) == 1
+        assert "error: malformed input: missing key: 'operator'" in capsys.readouterr().err
 
     def test_operator_size_mismatch_exits_1(self, tmp_path, capsys):
         inp = write_json(tmp_path / "wide.json",

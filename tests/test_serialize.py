@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from idemap.cli import _load_phi, build_parser, main
-from idemap.core import AutomorphismTag, ScalarField, SemilinearOperator
+from idemap.core import OVERFLOWED, AutomorphismTag, ScalarField, SemilinearOperator
+from idemap.errors import NotIdempotent
 from idemap.idempotents import rank_one_from_pair
 from idemap.sampling import random_invertible, random_rank_one
 from idemap.serialize import (
@@ -311,3 +312,57 @@ def test_block_decoding_gives_the_one_by_one_rows():
             for a, b in ((p.x, want.x), (p.f, want.f)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
+
+
+def _rank1(x, f):
+    return {"kind": "rank1", "field": "real", "n": len(x), "x": x, "f": f}
+
+
+def _valid(n, field, seed):
+    rng = np.random.default_rng(seed)
+    return [rank_one_to_json(random_rank_one(rng, n, field)) for _ in range(12)]
+
+
+#: Payload lists; whether the block test accepts them whole, without the
+#: per-payload rule; and the text the rule refuses them with, if it does.
+_BLOCKS = {
+    **{f"{field.value}-{n}": (_valid(n, field, n), True, None)
+       for field in ScalarField for n in (3, 16)},
+    # |pair - 1| = 1e-5 > PAIRING_RTOL (1 + ||x|| ||f||) = 1e-10 (1 + 1e4)
+    "beyond-bound": ([_rank1([1, 100 * (1 + 1e-5), 0], [0, 1e-2, 100]),
+                      _rank1([1, 0, 0], [1, 0, 0])], False, "expected 1 within"),
+    # |pair - 1| = 1e-8, between PAIRING_RTOL and the rule's bound
+    "within-bound": ([_rank1([1, 0, 0], [1, 0, 0]),
+                      _rank1([1, 100 * (1 + 1e-8), 0], [0, 1e-2, 100])], False, None),
+    "large-and-small": ([_rank1([1e200, 2e200, 0], [1e-200, 0, 3e-200]),
+                         _rank1([1e-200, 0, 1e-200], [1e200, -3e200, 0]),
+                         _rank1([1, 0, 0], [1, 0, 0])], True, None),
+    "empty": ([_rank1([], [])] * 2, False, "expected 1 within"),
+    # pair = 1, but ||x|| ||f|| = 1e318 overflows, so the rule is undecided
+    "overflow": ([_rank1([1, 0, 0], [1, 0, 0]),
+                  _rank1([1e160, 1, 0], [0, 1, 1e158])], False, OVERFLOWED),
+}
+
+
+def _outcome(decode, ds):
+    """The rows ``decode(ds)`` gives, as dtypes and bytes, or its error."""
+    try:
+        return [(p.x.dtype, p.x.tobytes(), p.f.dtype, p.f.tobytes()) for p in decode(ds)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", _BLOCKS)
+def test_block_acceptance_matches_the_per_payload_rule(name, monkeypatch):
+    """A table is accepted whole, as the same rows, only where every
+    payload passes ``RankOneIdempotent``'s rule; elsewhere the rule decides,
+    with the error of the first payload refused."""
+    ds, whole, refusal = _BLOCKS[name]
+    want = _outcome(lambda ds: [rank_one_from_json(d) for d in ds], ds)
+    if refusal is None:
+        assert len(want) == len(ds)
+    else:
+        assert want[0] is NotIdempotent and refusal in want[1]
+    if whole:  # the block test decides without the per-payload rule
+        monkeypatch.setattr("idemap.serialize._accepts_pair", None)
+    assert _outcome(rank_ones_from_json, ds) == want
