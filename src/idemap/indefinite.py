@@ -53,6 +53,7 @@ from .transform import (
     ReconstructionResult,
     SampleReport,
     _lift,
+    _per_row,
     _sample_biconditional,
     reconstruct,
 )
@@ -141,11 +142,11 @@ def rays_equal(r1: Ray, r2: Ray) -> bool:
 class RayMap:
     """Total map on rays; evaluation must never return a zero ray.
 
-    The map is evaluated on stacked representatives, one row per ray.
-    For a wrapped ``eval`` the row evaluator calls it once per row, in
-    row order, on a ray with a read-only representative; a map from
-    :func:`induced_ray_map` has a native row evaluator, of which its
-    ``eval`` is the one-row case.
+    The map is evaluated on stacked representatives, one row per ray.  A
+    wrapped ``eval`` is called once per row, in row order, on a read-only ray
+    (:func:`~idemap.transform._per_row`), and must return a :class:`Ray` of the
+    same dimension; its images are read at a safe scale.  A map from
+    :func:`induced_ray_map` has a native row evaluator, its ``eval`` the one-row case.
     """
 
     eval: Callable[[Ray], Ray]
@@ -154,23 +155,18 @@ class RayMap:
     _rows: Callable = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rows", self._call_per_ray)
+        eval_fn = self.eval
 
-    def _call_per_ray(self, x):
-        """Row evaluator of a wrapped ``eval``: the rows are frozen once and
-        handed over as read-only views, unchecked.  Each image row is
-        returned at its safe scale (:func:`~idemap.core._rows_in_range`), so
-        that no margin on it overflows."""
-        images = []
-        for xk in _frozen(x):
-            out = self.eval(Ray._from_frozen(xk))
+        def image(xk):
+            out = eval_fn(Ray._from_frozen(xk))
             if not isinstance(out, Ray):
                 raise TypeError("ray map returned a non-ray object")
             if out.n != xk.shape[0]:
                 raise DimensionMismatch(
                     f"ray map changed the dimension from {xk.shape[0]} to {out.n}")
-            images.append(out.representative)
-        return _rows_in_range(np.array(images))
+            return out.representative
+
+        object.__setattr__(self, "_rows", lambda x: _rows_in_range(np.array(_per_row(image, x))))
 
 
 def _ray_rows(v):

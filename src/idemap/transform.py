@@ -76,19 +76,24 @@ SAMPLE_BLOCK = 64
 class TransformHandle:
     """Black-box total map on rank-one idempotents of a fixed dimension.
 
-    The map is evaluated on stacked rows ``(x, f)``; ``phi(p)`` is the
-    one-row case.  A wrapped callable is called once per row, in row order,
-    on an idempotent whose rows are read-only, and must return a
-    :class:`RankOneIdempotent` of the same dimension.  Evaluation is
-    pure, so concurrent calls are safe.
+    The map is evaluated on stacked rows ``(x, f)`` by one row evaluator,
+    ``_eval``, looked up at each call; ``phi(p)`` is the one-row case.  A
+    wrapped callable is called once per row, in row order, on an idempotent
+    whose rows are read-only (:func:`_per_row`), and must return a
+    :class:`RankOneIdempotent` of the same dimension; its images are read at
+    a safe scale (:func:`_balanced`).  Evaluation is pure, so concurrent calls are safe.
     """
 
     def __init__(self, eval_fn: Callable[[RankOneIdempotent], RankOneIdempotent],
                  n: int, field: ScalarField, *, _rows=None):
         if n < 3:
             raise ValueError("transforms are only supported for dimension >= 3")
-        self._eval = eval_fn
-        self._rows = self._call_per_row if _rows is None else _rows
+        if _rows is None:
+            def _rows(x, f):
+                view = RankOneIdempotent._from_frozen_row
+                images = _per_row(lambda xk, fk: eval_fn(view(xk, fk)), x, f)
+                return _balanced(*_stack(images, n, "image"))
+        self._eval = _rows
         self._n = n
         self._field = field
 
@@ -101,28 +106,29 @@ class TransformHandle:
         return self._field
 
     def __call__(self, p: RankOneIdempotent) -> RankOneIdempotent:
-        return _rank_one_views(*self._rows(*self._stack((p,), "input")))[0]
+        return _rank_one_views(*self._rows(*_stack((p,), self._n, "input")))[0]
 
-    def _call_per_row(self, x, f):
-        """Row evaluator of a wrapped callable: ``_eval``, looked up per call.
-        The rows are frozen once and handed over as read-only views; the
-        image rows are returned balanced (:func:`_balanced`), so that no
-        check on them overflows."""
-        return _balanced(*self._stack([self._eval(RankOneIdempotent._from_frozen_row(xk, fk))
-                                       for xk, fk in zip(_frozen(x), _frozen(f))], "image"))
+    def _rows(self, x, f):
+        return self._eval(x, f)
 
-    def _stack(self, ps, role):
-        """Rows ``(x, f)`` of ``ps``, each checked to be a
-        :class:`RankOneIdempotent` of the handle's dimension."""
-        ps = list(ps)
-        for p in ps:
-            if not isinstance(p, RankOneIdempotent):
-                raise TypeError(f"{role} is not a RankOneIdempotent")
-            if p.n != self._n:
-                raise DimensionMismatch(f"handle dimension {self._n}, {role} dimension {p.n}")
-        shape = (len(ps), self._n)
-        return (np.array([p.x for p in ps]).reshape(shape),
-                np.array([p.f for p in ps]).reshape(shape))
+
+def _per_row(call, *blocks):
+    """Call the black box ``call`` once per row, in row order, on read-only views of the blocks."""
+    return list(map(call, *map(_frozen, blocks)))
+
+
+def _stack(ps, n, role):
+    """Rows ``(x, f)`` of ``ps``, each checked to be a
+    :class:`RankOneIdempotent` of dimension ``n``."""
+    ps = list(ps)
+    for p in ps:
+        if not isinstance(p, RankOneIdempotent):
+            raise TypeError(f"{role} is not a RankOneIdempotent")
+        if p.n != n:
+            raise DimensionMismatch(f"handle dimension {n}, {role} dimension {p.n}")
+    shape = (len(ps), n)
+    return (np.array([p.x for p in ps]).reshape(shape),
+            np.array([p.f for p in ps]).reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -323,7 +329,7 @@ def extend(phi: TransformHandle, p, decomposition=None) -> FiniteRankIdempotent:
     if decomposition is None:
         x, f = fp.rows
     else:
-        x, f = phi._stack(decomposition, "input")
+        x, f = _stack(decomposition, phi.n, "input")
         if len(x) != fp.rank:
             raise DimensionMismatch(f"decomposition has {len(x)} pieces, rank is {fp.rank}")
         m = matrix_of(p)
@@ -499,8 +505,8 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
         is not an operator conjugation) or the assembled matrix is
         singular.
     DegenerateProbe
-        If any probe image is invalid or a fit loses a column component
-        (one at most ``ROUNDOFF_RTOL`` times the norm of the probe image).
+        If mapping a probe raises ``ValueError`` or ``TypeError`` (an invalid image) or a
+        fit loses a column component (one at most ``ROUNDOFF_RTOL`` times its image's norm).
     KeyError
         If a probe table (:func:`handle_from_table`) does not cover the
         probes asked for.
@@ -511,8 +517,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     probes = reconstruction_probe_set(n, field, validation_count, seed)
     try:
         x, f = phi._rows(*probes.rows)
-    except (NotIdempotent, DegeneratePair, DegenerateImage,
-            DimensionMismatch, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise DegenerateProbe(f"probe image invalid: {exc}") from exc
     # Rows: n standard, n - 1 mixed, then the trace pair and the phase
     # probe (complex only), then the validation probes.
@@ -595,13 +600,12 @@ def from_ray_pair(ts: RayPair, n, field: ScalarField) -> TransformHandle:
     """Lift representative-level maps ``(T, S)`` to a map on idempotents,
     ``(x, f) -> normalized (T x, S f)``, by :func:`_lift` and its rule for
     a vanishing image pairing.  ``T`` and then ``S`` are called once per
-    row, in row order, on read-only rows, and each image row is read at its
-    safe scale (:func:`~idemap.core._rows_in_range`)."""
+    row, in row order, on read-only rows (:func:`_per_row`), and each image
+    side is read at its safe scale (:func:`~idemap.core._rows_in_range`)."""
 
     def images(x, f):
-        tx, sf = zip(*[(_image_vector(ts.vector_map(xk), n),
-                         _image_vector(ts.functional_map(fk), n))
-                        for xk, fk in zip(_frozen(x), _frozen(f))])
+        tx, sf = zip(*_per_row(lambda xk, fk: (_image_vector(ts.vector_map(xk), n),
+                                               _image_vector(ts.functional_map(fk), n)), x, f))
         return _rows_in_range(np.array(tx)), _rows_in_range(np.array(sf))
 
     return _lift(images, n, field)
@@ -631,29 +635,20 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
     be an ``(input, output)`` pair of :class:`RankOneIdempotent` of dimension
     ``n``, and a real table must hold no complex entry (``ValueError``).  The
     outputs are one frozen block, read at a safe scale (:func:`_balanced`).  A
-    block of queries is answered by one lookup, the handle's ``_eval(x, f)``,
-    looked up at each call: a row gets the output of the first input equal to
-    it as ``field``'s dtype, and any other row raises ``KeyError``.
+    block of queries is answered by one lookup, the handle's row evaluator
+    ``_eval(x, f)``, looked up at each call: a row gets the output of the
+    first input equal to it as ``field``'s dtype, and any other row raises ``KeyError``.
     """
     entries = list(entries)
     if not entries:
         raise ValueError("probe table is empty")
     if any(len(entry) != 2 for entry in entries):
         raise TypeError("table entry is not an (input, output) pair")
-    phi = TransformHandle(None, n, field, _rows=lambda x, f: phi._eval(x, f))
-    inputs = phi._stack([p for p, _ in entries], "table input")
-    outputs = phi._stack([q for _, q in entries], "table output")
-    if field is ScalarField.REAL and any(map(np.iscomplexobj, inputs + outputs)):
-        raise ValueError("probe table of the real field holds a complex entry")
-    outputs = [_frozen(r) for r in _balanced(*outputs)]
 
     def keys(x, f):
         # Complex query rows stay complex, so they match no real input; -0.0 + 0.0 is 0.0.
         rows = np.concatenate((x, f), axis=1)
         return [r.tobytes() for r in rows.astype(np.result_type(rows, field.dtype)) + 0.0]
-
-    # Walked backwards, so that the first of equal inputs is the one kept.
-    index = {key: k for k, key in reversed(list(enumerate(keys(*inputs))))}
 
     def lookup(x, f):
         best = [index.get(key) for key in keys(x, f)]
@@ -662,5 +657,13 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
                            "probe rows exactly, as idemap reconstruct lists them under probe_set")
         return outputs[0][best], outputs[1][best]
 
-    phi._eval = lookup
+    # The handle checks ``n`` first; ``index`` and ``outputs`` are bound once the table is.
+    phi = TransformHandle(None, n, field, _rows=lookup)
+    inputs = _stack([p for p, _ in entries], n, "table input")
+    outputs = _stack([q for _, q in entries], n, "table output")
+    if field is ScalarField.REAL and any(map(np.iscomplexobj, inputs + outputs)):
+        raise ValueError("probe table of the real field holds a complex entry")
+    outputs = [_frozen(r) for r in _balanced(*outputs)]
+    # Walked backwards, so that the first of equal inputs is the one kept.
+    index = {key: k for k, key in reversed(list(enumerate(keys(*inputs))))}
     return phi

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from idemap.errors import (
 )
 from idemap.idempotents import FiniteRankIdempotent, RankOneIdempotent, _normalized_rows, \
     decompose, rank_one_from_pair, relate
+from idemap.indefinite import IndefiniteSpace, Ray, RayMap, induced_ray_map, \
+    recover_inducing_operator
 from idemap.sampling import (
     MIN_COSINE,
     _random_rank_one_rows,
@@ -572,11 +576,87 @@ class TestFromRayPair:
         (lambda x: x, lambda f: np.zeros(3), DegenerateImage),
         (lambda x: np.full(3, np.inf), lambda f: f, ValueError),
         (lambda x: x, lambda f: np.append(f, 1.0), DimensionMismatch),
-    ], ids=("zero-vector", "zero-functional", "non-finite", "wrong-shape"))
+        (lambda x: x * np.nan, lambda f: f, ValueError),
+        (lambda x: "abc", lambda f: f, ValueError),
+    ], ids=("zero-vector", "zero-functional", "non-finite", "wrong-shape", "nan",
+            "not-numeric"))
     def test_invalid_images_are_typed(self, vector_map, functional_map, error):
         phi = from_ray_pair(RayPair(vector_map, functional_map), 3, ScalarField.REAL)
         with pytest.raises(error):
             phi(rank_one_from_pair([1.0, 2.0, 0], [1.0, 0, 0]))
+        # reconstruct types every invalid probe image, whatever phi(p) raises.
+        with pytest.raises(DegenerateProbe, match="probe image invalid"):
+            reconstruct(phi, validation_count=2)
+
+
+class TestBlackBoxBoundary:
+    """The three wrapped black boxes, a callable in ``TransformHandle``, a
+    ``RayMap`` and ``from_ray_pair``'s ``T`` and ``S``, share one per-row adapter."""
+
+    def test_wrapped_handle_is_called_per_row_in_row_order(self):
+        calls = []
+
+        def identity(p):
+            assert not (p.x.flags.writeable or p.f.flags.writeable)
+            calls.append((p.x.tobytes(), p.f.tobytes()))
+            return p
+
+        reconstruct(TransformHandle(identity, 3, ScalarField.COMPLEX), validation_count=4, seed=2)
+        x, f = reconstruction_probe_set(3, ScalarField.COMPLEX, 4, 2).rows
+        assert calls == [(xk.tobytes(), fk.tobytes()) for xk, fk in zip(x, f)]
+
+    def test_wrapped_ray_map_is_called_per_row_in_row_order(self):
+        # recover_inducing_operator maps the vector rows x, then the functional
+        # rows as eta^{-1} conj(f), each side one block of the ray map's rows.
+        calls = []
+
+        def identity(ray):
+            assert not ray.representative.flags.writeable
+            calls.append(ray.representative)
+            return ray
+
+        eta = np.diag([1.0, 1.0, -1.0]).astype(complex)
+        recover_inducing_operator(IndefiniteSpace(eta), RayMap(identity), validation_count=4,
+                                  seed=2)
+        x, f = reconstruction_probe_set(3, ScalarField.COMPLEX, 4, 2).rows
+        want = list(x) + list(np.conj(f) @ np.linalg.inv(eta).T)
+        assert len(calls) == len(want) == 2 * len(x)
+        for got, row in zip(calls, want):
+            np.testing.assert_array_equal(got, row)
+
+    def test_black_box_value_errors_are_typed_by_recovery(self):
+        # Ray refuses the underflowed image, inside the black box.
+        tiny = RayMap(lambda ray: Ray(1e-200 * (1e-200 * ray.representative)))
+        with pytest.raises(DegenerateProbe, match="a ray needs a nonzero representative"):
+            recover_inducing_operator(IndefiniteSpace(np.diag([1.0, 1.0, -1.0])), tiny,
+                                      validation_count=2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: TransformHandle(lambda p: p, 3, ScalarField.COMPLEX),
+        lambda: handle_from_table(probe_table_from_operator(identity_operator(3), 2), 3,
+                                  ScalarField.COMPLEX),
+        lambda: RayMap(lambda ray: ray),
+        lambda: induce(identity_operator(3)),
+        lambda: from_ray_pair(RayPair(lambda x: x, lambda f: f), 3, ScalarField.COMPLEX),
+        lambda: induced_ray_map(identity_operator(3)),
+    ], ids=("wrapped-handle", "table", "wrapped-ray-map", "induce", "from-ray-pair",
+            "induced-ray-map"))
+    def test_no_handle_refers_to_itself(self, make):
+        # With the cyclic collector off, only reference counting can free it.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            black_box = make()
+            if isinstance(black_box, RayMap):
+                black_box._rows(np.eye(3, dtype=complex))
+            else:
+                black_box(reconstruction_probe_set(3, ScalarField.COMPLEX, 2, 0).standard[0])
+            ref = weakref.ref(black_box)
+            del black_box
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestProbeTable:
