@@ -9,6 +9,10 @@ Commands
                  the inducing operator of the ray map it induces.
 ``selftest``     run the built-in verification suites.
 
+Each input states its dimension and field once, and the library's decoders
+and constructors check them: ``reconstruct`` reads the map under ``"phi"``,
+``symmetry`` the metric as ``"eta"`` (or a ``"space"`` object) and ``"operator"``.
+
 Exit codes: 0 success, 1 malformed input (input nested deeper than 64 levels
 included), bad arguments or singular matrices, 2 the map is not induced / the
 operator is not a symmetry, 3 selftest failures.
@@ -23,13 +27,14 @@ import gc
 import sys
 
 from . import __version__
-from .core import ScalarField
 from .errors import DegenerateImage, DegenerateProbe, NotInduced, UnrecognizedAutomorphism
 from .indefinite import SymmetryKind, characterize, induced_ray_map, is_symmetry, \
     recover_inducing_operator
 from .selftest import run_all
 from .serialize import (
     FormatError,
+    _field_from_json,
+    _key,
     _n_from_json,
     dumps_report,
     loads_input,
@@ -60,10 +65,6 @@ def _add_io_flags(p, default_samples):
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=default_samples,
                    help="sampling/validation budget")
-    p.add_argument("--n", type=int, default=None,
-                   help="expected dimension (checked against the input)")
-    p.add_argument("--field", choices=["real", "complex"], default=None,
-                   help="expected field (checked against the input)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,17 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)  # the one parser main uses in a process
 
 
-def _check_expectations(args, n, field):
-    if n < 3:
-        raise FormatError(f"dimension {n} is below the supported minimum of 3")
-    if args.n is not None and args.n != n:
-        raise FormatError(f"--n {args.n} does not match input dimension {n}")
-    if args.field is not None and args.field != field.value:
-        raise FormatError(
-            f"--field {args.field} does not match input field {field.value}"
-        )
-
-
 def _emit(args, report, summary_line):
     text = dumps_report(report)
     if args.out:
@@ -117,11 +107,8 @@ def _emit(args, report, summary_line):
 
 def _report(args, command, **body):
     """The report of ``command``: the version, the seed and the config of
-    ``args`` (with ``--n`` and ``--field`` when given), and ``body``."""
+    ``args``, and ``body``."""
     config = {"command": command, "seed": args.seed, "samples": args.samples}
-    for key in ("n", "field"):
-        if getattr(args, key, None) is not None:
-            config[key] = getattr(args, key)
     return {"version": __version__, "seed": args.seed, "config": config, **body}
 
 
@@ -134,28 +121,16 @@ def _read(args):
     return payload
 
 
-def _key(payload, key):
-    """``payload[key]``; a missing key is a FormatError that names it, as
-    ``serialize``'s decoders report one."""
-    try:
-        return payload[key]
-    except KeyError as exc:
-        raise FormatError(f"missing key: {exc}") from exc
-
-
-def _load_phi(args, payload):
-    phi_def = payload.get("phi", payload)
+def _load_phi(payload):
+    phi_def = _key(payload, "phi")
     if not isinstance(phi_def, dict):
         raise FormatError("phi must be a JSON object")
     mode = phi_def.get("mode")
     if mode == "induced":
-        op = semilinear_from_json(_key(phi_def, "operator"))
-        _check_expectations(args, op.n, op.field)
-        return induce(op)
+        return induce(semilinear_from_json(_key(phi_def, "operator")))
     if mode == "table":
         n = _n_from_json(_key(phi_def, "n"))
-        field = ScalarField(_key(phi_def, "field"))
-        _check_expectations(args, n, field)
+        field = _field_from_json(phi_def)
         payloads = [_key(e, k) for e in _key(phi_def, "probes") for k in ("in", "out")]
         ps = rank_ones_from_json(payloads)
         return handle_from_table(zip(ps[0::2], ps[1::2]), n, field)
@@ -163,7 +138,7 @@ def _load_phi(args, payload):
 
 
 def cmd_reconstruct(args) -> int:
-    phi = _load_phi(args, _read(args))
+    phi = _load_phi(_read(args))
     result = reconstruct(phi, validation_count=args.samples, seed=args.seed)
     report = _report(args, "reconstruct",
                      A=semilinear_to_json(result.A),
@@ -185,7 +160,6 @@ def cmd_symmetry(args) -> int:
         space = space_from_json(payload.get("space", {}))
     mode = args.mode or payload.get("mode", "characterize")
     u = semilinear_from_json(_key(payload, "operator"))
-    _check_expectations(args, space.n, space.field)
     if u.n != space.n:
         raise FormatError("operator dimension does not match eta")
 

@@ -35,6 +35,10 @@ RECOVERY_TOL = 1e-6
 #: A quantity is zero at roundoff.
 ROUNDOFF_RTOL = 1e-12
 
+#: The hypothesis ``n >= 3`` of the paper's theorem, false in the plane
+#: (README "Why ``n >= 3``"); every map, space and probe set is held to it.
+MIN_DIMENSION = 3
+
 #: The three answers of :func:`_verdict`; ``UNDECIDED`` is the one that is false.
 HOLDS, UNDECIDED, FAILS = 1, 0, -1
 #: What a refusal says when its check is UNDECIDED.
@@ -51,6 +55,13 @@ def _verdict(residual, holds_to, fails_from=None):
     hi = holds_to if fails_from is None else fails_from
     finite = (holds_to < np.inf) & (hi < np.inf) & (residual < np.inf)
     return finite * ((residual <= holds_to) * 1 - ((residual > holds_to) & (residual >= hi)))
+
+
+def _require_dimension(n):
+    """Refuse ``n`` below :data:`MIN_DIMENSION`, in the one message that names it."""
+    if n < MIN_DIMENSION:
+        raise ValueError(f"dimension {n} is not supported: the theorem needs dimension >= "
+                         f"{MIN_DIMENSION}, and in the plane a preserver need not be induced")
 
 
 class ScalarField(enum.Enum):

@@ -119,6 +119,12 @@ def _accepts_rows(x, f):
             and bool(np.all(np.abs(_row_dots(x, f) - 1.0) <= PAIRING_RTOL)))
 
 
+def _accepts_pairs(x, f):
+    """The rule of :class:`RankOneIdempotent` for every row of two ``m x n`` blocks:
+    :func:`_accepts_rows` for the whole block, else :func:`_accepts_pair` row by row."""
+    return _accepts_rows(x, f) or all(map(_accepts_pair, x, f))
+
+
 def _pairing_tol(x, f):
     """Allowed deviation of ``pair(x, f)`` from 1: ``PAIRING_RTOL`` times
     ``1 + ||x|| ||f||`` in BLAS norms, which cannot overflow themselves."""
@@ -276,10 +282,15 @@ def relate(p, q) -> Relation:
 
 def decompose(p) -> list[RankOneIdempotent]:
     """Split an idempotent into mutually orthogonal rank-one idempotents:
-    views of the rows of :func:`as_finite_rank`."""
+    views of the rows of :func:`as_finite_rank`, each held to :class:`RankOneIdempotent`'s
+    rule, stricter than the rows rule (else :class:`NotIdempotent`, naming the piece)."""
     x, f = as_finite_rank(p).rows
     if not len(x):
         raise ValueError("cannot decompose a rank-zero idempotent")
+    if not _accepts_pairs(x, f):
+        k = next(k for k, row in enumerate(zip(x, f)) if not _accepts_pair(*row))
+        raise NotIdempotent(f"piece {k}: pairing is {np.vdot(x[k].conj(), f[k])!r}, not 1 "
+                            f"within PAIRING_RTOL (1 + ||x|| ||f||)")
     return list(map(RankOneIdempotent._from_frozen_row, x, f))
 
 

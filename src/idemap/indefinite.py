@@ -37,6 +37,7 @@ from .core import (
     _as_vector,
     _frozen,
     _in_range,
+    _require_dimension,
     _require_invertible,
     _row_abs,
     _row_dots,
@@ -64,8 +65,7 @@ class IndefiniteSpace:
 
     def __init__(self, eta):
         m = _as_matrix(eta, "eta")
-        if m.shape[0] < 3:
-            raise ValueError("indefinite spaces need dimension >= 3")
+        _require_dimension(m.shape[0])
         _require_invertible(m, "eta")
         self._eta = _frozen(m)
         self._safe_eta = _in_range(self._eta)
@@ -171,12 +171,9 @@ class RayMap:
 
 def _ray_rows(v):
     """Finite rows ``v``, checked to be valid :class:`Ray` representatives;
-    ``Ray(x)`` is the one-row case.  A row is refused when its norm is
-    zero, which happens exactly when every squared entry underflows; an
-    overflowing square counts as nonzero."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        nonzero = (v.conj() * v).real.any(axis=1)
-    if not nonzero.all():
+    ``Ray(x)`` is the one-row case.  A row is refused when every entry is
+    zero, so a ray is accepted at any scale."""
+    if not v.any(axis=1).all():
         raise ValueError("a ray needs a nonzero representative")
     return v
 
@@ -234,11 +231,13 @@ def eta_orthogonal_partner(space: IndefiniteSpace, x, rng):
     """Random nonzero ``y`` with ``<eta x, y> = 0``, built by projecting a
     Gaussian draw onto the solution hyperplane (never by rejection): the
     one-row case of the crafted partners of :func:`_draw_ray_pairs`.
-    ``x`` must be a valid :class:`Ray` representative of dimension ``n``."""
+    ``x`` must be a valid :class:`Ray` representative of dimension ``n``;
+    it is read at its safe scale (:func:`~idemap.core._rows_in_range`)."""
     ray = Ray(x)
     if ray.n != space.n:
         raise DimensionMismatch(f"vector of dimension {ray.n} in dimension {space.n}")
-    return _eta_orthogonal_rows(rng, ray.representative[None] @ space._safe_eta.T, space.field)[0]
+    w = _rows_in_range(ray.representative[None]) @ space._safe_eta.T
+    return _eta_orthogonal_rows(rng, w, space.field)[0]
 
 
 def _draw_ray_pairs(rng, space: IndefiniteSpace, crafted, plain):

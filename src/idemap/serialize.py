@@ -21,8 +21,7 @@ import numpy as np
 import orjson
 
 from .core import AutomorphismTag, ScalarField, SemilinearOperator, field_of
-from .idempotents import FiniteRankIdempotent, RankOneIdempotent, _accepts_pair, _accepts_rows, \
-    _rank_one_views
+from .idempotents import FiniteRankIdempotent, RankOneIdempotent, _accepts_pairs, _rank_one_views
 from .indefinite import IndefiniteSpace
 
 
@@ -52,11 +51,22 @@ def _n_from_json(value) -> int:
     return value
 
 
+def _key(d, key):
+    """``d[key]``; a missing key is a FormatError that names it."""
+    try:
+        return d[key]
+    except KeyError as exc:
+        raise FormatError(f"missing key: {exc}") from exc
+
+
 def _field_from_json(d) -> ScalarField:
+    """The field tag ``d["field"]``; a missing or unknown tag is a FormatError."""
     try:
         return ScalarField(d["field"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad or missing field tag: {exc}") from exc
+    except KeyError as exc:
+        raise FormatError(f"missing key: {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"bad field tag: {exc}") from exc
 
 
 def vector_to_json(x, field: ScalarField) -> list:
@@ -84,11 +94,8 @@ def matrix_from_json(d) -> np.ndarray:
     if not isinstance(d, dict):
         raise FormatError("matrix payload must be an object")
     field = _field_from_json(d)
-    try:
-        n = _n_from_json(d["n"])
-        data = d["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad matrix payload: {exc}") from exc
+    n = _n_from_json(_key(d, "n"))
+    data = _key(d, "data")
     if n <= 0 or not isinstance(data, list) or len(data) != n * n:
         raise FormatError(f"matrix data must hold n*n = {n * n} entries")
     m = _entries_from_json(data, n * n, field).reshape(n, n)
@@ -131,20 +138,13 @@ def _rank_one_rows_from_json(ds):
     for d in ds:
         if not isinstance(d, dict) or d.get("kind") != "rank1":
             raise FormatError("expected a rank1 idempotent payload")
-        field = _field_from_json(d)
-        try:
-            heads.add((field, _n_from_json(d["n"])))
-        except KeyError as exc:
-            raise FormatError(f"missing key: {exc}") from exc
+        heads.add((_field_from_json(d), _n_from_json(_key(d, "n"))))
     if len(heads) != 1:
         raise FormatError("rank1 payloads of several fields or dimensions")
     (field, n), = heads
     rows = []
     for key in ("x", "f"):
-        try:
-            data = [d[key] for d in ds]
-        except KeyError as exc:
-            raise FormatError(f"missing key: {exc}") from exc
+        data = [_key(d, key) for d in ds]
         if not all(isinstance(v, (list, tuple)) and len(v) == n for v in data):
             raise FormatError(f"vector must have {n} entries")
         flat = list(itertools.chain.from_iterable(data))
@@ -173,7 +173,7 @@ def rank_ones_from_json(ds) -> list:
     except (TypeError, ValueError):
         pass
     else:
-        if _accepts_rows(x, f) or all(map(_accepts_pair, x, f)):
+        if _accepts_pairs(x, f):
             return _rank_one_views(x, f)
     return [rank_one_from_json(d) for d in ds]
 
@@ -190,7 +190,7 @@ def space_from_json(d) -> IndefiniteSpace:
     eta = matrix_from_json(d["eta"])
     if "n" in d and _n_from_json(d["n"]) != eta.shape[0]:
         raise FormatError("space n does not match eta")
-    if "field" in d and ScalarField(d["field"]) is not field_of(eta):
+    if "field" in d and _field_from_json(d) is not field_of(eta):
         raise FormatError("space field does not match eta")
     return IndefiniteSpace(eta)
 

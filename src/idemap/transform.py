@@ -36,6 +36,7 @@ from .core import (
     _in_range,
     _ldexp_rows,
     _range_exponent,
+    _require_dimension,
     _row_abs,
     _row_dots,
     _row_matvec,
@@ -85,17 +86,22 @@ class TransformHandle:
     """
 
     def __init__(self, eval_fn: Callable[[RankOneIdempotent], RankOneIdempotent],
-                 n: int, field: ScalarField, *, _rows=None):
-        if n < 3:
-            raise ValueError("transforms are only supported for dimension >= 3")
-        if _rows is None:
-            def _rows(x, f):
-                view = RankOneIdempotent._from_frozen_row
-                images = _per_row(lambda xk, fk: eval_fn(view(xk, fk)), x, f)
-                return _balanced(*_stack(images, n, "image"))
-        self._eval = _rows
+                 n: int, field: ScalarField):
+        def rows(x, f):
+            view = RankOneIdempotent._from_frozen_row
+            images = _per_row(lambda xk, fk: eval_fn(view(xk, fk)), x, f)
+            return _balanced(*_stack(images, n, "image"))
+        _require_dimension(n)
+        self._eval = rows
         self._n = n
         self._field = field
+
+    @classmethod
+    def _native(cls, rows, n, field: ScalarField):
+        """The handle of the row evaluator ``rows(x, f)``, which idemap calls on whole blocks."""
+        phi = cls(None, n, field)
+        phi._eval = rows
+        return phi
 
     @property
     def n(self) -> int:
@@ -195,7 +201,7 @@ def _lift(images, n, field: ScalarField) -> TransformHandle:
             raise DegenerateImage(
                 f"image pairing vanishes while the source pairing is 1: {exc}") from exc
 
-    return TransformHandle(None, n, field, _rows=rows)
+    return TransformHandle._native(rows, n, field)
 
 
 def induce(a: SemilinearOperator) -> TransformHandle:
@@ -215,13 +221,13 @@ def induce(a: SemilinearOperator) -> TransformHandle:
 
 
 def identity_handle(n, field: ScalarField) -> TransformHandle:
-    return TransformHandle(None, n, field, _rows=lambda x, f: (x, f))
+    return TransformHandle._native(lambda x, f: (x, f), n, field)
 
 
 def transpose_handle(n, field: ScalarField) -> TransformHandle:
     """The map ``P -> P^T``; it reverses products instead of preserving
     them, so it must fail :func:`check_preservation`."""
-    return TransformHandle(None, n, field, _rows=lambda x, f: (f, x))
+    return TransformHandle._native(lambda x, f: (f, x), n, field)
 
 
 def zero_product_partner(rng, p: RankOneIdempotent, field: ScalarField) -> RankOneIdempotent:
@@ -442,8 +448,7 @@ def reconstruction_probe_set(n, field: ScalarField, validation_count=50,
 @functools.lru_cache(maxsize=_PROBE_SETS)
 def _probe_set(n, field, validation_count, seed) -> ProbeSet:
     """The body of :func:`reconstruction_probe_set`, memoized on its key."""
-    if n < 3:
-        raise ValueError("reconstruction needs dimension >= 3")
+    _require_dimension(n)
     if validation_count < 0:
         raise ValueError(f"validation_count must be >= 0, got {validation_count}")
     # Standard and mixed probes: exact rows of the identity, pairing 1.
@@ -658,7 +663,7 @@ def handle_from_table(entries, n, field: ScalarField) -> TransformHandle:
         return outputs[0][best], outputs[1][best]
 
     # The handle checks ``n`` first; ``index`` and ``outputs`` are bound once the table is.
-    phi = TransformHandle(None, n, field, _rows=lookup)
+    phi = TransformHandle._native(lookup, n, field)
     inputs = _stack([p for p, _ in entries], n, "table input")
     outputs = _stack([q for _, q in entries], n, "table output")
     if field is ScalarField.REAL and any(map(np.iscomplexobj, inputs + outputs)):

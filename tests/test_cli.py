@@ -73,6 +73,10 @@ _MALFORMED_TEXTS = {
     "bom": "\ufeff{}",
 }
 
+#: A valid rank1 payload of the plane, where no transform is supported.
+_PLANE_PROBE = {"kind": "rank1", "field": "real", "n": 2, "x": [1.0, 0.0], "f": [1.0, 0.0]}
+_PLANE_REFUSAL = "dimension 2 is not supported: the theorem needs dimension >= 3"
+
 
 class TestArguments:
     @pytest.mark.parametrize("argv", [
@@ -339,6 +343,25 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--in", inp]) == 1
         assert "unknown phi mode 'oracle'" in capsys.readouterr().err
 
+    def test_bare_phi_exits_1(self, tmp_path, capsys):
+        # The map is read from the ``phi`` key only, never from the top level.
+        op = SemilinearOperator(np.diag([1.0, 2.0, 3.0]))
+        inp = write_json(tmp_path / "bare.json", induced_input(op)["phi"])
+        assert main(["reconstruct", "--in", inp]) == 1
+        assert "error: malformed input: missing key: 'phi'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"mode": "table", "n": 3, "field": "quaternion", "probes": []},
+         "bad field tag: 'quaternion' is not a valid ScalarField"),
+        ({"mode": "table", "n": 2, "field": "real",
+          "probes": [{"in": _PLANE_PROBE, "out": _PLANE_PROBE}]}, _PLANE_REFUSAL),
+        ({"mode": "induced", "operator": matrix_to_json(np.eye(2))}, _PLANE_REFUSAL),
+    ], ids=("field-unknown", "table-dimension", "induced-dimension"))
+    def test_header_refusals_come_from_the_library(self, payload, message, tmp_path, capsys):
+        inp = write_json(tmp_path / "in.json", {"phi": payload})
+        assert main(["reconstruct", "--in", inp]) == 1
+        assert f"error: malformed input: {message}" in capsys.readouterr().err
+
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         assert main(["reconstruct", "--in", str(tmp_path / "absent.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -363,11 +386,24 @@ class TestReconstructCommand:
                      "--samples", "-3"]) == 1
         assert not out.exists()
 
-    def test_flag_mismatch_exits_1(self, tmp_path):
+    def test_flag_mismatch_exits_1(self, tmp_path, capsys):
+        """The input states its dimension and field once: ``--n`` and
+        ``--field`` are retired, and either exits 1, even when it agrees
+        with the input, and neither is listed by ``--help``."""
         op = SemilinearOperator(np.diag([1.0, 2.0, 3.0]))
-        inp = write_json(tmp_path / "in.json", induced_input(op))
-        assert main(["reconstruct", "--in", inp, "--n", "4"]) == 1
-        assert main(["reconstruct", "--in", inp, "--field", "complex"]) == 1
+        inputs = {"reconstruct": induced_input(op),
+                  "symmetry": {"eta": matrix_to_json(np.eye(3)),
+                               "operator": semilinear_to_json(op)}}
+        for command, payload in inputs.items():
+            inp = write_json(tmp_path / "in.json", payload)
+            assert main([command, "--in", inp, "--samples", "4"]) in (0, 2)
+            for flag in (["--n", "3"], ["--field", "real"]):
+                capsys.readouterr()
+                assert main([command, "--in", inp, "--samples", "4", *flag]) == 1
+                assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+                with pytest.raises(SystemExit):
+                    main([command, "--help"])
+                assert flag[0] not in capsys.readouterr().out
 
 
 def per_probe_report(argv):
@@ -646,8 +682,7 @@ class TestReportBytes:
     def test_characterize(self, eta, matrix, code, tmp_path):
         u = SemilinearOperator(matrix)
         got = self._symmetry(tmp_path, eta, u, ["--mode", "characterize", "--seed", "9",
-                                                "--samples", "60", "--n", "3",
-                                                "--field", "real"])
+                                                "--samples", "60"])
         space = IndefiniteSpace(eta)
         ch = characterize(space, u)
         check = is_symmetry(space, induced_ray_map(u), sample_count=60, seed=9)
@@ -656,8 +691,7 @@ class TestReportBytes:
                                                      float(ch.constant.imag)]
         assert got == (code, dumps_report({
             "version": __version__, "seed": 9,
-            "config": {"command": "symmetry.characterize", "seed": 9, "samples": 60,
-                       "n": 3, "field": "real"},
+            "config": {"command": "symmetry.characterize", "seed": 9, "samples": 60},
             "characterization": {"kind": ch.kind.value, "constant": constant},
             "symmetry_check": {
                 "violations": [{"x": real_entries(v.first), "y": real_entries(v.second),

@@ -16,6 +16,7 @@ from idemap.idempotents import (
 )
 from idemap.sampling import random_idempotent, random_invertible, random_rank_one, \
     remix_decomposition
+from idemap.serialize import rank_one_from_json, rank_one_to_json
 
 E11 = np.diag([1.0, 0.0, 0.0])
 E22 = np.diag([0.0, 1.0, 0.0])
@@ -378,6 +379,31 @@ class TestDecompose:
     def test_non_idempotent_rejected(self):
         with pytest.raises(NotIdempotent):
             decompose(np.diag([0.5, 0.0, 0.0]))
+
+    def test_pieces_pass_the_rank_one_rule(self):
+        """The rows rule accepts a pairing of 1 + 6e-10, but a piece must be
+        a rank-one idempotent: the one ``RankOneIdempotent`` refuses."""
+        p = FiniteRankIdempotent(np.outer([1.0, 0, 0], [1 + 6e-10, 0, 0]))
+        with pytest.raises(NotIdempotent, match=r"piece 0: pairing is .*, not 1 within"):
+            decompose(p)
+        with pytest.raises(NotIdempotent, match="expected 1 within"):
+            RankOneIdempotent(*(row[0] for row in p.rows))
+
+    def test_random_pieces_survive_the_json_round_trip(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(3, 9))
+            field = ScalarField.COMPLEX if rng.integers(2) else ScalarField.REAL
+            p = random_idempotent(rng, n, int(rng.integers(1, n + 1)), field)
+            x, f = p.rows
+            for k, piece in enumerate(decompose(p)):
+                # Read-only views of the rows, bit for bit.
+                assert np.shares_memory(piece.x, x) and np.array_equal(piece.x, x[k])
+                assert np.shares_memory(piece.f, f) and np.array_equal(piece.f, f[k])
+                assert not piece.x.flags.writeable
+                back = rank_one_from_json(rank_one_to_json(piece))
+                assert np.array_equal(back.x, piece.x) and np.array_equal(back.f, piece.f)
+                RankOneIdempotent(piece.x, piece.f)
 
 
 class TestMajorant:

@@ -35,6 +35,7 @@ from idemap.indefinite import (
 )
 from idemap.sampling import random_invertible, random_matrix, random_semilinear, random_vector
 from idemap.selftest import _metric
+from idemap.transform import TransformHandle, reconstruction_probe_set
 
 MINKOWSKI = np.diag([1.0, 1.0, -1.0])
 
@@ -648,12 +649,10 @@ class TestRecovery:
 
 def reference_ray(representative):
     """The checks of ``Ray`` in their first order: ``_as_vector``
-    (dimension, then finiteness), then a nonzero square among the real and
-    imaginary parts (an overflowing square counts as nonzero)."""
+    (dimension, then finiteness), then a nonzero entry, at any scale."""
     v = _as_vector(representative, "representative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not (v.conj() * v).real.any():
-            raise ValueError("a ray needs a nonzero representative")
+    if not v.any():
+        raise ValueError("a ray needs a nonzero representative")
     return v
 
 
@@ -680,10 +679,53 @@ def _ray_table():
     ]
 
 
+def test_one_dimension_refusal():
+    """Handles, probe sets and spaces refuse the plane with one message,
+    which names the theorem's hypothesis."""
+    messages = set()
+    for refuse in (lambda: TransformHandle(lambda p: p, 2, ScalarField.REAL),
+                   lambda: reconstruction_probe_set(2, ScalarField.COMPLEX),
+                   lambda: IndefiniteSpace(np.diag([1.0, -1.0]))):
+        with pytest.raises(ValueError, match="the theorem needs dimension >= 3") as info:
+            refuse()
+        messages.add(str(info.value))
+    assert messages == {"dimension 2 is not supported: the theorem needs dimension >= 3, and "
+                        "in the plane a preserver need not be induced"}
+
+
 class TestRays:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             Ray([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", (1e-200, 1e200))
+    def test_wrapped_ray_maps_at_any_scale(self, scale):
+        """A wrapped ray map whose images are scaled far from 1 gives the
+        verdicts of the unscaled map: the same violations (250 of 500 for
+        this shear, which is not a symmetry) and the same recovery."""
+        space = IndefiniteSpace(np.diag([1.0, 1.0, -1.0]))
+        shear = np.array([[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1.0]])
+
+        def scaled(m, s):
+            return RayMap(lambda ray: Ray(s * (m @ ray.representative)))
+
+        want = is_symmetry(space, scaled(shear, 1.0))
+        got = is_symmetry(space, scaled(shear, scale))
+        assert len(want.violations) == len(got.violations) == 250
+        for v, w in zip(got.violations, want.violations):
+            assert np.array_equal(v.first, w.first) and np.array_equal(v.second, w.second)
+            assert v.source_margin == w.source_margin
+            assert v.image_margin == pytest.approx(w.image_margin, rel=1e-12, abs=1e-20)
+        result = recover_inducing_operator(space, scaled(np.eye(3), scale))
+        assert up_to_scalar_distance(result.A.matrix, np.eye(3)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", (1e-200, 1e200))
+    def test_partner_at_any_scale(self, scale):
+        space = IndefiniteSpace(np.diag([1.0, 1.0, -1.0]))
+        x = scale * np.array([1.0, 2.0, 0.5])
+        with np.errstate(all="raise"):
+            y = eta_orthogonal_partner(space, x, np.random.default_rng(0))
+        assert ray_eta_orthogonal(space, Ray(x), Ray(y))
 
     @pytest.mark.parametrize("representative", _ray_table())
     def test_refuses_as_the_reference_does(self, representative):

@@ -192,7 +192,7 @@ def recording_handle(phi):
         blocks.append((x, f))
         return phi._rows(x, f)
 
-    return TransformHandle(None, phi.n, phi.field, _rows=rows), blocks
+    return TransformHandle._native(rows, phi.n, phi.field), blocks
 
 
 def recording_ray_map(t):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from idemap.cli import _load_phi, build_parser, main
+from idemap.cli import _load_phi, main
 from idemap.core import OVERFLOWED, AutomorphismTag, ScalarField, SemilinearOperator
 from idemap.errors import NotIdempotent
 from idemap.idempotents import rank_one_from_pair
@@ -159,7 +159,7 @@ def _table(vec, n=3):
 
 
 def _load_table(payload):
-    return _load_phi(build_parser().parse_args(["reconstruct", "--in", "in.json"]), payload)
+    return _load_phi(payload)
 
 
 #: Per site of a number beyond float range: the decoder, the payload it
@@ -364,5 +364,5 @@ def test_block_acceptance_matches_the_per_payload_rule(name, monkeypatch):
     else:
         assert want[0] is NotIdempotent and refusal in want[1]
     if whole:  # the block test decides without the per-payload rule
-        monkeypatch.setattr("idemap.serialize._accepts_pair", None)
+        monkeypatch.setattr("idemap.idempotents._accepts_pair", None)
     assert _outcome(rank_ones_from_json, ds) == want
