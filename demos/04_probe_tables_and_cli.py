@@ -65,8 +65,7 @@ eta = np.diag([1.0, 1.0, -1.0])
 c, s = np.cosh(1.0), np.sinh(1.0)
 u = im.SemilinearOperator(np.array([[1.0, 0, 0], [0, c, s], [0, s, c]]))
 (workdir / "sym.json").write_text(json.dumps({
-    "eta": matrix_to_json(eta), "mode": "characterize",
-    "operator": semilinear_to_json(u),
+    "eta": matrix_to_json(eta), "operator": semilinear_to_json(u),
 }))
 run(["symmetry", "--in", str(workdir / "sym.json"),
      "--out", str(workdir / "symreport.json"), "--samples", "200"])
@@ -75,11 +74,7 @@ print(f"  kind={sym['characterization']['kind']}, "
       f"constant={sym['characterization']['constant']}, "
       f"violations={len(sym['symmetry_check']['violations'])}\n")
 
-(workdir / "rec.json").write_text(json.dumps({
-    "eta": matrix_to_json(eta), "mode": "recover",
-    "operator": semilinear_to_json(u),
-}))
-run(["symmetry", "--in", str(workdir / "rec.json"),
+run(["symmetry", "--in", str(workdir / "sym.json"), "--mode", "recover",
      "--out", str(workdir / "recreport.json"), "--samples", "15"])
 tmpdir.cleanup()
 print()

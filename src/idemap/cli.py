@@ -9,9 +9,9 @@ Commands
                  the inducing operator of the ray map it induces.
 ``selftest``     run the built-in verification suites.
 
-Each input states its dimension and field once, and the library's decoders
-and constructors check them: ``reconstruct`` reads the map under ``"phi"``,
-``symmetry`` the metric as ``"eta"`` (or a ``"space"`` object) and ``"operator"``.
+Each input states each fact once, and the library's decoders and constructors
+check it: ``reconstruct`` reads ``{"phi"}``, and ``symmetry`` reads ``{"eta",
+"operator"}`` in the mode of its ``--mode`` flag (never of an input key).
 
 Exit codes: 0 success, 1 malformed input (input nested deeper than 64 levels
 included), bad arguments or singular matrices, 2 the map is not induced / the
@@ -59,12 +59,11 @@ _NEGATIVE_ERRORS = (NotInduced, DegenerateProbe, UnrecognizedAutomorphism,
 _MALFORMED_ERRORS = (ValueError, KeyError, TypeError)
 
 
-def _add_io_flags(p, default_samples):
+def _add_io_flags(p):
     p.add_argument("--in", dest="inp", required=True, help="input JSON path")
     p.add_argument("--out", dest="out", default=None, help="report JSON path")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=default_samples,
-                   help="sampling/validation budget")
+    p.add_argument("--samples", type=int, default=500, help="sampling/validation budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,12 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rec = sub.add_parser("reconstruct", help="recover an inducing operator")
-    _add_io_flags(p_rec, default_samples=500)
+    _add_io_flags(p_rec)
 
     p_sym = sub.add_parser("symmetry", help="characterize or recover a symmetry")
-    _add_io_flags(p_sym, default_samples=500)
-    p_sym.add_argument("--mode", choices=["characterize", "recover"], default=None,
-                       help="override the mode stored in the input file")
+    _add_io_flags(p_sym)
+    p_sym.add_argument("--mode", choices=["characterize", "recover"], default="characterize")
 
     p_self = sub.add_parser("selftest", help="run the verification suites")
     p_self.add_argument("--seed", type=int, default=42)
@@ -154,16 +152,15 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_symmetry(args) -> int:
     payload = _read(args)
-    if "eta" in payload:
-        space = space_from_json({"eta": payload["eta"]})
-    else:
-        space = space_from_json(payload.get("space", {}))
-    mode = args.mode or payload.get("mode", "characterize")
+    if "mode" in payload:
+        # Ignoring the key would turn a recover request into a characterize report.
+        raise FormatError("the symmetry mode is the --mode flag, not an input key 'mode'")
+    space = space_from_json({"eta": _key(payload, "eta")})
     u = semilinear_from_json(_key(payload, "operator"))
     if u.n != space.n:
         raise FormatError("operator dimension does not match eta")
 
-    if mode == "recover":
+    if args.mode == "recover":
         result = recover_inducing_operator(space, induced_ray_map(u),
                                            validation_count=args.samples,
                                            seed=args.seed)
@@ -177,8 +174,6 @@ def cmd_symmetry(args) -> int:
               f"residual={result.residual:.3e}")
         return EXIT_OK
 
-    if mode != "characterize":
-        raise FormatError(f"unknown symmetry mode {mode!r}")
     ch = characterize(space, u)
     check = is_symmetry(space, induced_ray_map(u), sample_count=args.samples, seed=args.seed)
     constant = scalar_to_json(ch.constant) if ch.constant is not None else None

@@ -26,9 +26,9 @@ Zero products, orders and symmetry kinds are decided by the library's
 own tolerances, which no caller sets.  A budget of 0 makes every suite
 pass vacuously; a negative budget is refused.  A failing suite lists one
 reason per failing case, or the exception it raised, in
-``SuiteResult.failures``.  The suites with a corpus (metric kinds,
-conjugate-linear cases) also fail when fewer than a fifth of their cases
-are of the kind they must cover.
+``SuiteResult.failures``.  The sufficiency suite also fails when fewer
+than a fifth of its metrics are non-self-adjoint; every third recovery
+case is conjugate-linear by construction.
 """
 
 from __future__ import annotations
@@ -361,8 +361,6 @@ def suite_recovery(rng, budget):
         if dist > threshold or result.A.auto is not u.auto:
             failures.append(f"case {i} (n={n}, {u.auto.value}): recovered tag "
                             f"{result.A.auto.value}, distance {dist:.2e}")
-    if conjugate_cases < count // 5:
-        failures.append(f"only {conjugate_cases} conjugate-linear cases")
     return (count, failures,
             f"{count} recoveries ({conjugate_cases} conjugate-linear), "
             f"worst distance {worst:.2e} (threshold {threshold:.1e})")

@@ -189,17 +189,22 @@ class SampleReport:
 def _lift(images, n, field: ScalarField) -> TransformHandle:
     """The handle of ``(x, f) -> normalized (T x, S f)``, from the image rows
     ``images(x, f) = (T x, S f)`` of a ray pair; the normalization depends only
-    on the rays.  A vanishing ``pair(T x, S f)`` (by :func:`rank_one_from_pair`'s
-    rule, which also catches a zero representative) raises :class:`DegenerateImage`,
-    a witness that ``(T, S)`` does not preserve vector/functional orthogonality."""
+    on the rays, so a pairing refused as it comes (an overflow proves nothing) is
+    read again with each side at its safe scale (:func:`~idemap.core._rows_in_range`).
+    Refused there too (by :func:`rank_one_from_pair`'s rule, which also catches a
+    zero representative), it raises :class:`DegenerateImage`, a witness that
+    ``(T, S)`` does not preserve vector/functional orthogonality."""
 
     def rows(x, f):
         tx, sf = images(x, f)
-        try:
-            return _normalized_rows(tx, sf)
-        except DegeneratePair as exc:
-            raise DegenerateImage(
-                f"image pairing vanishes while the source pairing is 1: {exc}") from exc
+        for read in (np.asarray, _rows_in_range):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return _normalized_rows(read(tx), read(sf))
+            except DegeneratePair as exc:
+                refusal = exc
+        raise DegenerateImage(
+            f"image pairing vanishes while the source pairing is 1: {refusal}") from refusal
 
     return TransformHandle._native(rows, n, field)
 

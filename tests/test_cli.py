@@ -469,17 +469,15 @@ def test_benchmark_reports_match_the_per_probe_path(seed, tmp_path, monkeypatch)
 
 
 class TestSymmetryCommand:
-    def _payload(self, eta, op, mode):
-        return {"eta": matrix_to_json(eta),
-                "mode": mode,
-                "operator": semilinear_to_json(op)}
+    def _payload(self, eta, op):
+        return {"eta": matrix_to_json(eta), "operator": semilinear_to_json(op)}
 
     def test_characterize_hyperbolic(self, tmp_path):
         eta = np.diag([1.0, 1.0, -1.0])
         c, s = np.cosh(1.0), np.sinh(1.0)
         u = SemilinearOperator(np.array([[1.0, 0, 0], [0, c, s], [0, s, c]]))
         inp = write_json(tmp_path / "sym.json",
-                         self._payload(eta, u, "characterize"))
+                         self._payload(eta, u))
         out = str(tmp_path / "rep.json")
         code = main(["symmetry", "--in", inp, "--out", out, "--samples", "100"])
         assert code == 0
@@ -493,7 +491,7 @@ class TestSymmetryCommand:
     def test_characterize_identity(self, tmp_path):
         inp = write_json(
             tmp_path / "id.json",
-            self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "characterize"),
+            self._payload(np.eye(3), SemilinearOperator(np.eye(3))),
         )
         assert main(["symmetry", "--in", inp, "--samples", "50"]) == 0
 
@@ -502,7 +500,7 @@ class TestSymmetryCommand:
         # itself is refused, not the missing file
         inp = write_json(
             tmp_path / "id.json",
-            self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "characterize"),
+            self._payload(np.eye(3), SemilinearOperator(np.eye(3))),
         )
         assert main(["symmetry", "--in", inp, "--tol", "1e-6"]) == 1
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
@@ -511,16 +509,17 @@ class TestSymmetryCommand:
         u = SemilinearOperator(np.array([[1.0, 2.0, 0], [0, 1.0, 3.0],
                                          [0, 0, 1.0]]))
         inp = write_json(tmp_path / "tri.json",
-                         self._payload(np.eye(3), u, "characterize"))
+                         self._payload(np.eye(3), u))
         assert main(["symmetry", "--in", inp, "--samples", "50"]) == 2
 
     def test_recover_mode(self, tmp_path):
         eta = np.diag([1.0, 1.0, -1.0])
         c, s = np.cosh(1.0), np.sinh(1.0)
         u = SemilinearOperator(np.array([[1.0, 0, 0], [0, c, s], [0, s, c]]))
-        inp = write_json(tmp_path / "rec.json", self._payload(eta, u, "recover"))
+        inp = write_json(tmp_path / "rec.json", self._payload(eta, u))
         out = str(tmp_path / "rep.json")
-        code = main(["symmetry", "--in", inp, "--out", out, "--samples", "15"])
+        code = main(["symmetry", "--in", inp, "--out", out, "--mode", "recover",
+                     "--samples", "15"])
         assert code == 0
         report = json.loads(open(out).read())
         recovered = np.array(report["U"]["data"]).reshape(3, 3)
@@ -528,23 +527,23 @@ class TestSymmetryCommand:
             recovered, u.matrix / np.linalg.norm(u.matrix)
         ) <= 1e-7
 
-    def test_mode_flag_overrides_file(self, tmp_path):
-        eta = np.diag([1.0, 1.0, -1.0])
-        c, s = np.cosh(1.0), np.sinh(1.0)
-        u = SemilinearOperator(np.array([[1.0, 0, 0], [0, c, s], [0, s, c]]))
-        inp = write_json(tmp_path / "sym.json",
-                         self._payload(eta, u, "characterize"))
-        out = str(tmp_path / "rep.json")
-        code = main(["symmetry", "--in", inp, "--out", out,
-                     "--mode", "recover", "--samples", "15"])
-        assert code == 0
-        assert "U" in json.loads(open(out).read())
+    def test_input_mode_key_exits_1(self, tmp_path, capsys):
+        # The mode is the flag's alone: an input key naming one is refused,
+        # with or without the flag, and no report is written.
+        out = tmp_path / "rep.json"
+        for mode in ("characterize", "recover", "invert"):
+            payload = dict(self._payload(np.eye(3), SemilinearOperator(np.eye(3))), mode=mode)
+            inp = write_json(tmp_path / "sym.json", payload)
+            for flags in ([], ["--mode", "recover"], ["--mode", "characterize"]):
+                assert main(["symmetry", "--in", inp, "--out", str(out), *flags]) == 1
+                assert ("error: malformed input: the symmetry mode is the --mode flag"
+                        in capsys.readouterr().err)
+                assert not out.exists()
 
     def test_byte_identical_reports(self, tmp_path):
         u = SemilinearOperator(np.eye(3))
         inp = write_json(tmp_path / "sym.json",
-                         self._payload(np.diag([1.0, 1.0, -1.0]), u,
-                                       "characterize"))
+                         self._payload(np.diag([1.0, 1.0, -1.0]), u))
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(["symmetry", "--in", inp, "--out", out1, "--seed", "5",
                      "--samples", "40"]) == 0
@@ -556,13 +555,13 @@ class TestSymmetryCommand:
         rng = np.random.default_rng(3)
         u = SemilinearOperator(random_invertible(rng, 3, ScalarField.REAL))
         inp = write_json(tmp_path / "bad.json",
-                         self._payload(np.diag([1.0, 1.0, -1.0]), u, "recover"))
-        assert main(["symmetry", "--in", inp, "--samples", "15"]) == 2
+                         self._payload(np.diag([1.0, 1.0, -1.0]), u))
+        assert main(["symmetry", "--in", inp, "--mode", "recover", "--samples", "15"]) == 2
 
     def test_negative_samples_exits_1(self, tmp_path):
         inp = write_json(
             tmp_path / "id.json",
-            self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "characterize"),
+            self._payload(np.eye(3), SemilinearOperator(np.eye(3))),
         )
         out = tmp_path / "rep.json"
         for mode in ("characterize", "recover"):
@@ -573,7 +572,7 @@ class TestSymmetryCommand:
     def test_overflowing_characterization_exits_1(self, tmp_path, capsys):
         u = SemilinearOperator(1e155 * np.array([[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1.0]]))
         inp = write_json(tmp_path / "huge.json",
-                         self._payload(np.diag([1.0, 1.0, -1.0]), u, "characterize"))
+                         self._payload(np.diag([1.0, 1.0, -1.0]), u))
         out = tmp_path / "rep.json"
         assert main(["symmetry", "--in", inp, "--out", str(out), "--samples", "20"]) == 1
         assert "overflow" in capsys.readouterr().err
@@ -581,26 +580,39 @@ class TestSymmetryCommand:
 
     def test_unknown_mode_exits_1(self, tmp_path, capsys):
         inp = write_json(tmp_path / "invert.json",
-                         self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "invert"))
-        assert main(["symmetry", "--in", inp]) == 1
-        assert "unknown symmetry mode 'invert'" in capsys.readouterr().err
+                         self._payload(np.eye(3), SemilinearOperator(np.eye(3))))
+        assert main(["symmetry", "--in", inp, "--mode", "invert"]) == 1
+        assert "argument --mode: invalid choice: 'invert'" in capsys.readouterr().err
 
     def test_missing_operator_is_named(self, tmp_path, capsys):
-        payload = self._payload(np.eye(3), SemilinearOperator(np.eye(3)), "characterize")
+        payload = self._payload(np.eye(3), SemilinearOperator(np.eye(3)))
         del payload["operator"]
         inp = write_json(tmp_path / "no-op.json", payload)
         assert main(["symmetry", "--in", inp]) == 1
         assert "error: malformed input: missing key: 'operator'" in capsys.readouterr().err
 
     def test_operator_size_mismatch_exits_1(self, tmp_path, capsys):
+        # In both modes: without the CLI's own check, recovery would apply the
+        # 4 x 4 operator to the metric's rays and exit 2 with a DegenerateProbe.
         inp = write_json(tmp_path / "wide.json",
-                         self._payload(np.eye(3), SemilinearOperator(np.eye(4)), "characterize"))
+                         self._payload(np.eye(3), SemilinearOperator(np.eye(4))))
+        for mode in ("characterize", "recover"):
+            assert main(["symmetry", "--in", inp, "--mode", mode]) == 1
+            assert ("error: malformed input: operator dimension does not match eta"
+                    in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("payload", [
+        {"space": {"eta": matrix_to_json(np.eye(3)), "n": 3, "field": "real"}},
+        {},
+    ], ids=("space-object", "no-metric"))
+    def test_metric_is_read_from_eta_only(self, payload, tmp_path, capsys):
+        payload = dict(payload, operator=semilinear_to_json(SemilinearOperator(np.eye(3))))
+        inp = write_json(tmp_path / "space.json", payload)
         assert main(["symmetry", "--in", inp]) == 1
-        assert "operator dimension does not match eta" in capsys.readouterr().err
+        assert "error: malformed input: missing key: 'eta'" in capsys.readouterr().err
 
     def test_singular_eta_exits_1(self, tmp_path):
         payload = {"eta": matrix_to_json(np.diag([1.0, 1.0, 0.0])),
-                   "mode": "characterize",
                    "operator": semilinear_to_json(SemilinearOperator(np.eye(3)))}
         inp = write_json(tmp_path / "sing.json", payload)
         assert main(["symmetry", "--in", inp]) == 1

@@ -130,6 +130,19 @@ class TestSemilinearOperator:
         with pytest.raises(ValueError):
             SemilinearOperator(np.eye(3), AutomorphismTag.CONJUGATION)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SemilinearOperator(np.ones(3)), "operator must be 2-d, got shape (3,)"),
+        (lambda: SemilinearOperator(np.ones((3, 4))), "operator must be square, got shape (3, 4)"),
+        (lambda: identity_operator(3)([1.0, 0.0]),
+         "operator of dimension 3 applied to vector of dimension 2"),
+        (lambda: identity_operator(3).compose(identity_operator(4)),
+         "composition of operators of different dimension"),
+        (lambda: identity_operator(3).conjugate(np.eye(4)), "conjugation dimension mismatch"),
+    ], ids=("not-2-d", "not-square", "call", "compose", "conjugate"))
+    def test_wrong_shapes_are_refused(self, call, message):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            call()
+
     def test_adjoint_identity_tag(self):
         assert np.allclose(identity_operator(3).adjoint().matrix, np.eye(3))
 
@@ -214,6 +227,8 @@ def test_up_to_scalar_distance():
     assert up_to_scalar_distance(5j * an, an) <= 1e-12
     b = np.eye(3) / np.sqrt(3)
     assert up_to_scalar_distance(b, an) > 0.1
+    # Against the zero matrix every multiple is zero: the distance is ||b||.
+    assert up_to_scalar_distance(3 * b, np.zeros((3, 3))) == float(np.linalg.norm(3 * b))
 
 
 #: ``(residual, holds_to, fails_from, answer)`` of :func:`idemap.core._verdict`.

@@ -269,6 +269,8 @@ class TestRelate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             relate(E11, np.eye(4))
+        with pytest.raises(DimensionMismatch, match=r"majorant: shapes \(3, 3\) vs \(4, 4\)"):
+            majorant(E11, np.eye(4))
 
     def test_overflowing_norm_is_refused(self):
         # ||P|| = 1e200 overflows when squared; an infinite bound would pass

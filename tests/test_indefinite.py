@@ -144,6 +144,12 @@ class TestEtaProduct:
         x = [1.0, 0.0, 1.0]
         assert eta_product(space, x, x) == 0.0
 
+    @pytest.mark.parametrize("x, y", [([1.0, 0], [1.0, 0, 0]), ([1.0, 0, 0], [1.0, 0, 0, 0])],
+                             ids=("x", "y"))
+    def test_dimension_mismatch(self, x, y):
+        with pytest.raises(DimensionMismatch, match="eta_product dimension mismatch"):
+            eta_product(IndefiniteSpace(MINKOWSKI), x, y)
+
     def test_sesquilinearity(self):
         # linear in the first slot, conjugate-linear in the second
         space = IndefiniteSpace(np.eye(3, dtype=complex))
@@ -298,6 +304,10 @@ class TestCharacterize:
         assert ch.kind is SymmetryKind.NONE
         assert ch.constant is None
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="operator dimension does not match the space"):
+            characterize(IndefiniteSpace(MINKOWSKI), SemilinearOperator(np.eye(4)))
+
     @pytest.mark.parametrize("scale, m", [
         (1e155, [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]),  # not a scaled isometry
         (1e160, np.eye(3)),
@@ -436,6 +446,14 @@ class TestGenerateEtaIsometry:
         np.testing.assert_array_equal(v.matrix, e * np.sqrt(scale))
         resid = np.linalg.norm(e.conj().T @ space.eta @ e - space.eta)
         assert resid <= 1e-9 * np.linalg.norm(space.eta)
+
+    def test_certificate_refuses_a_non_isometry(self, monkeypatch):
+        # The exponential is certified against the metric, not trusted: a
+        # wrong one (here 2 exp(K)) is refused, not returned.
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda k: 2 * expm(k))
+        with pytest.raises(ArithmeticError, match="isometry generation failed, residual"):
+            generate_eta_isometry(IndefiniteSpace(MINKOWSKI), seed=13)
 
     def test_bad_scale_rejected(self):
         space = IndefiniteSpace(MINKOWSKI)

@@ -406,6 +406,16 @@ def test_exhausted_draws_raise_like_the_helpers():
     assert error == (RuntimeError, "could not craft an eta-orthogonal partner")
     assert raised(_draw_ray_pairs, ScriptedGenerator([*e1] * 201, 0), space, 1, 0) == error
 
+    # No matrix has condition number below 1: the draw gives up.
+    assert raised(random_invertible, np.random.default_rng(0), n, field, 1.0) \
+        == (RuntimeError, "could not draw a well-conditioned matrix")
+
+
+@pytest.mark.parametrize("rank", (-1, 4))
+def test_idempotent_rank_out_of_range(rank):
+    with pytest.raises(ValueError, match=f"rank {rank} out of range for dimension 3"):
+        random_idempotent(np.random.default_rng(0), 3, rank, ScalarField.REAL)
+
 
 @pytest.mark.parametrize("x,f", [
     ([0, 1.0, 0], [0, 0, 1.0]),

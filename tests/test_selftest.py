@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from idemap import selftest
-from idemap.core import SemilinearOperator
+from idemap.core import AutomorphismTag, ScalarField, SemilinearOperator
+from idemap.errors import NotInduced
 from idemap.idempotents import FiniteRankIdempotent
+from idemap.indefinite import induced_ray_map
 from idemap.selftest import SUITES, run_all
-from idemap.transform import RayPair, extend, from_ray_pair
+from idemap.transform import RayPair, SampleReport, extend, from_ray_pair, identity_handle, \
+    induce, transpose_handle
 
 
 def test_all_suites_pass_at_small_budget():
@@ -55,6 +58,72 @@ def test_suite_fails_a_result_beyond_its_threshold(suite, name, patch, monkeypat
     assert not result.passed
     assert len(result.failures) == result.cases
     assert all(re.match(r"case \d+ \(", f) for f in result.failures), result.failures
+
+
+def _raising(error):
+    def raising(*args, **kwargs):
+        raise error
+    return raising
+
+
+def _other_tag(a):
+    """The map induced by ``a`` with the other ring automorphism, over the complex field."""
+    if a.field is ScalarField.REAL:
+        return induce(a)
+    flipped = {AutomorphismTag.IDENTITY: AutomorphismTag.CONJUGATION,
+               AutomorphismTag.CONJUGATION: AutomorphismTag.IDENTITY}[a.auto]
+    return induce(SemilinearOperator(a.matrix, flipped))
+
+
+def _sheared_ray_map(u):
+    """The ray map of a shear, which no metric of the suites keeps."""
+    return induced_ray_map(SemilinearOperator(np.eye(u.n) + 2 * np.eye(u.n, k=1)))
+
+
+#: Per failure branch of a suite: the suite, the name patched in ``selftest``,
+#: its replacement, and the pattern every reason of the failing suite matches.
+_BROKEN_CASES = {
+    "roundtrip-raises": (selftest.suite_roundtrip, "reconstruct",
+                         _raising(NotInduced("refused")), r"case \d+: NotInduced: refused$"),
+    "preservation-violations": (selftest.suite_preservation, "induce",
+                                lambda a: transpose_handle(a.n, a.field),
+                                r"case [0-3] \(n=\d, \w+, \w+\): [1-9]\d* violations "
+                                r"in 20/20 pairs$"),
+    "preservation-transpose-passes": (selftest.suite_preservation, "transpose_handle",
+                                      identity_handle,
+                                      r"case 4 \(transpose, n=3\): no violation in 20 pairs$"),
+    "trace-identity-error": (selftest.suite_trace_identity, "induce", _other_tag,
+                             r"case \d+ \(n=\d, complex, \w+\): error \S+$"),
+    "majorant-raises": (selftest.suite_majorant, "majorant", _raising(ValueError("no majorant")),
+                        r"case \d+: ValueError: no majorant$"),
+    "majorant-not-dominating": (selftest.suite_majorant, "majorant", lambda p1, p2: p1,
+                                r"case \d+ \(n=\d, \w+\): rank \d, P1 <= P: True, "
+                                r"P2 <= P: False$"),
+    "sufficiency-violations": (selftest.suite_sufficiency, "induced_ray_map", _sheared_ray_map,
+                               r"case \d+ \(n=\d, \w+\): [1-9]\d* violations in 20/20 pairs$"),
+    "sufficiency-corpus": (selftest.suite_sufficiency, "_metric",
+                           lambda rng, n, field, index: (np.eye(n, dtype=field.dtype), False),
+                           r"only 0 non-self-adjoint metrics$"),
+    "necessity-characterized": (selftest.suite_necessity, "random_semilinear",
+                                lambda rng, n, field, auto: SemilinearOperator(np.eye(n)),
+                                r"case \d+ \(n=\d, \w+\): characterized linear with "
+                                r"constant \S+, expected none$"),
+    "necessity-no-violation": (selftest.suite_necessity, "is_symmetry",
+                               lambda space, t, sample_count, seed: SampleReport((), sample_count),
+                               r"case \d+ \(n=\d, \w+\): no violation in 20 pairs$"),
+    "recovery-raises": (selftest.suite_recovery, "recover_inducing_operator",
+                        _raising(NotInduced("refused")), r"case \d+: NotInduced: refused$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_CASES))
+def test_suite_fails_a_broken_case(case, monkeypatch):
+    """Each way a suite can fail gives the suite's own reason, not a crash."""
+    suite, name, patch, reason = _BROKEN_CASES[case]
+    monkeypatch.setattr(selftest, name, patch)
+    result = suite(np.random.default_rng(5), 20)
+    assert not result.passed
+    assert result.failures and all(re.match(reason, f) for f in result.failures), result.failures
 
 
 def test_negative_budget_raises():

@@ -105,6 +105,15 @@ def test_bad_payloads():
         matrix_from_json({"field": "real", "n": 1, "data": [[1.0, 0.0]]})
     with pytest.raises(FormatError, match="field does not match"):
         space_from_json({"eta": matrix_to_json(np.eye(3)), "field": "complex"})
+    with pytest.raises(FormatError, match="vector must have 3 entries"):
+        vector_from_json([1.0, 0.0], 3, ScalarField.REAL)
+    with pytest.raises(FormatError, match="matrix payload must be an object"):
+        matrix_from_json([1.0])
+    with pytest.raises(FormatError, match="expected a finite_rank idempotent payload"):
+        finite_rank_from_json({"kind": "rank1"})
+    for space in ({}, [], {"n": 3, "field": "real"}):
+        with pytest.raises(FormatError, match="space payload needs an eta matrix"):
+            space_from_json(space)
 
 
 # Malformed entries and the exception type each one is refused with.
@@ -173,7 +182,7 @@ _BEYOND_FLOAT_RANGE = {
     "rank1-n": (rank_one_from_json, dict(_VEC, n=_INF), "reconstruct", _table),
     "table-n": (_load_table, _table(_VEC, n=_INF), "reconstruct", lambda phi: phi),
     "space-n": (space_from_json, {"eta": _OP, "n": _INF},
-                "symmetry", lambda space: {"space": space, "operator": _OP}),
+                "symmetry", lambda space: dict(space, operator=_OP)),
 }
 
 

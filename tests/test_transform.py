@@ -214,6 +214,10 @@ class TestExtend:
         with pytest.raises(TypeError):
             extend(phi, p, decomposition=5)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="handle dimension 3, input dimension 4"):
+            extend(identity_handle(3, ScalarField.REAL), np.diag([1.0, 1.0, 0.0, 0.0]))
+
     def test_wrong_decomposition_of_the_right_count(self):
         # two valid, mutually orthogonal pieces of diag(1, 0, 1), not of diag(1, 1, 0)
         phi = identity_handle(3, ScalarField.REAL)
@@ -375,6 +379,29 @@ class TestReconstruct:
         phi = TransformHandle(eval_fn, 3, ScalarField.COMPLEX)
         with pytest.raises(NotInduced):
             reconstruct(phi, validation_count=30, seed=7)
+
+    def test_phase_probe_that_lost_a_component_is_refused(self):
+        # A complex table whose phase probe (e_1 + i e_2, e_1) answers with
+        # the image of the second standard probe: its fit has no e_1 part.
+        a = SemilinearOperator(random_invertible(np.random.default_rng(2), 3, ScalarField.COMPLEX))
+        table = probe_table_from_operator(a, validation_count=5)
+        probes = reconstruction_probe_set(3, ScalarField.COMPLEX, 5)
+        k = len(probes.standard + probes.mixed + probes.automorphism)
+        assert table[k][0] is probes.phase[0]
+        table[k] = (table[k][0], table[1][1])
+        with pytest.raises(DegenerateProbe, match="phase probe lost the first column component"):
+            reconstruct(handle_from_table(table, 3, ScalarField.COMPLEX), validation_count=5)
+
+    def test_unusable_assembled_matrix_is_not_induced(self):
+        # Every probe fit succeeds, but the columns assembled from them are
+        # linearly dependent: no operator, and so no residual, to report.
+        m = np.array([[1.0, 0, 1], [0, 1, 1], [0, 0, 0]])
+        s = np.array([[1.0, 0, 1], [0, 1, 0], [0, 0, 1]])
+        phi = TransformHandle(lambda p: rank_one_from_pair(m @ p.x, s @ p.f), 3, ScalarField.REAL)
+        with pytest.raises(NotInduced, match="assembled matrix unusable: operator is "
+                                             "numerically singular") as info:
+            reconstruct(phi, validation_count=5)
+        assert info.value.residual is None
 
     @pytest.mark.parametrize("phase_image,message", [
         ([1.0, 2.0, 0], r"phase probe returned h\(i\) = "),
@@ -916,3 +943,38 @@ def test_library_rows_are_read_only_views_of_one_block(n, field):
         for v in (p.x, p.f):
             with pytest.raises(ValueError, match="read-only"):
                 v[0] = 0.0
+
+
+#: Row scales of one idempotent ``(x s, f / s)``: squaring a row overflows
+#: beyond about 1e154, and its square underflows below about 1e-154.
+ROW_SCALES = (1.0, 1e100, 1e-100, 1e160, 1e-160, 1e200, 1e-200)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", ROW_SCALES, ids=lambda s: f"{s:g}")
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_row_scale_is_invisible(field, scale):
+    """An idempotent whose rows are far from scale 1 is the same idempotent:
+    its images, extensions and pieces are those of its scale-1 rows, with no
+    overflow warned and no image refused as degenerate."""
+    rng = np.random.default_rng(29)
+    a = SemilinearOperator(random_invertible(rng, 3, field))
+    phi, m, dual = induce(a), a.matrix, np.linalg.inv(a.matrix.T)
+    p = random_rank_one(rng, 3, field)
+    ps = RankOneIdempotent(p.x * scale, p.f / scale)
+
+    def close(got, want):
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-9, atol=1e-9)
+
+    # The ray pair's images are (s m x, s dual f): their pairing is s^2.
+    ray_pair = RayPair(lambda v: m @ v, lambda v: (dual @ v) * scale * scale)
+    for handle in (phi, TransformHandle(phi, 3, field), from_ray_pair(ray_pair, 3, field)):
+        close(handle(ps), phi(p))
+    big = random_idempotent(rng, 3, 2, field)
+    pieces = [RankOneIdempotent(q.x * scale, q.f / scale) for q in decompose(big)]
+    close(extend(phi, big, pieces), extend(phi, big))
+    close(extend(phi, ps), phi(p))
+    close(*decompose(ps), p)
+    q = transform.zero_product_partner(rng, ps, field)
+    assert abs(np.vdot(q.x.conj(), p.f)) <= 1e-12 * np.linalg.norm(q.x) * np.linalg.norm(p.f)
+    close(rank_one_from_pair(p.x * scale, p.f * scale), p)

@@ -2,6 +2,7 @@
 trees can be compared for a change that must not move any result:
 
     python3 tools/digests.py
+    python3 tools/digests.py --records
 
 (a) ``cli``: the benchmark's ``cli`` workload (``perfbench/workloads.py``,
     imported read-only), built as its worker builds it at seeds 1-5 and
@@ -16,8 +17,10 @@ idemap is imported from ``src`` and the workload from ``perfbench`` of the
 checkout the script sits in.  BLAS is pinned to one thread, as the
 benchmark pins it, so that a digest does not depend on threading.  The
 digests are reproducible on one host and one set of library versions;
-another numpy or BLAS may round differently.  :func:`library_records`
-gives the corpus case by case, for finding the cases two trees disagree on.
+another numpy or BLAS may round differently.  ``--records`` prints the
+library corpus instead, one line per case (:func:`library_records`): its
+label and the SHA-256 of its bytes, so that ``diff`` of two trees' lists
+names the cases they disagree on.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import enum  # noqa: E402
@@ -204,6 +208,13 @@ def library_digest() -> str:
 
 
 def main():
+    parser = argparse.ArgumentParser(description="SHA-256 digests of idemap's output")
+    parser.add_argument("--records", action="store_true",
+                        help="print each library-corpus case and its digest instead")
+    if parser.parse_args().records:
+        for label, data in library_records():
+            print(f"{label}  {hashlib.sha256(data).hexdigest()}")
+        return
     print(f"cli      {cli_digest()}")
     print(f"selftest {selftest_digest()}")
     print(f"library  {library_digest()}")
