@@ -8,6 +8,7 @@ A rank-one idempotent is stored as a normalized pair ``(x, f)`` with
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,8 +129,20 @@ def _accepts_pairs(x, f):
 def _pairing_tol(x, f):
     """Allowed deviation of ``pair(x, f)`` from 1: ``PAIRING_RTOL`` times
     ``1 + ||x|| ||f||`` in BLAS norms, which cannot overflow themselves."""
-    return PAIRING_RTOL * (1.0 + scipy.linalg.norm(x, check_finite=False)
-                          * scipy.linalg.norm(f, check_finite=False))
+    return PAIRING_RTOL * (1.0 + _norm(x) * _norm(f))
+
+
+def _norm(v):
+    """``scipy.linalg.norm(v, check_finite=False)`` of an array: the BLAS ``nrm2`` it
+    calls for a nonempty 1-d float or complex ``v``, looked up once per dtype."""
+    if v.size and v.ndim == 1 and v.dtype.char in "fdFD":
+        return _nrm2(v.dtype.char)(v)
+    return scipy.linalg.norm(v, check_finite=False)
+
+
+@functools.cache
+def _nrm2(char):
+    return scipy.linalg.get_blas_funcs("nrm2", dtype=np.dtype(char), ilp64="preferred")
 
 
 class FiniteRankIdempotent:

@@ -10,10 +10,10 @@ import numpy as np
 
 from .core import RELATION_TOL, AutomorphismTag, ScalarField, SemilinearOperator, _row_abs, \
     _row_dots, _row_norms
-from .idempotents import FiniteRankIdempotent, RankOneIdempotent, _rank_one_row
+from .idempotents import FiniteRankIdempotent, RankOneIdempotent, _rank_one_views
 
 
-#: Smallest ``|pair(x, f)| / (||x|| ||f||)`` accepted for a random pair.
+#: A random pair is accepted when ``|pair(x, f)| / (||x|| ||f||)`` exceeds this.
 MIN_COSINE = 0.05
 
 #: Rounds a block draw redraws its rejected rows before failing; a
@@ -60,8 +60,9 @@ def random_semilinear(rng, n, field: ScalarField, auto=None) -> SemilinearOperat
 
 def random_rank_one(rng, n, field: ScalarField) -> RankOneIdempotent:
     """Random normalized rank-one idempotent with a non-degenerate pairing:
-    the one-row case of :func:`_random_rank_one_rows`."""
-    return _rank_one_row(*_random_rank_one_rows(rng, 1, n, field))
+    the one-row case of :func:`_random_rank_one_rows`, divided by its pairing."""
+    x, f, p = _random_rank_one_rows(rng, 1, n, field)
+    return _rank_one_views(x / p[:, None], f)[0]
 
 
 def random_idempotent(rng, n, rank, field: ScalarField) -> FiniteRankIdempotent:
@@ -93,9 +94,10 @@ def remix_decomposition(rng, pieces) -> list[RankOneIdempotent]:
 
 def _redrawn(count, draw, message):
     """``count`` accepted rows of a block.  ``draw(index)`` gives fresh
-    candidate rows (a tuple of arrays) for the row numbers ``index`` and
-    a mask of the accepted ones; rejected rows are drawn again, for at
-    most ``DRAW_TRIES`` rounds, before ``RuntimeError(message)``."""
+    candidate rows (a tuple of arrays, such as vectors and their pairings)
+    for the row numbers ``index`` and a mask of the accepted ones; rejected
+    rows are drawn again, for at most ``DRAW_TRIES`` rounds, before
+    ``RuntimeError(message)``."""
     index = np.arange(count)
     rows, ok = draw(index)
     tries = 1
@@ -121,30 +123,37 @@ def _projected(y0, c, d):
 
 
 def _accepted(x, f):
-    """Mask of the rows with ``|pair(x, f)| >= MIN_COSINE ||x|| ||f||``."""
-    return _row_abs(_row_dots(x, f)) >= MIN_COSINE * _row_norms(x) * _row_norms(f)
+    """The row pairings ``p = pair(x, f)`` and the mask of the rows with ``|p| >
+    MIN_COSINE ||x|| ||f||``.  An accepted row is finite and nonzero (a NaN or
+    infinite norm fails the test, and so does ``0 > 0``), and its pairing exceeds
+    ``PAIRING_RTOL ||x|| ||f||``: :func:`~idemap.idempotents._normalized_rows`
+    would accept it, so ``x / p`` needs no check of its own."""
+    p = _row_dots(x, f)
+    return p, _row_abs(p) > MIN_COSINE * _row_norms(x) * _row_norms(f)
 
 
 def _random_rank_one_rows(rng, count, n, field: ScalarField):
     """``count`` Gaussian rows ``(x, f)`` that meet ``MIN_COSINE``, not yet
-    normalized; each round draws every ``x``, then every ``f``."""
+    normalized, and their pairings; each round draws every ``x``, then every ``f``."""
 
     def draw(index):
         x, f = (random_matrix(rng, (index.size, n), field) for _ in range(2))
-        return (x, f), _accepted(x, f)
+        p, ok = _accepted(x, f)
+        return (x, f, p), ok
 
     return _redrawn(count, draw, "could not draw a non-degenerate rank-one pair")
 
 
 def _zero_product_rows(rng, x, f, field: ScalarField):
-    """Rows ``(y, g)`` with ``pair(y[k], f[k]) = 0``, not yet normalized:
-    ``y0`` projected along ``x``, then ``g``; a degenerate ``y`` or a pair
-    that misses ``MIN_COSINE`` is drawn again."""
+    """Rows ``(y, g)`` with ``pair(y[k], f[k]) = 0``, not yet normalized, and
+    their pairings: ``y0`` projected along ``x``, then ``g``; a degenerate ``y``
+    or a pair that misses ``MIN_COSINE`` is drawn again."""
 
     def draw(index):
         y0, g = (random_matrix(rng, (index.size, x.shape[1]), field) for _ in range(2))
         y, live = _projected(y0, f[index], x[index])
-        return (y, g), live & _accepted(y, g)
+        q, ok = _accepted(y, g)
+        return (y, g, q), live & ok
 
     return _redrawn(len(x), draw, "could not craft a zero-product partner")
 

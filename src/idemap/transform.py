@@ -58,7 +58,6 @@ from .idempotents import (
     FiniteRankIdempotent,
     RankOneIdempotent,
     _normalized_rows,
-    _rank_one_row,
     _rank_one_views,
     _require_rows,
     as_finite_rank,
@@ -68,10 +67,13 @@ from .sampling import _random_rank_one_rows, _zero_product_rows
 
 #: Pairs the samplers draw, evaluate and judge together; every per-call
 #: temporary array is of this size, whatever the sample count.  Each
-#: block pays a fixed Python cost for its draws and redraw rounds: for
-#: 500 pairs, 16 was 2-4x slower than 64 at n=3 and 1.5-2x at n=64, and
-#: 128 was no faster than 64 but took more memory.
-SAMPLE_BLOCK = 64
+#: block pays a fixed Python cost for its draws and redraw rounds, its
+#: margins, its verdicts and its witnesses.  One in-process cycle of the
+#: benchmark's ``sample`` workload (500 pairs per call, one BLAS thread,
+#: a 2-core Xeon) took 171, 154, 142 and 139 ms at blocks of 64, 128, 256
+#: and 512, with peak RSS 65.8, 67.2, 69.0 and 71.9 MB: past 256 the time
+#: gained is small and the memory keeps growing.
+SAMPLE_BLOCK = 256
 
 
 class TransformHandle:
@@ -239,7 +241,8 @@ def zero_product_partner(rng, p: RankOneIdempotent, field: ScalarField) -> RankO
     """Random ``Q = (y, g)`` with ``P @ Q = 0``, i.e. ``pair(y, p.f) = 0``:
     the one-row case of the crafted partners of
     :func:`_draw_idempotent_pairs`."""
-    return _rank_one_row(*_zero_product_rows(rng, p.x[None], p.f[None], field))
+    y, g, q = _zero_product_rows(rng, p.x[None], p.f[None], field)
+    return _rank_one_views(y / q[:, None], g)[0]
 
 
 def _product_margins(x, f):
@@ -253,14 +256,19 @@ def _product_margins(x, f):
 
 def _draw_idempotent_pairs(rng, n, field, crafted, plain):
     """Rows ``(x, f)`` of ``crafted`` zero-product pairs and then ``plain``
-    random pairs, ``P`` and ``Q`` interleaved and normalized: every ``P``
-    and plain ``Q`` first, then the crafted partners."""
-    x, f = _random_rank_one_rows(rng, crafted + 2 * plain, n, field)
-    y, g = _zero_product_rows(rng, x[:crafted], f[:crafted], field)
+    random pairs, ``P`` and ``Q`` interleaved: every ``P`` and plain ``Q``
+    first, then the crafted partners.  Each ``x`` is divided by the pairing
+    its draw accepted it with, which is what :func:`_normalized_rows` would
+    compute and accept (:func:`~idemap.sampling._accepted`)."""
+    x, f, p = _random_rank_one_rows(rng, crafted + 2 * plain, n, field)
+    y, g, q = _zero_product_rows(rng, x[:crafted], f[:crafted], field)
     size = crafted + plain
-    qx, qf = np.concatenate((y, x[size:])), np.concatenate((g, f[size:]))
-    return _normalized_rows(np.stack((x[:size], qx), axis=1).reshape(-1, n),
-                            np.stack((f[:size], qf), axis=1).reshape(-1, n))
+
+    def interleaved(first, partners):
+        rows = np.concatenate((partners, first[size:]))
+        return np.stack((first[:size], rows), axis=1).reshape(-1, *first.shape[1:])
+
+    return interleaved(x, y) / interleaved(p, q)[:, None], interleaved(f, g)
 
 
 def _sample_biconditional(n, field, sample_count, seed, draw, image,
@@ -465,8 +473,8 @@ def _probe_set(n, field, validation_count, seed) -> ProbeSet:
         x += [ax, (eye[0] + 1j * eye[1])[None]]
         f += [af, eye[:1]]
     rng = np.random.default_rng(seed)
-    vx, vf = _normalized_rows(*_random_rank_one_rows(rng, validation_count, n, field))
-    rows = _frozen(np.concatenate(x + [vx])), _frozen(np.concatenate(f + [vf]))
+    vx, vf, vp = _random_rank_one_rows(rng, validation_count, n, field)
+    rows = _frozen(np.concatenate(x + [vx / vp[:, None]])), _frozen(np.concatenate(f + [vf]))
     probes = iter(map(RankOneIdempotent._from_frozen_row, *rows))
     groups = (tuple(islice(probes, size))
               for size in (n, n - 1, 2 * phases, phases, validation_count))

@@ -14,6 +14,7 @@ from idemap.core import (
     conjugation_operator,
     identity_operator,
     kernel_and_range,
+    orthonormal_columns,
     pair,
     tensor,
     trace,
@@ -219,6 +220,15 @@ class TestKernelAndRange:
             m = rng.standard_normal((5, 5))
             ker, rng_ = kernel_and_range(m)
             assert ker.shape[1] + rng_.shape[1] == 5
+
+
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_orthonormal_columns_of_no_columns(dtype):
+    """A block with no columns spans the zero subspace: its basis is an empty
+    copy of it, of the same dtype, with no SVD to take."""
+    m = np.zeros((4, 0), dtype=dtype)
+    basis = orthonormal_columns(m)
+    assert basis.shape == (4, 0) and basis.dtype == m.dtype and basis is not m
 
 
 def test_up_to_scalar_distance():

@@ -8,6 +8,8 @@ from idemap.errors import DegeneratePair, DimensionMismatch, NotIdempotent
 from idemap.idempotents import (
     FiniteRankIdempotent,
     RankOneIdempotent,
+    _norm,
+    _pairing_tol,
     _require_rows,
     decompose,
     majorant,
@@ -177,6 +179,27 @@ class TestRankOne:
             m = p.matrix
             resid = np.linalg.norm(m @ m - m)
             assert resid <= 1e-9 * (1 + np.linalg.norm(m) ** 2)
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.complex128, np.float32, np.complex64,
+                                       np.float16, np.longdouble), ids=lambda d: d.__name__)
+    def test_pairing_norms_are_scipys(self, dtype):
+        """The norms of the pairing bound are ``scipy.linalg.norm``'s, value
+        and type, for every dtype (BLAS or numpy) and for empty, strided,
+        two-dimensional and far-out-of-range arrays."""
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal(9) + (1j * rng.standard_normal(9)
+                                      if np.issubdtype(dtype, np.complexfloating) else 0)
+        cases = [v, v[::2], v[:0], v.reshape(3, 3)]
+        if np.finfo(dtype).maxexp >= 1024:  # double or wider
+            cases += [v * 1e200, v * 1e-200]
+        for case in cases:
+            case = case.astype(dtype)
+            got, want = _norm(case), scipy.linalg.norm(case, check_finite=False)
+            assert type(got) is type(want) and got == want
+        x = v.astype(dtype)
+        assert _pairing_tol(x, 2 * x) == PAIRING_RTOL * (
+            1.0 + scipy.linalg.norm(x, check_finite=False)
+            * scipy.linalg.norm(2 * x, check_finite=False))
 
 
 class TestFiniteRank:

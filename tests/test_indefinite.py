@@ -280,7 +280,7 @@ class TestCharacterize:
     def test_identity_is_linear_symmetry(self):
         space = IndefiniteSpace(nonsa_eta(3, complex))
         ch = characterize(space, SemilinearOperator(np.eye(3, dtype=complex)))
-        assert ch.kind is SymmetryKind.LINEAR
+        assert ch.kind is SymmetryKind.LINEAR and ch.is_symmetry
         assert ch.constant == pytest.approx(1.0)
 
     def test_scaled_hyperbolic(self):
@@ -293,7 +293,7 @@ class TestCharacterize:
     def test_plain_conjugation(self):
         space = IndefiniteSpace(np.eye(3, dtype=complex))
         ch = characterize(space, conjugation_operator(3))
-        assert ch.kind is SymmetryKind.CONJUGATE
+        assert ch.kind is SymmetryKind.CONJUGATE and ch.is_symmetry
         assert ch.constant == pytest.approx(1.0)
 
     def test_generic_is_none(self):
@@ -301,7 +301,7 @@ class TestCharacterize:
         space = IndefiniteSpace(MINKOWSKI)
         ch = characterize(space, SemilinearOperator(
             random_invertible(rng, 3, ScalarField.REAL)))
-        assert ch.kind is SymmetryKind.NONE
+        assert ch.kind is SymmetryKind.NONE and not ch.is_symmetry
         assert ch.constant is None
 
     def test_dimension_mismatch(self):
@@ -417,6 +417,19 @@ class TestGenerateEtaIsometry:
             )
             assert resid <= 1e-9 * 2.0 * (1 + np.linalg.norm(space.eta))
             assert np.linalg.norm(v.matrix / np.sqrt(2.0) - np.eye(4)) > 1e-3
+
+    def test_singular_hermitian_part_starts_from_the_identity(self):
+        """``eta = I + 2 e_1 e_2^T`` is invertible, but its Hermitian part,
+        which the pencil keeps as ``H_t``, is singular: the closed form is
+        ``None``, and both the route and the correction start from the
+        identity.  The isometry still meets its certificate."""
+        eta = np.eye(3) + 2.0 * np.outer(np.eye(3)[0], np.eye(3)[1])
+        h, _, h_t, vanishes = indefinite._hermitian_pencil(eta)
+        assert not vanishes and h_t is h
+        assert indefinite._self_adjoint_projection(h) is None
+        v = generate_eta_isometry(IndefiniteSpace(eta), seed=9, scale=2.0).matrix
+        assert np.linalg.norm(v.T @ eta @ v - 2.0 * eta) <= 1e-9 * 2.0 * (1 + np.linalg.norm(eta))
+        assert np.linalg.norm(v / np.sqrt(2.0) - np.eye(3)) > 1e-3
 
     def test_scalar_multiples_stay_symmetries(self):
         rng = np.random.default_rng(10)

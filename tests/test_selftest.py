@@ -22,6 +22,17 @@ def test_all_suites_pass_at_small_budget():
         assert r.cases > 0
 
 
+def test_near_singular_hermitian_metric_is_shifted(monkeypatch):
+    """The Hermitian metric ``h = m + m*`` of a well-conditioned ``m`` can
+    be singular; ``_metric`` then returns ``h + 2 I``.  Here ``m`` is a
+    rotation block beside 1, so ``h = diag(0, 0, 2)``."""
+    m = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    monkeypatch.setattr(selftest, "random_invertible", lambda rng, n, field, max_cond: m)
+    eta, non_self_adjoint = selftest._metric(None, 3, ScalarField.COMPLEX, 3)
+    assert not non_self_adjoint
+    np.testing.assert_array_equal(eta, np.diag([2.0, 2.0, 4.0]))
+
+
 def test_zero_budget_is_vacuous():
     results = run_all(seed=5, budget=0)
     assert all(r.passed and r.cases == 0 for r in results)

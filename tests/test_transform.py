@@ -851,7 +851,8 @@ def test_validation_probes_are_one_block_draw(n, field):
     ``_random_rank_one_rows``: each meets ``MIN_COSINE`` and has pairing 1."""
     count, seed = 65, n
     probes = reconstruction_probe_set(n, field, count, seed).validation
-    x, f = _normalized_rows(*_random_rank_one_rows(np.random.default_rng(seed), count, n, field))
+    x, f = _normalized_rows(*_random_rank_one_rows(np.random.default_rng(seed), count, n,
+                                                   field)[:2])
     assert len(probes) == count
     for p, xk, fk in zip(probes, x, f):
         assert p.x.tobytes() == xk.tobytes() and p.f.tobytes() == fk.tobytes()

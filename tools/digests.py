@@ -1,4 +1,4 @@
-"""Print three SHA-256 digests of idemap's observable output, so that two
+"""Print four SHA-256 digests of idemap's observable output, so that two
 trees can be compared for a change that must not move any result:
 
     python3 tools/digests.py
@@ -12,6 +12,12 @@ trees can be compared for a change that must not move any result:
     1e200 and 1e-200: sampler reports, ``reconstruct`` and
     ``recover_inducing_operator`` results, ``extend`` and ``decompose`` rows,
     table reconstruction, and the type and message of every refusal.
+(d) ``sample``: the benchmark's ``sample`` workload, built as its worker
+    builds it at seeds 1, 2 and 770031; each operation's kind and the
+    number of violations its report holds, in build order.  Its samplers
+    draw 500 pairs per call, more than one block, where the library corpus
+    draws 60; the pairs a seed draws depend on the block size, and the
+    counts must not.
 
 idemap is imported from ``src`` and the workload from ``perfbench`` of the
 checkout the script sits in.  BLAS is pinned to one thread, as the
@@ -52,6 +58,7 @@ import idemap.cli  # noqa: E402
 from idemap.sampling import random_idempotent, random_invertible  # noqa: E402
 
 CLI_SEEDS = (1, 2, 3, 4, 5, 770031)
+SAMPLE_SEEDS = (1, 2, 770031)
 SIZES = (3, 6, 16)
 SCALES = (1.0, 1e200, 1e-200)
 FIELDS = (idemap.ScalarField.REAL, idemap.ScalarField.COMPLEX)
@@ -70,6 +77,16 @@ def cli_digest() -> str:
                     with open(path, "rb") as fh:
                         h.update(fh.read())
                     os.remove(path)
+    return h.hexdigest()
+
+
+def sample_digest() -> str:
+    import workloads
+
+    h = hashlib.sha256()
+    for seed in SAMPLE_SEEDS:
+        for op in workloads.build_sample(np.random.default_rng(seed)):
+            h.update(f"{op.kind}\0{len(op.run().violations)}\0".encode())
     return h.hexdigest()
 
 
@@ -218,6 +235,7 @@ def main():
     print(f"cli      {cli_digest()}")
     print(f"selftest {selftest_digest()}")
     print(f"library  {library_digest()}")
+    print(f"sample   {sample_digest()}")
 
 
 if __name__ == "__main__":
