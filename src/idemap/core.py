@@ -52,9 +52,11 @@ def _verdict(residual, holds_to, fails_from=None):
     two bounds, or when the residual or a bound is NaN or infinite, since an
     overflow proves nothing.  Residuals and bounds are at least 0, Python
     floats (one answer) or arrays (an answer per entry)."""
-    hi = holds_to if fails_from is None else fails_from
-    finite = (holds_to < np.inf) & (hi < np.inf) & (residual < np.inf)
-    return finite * ((residual <= holds_to) * 1 - ((residual > holds_to) & (residual >= hi)))
+    if fails_from is None:
+        return ((holds_to < np.inf) & (residual < np.inf)) * ((residual <= holds_to) * 2 - 1)
+    finite = (holds_to < np.inf) & (fails_from < np.inf) & (residual < np.inf)
+    return finite * ((residual <= holds_to) * 1
+                     - ((residual > holds_to) & (residual >= fails_from)))
 
 
 def _require_dimension(n):
@@ -301,7 +303,9 @@ class SemilinearOperator:
 
     The operator acts as ``x -> matrix @ h(x)`` and therefore satisfies
     ``A(c * x) = h(c) * A(x)``.  Composition follows the semilinear
-    calculus: ``(M1, h1) o (M2, h2) = (M1 @ h1(M2), h1 o h2)``.
+    calculus: ``(M1, h1) o (M2, h2) = (M1 @ h1(M2), h1 o h2)``.  An operator keeps only
+    ``inverse_matrix``, computed on first use and frozen; threads that race to compute it
+    each store an equal read-only array, a benign race.
 
     Parameters
     ----------

@@ -231,21 +231,22 @@ def rank_one_from_pair(x, f) -> RankOneIdempotent:
     (numerically) zero, in which case the pair spans a nilpotent rather than an idempotent.
     """
     xv, fv = _as_vector_pair(x, f, "rank-one pair")
-    return _rank_one_row(_rows_in_range(xv[None]), _rows_in_range(fv[None]))
+    return _rank_one_views(*_normalized_rows(_rows_in_range(xv[None]), _rows_in_range(fv[None])))[0]
 
 
 def _normalized_rows(x, f):
     """Rows ``x[k] / pair(x[k], f[k])`` and ``f[k]``: the normalization of
     :func:`rank_one_from_pair`, which is its one-row case.
 
-    The degeneracy rule ``|pair(x, f)| <= PAIRING_RTOL ||x|| ||f||`` must FAIL, so the
-    rounding error of the new pairing stays far below the bound of
-    :class:`RankOneIdempotent`, and the rows need no check of their own."""
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
-        raise ValueError("rank-one rows have non-finite entries")
+    The degeneracy rule ``|pair(x, f)| <= PAIRING_RTOL ||x|| ||f||`` must FAIL (which needs
+    finite norms), so the rounding error of the new pairing stays far below the bound of
+    :class:`RankOneIdempotent`, and the rows need no check of their own.  Refused rows
+    with a non-finite entry raise ``ValueError``, not :class:`DegeneratePair`."""
     p = _row_dots(x, f)
     verdicts = _verdict(_row_abs(p), PAIRING_RTOL * _row_norms(x) * _row_norms(f))
-    if (verdicts != FAILS).any():
+    if verdicts.max(initial=FAILS) != FAILS:  # a row does not FAIL
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
+            raise ValueError("rank-one rows have non-finite entries")
         k = np.argmax(verdicts != FAILS)
         raise DegeneratePair(f"pairing {p[k]!r} "
                              f"{'too close to zero' if verdicts[k] else OVERFLOWED}")
@@ -255,11 +256,6 @@ def _normalized_rows(x, f):
 def _rank_one_views(x, f):
     """Valid rows ``(x, f)`` as idempotents: views of one frozen copy."""
     return list(map(RankOneIdempotent._from_frozen_row, _frozen(x), _frozen(f)))
-
-
-def _rank_one_row(x, f):
-    """The idempotent of the one-row block ``(x, f)``, once normalized."""
-    return _rank_one_views(*_normalized_rows(x, f))[0]
 
 
 @dataclass(frozen=True)

@@ -544,7 +544,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
 
     columns = x[:n] / _row_norms(x[:n])[:, None]
     v = np.concatenate((x[n:2 * n - 1], x[first - phases:first]))
-    a, b = _fit_two_directions(columns[0], columns[list(range(1, n)) + [1] * phases], v)
+    a, b = _fit_two_directions(columns[0], np.concatenate((columns[1:], columns[1:1 + phases])), v)
     # A component is lost unless ``|component| <= ROUNDOFF_RTOL ||image||`` FAILS.
     lost = (_verdict(_row_abs(np.array([a, b])), ROUNDOFF_RTOL * _row_norms(v)) != FAILS).tolist()
     for j in range(1, n):
@@ -568,8 +568,7 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
 
     assembled = columns.T * scales
     assembled = assembled / np.linalg.norm(assembled)
-    flat_idx = int(np.argmax(np.abs(assembled)))
-    lead = assembled.flat[flat_idx]
+    lead = assembled.flat[np.argmax(np.abs(assembled))]
     assembled = assembled * (np.conj(lead) / abs(lead))
     if field is ScalarField.REAL:
         assembled = assembled.real
@@ -579,8 +578,8 @@ def reconstruct(phi: TransformHandle, validation_count=50, seed=0) -> Reconstruc
     except Exception as exc:
         raise NotInduced(f"assembled matrix unusable: {exc}", residual=None) from exc
 
-    distances = _rank_one_distances(x[first:], f[first:],
-                                    *induce(a_op)._rows(*(r[first:] for r in probes.rows)))
+    y, g = induce(a_op)._rows(probes.rows[0][first:], probes.rows[1][first:])
+    distances = _rank_one_distances(x[first:], f[first:], y, g)
     residual = float(distances.max()) if distances.size else 0.0
     verdict = _verdict(residual, RECOVERY_TOL)
     if verdict != HOLDS:
@@ -593,15 +592,16 @@ def _rank_one_distances(x, f, y, g):
     """Frobenius norms ``||x[k] (x) f[k] - y[k] (x) g[k]||`` in ``O(n)``
     memory per row.  The difference is ``X G^T`` with ``X = [x, -y]``, ``G
     = [f, g]``, so for thin QR factors ``X = Q R``, ``G = P S`` its norm is
-    ``||R S^T||``; one Gram-Schmidt step gives each 2x2 factor."""
+    ``||R S^T||``; one Gram-Schmidt step gives each 2x2 factor, and ``R`` is
+    that of ``[x, y]`` with ``r12`` negated (exactly), so ``-y`` is never formed."""
 
     def factor(u, v):
         r11 = _row_norms(u)
         r12 = _row_dots(u.conj(), v) / r11
         return r11, r12, _row_norms(v - (r12 / r11)[:, None] * u)
 
-    (a11, a12, a22), (b11, b12, b22) = factor(x, -y), factor(f, g)
-    return np.sqrt(np.abs(a11 * b11 + a12 * b12) ** 2 + np.abs(a12 * b22) ** 2
+    (a11, a12, a22), (b11, b12, b22) = factor(x, y), factor(f, g)
+    return np.sqrt(np.abs(a11 * b11 - a12 * b12) ** 2 + np.abs(a12 * b22) ** 2
                    + np.abs(a22 * b12) ** 2 + (a22 * b22) ** 2)
 
 

@@ -3,6 +3,8 @@ import gc
 import hashlib
 import importlib
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +99,17 @@ class TestArguments:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
+
+    def test_module_entry_exits_with_the_status_of_main(self, monkeypatch, capsys):
+        """``python -m idemap.cli`` and the console script run ``entry``,
+        which exits with ``main``'s status (1 for an unknown command)."""
+        monkeypatch.setattr(sys, "argv", ["idemap", "unknown"])
+        # Run as a fresh ``__main__``: a copy left in sys.modules would make runpy warn.
+        monkeypatch.delitem(sys.modules, "idemap.cli", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("idemap.cli", run_name="__main__")
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCollector:

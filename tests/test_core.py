@@ -21,6 +21,8 @@ from idemap.core import (
     up_to_scalar_distance,
 )
 from idemap.errors import DimensionMismatch, SingularOperator
+from idemap.idempotents import FiniteRankIdempotent
+from idemap.indefinite import IndefiniteSpace, Ray
 from idemap.sampling import random_semilinear, random_vector
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -273,6 +275,48 @@ def test_verdict(residual, holds_to, fails_from, answer):
     rows[0][1] = 0.0  # a residual of 0 HOLDS below any finite bound
     want = [answer, core.HOLDS if np.isfinite(args[1:]).all() else core.UNDECIDED, answer]
     assert core._verdict(*rows).tolist() == want
+
+
+def _one_expression_rule(residual, holds_to, fails_from=None):
+    """The rule of :func:`idemap.core._verdict` as one expression for both forms,
+    the reference that its two-way body (``fails_from`` None) must equal."""
+    hi = holds_to if fails_from is None else fails_from
+    finite = (holds_to < np.inf) & (hi < np.inf) & (residual < np.inf)
+    return finite * ((residual <= holds_to) * 1 - ((residual > holds_to) & (residual >= hi)))
+
+
+#: Floats where the rule turns (zeros, a tie and its neighbour, NaN, both
+#: infinities), mixed with any float.
+RULE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, float(np.nextafter(1.0, 2.0)), 100.0,
+                     np.nan, np.inf, -np.inf]),
+    st.floats())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(rows=st.lists(st.tuples(RULE_FLOATS, RULE_FLOATS, RULE_FLOATS), min_size=1, max_size=6),
+       gap=st.booleans())
+def test_verdict_is_the_one_rule(rows, gap):
+    """Both bodies of ``_verdict`` give the one-expression rule's answers and
+    types, on Python floats and on arrays, with and without ``fails_from``."""
+    for args in [*rows, tuple(map(np.array, zip(*rows)))]:
+        args = args if gap else args[:2]
+        got, want = core._verdict(*args), _one_expression_rule(*args)
+        assert type(got) is type(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tolist() == np.asarray(want).tolist()
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: SemilinearOperator(np.eye(3), AutomorphismTag.IDENTITY),
+     "SemilinearOperator(n=3, field=real, auto=id)"),
+    (lambda: conjugation_operator(4), "SemilinearOperator(n=4, field=complex, auto=conj)"),
+    (lambda: FiniteRankIdempotent(np.diag([1.0, 1.0, 0.0])), "FiniteRankIdempotent(n=3, rank=2)"),
+    (lambda: IndefiniteSpace(np.diag([1.0, 1.0, -1.0])), "IndefiniteSpace(n=3, field=real)"),
+    (lambda: Ray([1j, 0.0, 2.0]), "Ray(n=3)"),
+], ids=("operator", "conjugation", "finite-rank", "space", "ray"))
+def test_reprs_name_the_shape(make, text):
+    assert repr(make()) == text
 
 
 def test_readme_tolerance_table_lists_the_rules_of_core():

@@ -5,7 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
+import idemap.core as core
 from idemap.core import (
+    OVERFLOWED,
     RECOVERY_TOL,
     RELATION_TOL,
     AutomorphismTag,
@@ -17,6 +19,7 @@ from idemap.core import (
 )
 from idemap.errors import (
     DegenerateImage,
+    DegeneratePair,
     DegenerateProbe,
     DimensionMismatch,
     ExtensionInconsistent,
@@ -979,3 +982,84 @@ def test_row_scale_is_invisible(field, scale):
     q = transform.zero_product_partner(rng, ps, field)
     assert abs(np.vdot(q.x.conj(), p.f)) <= 1e-12 * np.linalg.norm(q.x) * np.linalg.norm(p.f)
     close(rank_one_from_pair(p.x * scale, p.f * scale), p)
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e200, 1e-200), ids=lambda s: f"{s:g}")
+@pytest.mark.parametrize("field, auto", [
+    (ScalarField.REAL, AutomorphismTag.IDENTITY),
+    (ScalarField.COMPLEX, AutomorphismTag.IDENTITY),
+    (ScalarField.COMPLEX, AutomorphismTag.CONJUGATION),
+], ids=("real", "complex-id", "complex-conj"))
+def test_two_handles_of_one_operator_map_rows_alike(field, auto, scale):
+    """Two handles of one operator map rows bit for bit alike, and as a fresh
+    ``inv(M^T)`` of the matrix at its safe scale does.  The operator keeps only
+    its ``inverse_matrix``, which is read-only and cannot be reassigned."""
+    op = SemilinearOperator(scale * random_invertible(np.random.default_rng(41), 4, field), auto)
+    x, f = reconstruction_probe_set(4, field, 8, 3).rows
+    images = [induce(op)._rows(x, f) for _ in range(2)]
+    safe = core._in_range(op.matrix)
+    want = _normalized_rows(core._row_matvec(safe, auto.apply(x)),
+                            core._row_matvec(np.linalg.inv(safe.T), auto.apply(f)))
+    assert [[side.tobytes() for side in rows] for rows in images] == [
+        [side.tobytes() for side in want]] * 2
+    assert not op.inverse_matrix.flags.writeable
+    with pytest.raises(AttributeError):
+        op.inverse_matrix = np.eye(4)
+
+
+#: Rows refused by the rows rule (``idempotents._normalized_rows``): a zero
+#: pairing, and a pairing of 1 whose bound overflows at this scale (``||x||`` is inf).
+ZERO_PAIRING = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+OVERFLOWING = ([1e200, 1e200, 0.0], [1e-200, 0.0, 0.0])
+
+
+def _block(*pairs):
+    return tuple(np.array(side) for side in zip(*pairs))
+
+
+def test_the_rows_rule_refuses_non_finite_rows_first():
+    """Rows with a non-finite entry raise a plain ``ValueError`` that names them,
+    ahead of any degenerate row; otherwise the first row whose pairing does not
+    FAIL the degeneracy test raises ``DegeneratePair``, which says why."""
+    blocks = ((ZERO_PAIRING, OVERFLOWING, ([1.0, np.nan, 0.0], [1.0, 0.0, 0.0])),
+              (ZERO_PAIRING, OVERFLOWING), (OVERFLOWING, ZERO_PAIRING))
+    refusals = []
+    for rows in blocks:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            _normalized_rows(*_block(*rows))
+        refusals.append(info.value)
+    assert [type(r) for r in refusals] == [ValueError, DegeneratePair, DegeneratePair]
+    assert "non-finite entries" in str(refusals[0])
+    assert "too close to zero" in str(refusals[1])
+    assert OVERFLOWED in str(refusals[2])
+
+
+#: The entries that normalize rows, each called with one row pair: the pair
+#: itself, or the image pair of a ray pair or of an induced map.
+DENSE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+ROW_ENTRIES = {
+    "rank_one_from_pair": rank_one_from_pair,
+    "from_ray_pair": lambda x, f: from_ray_pair(
+        RayPair(lambda v: np.array(x), lambda v: np.array(f)), 3, ScalarField.REAL,
+    )(rank_one_from_pair([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])),
+    "induce": lambda x, f: induce(SemilinearOperator(DENSE))._rows(*_block((x, f))),
+}
+
+
+@pytest.mark.parametrize("entry", ROW_ENTRIES)
+def test_refusal_order_at_the_entries(entry):
+    """Through each entry: an inf or NaN entry raises a plain ``ValueError``
+    naming non-finite entries; a zero pairing raises ``DegeneratePair`` (as the
+    cause of a ``DegenerateImage`` for the lifted maps).  Rows whose pairing
+    bound overflows at their own scale are read again at the safe scale, so an
+    overflow (``OVERFLOWED``, above) is never an entry's last word."""
+    call = ROW_ENTRIES[entry]
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite entries") as info:
+            call([bad, 1.0, 0.0], [1.0, 0.0, 0.0])
+        assert type(info.value) is ValueError
+    with pytest.raises((DegeneratePair, DegenerateImage)) as info:
+        call(*ZERO_PAIRING)
+    zero = info.value if entry == "rank_one_from_pair" else info.value.__cause__
+    assert type(zero) is DegeneratePair and "too close to zero" in str(zero)
+    call(*OVERFLOWING)

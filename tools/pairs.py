@@ -1,0 +1,129 @@
+"""Run the benchmark in two checkouts, in alternating pairs, and print the
+``results`` block of a ``BENCH_*.json`` file:
+
+    python3 tools/pairs.py --parent DIR --change DIR --workload recover \
+        --seeds 1-10 [--workload sample --seeds 1,2] [--seconds 20]
+
+For each workload, in the order given, and each of its seeds, the tool runs
+``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` once
+in each checkout (the working directory of each run), one run at a time.  The
+parent runs first at the 1st, 3rd, ... seed of each workload and second at
+the others.  A ``--seeds`` option applies to the ``--workload`` before it;
+seeds are a comma-separated list of integers and ``A-B`` ranges.
+
+The block is one JSON object on standard output, keyed by workload.  Each
+entry holds per seed ``[parent, change]`` for ``failed`` and ``attempted``;
+``correct``, true when every run of both sides was; and, for each end-to-end
+metric, the per-pair values, each side's median and quartiles (the
+inclusive method of ``statistics.quantiles``), ``change_over_parent`` (the
+relative difference of the medians) and ``change_wins``: the pairs in which
+the change is better, in the direction ``BENCHMARK.json`` gives, ties
+counting for neither side.  Progress goes to standard error.
+
+Only the standard library is used.  A run that exits nonzero stops the tool
+with its standard error and exit status.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _seeds(text):
+    """``"1-3,7"`` as ``[1, 2, 3, 7]``."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def _run(tree, workload, seed, seconds):
+    """The last line of one benchmark run in ``tree``, as a dict."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(proc.returncode)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summarize(runs, better):
+    """The results entry of one workload from ``runs``, a dict of seed to
+    ``(parent, change)`` run reports, and ``better``, a dict of metric name
+    to ``"higher"`` or ``"lower"``."""
+    out = {
+        "failed": {str(s): [side["failed"] for side in pair] for s, pair in runs.items()},
+        "attempted": {str(s): [side["attempted"] for side in pair] for s, pair in runs.items()},
+        "correct": all(side["correct"] for pair in runs.values() for side in pair),
+    }
+    for name, direction in better.items():
+        pairs = {str(s): [round(side["metrics"][name]["value"], 4) for side in pair]
+                 for s, pair in runs.items()}
+        parent, change = zip(*pairs.values())
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        mid_p, mid_c = statistics.median(parent), statistics.median(change)
+        out[name] = {
+            "parent_median": round(mid_p, 4),
+            "change_median": round(mid_c, 4),
+            "change_over_parent": round(mid_c / mid_p - 1, 4) if mid_p else None,
+            "change_wins": f"{wins}/{len(pairs)}",
+            "pairs": pairs,
+            "parent_quartiles": _quartiles(parent),
+            "change_quartiles": _quartiles(change),
+        }
+    return out
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q[0], 4), round(q[2], 4)]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="benchmark pairs of two checkouts")
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", action="append", type=_seeds, required=True,
+                        help="seeds of the workload before it, e.g. 1-10 or 770031")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    args = parser.parse_args(argv)
+    if len(args.seeds) != len(args.workload):
+        parser.error("give one --seeds for each --workload")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    results = {}
+    for workload, seeds in zip(args.workload, args.seeds):
+        runs = {}
+        for i, seed in enumerate(seeds):
+            sides = {}
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                sides[side] = _run(getattr(args, side), workload, seed, args.seconds)
+                value = sides[side]["metrics"]["good_per_s"]["value"]
+                print(f"{workload} seed {seed} {side}: good_per_s {value:.4g}",
+                      file=sys.stderr, flush=True)
+            runs[seed] = (sides["parent"], sides["change"])
+        # A workload given twice (say, at a hold-out seed) keeps both entries.
+        key = workload if workload not in results else \
+            f"{workload} seeds {','.join(map(str, seeds))}"
+        results[key] = summarize(runs, better)
+    print(json.dumps(results, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
