@@ -303,9 +303,8 @@ class SemilinearOperator:
 
     The operator acts as ``x -> matrix @ h(x)`` and therefore satisfies
     ``A(c * x) = h(c) * A(x)``.  Composition follows the semilinear
-    calculus: ``(M1, h1) o (M2, h2) = (M1 @ h1(M2), h1 o h2)``.  An operator keeps only
-    ``inverse_matrix``, computed on first use and frozen; threads that race to compute it
-    each store an equal read-only array, a benign race.
+    calculus: ``(M1, h1) o (M2, h2) = (M1 @ h1(M2), h1 o h2)``.  An operator stores only
+    its frozen matrix and its tag, and never changes after construction.
 
     Parameters
     ----------
@@ -324,7 +323,6 @@ class SemilinearOperator:
         _require_invertible(m, "operator")
         self._matrix = _frozen(m, dtype=dtype)
         self._auto = auto
-        self._inv = None
 
     @classmethod
     def _from_checked(cls, matrix, auto: AutomorphismTag):
@@ -335,7 +333,6 @@ class SemilinearOperator:
         op = object.__new__(cls)
         op._matrix = _frozen(matrix)
         op._auto = auto
-        op._inv = None
         return op
 
     @property
@@ -356,10 +353,7 @@ class SemilinearOperator:
 
     @property
     def inverse_matrix(self):
-        if self._inv is None:
-            inv = np.linalg.inv(self._matrix)
-            self._inv = _frozen(inv)
-        return self._inv
+        return _frozen(np.linalg.inv(self._matrix))
 
     def __call__(self, x):
         xv = _as_vector(x, "x")

@@ -272,7 +272,7 @@ def is_symmetry(space: IndefiniteSpace, t: RayMap, sample_count=500, seed=0) -> 
     raises ``ValueError``; zero gives a vacuous report.
     """
     return _sample_biconditional(
-        space.n, space.field, sample_count, seed,
+        sample_count, seed,
         draw=lambda rng, crafted, plain: _draw_ray_pairs(rng, space, crafted, plain),
         image=t._rows,
         margins=lambda v: _orthogonality_margins(space._safe_eta, v[0::2], v[1::2]))

@@ -193,6 +193,24 @@ class TestSemilinearOperator:
         assert composite.auto is AutomorphismTag.IDENTITY
         np.testing.assert_allclose(composite.matrix, np.eye(4), atol=1e-10)
 
+    @pytest.mark.parametrize("auto", list(AutomorphismTag), ids=lambda a: a.value)
+    def test_an_operator_stores_only_its_matrix_and_tag(self, auto):
+        """Reading the inverse changes nothing on the operator: ``inverse_matrix``
+        is ``inv(matrix)`` bit for bit on every access, read-only and not assignable."""
+        op = random_semilinear(np.random.default_rng(6), 4, ScalarField.COMPLEX, auto=auto)
+        before = dict(vars(op))
+        assert set(before) == {"_matrix", "_auto"}
+        want = np.linalg.inv(op.matrix).tobytes()
+        for _ in range(2):
+            inv = op.inverse_matrix
+            assert inv.tobytes() == want
+            assert not inv.flags.writeable
+        op.inverse()
+        op.conjugate(np.eye(4))
+        assert vars(op) == before
+        with pytest.raises(AttributeError):
+            op.inverse_matrix = np.eye(4)
+
 
 class TestKernelAndRange:
     def test_zero_matrix(self):

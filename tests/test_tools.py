@@ -23,12 +23,32 @@ def test_pairs_summary_rebuilds_a_committed_results_block():
     block = json.loads((ROOT / "BENCH_sample_block.json").read_text())["results"]["sample"]
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    runs = {int(seed): tuple({"failed": block["failed"][seed][side],
-                              "attempted": block["attempted"][seed][side],
-                              "correct": True,
-                              "metrics": {name: {"value": block[name]["pairs"][seed][side]}
-                                          for name in better}}
-                             for side in (0, 1))
-            for seed in block["failed"]}
+    runs = [(int(seed), tuple({"failed": block["failed"][seed][side],
+                               "attempted": block["attempted"][seed][side],
+                               "correct": True,
+                               "metrics": {name: {"value": block[name]["pairs"][seed][side]}
+                                           for name in better}}
+                              for side in (0, 1)))
+            for seed in block["failed"]]
     assert pairs.summarize(runs, better) == block
     assert pairs._seeds("1-3,7") == [1, 2, 3, 7]
+
+
+def test_a_repeated_seed_is_two_pairs_run_in_both_orders(monkeypatch, capsys):
+    """``--seeds 7,7`` runs two pairs, the parent first in one and second in
+    the other, and reports both, the second under the key ``"7 #2"``."""
+    pairs = _load_pairs()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run(tree, workload, seed, seconds):
+        calls.append((tree, seed))
+        return {"failed": 0, "attempted": 1, "correct": True,
+                "metrics": {name: {"value": float(len(calls))} for name in names}}
+
+    monkeypatch.setattr(pairs, "_run", run)
+    assert pairs.main(["--parent", "P", "--change", "C", "--workload", "sample",
+                       "--seeds", "7,7", "--seconds", "1"]) == 0
+    assert calls == [("P", 7), ("C", 7), ("C", 7), ("P", 7)]
+    result = json.loads(capsys.readouterr().out)["sample"]
+    assert result["good_per_s"]["pairs"] == {"7": [1.0, 2.0], "7 #2": [4.0, 3.0]}

@@ -7,12 +7,14 @@
 For each workload, in the order given, and each of its seeds, the tool runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` once
 in each checkout (the working directory of each run), one run at a time.  The
-parent runs first at the 1st, 3rd, ... seed of each workload and second at
+parent runs first in the 1st, 3rd, ... pair of each workload and second in
 the others.  A ``--seeds`` option applies to the ``--workload`` before it;
-seeds are a comma-separated list of integers and ``A-B`` ranges.
+seeds are a comma-separated list of integers and ``A-B`` ranges, and a seed
+given twice is run as two pairs, one in each order.
 
 The block is one JSON object on standard output, keyed by workload.  Each
-entry holds per seed ``[parent, change]`` for ``failed`` and ``attempted``;
+entry holds per pair ``[parent, change]`` for ``failed`` and ``attempted``,
+keyed by the seed (``"S #2"``, ``"S #3"``, ... for a seed's later pairs);
 ``correct``, true when every run of both sides was; and, for each end-to-end
 metric, the per-pair values, each side's median and quartiles (the
 inclusive method of ``statistics.quantiles``), ``change_over_parent`` (the
@@ -56,18 +58,27 @@ def _run(tree, workload, seed, seconds):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _keys(seeds):
+    """The key of each pair: its seed, and ``"S #k"`` for the k-th pair of seed ``S``."""
+    seen = {}
+    for s in seeds:
+        seen[s] = seen.get(s, 0) + 1
+        yield str(s) if seen[s] == 1 else f"{s} #{seen[s]}"
+
+
 def summarize(runs, better):
-    """The results entry of one workload from ``runs``, a dict of seed to
-    ``(parent, change)`` run reports, and ``better``, a dict of metric name
-    to ``"higher"`` or ``"lower"``."""
+    """The results entry of one workload from ``runs``, a list of
+    ``(seed, (parent, change))`` run reports in pair order, and ``better``, a
+    dict of metric name to ``"higher"`` or ``"lower"``."""
+    runs = dict(zip(_keys(s for s, _ in runs), (pair for _, pair in runs)))
     out = {
-        "failed": {str(s): [side["failed"] for side in pair] for s, pair in runs.items()},
-        "attempted": {str(s): [side["attempted"] for side in pair] for s, pair in runs.items()},
+        "failed": {k: [side["failed"] for side in pair] for k, pair in runs.items()},
+        "attempted": {k: [side["attempted"] for side in pair] for k, pair in runs.items()},
         "correct": all(side["correct"] for pair in runs.values() for side in pair),
     }
     for name, direction in better.items():
-        pairs = {str(s): [round(side["metrics"][name]["value"], 4) for side in pair]
-                 for s, pair in runs.items()}
+        pairs = {k: [round(side["metrics"][name]["value"], 4) for side in pair]
+                 for k, pair in runs.items()}
         parent, change = zip(*pairs.values())
         sign = 1 if direction == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -107,7 +118,7 @@ def main(argv=None):
 
     results = {}
     for workload, seeds in zip(args.workload, args.seeds):
-        runs = {}
+        runs = []
         for i, seed in enumerate(seeds):
             sides = {}
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -116,7 +127,7 @@ def main(argv=None):
                 value = sides[side]["metrics"]["good_per_s"]["value"]
                 print(f"{workload} seed {seed} {side}: good_per_s {value:.4g}",
                       file=sys.stderr, flush=True)
-            runs[seed] = (sides["parent"], sides["change"])
+            runs.append((seed, (sides["parent"], sides["change"])))
         # A workload given twice (say, at a hold-out seed) keeps both entries.
         key = workload if workload not in results else \
             f"{workload} seeds {','.join(map(str, seeds))}"
