@@ -8,7 +8,6 @@ A rank-one idempotent is stored as a normalized pair ``(x, f)`` with
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,10 @@ class RankOneIdempotent:
         if xv.ndim == 1:
             fv = _as_array(f)
             if fv.shape == xv.shape and _accepts_pair(xv, fv):
-                self._x = _frozen(xv)
-                self._f = _frozen(fv)
+                # One plain copy of each side, made read-only.
+                self._x, self._f = xv.copy(), fv.copy()
+                self._x.setflags(write=False)
+                self._f.setflags(write=False)
                 return
         # Refused: the checks of ``_as_vector_pair``, and last the pairing.
         xv, fv = _as_vector_pair(x, f, "rank-one pair")
@@ -98,11 +99,16 @@ class RankOneIdempotent:
 
 
 def _accepts_pair(x, f):
-    """The rule of :class:`RankOneIdempotent` for 1-d ``x`` and ``f`` of one
-    shape: ``|pair(x, f) - 1| <= _pairing_tol(x, f)`` HOLDS.  An inf or NaN entry makes a
-    norm or the pairing (``np.vdot(x.conj(), f)``, bit-identical to ``np.dot``, which warns
-    on overflow) non-finite, so an accepted pair is finite without a check of its own."""
-    return _verdict(float(abs(np.vdot(x.conj(), f) - 1.0)), _pairing_tol(x, f)) == HOLDS
+    """The rule of :class:`RankOneIdempotent` for 1-d ``x`` and ``f`` of one shape:
+    ``|pair(x, f) - 1| <= _pairing_tol(x, f)`` HOLDS, each norm read from ``_NORMS``
+    directly.  Empty rows pair to 0, so they FAIL before any norm.  An inf or NaN entry
+    makes a norm or the pairing (``np.vdot(x.conj(), f)``, bit-identical to ``np.dot``,
+    which warns on overflow) non-finite, so an accepted pair is finite without a check
+    of its own."""
+    if not x.size:
+        return False
+    tol = PAIRING_RTOL * (1.0 + _NORMS[x.dtype.char](x) * _NORMS[f.dtype.char](f))
+    return _verdict(float(abs(np.vdot(x.conj(), f) - 1.0)), tol) == HOLDS
 
 
 def _accepts_rows(x, f):
@@ -132,17 +138,18 @@ def _pairing_tol(x, f):
     return PAIRING_RTOL * (1.0 + _norm(x) * _norm(f))
 
 
+#: The norm ``scipy.linalg.norm(v, check_finite=False)`` takes of a nonempty 1-d ``v``,
+#: per dtype char: the BLAS ``nrm2`` for single and double precision, numpy's otherwise.
+_NORMS = {c: scipy.linalg.get_blas_funcs("nrm2", dtype=np.dtype(c), ilp64="preferred")
+          if c in "fdFD" else np.linalg.norm for c in np.typecodes["AllFloat"]}
+
+
 def _norm(v):
-    """``scipy.linalg.norm(v, check_finite=False)`` of an array: the BLAS ``nrm2`` it
-    calls for a nonempty 1-d float or complex ``v``, looked up once per dtype."""
-    if v.size and v.ndim == 1 and v.dtype.char in "fdFD":
-        return _nrm2(v.dtype.char)(v)
+    """``scipy.linalg.norm(v, check_finite=False)`` of a float or complex array,
+    through ``_NORMS`` when ``v`` is nonempty and 1-d."""
+    if v.size and v.ndim == 1:
+        return _NORMS[v.dtype.char](v)
     return scipy.linalg.norm(v, check_finite=False)
-
-
-@functools.cache
-def _nrm2(char):
-    return scipy.linalg.get_blas_funcs("nrm2", dtype=np.dtype(char), ilp64="preferred")
 
 
 class FiniteRankIdempotent:
@@ -201,8 +208,7 @@ def _require_rows(x, f):
     (1 + ||X|| ||F||)`` HOLDS, in BLAS norms, which cannot overflow (1e200 by 1e-200 is 1)."""
     with np.errstate(over="ignore", invalid="ignore"):
         resid = float(np.linalg.norm(f @ x.T - np.eye(len(x))))
-    scale = (scipy.linalg.norm(np.ravel(x), check_finite=False)
-             * scipy.linalg.norm(np.ravel(f), check_finite=False))
+    scale = _norm(np.ravel(x)) * _norm(np.ravel(f))
     verdict = _verdict(resid, IDENTITY_RTOL * (1.0 + scale))
     if verdict != HOLDS:
         raise NotIdempotent(f"||F X^T - I|| = {resid:.3e} "

@@ -49,6 +49,7 @@ from .core import (
     up_to_scalar_distance,
 )
 from .errors import DimensionMismatch
+from .idempotents import _NORMS
 from .sampling import _eta_orthogonal_rows, random_matrix
 from .transform import (
     ReconstructionResult,
@@ -101,11 +102,13 @@ class Ray:
 
     def __init__(self, representative):
         v = _as_array(representative)
-        # A finite, positive squared norm proves the entries finite and
-        # not all zero; any other vector gets the full check and its error.
-        if not (v.ndim == 1 and 0 < np.vdot(v, v).real < np.inf):
+        # A finite, positive norm proves the entries finite and not all zero
+        # (BLAS nrm2 scales, so it neither overflows nor underflows at 1e+-200);
+        # any other vector gets the full check and its error.
+        if not (v.ndim == 1 and v.size and 0 < _NORMS[v.dtype.char](v) < np.inf):
             v = _ray_rows(_as_vector(v, "representative")[None])[0]
-        self._rep = _frozen(v)
+        self._rep = v.copy()
+        self._rep.setflags(write=False)
 
     @classmethod
     def _from_frozen(cls, v):
@@ -161,10 +164,11 @@ class RayMap:
             out = eval_fn(Ray._from_frozen(xk))
             if not isinstance(out, Ray):
                 raise TypeError("ray map returned a non-ray object")
-            if out.n != xk.shape[0]:
+            v = out._rep
+            if v.shape != xk.shape:
                 raise DimensionMismatch(
-                    f"ray map changed the dimension from {xk.shape[0]} to {out.n}")
-            return out.representative
+                    f"ray map changed the dimension from {xk.shape[0]} to {v.shape[0]}")
+            return v
 
         object.__setattr__(self, "_rows", lambda x: _rows_in_range(np.array(_per_row(image, x))))
 
@@ -180,7 +184,9 @@ def _ray_rows(v):
 
 def induced_ray_map(u: SemilinearOperator) -> RayMap:
     """The ray map ``x -> u(x)``, evaluated natively on rows with ``u`` at a
-    safe scale; its ``eval`` is the one-row case and keeps the errors of ``u(x)``."""
+    safe scale; its ``eval`` is the one-row case and keeps the errors of ``u(x)``.
+    A ray does not depend on its scale, so rows whose images overflow are
+    mapped again at their safe scale (:func:`~idemap.core._rows_in_range`)."""
     matrix, auto = _in_range(u.matrix), u.auto
 
     def rows(x):
@@ -188,8 +194,12 @@ def induced_ray_map(u: SemilinearOperator) -> RayMap:
             raise DimensionMismatch(
                 f"operator of dimension {u.n} applied to "
                 f"{'vector' if len(x) == 1 else 'vectors'} of dimension {x.shape[1]}")
-        images = _as_matrix(_row_matvec(matrix, auto.apply(x)), "representative", square=False)
-        return _ray_rows(images)
+        try:
+            with np.errstate(over="raise"):
+                images = _row_matvec(matrix, auto.apply(x))
+        except FloatingPointError:
+            images = _row_matvec(matrix, auto.apply(_rows_in_range(x)))
+        return _ray_rows(_as_matrix(images, "representative", square=False))
 
     t = RayMap(lambda ray: Ray._from_frozen(_frozen(rows(ray.representative[None])[0])))
     object.__setattr__(t, "_rows", rows)

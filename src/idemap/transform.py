@@ -83,16 +83,17 @@ class TransformHandle:
     ``_eval``, looked up at each call; ``phi(p)`` is the one-row case.  A
     wrapped callable is called once per row, in row order, on an idempotent
     whose rows are read-only (:func:`_per_row`), and must return a
-    :class:`RankOneIdempotent` of the same dimension; its images are read at
-    a safe scale (:func:`_balanced`).  Evaluation is pure, so concurrent calls are safe.
+    :class:`RankOneIdempotent` of the same dimension, checked as it returns
+    (:func:`_rows_of`); its images are read at a safe scale (:func:`_balanced`).
+    Evaluation is pure, so concurrent calls are safe.
     """
 
     def __init__(self, eval_fn: Callable[[RankOneIdempotent], RankOneIdempotent],
                  n: int, field: ScalarField):
         def rows(x, f):
             view = RankOneIdempotent._from_frozen_row
-            images = _per_row(lambda xk, fk: eval_fn(view(xk, fk)), x, f)
-            return _balanced(*_stack(images, n, "image"))
+            images = _per_row(lambda xk, fk: _rows_of(eval_fn(view(xk, fk)), n, "image"), x, f)
+            return _balanced(*_block(images, n))
         _require_dimension(n)
         self._eval = rows
         self._n = n
@@ -126,17 +127,24 @@ def _per_row(call, *blocks):
 
 
 def _stack(ps, n, role):
-    """Rows ``(x, f)`` of ``ps``, each checked to be a
-    :class:`RankOneIdempotent` of dimension ``n``."""
-    ps = list(ps)
-    for p in ps:
-        if not isinstance(p, RankOneIdempotent):
-            raise TypeError(f"{role} is not a RankOneIdempotent")
-        if p.n != n:
-            raise DimensionMismatch(f"handle dimension {n}, {role} dimension {p.n}")
-    shape = (len(ps), n)
-    return (np.array([p.x for p in ps]).reshape(shape),
-            np.array([p.f for p in ps]).reshape(shape))
+    """Rows ``(x, f)`` of ``ps``, each checked by :func:`_rows_of`."""
+    return _block([_rows_of(p, n, role) for p in ps], n)
+
+
+def _rows_of(p, n, role):
+    """The rows ``(x, f)`` of ``p``, checked to be a :class:`RankOneIdempotent`
+    of dimension ``n``; ``role`` names ``p`` in the error."""
+    if not isinstance(p, RankOneIdempotent):
+        raise TypeError(f"{role} is not a RankOneIdempotent")
+    if p._x.shape[0] != n:
+        raise DimensionMismatch(f"handle dimension {n}, {role} dimension {p._x.shape[0]}")
+    return p._x, p._f
+
+
+def _block(rows, n):
+    """The ``m x n`` blocks ``(x, f)`` of a list of ``m`` row pairs."""
+    xs, fs = zip(*rows) if rows else ((), ())
+    return np.array(xs).reshape(len(rows), n), np.array(fs).reshape(len(rows), n)
 
 
 @dataclass(frozen=True)
@@ -304,8 +312,8 @@ def _sample_biconditional(sample_count, seed, draw, image, margins) -> SampleRep
             pick = (2 * pairs[:, None] + [0, 1]).ravel()
             w = (_rank_one_views(rows[0][pick], rows[1][pick]) if isinstance(rows, tuple)
                  else _frozen(rows[pick]))
-            violations.extend(Violation(w[2 * j], w[2 * j + 1], float(pre[k]), float(post[k]))
-                              for j, k in enumerate(pairs))
+            violations.extend(map(Violation, w[0::2], w[1::2], pre[pairs].tolist(),
+                                  post[pairs].tolist()))
     return SampleReport(tuple(violations), sample_count)
 
 

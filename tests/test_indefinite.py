@@ -801,3 +801,26 @@ def test_space_validation():
         IndefiniteSpace(np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         IndefiniteSpace(np.eye(2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field, auto", [
+    (ScalarField.REAL, AutomorphismTag.IDENTITY),
+    (ScalarField.COMPLEX, AutomorphismTag.IDENTITY),
+    (ScalarField.COMPLEX, AutomorphismTag.CONJUGATION),
+], ids=("real", "complex-id", "complex-conj"))
+def test_a_ray_near_the_float_maximum_is_mapped(field, auto):
+    """Representatives peaking at 0.9e308, where the operator's products
+    overflow, map to the rays of their scale-1 rows: as a block of rows and
+    by the one-row ``eval``."""
+    rng = np.random.default_rng(1)
+    u = SemilinearOperator(random_invertible(rng, 6, field), auto)
+    t = induced_ray_map(u)
+    x = random_matrix(rng, (4, 6), field)
+    x = 0.9 * x / np.abs(x).max(axis=1, keepdims=True)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        auto.apply(x * 1e308) @ u.matrix.T
+    want = t._rows(x)
+    for got in (t._rows(x * 1e308), [t.eval(Ray(row * 1e308)).representative for row in x]):
+        for g, w in zip(got, want):
+            assert rays_equal(Ray(g), Ray(w))

@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from idemap.core import AutomorphismTag, ScalarField, SemilinearOperator
-from idemap.errors import DegenerateImage, DegeneratePair, DimensionMismatch, NotInduced
+from idemap.errors import DegenerateImage, DegeneratePair, DimensionMismatch, NotIdempotent, \
+    NotInduced
 from idemap.idempotents import RankOneIdempotent, _normalized_rows, rank_one_from_pair
 from idemap.indefinite import (
     IndefiniteSpace,
@@ -349,6 +350,75 @@ def test_complex_draw_is_two_real_draws(shape):
                          np.random.default_rng(seed).standard_normal(shape))
 
 
+_INF, _NAN = np.inf, np.nan
+
+
+@pytest.mark.parametrize("x, f, refusal", [
+    ([1, 0, 0], [1, 0, 0], None),
+    ([True, False, False], [True, True, False], None),
+    (np.array([1e200, 0, 0]), np.array([1e-200, 0, 0]), None),
+    (np.array([1e-200, 1, 0]), np.array([1e200, 0, 0]), None),
+    (np.array([1, 0, 0], np.float32), np.array([1, 0, 0], np.float32), None),
+    (np.array([1, 0, 0], np.float16), np.array([1, 0, 0], np.float16), None),
+    (np.array([1, 0, 0], np.longdouble), np.array([1, 0, 0], np.clongdouble), None),
+    (np.array([1j, 0, 0]), np.array([-1j, 0, 0]), None),
+    ([2, 0, 0], [1, 0, 0], (NotIdempotent, "pairing is np.float64(2.0), expected 1 within "
+                                           "3.000e-10")),
+    ([1e200, 0, 1], [1e-200, 1e200, 0], (NotIdempotent, "pairing is np.float64(1.0), "
+                                                        "undecided: the arithmetic overflowed")),
+    ([0.0, 0, 0], [1.0, 0, 0], (NotIdempotent, "pairing is np.float64(0.0), expected 1 within "
+                                               "1.000e-10")),
+    ([], [], (NotIdempotent, "pairing is np.float64(0.0), expected 1 within 1.000e-10")),
+    ([_INF, 0, 0], [1.0, 0, 0], (ValueError, "x has non-finite entries")),
+    ([1.0, 0, 0], [_NAN, 0, 0], (ValueError, "f has non-finite entries")),
+    ([1.0, 0, 0], [1.0, 0, -_INF], (ValueError, "f has non-finite entries")),
+    ([[1.0, 0, 0]], [[1.0, 0, 0]], (DimensionMismatch, "x must be 1-d, got shape (1, 3)")),
+    ([1.0, 0, 0], [1.0, 0], (DimensionMismatch, "rank-one pair: shapes (3,) vs (2,)")),
+], ids=str)
+def test_rank_one_edges_keep_their_rows_and_messages(x, f, refusal):
+    """At int and bool input, 1e+-200, other dtypes, a zero or empty row, inf,
+    NaN, 2-d input and mismatched shapes, ``RankOneIdempotent`` keeps the input
+    rows (as float or complex, read-only, in memory of their own) or refuses
+    them with the type and message the rule has always given."""
+    if refusal:
+        assert raised(RankOneIdempotent, x, f) == refusal
+        return
+    p = RankOneIdempotent(x, f)
+    for got, given in ((p.x, x), (p.f, f)):
+        want = np.asarray(given)
+        want = want if want.dtype.kind in "fc" else want.astype(float)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable and not np.shares_memory(got, given)
+
+
+@pytest.mark.parametrize("v, refusal", [
+    ([1, 0, 0], None),
+    ([1e200, 1e200, 0], None),
+    ([1e308, 1e308, 1e308], None),
+    ([1e-200, 0, 0], None),
+    ([5e-324, 0, 0], None),
+    (np.array([1, 0, 0], np.float16), None),
+    (np.array([1j, 0, 0], np.complex64), None),
+    ([0.0, 0, 0], (ValueError, "a ray needs a nonzero representative")),
+    ([], (ValueError, "a ray needs a nonzero representative")),
+    ([_INF, 0, 0], (ValueError, "representative has non-finite entries")),
+    ([0, _NAN, 0], (ValueError, "representative has non-finite entries")),
+    ([complex(0, _INF), 0, 0], (ValueError, "representative has non-finite entries")),
+    ([[1.0, 0, 0]], (DimensionMismatch, "representative must be 1-d, got shape (1, 3)")),
+    (1.0, (DimensionMismatch, "representative must be 1-d, got shape ()")),
+], ids=str)
+def test_ray_edges_keep_their_representative_and_messages(v, refusal):
+    """The same edges for ``Ray``: a finite, nonzero 1-d representative is kept
+    at any scale, a subnormal one too; anything else is refused as before."""
+    if refusal:
+        assert raised(Ray, v) == refusal
+        return
+    got, want = Ray(v).representative, np.asarray(v)
+    want = want if want.dtype.kind in "fc" else want.astype(float)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not got.flags.writeable and not np.shares_memory(got, v)
+
+
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("field", (ScalarField.REAL, ScalarField.COMPLEX),
                          ids=("real", "complex"))
@@ -479,14 +549,13 @@ def test_degenerate_pair_raises_like_the_rows(x, f):
 
 def test_invalid_ray_raises_like_the_rows():
     """A zero representative fails the row rule with ``Ray``'s error, and
-    an induced ray map's rows refuse an overflowing image with the error
+    an induced ray map's rows refuse a non-finite image with the error
     ``Ray`` gives a non-finite representative."""
     zero = raised(Ray, np.zeros(3))
     assert zero[0] is ValueError
     assert raised(_ray_rows, np.zeros((2, 3))) == zero
-    overflowing = induced_ray_map(SemilinearOperator(np.eye(3) + np.ones((3, 3))))
-    with np.errstate(over="ignore"):
-        assert raised(overflowing._rows, np.full((2, 3), 1e308)) == raised(Ray, [np.inf, 0, 0])
+    t = induced_ray_map(SemilinearOperator(np.eye(3) + np.ones((3, 3))))
+    assert raised(t._rows, np.full((2, 3), np.inf)) == raised(Ray, [np.inf, 0, 0])
 
 
 # -- native and black-box handles -------------------------------------------

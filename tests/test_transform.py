@@ -654,6 +654,27 @@ class TestBlackBoxBoundary:
         for got, row in zip(calls, want):
             np.testing.assert_array_equal(got, row)
 
+    @pytest.mark.parametrize("bad, error, text", [
+        (lambda p: p.x, TypeError, "image is not a RankOneIdempotent"),
+        (lambda p: RankOneIdempotent(np.ones(4) / 4, np.ones(4)), DimensionMismatch,
+         "handle dimension 3, image dimension 4"),
+    ], ids=("not-an-idempotent", "dimension"))
+    def test_an_invalid_image_raises_as_it_returns(self, bad, error, text):
+        """The k-th image is checked before the black box sees row k + 1: it
+        raises the typed error of the boundary, and no later row is mapped."""
+        x, f = reconstruction_probe_set(3, ScalarField.REAL, 4, 2).rows
+        for k in (0, 2, len(x) - 1):
+            calls = []
+
+            def black_box(p):
+                calls.append(p)
+                return bad(p) if len(calls) == k + 1 else p
+
+            with pytest.raises(error) as info:
+                TransformHandle(black_box, 3, ScalarField.REAL)._rows(x, f)
+            assert str(info.value) == text
+            assert len(calls) == k + 1
+
     def test_black_box_value_errors_are_typed_by_recovery(self):
         # Ray refuses the underflowed image, inside the black box.
         tiny = RayMap(lambda ray: Ray(1e-200 * (1e-200 * ray.representative)))

@@ -18,9 +18,10 @@ keyed by the seed (``"S #2"``, ``"S #3"``, ... for a seed's later pairs);
 ``correct``, true when every run of both sides was; and, for each end-to-end
 metric, the per-pair values, each side's median and quartiles (the
 inclusive method of ``statistics.quantiles``), ``change_over_parent`` (the
-relative difference of the medians) and ``change_wins``: the pairs in which
+relative difference of the medians), ``change_wins``: the pairs in which
 the change is better, in the direction ``BENCHMARK.json`` gives, ties
-counting for neither side.  Progress goes to standard error.
+counting for neither side, and ``verdict``, the claim rule's reading of
+these figures (:func:`verdict`).  Progress goes to standard error.
 
 Only the standard library is used.  A run that exits nonzero stops the tool
 with its standard error and exit status.
@@ -66,21 +67,23 @@ def _keys(seeds):
         yield str(s) if seen[s] == 1 else f"{s} #{seen[s]}"
 
 
-def summarize(runs, better):
+def summarize(runs, metrics):
     """The results entry of one workload from ``runs``, a list of
-    ``(seed, (parent, change))`` run reports in pair order, and ``better``, a
-    dict of metric name to ``"higher"`` or ``"lower"``."""
+    ``(seed, (parent, change))`` run reports in pair order, and ``metrics``, the
+    ``end_to_end`` list of ``BENCHMARK.json``: each metric's ``name``, the
+    direction it is ``better`` in (``"higher"`` or ``"lower"``) and its ``bound``."""
     runs = dict(zip(_keys(s for s, _ in runs), (pair for _, pair in runs)))
     out = {
         "failed": {k: [side["failed"] for side in pair] for k, pair in runs.items()},
         "attempted": {k: [side["attempted"] for side in pair] for k, pair in runs.items()},
         "correct": all(side["correct"] for pair in runs.values() for side in pair),
     }
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         pairs = {k: [round(side["metrics"][name]["value"], 4) for side in pair]
                  for k, pair in runs.items()}
         parent, change = zip(*pairs.values())
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         mid_p, mid_c = statistics.median(parent), statistics.median(change)
         out[name] = {
@@ -91,8 +94,32 @@ def summarize(runs, better):
             "pairs": pairs,
             "parent_quartiles": _quartiles(parent),
             "change_quartiles": _quartiles(change),
+            "verdict": verdict(parent, change, sign, metric["bound"]),
         }
     return out
+
+
+def verdict(parent, change, sign, bound):
+    """The claim rule's reading of one metric's pairs ``parent[k]``, ``change[k]``,
+    with ``sign`` 1 where higher is better and -1 where lower is, and ``bound`` the
+    relative worsening the benchmark allows: ``"gain"`` when the change wins at
+    least 9/10 of the pairs and its median beats the parent's by more than the
+    parent's IQR; else ``"worse"`` when its median is worse than the parent's by
+    more than ``bound`` of it; else ``"unresolved"`` when the parent's IQR exceeds
+    ``bound`` of its median, unless every change run beats every parent run; else
+    ``"no change"``.  The figures are those the entry reports."""
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    mid_p, mid_c = statistics.median(parent), statistics.median(change)
+    low, high = _quartiles(parent)
+    gain = sign * (mid_c - mid_p)
+    if 10 * wins >= 9 * len(parent) and gain > high - low:
+        return "gain"
+    if gain < -bound * abs(mid_p):
+        return "worse"
+    if high - low > bound * abs(mid_p) and not all(
+            sign * (c - p) > 0 for c in change for p in parent):
+        return "unresolved"
+    return "no change"
 
 
 def _quartiles(values):
@@ -114,7 +141,7 @@ def main(argv=None):
     if len(args.seeds) != len(args.workload):
         parser.error("give one --seeds for each --workload")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = json.load(fh)["end_to_end"]
 
     results = {}
     for workload, seeds in zip(args.workload, args.seeds):
@@ -131,7 +158,7 @@ def main(argv=None):
         # A workload given twice (say, at a hold-out seed) keeps both entries.
         key = workload if workload not in results else \
             f"{workload} seeds {','.join(map(str, seeds))}"
-        results[key] = summarize(runs, better)
+        results[key] = summarize(runs, metrics)
     print(json.dumps(results, indent=1))
     return 0
 
