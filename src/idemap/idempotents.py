@@ -32,8 +32,6 @@ from .core import (
     _row_norms,
     _rows_in_range,
     _verdict,
-    kernel_and_range,
-    orthonormal_columns,
 )
 from .errors import DegeneratePair, DimensionMismatch, NotIdempotent
 
@@ -152,6 +150,29 @@ def _norm(v):
     return scipy.linalg.norm(v, check_finite=False)
 
 
+#: LAPACK's column-pivoted QR as the f2py pair ``(?geqp3, ?orgqr)`` (``?ungqr`` for complex),
+#: per dtype char: the routines ``scipy.linalg.qr`` picks for an array of that dtype.
+_PIVOTED_QR = {c: scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"), dtype=np.dtype(c))
+               for c in np.typecodes["AllFloat"]}
+
+
+def _pivoted_qr(a):
+    """``Q`` and ``|diag R|`` (largest first) of the column-pivoted QR ``a[:, p] = Q R`` of an
+    ``m x n`` float or complex block with ``m <= n``: bit for bit those of
+    ``scipy.linalg.qr(a, pivoting=True, check_finite=False)``, whose workspace queries it
+    repeats.  No LAPACK routine is called on an empty block.  The routines' ``info`` is
+    negative only for an illegal argument, which these shapes exclude, so it is not read."""
+    m = a.shape[0]
+    if not a.size:
+        return np.identity(m, a.dtype), np.abs(np.diag(a))
+    geqp3, orgqr = _PIVOTED_QR[a.dtype.char]
+    work = geqp3(a, lwork=-1)[3]
+    qr, _, tau, _, _ = geqp3(a, lwork=int(work[0].real))
+    d = np.abs(np.diag(qr))  # read first: orgqr overwrites ``qr`` in place
+    work = orgqr(qr[:, :m], tau, lwork=-1)[1]
+    return orgqr(qr[:, :m], tau, lwork=int(work[0].real), overwrite_a=1)[0], d
+
+
 class FiniteRankIdempotent:
     """Frozen rows ``(X, F)``, ``r x n`` each, with ``F X^T = I_r`` (the rule of
     :func:`_require_rows`) and matrix ``X^T F``.  A dense ``P`` is read once, by a pivoted QR:
@@ -162,8 +183,8 @@ class FiniteRankIdempotent:
 
     def __init__(self, matrix):
         m = _as_matrix(matrix, "idempotent")
-        q, r, _ = scipy.linalg.qr(m, pivoting=True, check_finite=False)
-        u = q[:, :_numerical_rank(np.abs(np.diag(r)))]
+        q, d = _pivoted_qr(m)
+        u = q[:, :_numerical_rank(d)]
         g = u.conj().T @ m
         with np.errstate(over="ignore", invalid="ignore"):
             resid = np.linalg.norm(u @ g - m)
@@ -316,7 +337,11 @@ def majorant(p1, p2) -> FiniteRankIdempotent:
     bases), ``P = I - M (Q M)^+`` where ``Q = I - N N^*``: its range is
     ``N ⊕ (M + N)^⊥`` and its kernel ``M ⊖ (M ∩ N)``, so its rank is
     ``n - dim M + dim(M ∩ N)``, the least any majorant can have (a
-    majorant's range contains ``N`` and its kernel lies in ``M``).  The
+    majorant's range contains ``N`` and its kernel lies in ``M``).  Each
+    basis is read from one pivoted QR (:func:`_pivoted_qr`), at the rank
+    :func:`~idemap.core._numerical_rank` gives its ``|diag R|``: ``N`` is the
+    leading columns of the unitary factor of ``[P1 P2]``, and ``M`` the
+    trailing ones of that of ``[P1^H P2^H]``, whose columns span ``M^⊥``.  The
     singular values of ``Q M`` are the sines of the principal angles
     between ``M`` and ``N``; those at most ``RANK_RTOL`` (scale 1) count
     as zero, which puts their directions in ``M ∩ N``.  With ``Q M = U S V^H``
@@ -326,8 +351,10 @@ def majorant(p1, p2) -> FiniteRankIdempotent:
     m2 = matrix_of(p2)
     if m1.shape != m2.shape:
         raise DimensionMismatch(f"majorant: shapes {m1.shape} vs {m2.shape}")
-    big_n = orthonormal_columns(np.hstack([m1, m2]))
-    big_m, _ = kernel_and_range(np.vstack([m1, m2]))
+    q, d = _pivoted_qr(np.hstack([m1, m2]))
+    big_n = q[:, :_numerical_rank(d)]
+    q, d = _pivoted_qr(np.vstack([m1, m2]).conj().T)
+    big_m = q[:, _numerical_rank(d):]
     u, s, vh = np.linalg.svd(big_m - big_n @ (big_n.conj().T @ big_m))
     k = int(np.sum(s > RANK_RTOL))
     wh = u[:, k:].conj().T

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from idemap.core import IDENTITY_RTOL, PAIRING_RTOL, RELATION_TOL, ScalarField, _as_vector, \
-    kernel_and_range, orthonormal_columns, tensor
+from idemap.core import IDENTITY_RTOL, PAIRING_RTOL, RANK_RTOL, RELATION_TOL, ScalarField, \
+    _as_vector, kernel_and_range, orthonormal_columns, tensor
 from idemap.errors import DegeneratePair, DimensionMismatch, NotIdempotent
 from idemap.idempotents import (
     FiniteRankIdempotent,
     RankOneIdempotent,
     _norm,
     _pairing_tol,
+    _pivoted_qr,
     _require_rows,
     decompose,
     majorant,
@@ -200,6 +201,40 @@ class TestRankOne:
         assert _pairing_tol(x, 2 * x) == PAIRING_RTOL * (
             1.0 + scipy.linalg.norm(x, check_finite=False)
             * scipy.linalg.norm(2 * x, check_finite=False))
+
+
+class TestPivotedQR:
+    @pytest.mark.parametrize("dtype", list(np.typecodes["AllFloat"]))
+    @pytest.mark.parametrize("n", [1, 3, 16, 64, 160])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_matches_scipy_bit_for_bit(self, dtype, n, width):
+        """``Q[:, :m]`` and ``|diag R|`` of ``scipy.linalg.qr(pivoting=True)``, bits and
+        dtype, for ``n x n`` and ``n x 2n`` blocks, in C and Fortran order; this pins
+        the f2py signatures of ``?geqp3`` and ``?orgqr`` at every supported scipy.  At
+        n = 160, past LAPACK's blocking crossover of 128, the workspace size picks the
+        blocked algorithm, so a skipped workspace query changes bits there."""
+        rng = np.random.default_rng([n, width])
+        a = rng.standard_normal((n, width * n))
+        if dtype in np.typecodes["Complex"]:
+            a = a + 1j * rng.standard_normal(a.shape)
+        for block in (a.astype(dtype), np.asfortranarray(a.astype(dtype))):
+            q, r, _ = scipy.linalg.qr(block, pivoting=True, check_finite=False)
+            want = (q[:, :n], np.abs(np.diag(r)))
+            for got, ref in zip(_pivoted_qr(block), want):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", list(np.typecodes["AllFloat"]))
+    def test_empty_block_calls_no_routine(self, dtype, capfd):
+        """A ``0 x 0`` block gives an empty ``Q`` and ``|diag R|`` of its own dtype, as
+        ``scipy.linalg.qr`` does where it accepts empty input, and LAPACK prints no
+        "illegal value" line.  The expected values are spelled out rather than read
+        from scipy, whose handling of empty input depends on its version."""
+        block = np.zeros((0, 0), dtype)
+        q, d = _pivoted_qr(block)
+        assert capfd.readouterr().err == ""
+        assert q.dtype == block.dtype and q.shape == (0, 0)
+        assert d.dtype == np.abs(block).dtype and d.shape == (0,)
 
 
 class TestFiniteRank:
@@ -528,3 +563,61 @@ class TestMajorant:
             assert relate(p1, out).p_leq_q and relate(p2, out).p_leq_q
             checked.add((kind, dim_meet > 0))
         assert (1, True) in checked and (0, False) in checked
+
+    @pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_north_star_sizes(self, n, field):
+        """At n = 16 and 64, where each basis comes from a pivoted QR: the least rank
+        of ``test_least_rank`` (SVD bases), nested and equal pairs give the larger
+        idempotent, and the matrix is ``I - M (Q M)^+`` on the SVD bases within 1e-10."""
+        rng = np.random.default_rng([n, len(field.value)])
+
+        def similar():
+            # S of cond 20 and its inverse, as in test_rank_of_a_similar_diagonal
+            u, v = (np.linalg.qr(random_invertible(rng, n, field))[0] for _ in range(2))
+            s = (u * np.logspace(0.0, -np.log10(20.0), n)) @ v.conj().T
+            return s, np.linalg.inv(s)
+
+        checked = set()
+        for i in range(12):
+            kind = i % 4
+            s, inv = similar()
+            if kind == 0:  # oblique pair of random ranks, 0 and I included
+                t, t_inv = similar()
+                r1, r2 = rng.integers(0, n + 1, 2)
+                p1, p2 = s[:, :r1] @ inv[:r1], t[:, :r2] @ t_inv[:r2]
+            elif kind == 1:  # rank-one pair sharing its functional
+                f = random_rank_one(rng, n, field).f
+                p1, p2 = (rank_one_from_pair(random_rank_one(rng, n, field).x, f).matrix
+                          for _ in range(2))
+            elif kind == 2:  # rank-one pair sharing its range vector
+                x = random_rank_one(rng, n, field).x
+                p1, p2 = (rank_one_from_pair(x, random_rank_one(rng, n, field).f).matrix
+                          for _ in range(2))
+            else:  # commuting pair with overlapping ranges: the majorant spans the union
+                a, b = (rng.random(n) < 0.5 for _ in range(2))
+                p1, p2 = (s[:, k] @ inv[k] for k in (a, b))
+            big_m, _ = kernel_and_range(np.vstack([p1, p2]))
+            big_n = orthonormal_columns(np.hstack([p1, p2]))
+            dim_sum = np.linalg.matrix_rank(np.hstack([big_m, big_n]), tol=1e-9)
+            dim_meet = big_m.shape[1] + big_n.shape[1] - dim_sum
+            out = majorant(p1, p2)
+            assert out.rank == n - big_m.shape[1] + dim_meet
+            assert relate(p1, out).p_leq_q and relate(p2, out).p_leq_q
+            u, sv, vh = np.linalg.svd(big_m - big_n @ (big_n.conj().T @ big_m))
+            k = int(np.sum(sv > RANK_RTOL))
+            ref = np.eye(n) - big_m @ (vh[:k].conj().T / sv[:k]) @ u[:, :k].conj().T
+            assert np.linalg.norm(out.matrix - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
+            checked.add((kind, dim_meet > 0))
+        assert (1, True) in checked and (0, False) in checked
+        for _ in range(3):
+            s, inv = similar()
+            r = int(rng.integers(1, n))
+            k = int(rng.integers(0, r + 1))
+            small, big = s[:, :k] @ inv[:k], s[:, :r] @ inv[:r]
+            for p1, p2, expected in ((small, big, big), (big, small, big),
+                                     (small, small, small), (big, big, big)):
+                out = majorant(p1, p2)
+                assert out.rank == np.linalg.matrix_rank(expected)
+                assert np.linalg.norm(out.matrix - expected) <= 1e-10 * max(
+                    1.0, np.linalg.norm(expected))
