@@ -107,10 +107,12 @@ def field_of(a) -> ScalarField:
 
 
 def _as_array(a):
-    """``a`` as a float or complex array; any other dtype becomes ``float64``."""
+    """``a`` read by idemap's one dtype rule, since every tolerance is a double-precision
+    rule: a ``float64`` or ``complex128`` array as it is (no copy), any other complex kind
+    as ``complex128`` and anything else as ``float64`` (longdouble rounded)."""
     v = np.asarray(a)
-    if v.dtype.kind not in "fc":
-        v = v.astype(np.float64)
+    if v.dtype.char not in "dD":
+        v = v.astype(np.complex128 if v.dtype.kind == "c" else np.float64)
     return v
 
 
@@ -180,8 +182,8 @@ def _require_invertible(m, name):
                                f"(smin {s[-1]:.3e}, smax {s[0]:.3e})")
 
 
-def _frozen(a, dtype=None):
-    out = np.array(a, dtype=dtype, copy=True)
+def _frozen(a):
+    out = np.array(a, copy=True)
     out.setflags(write=False)
     return out
 
@@ -289,8 +291,8 @@ def orthonormal_columns(a):
 
 def up_to_scalar_distance(b, a):
     """Frobenius distance ``min over scalars c of ||b - c*a||``."""
-    am = np.asarray(a)
-    bm = np.asarray(b)
+    am = _as_array(a)
+    bm = _as_array(b)
     denom = np.vdot(am, am)
     if denom == 0:
         return float(np.linalg.norm(bm))
@@ -317,11 +319,10 @@ class SemilinearOperator:
 
     def __init__(self, matrix, auto: AutomorphismTag = AutomorphismTag.IDENTITY):
         m = _as_matrix(matrix, "operator")
-        dtype = np.complex128 if np.iscomplexobj(m) else np.float64
-        if auto is AutomorphismTag.CONJUGATION and dtype is np.float64:
+        if auto is AutomorphismTag.CONJUGATION and not np.iscomplexobj(m):
             raise ValueError("conjugation tag requires complex coordinates")
         _require_invertible(m, "operator")
-        self._matrix = _frozen(m, dtype=dtype)
+        self._matrix = _frozen(m)
         self._auto = auto
 
     @classmethod

@@ -136,29 +136,29 @@ def _pairing_tol(x, f):
     return PAIRING_RTOL * (1.0 + _norm(x) * _norm(f))
 
 
-#: The norm ``scipy.linalg.norm(v, check_finite=False)`` takes of a nonempty 1-d ``v``,
-#: per dtype char: the BLAS ``nrm2`` for single and double precision, numpy's otherwise.
+#: The norm ``scipy.linalg.norm(v, check_finite=False)`` takes of a nonempty 1-d ``v``, per
+#: dtype char of :func:`~idemap.core._as_array`'s two dtypes: the BLAS ``nrm2``.
 _NORMS = {c: scipy.linalg.get_blas_funcs("nrm2", dtype=np.dtype(c), ilp64="preferred")
-          if c in "fdFD" else np.linalg.norm for c in np.typecodes["AllFloat"]}
+          for c in "dD"}
 
 
 def _norm(v):
-    """``scipy.linalg.norm(v, check_finite=False)`` of a float or complex array,
-    through ``_NORMS`` when ``v`` is nonempty and 1-d."""
+    """``scipy.linalg.norm(v, check_finite=False)`` of a ``float64`` or ``complex128``
+    array, through ``_NORMS`` when ``v`` is nonempty and 1-d."""
     if v.size and v.ndim == 1:
         return _NORMS[v.dtype.char](v)
     return scipy.linalg.norm(v, check_finite=False)
 
 
 #: LAPACK's column-pivoted QR as the f2py pair ``(?geqp3, ?orgqr)`` (``?ungqr`` for complex),
-#: per dtype char: the routines ``scipy.linalg.qr`` picks for an array of that dtype.
+#: per dtype char of the two dtypes: the routines ``scipy.linalg.qr`` picks for that dtype.
 _PIVOTED_QR = {c: scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"), dtype=np.dtype(c))
-               for c in np.typecodes["AllFloat"]}
+               for c in "dD"}
 
 
 def _pivoted_qr(a):
     """``Q`` and ``|diag R|`` (largest first) of the column-pivoted QR ``a[:, p] = Q R`` of an
-    ``m x n`` float or complex block with ``m <= n``: bit for bit those of
+    ``m x n`` ``float64`` or ``complex128`` block with ``m <= n``: bit for bit those of
     ``scipy.linalg.qr(a, pivoting=True, check_finite=False)``, whose workspace queries it
     repeats.  No LAPACK routine is called on an empty block.  The routines' ``info`` is
     negative only for an illegal argument, which these shapes exclude, so it is not read."""

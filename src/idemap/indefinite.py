@@ -71,7 +71,6 @@ class IndefiniteSpace:
         self._eta = _frozen(m)
         self._safe_eta = _in_range(self._eta)
         self._eta_inv = None
-        self._skew_projection = None
 
     @property
     def eta(self):
@@ -459,20 +458,12 @@ def _hermitian_pencil(eta):
 
 
 def _closed_form_or_pencil(eta):
-    """The closed form for ``H_t`` if ``B_t`` vanishes, else the pencil, or ``None``."""
+    """Orthogonal projection onto ``{K : eta K + K* eta = 0}``, the matrices skew for both
+    ``H_t`` and ``B_t``, in the real Frobenius inner product, up to :func:`_corrected`: the
+    closed form for ``H_t`` if ``B_t`` vanishes, else the pencil; ``None`` when the route
+    fails (a singular ``H_t``, a repeated or defective spectrum)."""
     h, b, h_t, vanishes = _hermitian_pencil(eta)
     return _self_adjoint_projection(h_t) if vanishes else _pencil_projection(h, b)
-
-
-def _skew_projection(space: IndefiniteSpace):
-    """Orthogonal projection onto ``{K : eta K + K* eta = 0}``, the matrices
-    skew for both ``H_t`` and ``B_t``, in the real Frobenius inner product, up
-    to :func:`_corrected`; cached on the space.  The route of
-    :func:`_closed_form_or_pencil`, else the identity (a singular ``H``, a
-    repeated or defective spectrum), which leaves it to the correction."""
-    if space._skew_projection is None:
-        space._skew_projection = _closed_form_or_pencil(space._safe_eta) or (lambda g: g)
-    return space._skew_projection
 
 
 #: Iteration cap of the LSQR correction; Hermitian-plus-triangle metrics at
@@ -523,7 +514,8 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
     scaling, ``||E* eta E - eta|| <= IDENTITY_RTOL (1 + ||eta||)`` with ``eta`` at a
     safe scale; unless that HOLDS, ``ArithmeticError``.
 
-    The route (:func:`_skew_projection`) takes ``O(n^3)``; LSQR corrects a
+    The route (:func:`_closed_form_or_pencil`, else the identity, which leaves the
+    projection to the correction) takes ``O(n^3)``; LSQR corrects a
     projection that misses its certificate (:func:`_corrected`), so the
     result is the route's ``K`` projected, within the route's error of ``G``
     projected.  Generation follows the metric as given, up to that
@@ -535,7 +527,7 @@ def generate_eta_isometry(space: IndefiniteSpace, seed, scale=1.0) -> Semilinear
         raise ValueError("scale must be finite")
     g = random_matrix(np.random.default_rng(seed), (space.n, space.n), space.field)
     eta = space._safe_eta
-    k = _corrected(eta, _skew_projection(space)(g))
+    k = _corrected(eta, (_closed_form_or_pencil(eta) or (lambda m: m))(g))
     norm_k = np.linalg.norm(k)
     k = k / norm_k if norm_k > ROUNDOFF_RTOL else np.zeros_like(k)
     e = scipy.linalg.expm(k)

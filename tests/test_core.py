@@ -21,8 +21,10 @@ from idemap.core import (
     up_to_scalar_distance,
 )
 from idemap.errors import DimensionMismatch, SingularOperator
-from idemap.idempotents import FiniteRankIdempotent
-from idemap.indefinite import IndefiniteSpace, Ray
+from idemap.idempotents import FiniteRankIdempotent, RankOneIdempotent, decompose, majorant, \
+    rank_one_from_pair
+from idemap.indefinite import IndefiniteSpace, Ray, SymmetryKind, characterize, \
+    generate_eta_isometry, rays_equal
 from idemap.sampling import random_semilinear, random_vector
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -347,3 +349,113 @@ def test_readme_tolerance_table_lists_the_rules_of_core():
     rules = [(name, value) for name, value in vars(core).items()
              if name.isupper() and not name.startswith("_") and isinstance(value, float)]
     assert sorted(listed) == sorted(rules)
+
+
+def _third(dtype):
+    """1/3, times ``1 + i`` for a complex kind, in ``dtype`` (from its longdouble
+    value, so a longdouble keeps digits that ``float64`` rounds off)."""
+    third = np.longdouble(1) / 3
+    return np.asarray(third * (1 + 1j) if np.dtype(dtype).kind == "c" else third).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [*np.typecodes["AllFloat"], int, bool], ids=str)
+def test_every_array_is_read_as_float64_or_complex128(dtype):
+    """The one dtype rule of the boundary (``core._as_array``): each public
+    constructor stores ``complex128`` for a complex kind and ``float64`` for
+    any other dtype, equal to the input read in that dtype (a longdouble
+    rounded), and read-only."""
+    field = np.complex128 if np.dtype(dtype).kind == "c" else np.float64
+    c = _third(dtype)
+    vector = np.array([1, c, 0], dtype)
+    upper = np.eye(3, dtype=dtype)
+    upper[0, 1] = c
+    metric = upper.copy()
+    metric[2, 2] = -1  # True for bool: the metric stays invertible
+    idempotent = np.zeros((3, 3), dtype)
+    idempotent[0, :2] = 1, c
+    e1 = np.eye(3, dtype=dtype)[0]
+    stored = {
+        "rank-one": (RankOneIdempotent(vector, e1).x, vector),
+        "rank-one f": (RankOneIdempotent(vector, e1).f, e1),
+        "ray": (Ray(vector).representative, vector),
+        "from pair": (rank_one_from_pair(vector, e1).x, vector),
+        "operator": (SemilinearOperator(upper).matrix, upper),
+        "space": (IndefiniteSpace(metric).eta, metric),
+    }
+    for name, (got, given) in stored.items():
+        assert got.dtype == field, name
+        assert np.array_equal(got, given.astype(field)), name
+        assert not got.flags.writeable, name
+    p = FiniteRankIdempotent(idempotent)
+    assert p.rank == 1
+    for row in p.rows:
+        assert row.dtype == field and not row.flags.writeable
+    assert np.abs(p.matrix - idempotent.astype(field)).max() <= 1e-15
+    assert up_to_scalar_distance(upper, metric) == up_to_scalar_distance(
+        upper.astype(field), metric.astype(field))
+
+
+def _exact_idempotents():
+    """``P = S diag(1,1,1,0,0,0) S^{-1}`` and ``Q = S diag(0,0,1,1,0,0) S^{-1}``
+    for a product ``S`` of integer shears: ``P @ P == P`` holds exactly, and the
+    largest entry of ``P`` is 36, so both are exact in every float dtype."""
+    s = np.eye(6)
+    for i, j, m in [(0, 1, 2), (1, 2, -1), (2, 3, 3), (3, 4, 1), (4, 5, -2), (5, 0, 1),
+                    (1, 4, 1), (3, 0, -1)]:
+        shear = np.eye(6)
+        shear[i, j] = m
+        s = s @ shear
+    s_inv = np.round(np.linalg.inv(s))
+    return (s @ np.diag([1.0, 1, 1, 0, 0, 0]) @ s_inv,
+            s @ np.diag([0.0, 0, 1, 1, 0, 0]) @ s_inv)
+
+
+SINGLE_AND_HALF = (np.float32, np.float16, np.complex64)
+
+
+@pytest.mark.parametrize("dtype", SINGLE_AND_HALF, ids=lambda d: d.__name__)
+def test_single_precision_idempotents_get_the_double_answers(dtype):
+    """An idempotent given in single or half precision is read as its exact
+    ``float64`` (``complex128``) value: it has rank 3 and 3 pieces, where a
+    single-precision QR refused it (``NotIdempotent``)."""
+    p, _ = _exact_idempotents()
+    assert np.array_equal(p @ p, p) and np.abs(p).max() == 36
+    assert FiniteRankIdempotent(p.astype(dtype)).rank == 3
+    assert len(decompose(p.astype(dtype))) == 3
+
+
+@pytest.mark.parametrize("dtype", SINGLE_AND_HALF, ids=lambda d: d.__name__)
+def test_single_precision_majorants_have_least_rank(dtype):
+    """The least majorants of single- or half-precision idempotents have the
+    ranks of their exact values, 4 for ``(P, Q)`` and 3 for ``(P, P)``, where
+    single-precision QRs gave 6 and 5."""
+    p, q = (m.astype(dtype) for m in _exact_idempotents())
+    assert majorant(p, q).rank == 4
+    assert majorant(p, p).rank == 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_narrow_and_wide_dtypes_read_without_warnings_or_type_errors():
+    """A float32 metric and rank-one pair and a float16 ray are read at a safe
+    scale without an overflow in a cast (the ``2^+-500`` bounds of
+    ``core._range_exponent``), and a longdouble metric constructs instead of
+    failing in ``linalg`` with an untyped ``TypeError``."""
+    signature = np.diag([1.0, 1.0, -1.0])
+    for eta in (signature.astype(np.float32), signature.astype(np.longdouble)):
+        space = IndefiniteSpace(eta)
+        assert space.eta.dtype == np.float64 and np.array_equal(space.eta, signature)
+    e1 = np.eye(3, dtype=np.float32)[0]
+    assert np.array_equal(rank_one_from_pair(e1, e1).matrix, np.diag([1.0, 0, 0]))
+    assert rays_equal(Ray(np.eye(3, dtype=np.float16)[0]), Ray(np.eye(3)[0]))
+
+
+def test_single_precision_metric_generates_as_its_double_value():
+    """Generation from a float32 metric is generation from its ``float64``
+    value, bit for bit, and characterizes as linear, where the float32
+    arithmetic missed the isometry certificate (``ArithmeticError``)."""
+    t = np.eye(6) + 0.5 * np.triu(np.random.default_rng(1).standard_normal((6, 6)), 1)
+    single = IndefiniteSpace(t.astype(np.float32))
+    v = generate_eta_isometry(single, 3)
+    assert characterize(single, v).kind is SymmetryKind.LINEAR
+    want = generate_eta_isometry(IndefiniteSpace(t.astype(np.float32).astype(np.float64)), 3)
+    assert v.matrix.tobytes() == want.matrix.tobytes()

@@ -18,12 +18,14 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_0(demo, tmp_path):
     # The demos write their working files under the temporary directory
-    # and must remove them before they exit.
+    # and must remove them before they exit.  They run under the project's
+    # warning policy, as the tests and the CI selftest do.
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, timeout=120, cwd=tmp_path,
-                          env={**os.environ, "TMPDIR": str(tmpdir)})
+                          env={**os.environ, "TMPDIR": str(tmpdir),
+                               "PYTHONWARNINGS": "error::RuntimeWarning"})
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert list(tmpdir.iterdir()) == []
 

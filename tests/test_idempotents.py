@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from idemap.core import IDENTITY_RTOL, PAIRING_RTOL, RANK_RTOL, RELATION_TOL, ScalarField, \
-    _as_vector, kernel_and_range, orthonormal_columns, tensor
+    _as_array, _as_vector, kernel_and_range, orthonormal_columns, tensor
 from idemap.errors import DegeneratePair, DimensionMismatch, NotIdempotent
 from idemap.idempotents import (
     FiniteRankIdempotent,
@@ -184,20 +184,23 @@ class TestRankOne:
     @pytest.mark.parametrize("dtype", (np.float64, np.complex128, np.float32, np.complex64,
                                        np.float16, np.longdouble), ids=lambda d: d.__name__)
     def test_pairing_norms_are_scipys(self, dtype):
-        """The norms of the pairing bound are ``scipy.linalg.norm``'s, value
-        and type, for every dtype (BLAS or numpy) and for empty, strided,
-        two-dimensional and far-out-of-range arrays."""
+        """The norms of the pairing bound are ``scipy.linalg.norm``'s, value and
+        type, for an array of any dtype as the boundary reads it (``float64`` or
+        ``complex128``, :func:`~idemap.core._as_array`), the only dtypes the
+        helpers are handed, and for empty, strided, two-dimensional and
+        far-out-of-range arrays."""
         rng = np.random.default_rng(7)
         v = rng.standard_normal(9) + (1j * rng.standard_normal(9)
                                       if np.issubdtype(dtype, np.complexfloating) else 0)
         cases = [v, v[::2], v[:0], v.reshape(3, 3)]
         if np.finfo(dtype).maxexp >= 1024:  # double or wider
             cases += [v * 1e200, v * 1e-200]
+        field = np.complex128 if np.issubdtype(dtype, np.complexfloating) else np.float64
         for case in cases:
-            case = case.astype(dtype)
+            case = _as_array(case.astype(dtype))
             got, want = _norm(case), scipy.linalg.norm(case, check_finite=False)
-            assert type(got) is type(want) and got == want
-        x = v.astype(dtype)
+            assert case.dtype == field and type(got) is type(want) and got == want
+        x = _as_array(v.astype(dtype))
         assert _pairing_tol(x, 2 * x) == PAIRING_RTOL * (
             1.0 + scipy.linalg.norm(x, check_finite=False)
             * scipy.linalg.norm(2 * x, check_finite=False))
@@ -210,7 +213,10 @@ class TestPivotedQR:
     def test_matches_scipy_bit_for_bit(self, dtype, n, width):
         """``Q[:, :m]`` and ``|diag R|`` of ``scipy.linalg.qr(pivoting=True)``, bits and
         dtype, for ``n x n`` and ``n x 2n`` blocks, in C and Fortran order; this pins
-        the f2py signatures of ``?geqp3`` and ``?orgqr`` at every supported scipy.  At
+        the f2py signatures of ``?geqp3`` and ``?orgqr`` at every supported scipy.  A
+        block of any dtype is handed over as the boundary reads it (``float64`` or
+        ``complex128``, :func:`~idemap.core._as_array`), and the reference is scipy's
+        QR of that reading: the helper exists for those two dtypes only.  At
         n = 160, past LAPACK's blocking crossover of 128, the workspace size picks the
         blocked algorithm, so a skipped workspace query changes bits there."""
         rng = np.random.default_rng([n, width])
@@ -218,6 +224,8 @@ class TestPivotedQR:
         if dtype in np.typecodes["Complex"]:
             a = a + 1j * rng.standard_normal(a.shape)
         for block in (a.astype(dtype), np.asfortranarray(a.astype(dtype))):
+            block = _as_array(block)
+            assert block.dtype.char in "dD"
             q, r, _ = scipy.linalg.qr(block, pivoting=True, check_finite=False)
             want = (q[:, :n], np.abs(np.diag(r)))
             for got, ref in zip(_pivoted_qr(block), want):
@@ -226,11 +234,12 @@ class TestPivotedQR:
 
     @pytest.mark.parametrize("dtype", list(np.typecodes["AllFloat"]))
     def test_empty_block_calls_no_routine(self, dtype, capfd):
-        """A ``0 x 0`` block gives an empty ``Q`` and ``|diag R|`` of its own dtype, as
-        ``scipy.linalg.qr`` does where it accepts empty input, and LAPACK prints no
-        "illegal value" line.  The expected values are spelled out rather than read
-        from scipy, whose handling of empty input depends on its version."""
-        block = np.zeros((0, 0), dtype)
+        """A ``0 x 0`` block, read as the boundary reads it, gives an empty ``Q`` and
+        ``|diag R|`` of its own dtype, as ``scipy.linalg.qr`` does where it accepts empty
+        input, and LAPACK prints no "illegal value" line.  The expected values are spelled
+        out rather than read from scipy, whose handling of empty input depends on its
+        version."""
+        block = _as_array(np.zeros((0, 0), dtype))
         q, d = _pivoted_qr(block)
         assert capfd.readouterr().err == ""
         assert q.dtype == block.dtype and q.shape == (0, 0)

@@ -119,8 +119,8 @@ def assert_generates(eta, seed, scale=2.0):
     eta|| <= 1e-10 ||eta|| ||K||`` (``K`` as projected), and generation gives
     a nontrivial isometry of ``eta`` within its own certificate."""
     space = IndefiniteSpace(eta)
-    k = indefinite._skew_projection(space)(
-        random_matrix(np.random.default_rng(seed), eta.shape, space.field))
+    route = indefinite._closed_form_or_pencil(space._safe_eta) or (lambda g: g)
+    k = route(random_matrix(np.random.default_rng(seed), eta.shape, space.field))
     corrected = indefinite._corrected(eta, k)
     resid = np.linalg.norm(eta @ corrected + corrected.conj().T @ eta)
     assert resid <= 1e-10 * np.linalg.norm(eta) * np.linalg.norm(k)

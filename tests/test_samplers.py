@@ -378,15 +378,16 @@ _INF, _NAN = np.inf, np.nan
 def test_rank_one_edges_keep_their_rows_and_messages(x, f, refusal):
     """At int and bool input, 1e+-200, other dtypes, a zero or empty row, inf,
     NaN, 2-d input and mismatched shapes, ``RankOneIdempotent`` keeps the input
-    rows (as float or complex, read-only, in memory of their own) or refuses
-    them with the type and message the rule has always given."""
+    rows (as ``float64`` or ``complex128``, the dtype rule of the boundary,
+    read-only, in memory of their own) or refuses them with the type and
+    message the rule has always given."""
     if refusal:
         assert raised(RankOneIdempotent, x, f) == refusal
         return
     p = RankOneIdempotent(x, f)
     for got, given in ((p.x, x), (p.f, f)):
         want = np.asarray(given)
-        want = want if want.dtype.kind in "fc" else want.astype(float)
+        want = want.astype(np.complex128 if want.dtype.kind == "c" else np.float64)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert not got.flags.writeable and not np.shares_memory(got, given)
 
@@ -409,12 +410,13 @@ def test_rank_one_edges_keep_their_rows_and_messages(x, f, refusal):
 ], ids=str)
 def test_ray_edges_keep_their_representative_and_messages(v, refusal):
     """The same edges for ``Ray``: a finite, nonzero 1-d representative is kept
-    at any scale, a subnormal one too; anything else is refused as before."""
+    at any scale, a subnormal one too, as ``float64`` or ``complex128``;
+    anything else is refused as before."""
     if refusal:
         assert raised(Ray, v) == refusal
         return
     got, want = Ray(v).representative, np.asarray(v)
-    want = want if want.dtype.kind in "fc" else want.astype(float)
+    want = want.astype(np.complex128 if want.dtype.kind == "c" else np.float64)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert not got.flags.writeable and not np.shares_memory(got, v)
 

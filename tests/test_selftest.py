@@ -33,6 +33,24 @@ def test_near_singular_hermitian_metric_is_shifted(monkeypatch):
     np.testing.assert_array_equal(eta, np.diag([2.0, 2.0, 4.0]))
 
 
+def test_suites_run_at_a_patched_dims(monkeypatch):
+    """Every suite reads ``DIMS`` at its call, the symmetry suites cycling over
+    its first four entries by their own count: with ``DIMS = (3,)`` all eight
+    pass and every metric is 3 x 3, where indexing ``DIMS[i % 4]`` raised
+    ``IndexError`` in the three symmetry suites."""
+    monkeypatch.setattr(selftest, "DIMS", (3,))
+    sizes, make = [], selftest.IndefiniteSpace
+
+    def space(eta):
+        sizes.append(len(eta))
+        return make(eta)
+
+    monkeypatch.setattr(selftest, "IndefiniteSpace", space)
+    for r in run_all(seed=1, budget=4):
+        assert r.passed and r.cases > 0, (r.name, r.failures)
+    assert sizes and set(sizes) == {3}
+
+
 def test_zero_budget_is_vacuous():
     results = run_all(seed=5, budget=0)
     assert all(r.passed and r.cases == 0 for r in results)
