@@ -133,7 +133,11 @@ def _range_exponent(a, axis=None):
 
 def _in_range(a):
     """``a`` at the safe scale of :func:`_range_exponent`."""
-    e = int(_range_exponent(a))
+    return _times_pow2(a, int(_range_exponent(a)))
+
+
+def _times_pow2(a, e):
+    """``a 2^e``, exact unless it overflows or underflows; ``a`` itself when ``e`` is 0."""
     # In two factors, since 2^e alone can overflow.
     return a if e == 0 else a * np.ldexp(1.0, e // 2) * np.ldexp(1.0, e - e // 2)
 

@@ -98,15 +98,16 @@ class RankOneIdempotent:
 
 def _accepts_pair(x, f):
     """The rule of :class:`RankOneIdempotent` for 1-d ``x`` and ``f`` of one shape:
-    ``|pair(x, f) - 1| <= _pairing_tol(x, f)`` HOLDS, each norm read from ``_NORMS``
-    directly.  Empty rows pair to 0, so they FAIL before any norm.  An inf or NaN entry
-    makes a norm or the pairing (``np.vdot(x.conj(), f)``, bit-identical to ``np.dot``,
-    which warns on overflow) non-finite, so an accepted pair is finite without a check
-    of its own."""
+    ``|pair(x, f) - 1| <= _pairing_tol(x, f)`` HOLDS, each norm read from ``_NORMS`` and
+    the pairing from ``_DOTS`` directly (a mixed pair read as complex for that call), and
+    written out as ``_verdict`` decides it: NaN or an infinite bound is not HOLDS.  Empty
+    rows pair to 0, so they FAIL before any norm.  An inf or NaN entry makes a norm or the
+    pairing non-finite, so an accepted pair is finite without a check of its own."""
     if not x.size:
         return False
-    tol = PAIRING_RTOL * (1.0 + _NORMS[x.dtype.char](x) * _NORMS[f.dtype.char](f))
-    return _verdict(float(abs(np.vdot(x.conj(), f) - 1.0)), tol) == HOLDS
+    cx, cf = x.dtype.char, f.dtype.char
+    tol = PAIRING_RTOL * (1.0 + _NORMS[cx](x) * _NORMS[cf](f))
+    return abs(_DOTS[cx if cx == cf else "D"](x, f) - 1.0) <= tol < np.inf
 
 
 def _accepts_rows(x, f):
@@ -140,6 +141,13 @@ def _pairing_tol(x, f):
 #: dtype char of :func:`~idemap.core._as_array`'s two dtypes: the BLAS ``nrm2``.
 _NORMS = {c: scipy.linalg.get_blas_funcs("nrm2", dtype=np.dtype(c), ilp64="preferred")
           for c in "dD"}
+
+
+#: The bilinear pairing ``sum_j x_j f_j`` of two nonempty 1-d arrays of one dtype char: BLAS
+#: ``ddot``, and ``zdotu`` (no conjugation) for complex.  Neither warns: an overflow reads inf
+#: (or NaN, for complex).
+_DOTS = {c: scipy.linalg.get_blas_funcs(name, dtype=np.dtype(c), ilp64="preferred")
+         for c, name in (("d", "dot"), ("D", "dotu"))}
 
 
 def _norm(v):

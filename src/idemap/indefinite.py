@@ -44,6 +44,7 @@ from .core import (
     _row_matvec,
     _row_norms,
     _rows_in_range,
+    _times_pow2,
     _verdict,
     field_of,
     up_to_scalar_distance,
@@ -312,35 +313,46 @@ def characterize(space: IndefiniteSpace, u: SemilinearOperator) -> Characterizat
     For the identity tag the identity under test is
     ``(U e_i, U e_j) = c (e_i, e_j)``; for the conjugation tag it is
     ``(U e_i, U e_j) = d (e_j, e_i)_{eta*}`` with ``eta*`` the conjugate
-    transpose.  The constant is fitted on the basis pair with the largest
-    right-hand side and then verified on all ``n^2`` pairs, within
-    ``RELATION_TOL`` times one plus the largest entries of both sides, which
-    HOLDS or FAILS (``NONE``); UNDECIDED (an overflow) raises ``ValueError``.
+    transpose.  ``M`` is read at unit scale (times the power of two that
+    brings its largest entry into ``[0.5, 1)``) unless that entry is within
+    ``2^+-100``, and ``eta`` at its safe scale (:func:`~idemap.core._in_range`),
+    so ``M^H eta M`` neither overflows nor falls among the subnormals, and the
+    verdict does not depend on either scale.  The constant is fitted on the
+    basis pair with the largest right-hand side and then verified on all
+    ``n^2`` pairs, within ``RELATION_TOL`` times the sum of the largest
+    entries of both sides, which HOLDS or FAILS (``NONE``); UNDECIDED (an
+    overflow) raises ``ValueError``, as does a constant that, scaled back to
+    ``M``, leaves the normal double range.
     """
     if u.n != space.n:
         raise DimensionMismatch("operator dimension does not match the space")
-    m, eta = u.matrix, space.eta
+    # ``M`` enters squared, so its window is narrower than the safe scale's.
+    big = float(np.abs(u.matrix).max())
+    e = 0 if 2.0**-100 <= big <= 2.0**100 else -math.frexp(big)[1]
+    m, eta = _times_pow2(u.matrix, e), space._safe_eta
     if u.auto is AutomorphismTag.IDENTITY:
         kind, rhs = SymmetryKind.LINEAR, eta.T
     else:
         kind, rhs = SymmetryKind.CONJUGATE, eta.conj().T
     rhs = rhs.astype(np.complex128)
-    ref = np.unravel_index(int(np.argmax(np.abs(rhs))), rhs.shape)
+    size = np.abs(rhs)
+    ref = int(np.argmax(size))  # the flat index of the largest right-hand side
     # ``U e_i`` is column ``i`` of ``M``, so ``lhs[i, j] = (U e_j)^H eta
     # (U e_i)`` is the transpose of ``M^H eta M``.
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = (m.conj().T @ eta @ m).T.astype(np.complex128)
-        constant = lhs[ref] / rhs[ref]
-        scale = 1.0 + np.abs(lhs).max() + abs(constant) * np.abs(rhs).max()
+        constant = lhs.flat[ref] / rhs.flat[ref]
+        scale = np.abs(lhs).max() + abs(constant) * size.flat[ref]
         verdict = _verdict(float(np.abs(lhs - constant * rhs).max()), RELATION_TOL * float(scale))
-    if not verdict:
-        raise ValueError("characterize: M^H eta M or its constant overflows")
+        # Both sides scale with eta, and the left one with the square of M.
+        constant = complex(_times_pow2(constant, -2 * e))
+    # 2^-1022: the smallest normal double.
+    if not verdict or verdict == HOLDS and not 2.0**-1022 <= abs(constant) < math.inf:
+        raise ValueError("characterize: M^H eta M or its constant overflows or underflows")
     if verdict == FAILS:
         return Characterization(SymmetryKind.NONE, None)
     if space.field is ScalarField.REAL:
-        constant = float(constant.real)
-    else:
-        constant = complex(constant)
+        constant = constant.real
     return Characterization(kind, constant)
 
 

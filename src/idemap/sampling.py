@@ -34,9 +34,12 @@ def random_vector(rng, n, field: ScalarField):
 
 def random_matrix(rng, shape, field: ScalarField):
     """Gaussian matrix of the given ``shape``; over the complex field the
-    real part is drawn before the imaginary part."""
+    real part is drawn before the imaginary part, each into one ``complex128`` array."""
     if field is ScalarField.COMPLEX:
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = np.empty(shape, np.complex128)
+        out.real = rng.standard_normal(shape)
+        out.imag = rng.standard_normal(shape)
+        return out
     return rng.standard_normal(shape)
 
 

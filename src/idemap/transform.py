@@ -90,10 +90,17 @@ class TransformHandle:
 
     def __init__(self, eval_fn: Callable[[RankOneIdempotent], RankOneIdempotent],
                  n: int, field: ScalarField):
+        view = RankOneIdempotent._from_frozen_row
+
+        def image(xk, fk):
+            p = eval_fn(view(xk, fk))
+            # The check of _rows_of, inline: it is called only to raise.
+            if isinstance(p, RankOneIdempotent) and p._x.shape[0] == n:
+                return p._x, p._f
+            return _rows_of(p, n, "image")
+
         def rows(x, f):
-            view = RankOneIdempotent._from_frozen_row
-            images = _per_row(lambda xk, fk: _rows_of(eval_fn(view(xk, fk)), n, "image"), x, f)
-            return _balanced(*_block(images, n))
+            return _balanced(*_block(_per_row(image, x, f), n))
         _require_dimension(n)
         self._eval = rows
         self._n = n

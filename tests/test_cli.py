@@ -583,7 +583,8 @@ class TestSymmetryCommand:
             assert not out.exists()
 
     def test_overflowing_characterization_exits_1(self, tmp_path, capsys):
-        u = SemilinearOperator(1e155 * np.array([[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1.0]]))
+        # A symmetry whose constant, 1e320, no double holds.
+        u = SemilinearOperator(1e160 * np.eye(3))
         inp = write_json(tmp_path / "huge.json",
                          self._payload(np.diag([1.0, 1.0, -1.0]), u))
         out = tmp_path / "rep.json"

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idemap.core import IDENTITY_RTOL, PAIRING_RTOL, RANK_RTOL, RELATION_TOL, ScalarField, \
-    _as_array, _as_vector, kernel_and_range, orthonormal_columns, tensor
+from idemap.core import HOLDS, IDENTITY_RTOL, PAIRING_RTOL, RANK_RTOL, RELATION_TOL, ScalarField, \
+    _as_array, _as_vector, _verdict, kernel_and_range, orthonormal_columns, tensor
 from idemap.errors import DegeneratePair, DimensionMismatch, NotIdempotent
 from idemap.idempotents import (
     FiniteRankIdempotent,
     RankOneIdempotent,
+    _DOTS,
+    _accepts_pair,
     _norm,
     _pairing_tol,
     _pivoted_qr,
@@ -204,6 +208,69 @@ class TestRankOne:
         assert _pairing_tol(x, 2 * x) == PAIRING_RTOL * (
             1.0 + scipy.linalg.norm(x, check_finite=False)
             * scipy.linalg.norm(2 * x, check_finite=False))
+
+    @pytest.mark.parametrize("chars", ("dd", "DD", "dD", "Dd"))
+    def test_pairing_dots_are_blas(self, chars):
+        """The pairing of :func:`_accepts_pair` is BLAS ``ddot`` or ``zdotu`` from
+        ``_DOTS``, a mixed pair read as complex: the bilinear ``sum_j x_j f_j`` (no
+        conjugation) as a Python scalar, for strided rows too, and an overflow reads
+        inf or NaN with no warning (the suite turns a ``RuntimeWarning`` into an error)."""
+        name = {"d": "dot", "D": "dotu"}
+        for c in "dD":
+            want = scipy.linalg.get_blas_funcs(name[c], dtype=np.dtype(c), ilp64="preferred")
+            assert _DOTS[c] is want
+        rng = np.random.default_rng(11)
+        x, f = (_as_array(rng.standard_normal(9) + (1j * rng.standard_normal(9) if c == "D"
+                                                     else 0)) for c in chars)
+        kind = chars[0] if chars[0] == chars[1] else "D"
+        for a, b in ((x, f), (x[::2], f[::2])):
+            got, exact = _DOTS[kind](a, b), np.dot(a, b)
+            assert type(got) is (complex if kind == "D" else float)
+            assert abs(got - exact) <= 4 * a.size * np.finfo(float).eps * (
+                np.linalg.norm(a) * np.linalg.norm(b))
+        assert not np.isfinite(_DOTS[kind](1e200 * x, 1e200 * f))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+           chars=st.sampled_from(("dd", "DD", "dD", "Dd")),
+           scale=st.sampled_from((1.0, 1e200, 1e-200)),
+           offset=st.sampled_from((None, 1 - 1e-3, 1 + 1e-3)),
+           sign=st.sampled_from((1.0, -1.0, 1j, -1j)))
+    def test_acceptance_is_the_reference_rule(self, seed, n, chars, scale, offset, sign):
+        """``RankOneIdempotent`` accepts a 1-d pair exactly when the reference rule
+        ``_verdict(|np.vdot(x.conj(), f) - 1|, _pairing_tol(x, f))`` HOLDS: real,
+        complex and mixed pairs, rows at 1e+-200, and pairings placed ``tol (1 +- 1e-3)``
+        from 1 (in the signed or imaginary direction ``sign``, real pairs in a real
+        one).  Verdicts are compared, not bits, since a BLAS build may round the
+        pairing in another order."""
+        rng = np.random.default_rng(seed)
+        x, f = (rng.standard_normal(n) + (1j * rng.standard_normal(n) if c == "D" else 0)
+                for c in chars)
+        # Normalize through the complex side, so that a real side stays real.
+        p = np.dot(x, f)
+        if chars[0] == "D":
+            x = x / p
+        else:
+            f = f / p
+        if offset is not None:
+            if "D" not in chars:
+                sign = sign.real or 1.0
+            target = 1.0 + sign * offset * _pairing_tol(x, f)
+            if chars[0] == "D" or "D" not in chars:
+                x = x * (target / np.dot(x, f))
+            else:
+                f = f * (target / np.dot(x, f))
+        x, f = x * scale, f / scale
+        want = _verdict(abs(np.vdot(x.conj(), f) - 1.0), _pairing_tol(x, f)) == HOLDS
+        # The placement is far above rounding, so the rule sees the side it was put on.
+        assert offset is None or want == (offset < 1)
+        assert _accepts_pair(x, f) == want
+        try:
+            RankOneIdempotent(x, f)
+        except NotIdempotent:
+            assert not want
+        else:
+            assert want
 
 
 class TestPivotedQR:

@@ -308,15 +308,22 @@ class TestCharacterize:
         with pytest.raises(DimensionMismatch, match="operator dimension does not match the space"):
             characterize(IndefiniteSpace(MINKOWSKI), SemilinearOperator(np.eye(4)))
 
-    @pytest.mark.parametrize("scale, m", [
-        (1e155, [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]),  # not a scaled isometry
-        (1e160, np.eye(3)),
-    ], ids=("non-isometry", "identity"))
+    @pytest.mark.parametrize("scale, m", [(1e160, np.eye(3))], ids=("identity",))
     def test_overflow_is_refused(self, scale, m):
-        # M^H eta M overflows; NaN residuals would pass the check.
+        # The constant, 1e320, overflows; an infinite one would be reported.
         u = SemilinearOperator(scale * np.asarray(m))
         with pytest.raises(ValueError, match="overflow"):
             characterize(IndefiniteSpace(MINKOWSKI), u)
+
+    @pytest.mark.parametrize("m_scale, eta_scale", [
+        (1e155, 1.0), (1e140, 1e140), (2.0**-350, 2.0**-350),
+    ], ids=("non-isometry", "both-large", "both-small"))
+    def test_far_scales_are_answered(self, m_scale, eta_scale):
+        """A non-isometry is no symmetry where ``M^H eta M`` once overflowed
+        (``ValueError``) or fell among the subnormals: ``M`` is read at unit
+        scale, so only a constant out of range is refused."""
+        u = SemilinearOperator(m_scale * np.array([[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]))
+        assert characterize(IndefiniteSpace(eta_scale * MINKOWSKI), u).kind is SymmetryKind.NONE
 
     def test_constant_matches_trace_formula(self):
         rng = np.random.default_rng(5)
@@ -331,6 +338,61 @@ class TestCharacterize:
             m = v.matrix
             fitted = np.trace(np.linalg.inv(eta) @ m.conj().T @ eta @ m) / n
             assert abs(ch.constant - fitted) <= 1e-8 * max(1.0, abs(fitted))
+
+
+#: The fields and tags of an operator; conjugation needs complex coordinates.
+FIELD_TAGS = pytest.mark.parametrize("field, auto", [
+    (ScalarField.REAL, AutomorphismTag.IDENTITY),
+    (ScalarField.COMPLEX, AutomorphismTag.IDENTITY),
+    (ScalarField.COMPLEX, AutomorphismTag.CONJUGATION),
+], ids=("real-id", "complex-id", "complex-conj"))
+SPLIT_ETA = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+
+
+@FIELD_TAGS
+@pytest.mark.parametrize("m_scale, eta_scale", [
+    (1e-5, 1.0), (1e-100, 1.0), (1e-200, 1.0), (1.0, 1e-10), (1.0, 1e-200),
+])
+def test_small_inputs_are_not_symmetries(field, auto, m_scale, eta_scale):
+    """A Gaussian ``G`` (``default_rng(0)``; ``G + iH`` over the complex field)
+    is no symmetry of ``diag(I_3, -I_3)``, and neither scale changes that.  An
+    absolute term in the bound once made ``characterize`` call a small ``G``, or
+    ``G`` on a small metric, a symmetry: ``LINEAR`` with constant 5.1e-10 at
+    ``1e-5 G``, 5.12 on ``1e-10 eta``."""
+    g = random_matrix(np.random.default_rng(0), (6, 6), field)
+    space = IndefiniteSpace(eta_scale * SPLIT_ETA.astype(field.dtype))
+    assert characterize(space, SemilinearOperator(m_scale * g, auto)).kind is SymmetryKind.NONE
+
+
+@FIELD_TAGS
+def test_scaled_isometry_reports_the_scaled_constant(field, auto):
+    """A symmetry ``U`` scaled by ``2^k`` reports exactly ``2^2k`` times its
+    constant, also beyond the safe scale (``k = +-510``) and with the metric
+    scaled by ``2^k`` too (where ``M^H eta M`` once fell among the subnormals
+    at ``k = -350`` and the symmetry read ``NONE``); on a metric scaled by
+    ``2^k`` alone it reports the constant itself.  A constant out of the normal
+    double range (``k = +-530``, ``+-600``, and ``1e-200 U``, which read as
+    ``LINEAR`` with constant 0) is refused."""
+    # A real isometry of a real metric, times a phase over the complex field,
+    # is a symmetry for either tag.
+    u = generate_eta_isometry(IndefiniteSpace(SPLIT_ETA), seed=3)
+    m = u.matrix * (np.exp(0.7j) if field is ScalarField.COMPLEX else 1.0)
+    eta = SPLIT_ETA.astype(field.dtype)
+    space = IndefiniteSpace(eta)
+    base = characterize(space, SemilinearOperator(m, auto))
+    assert base.is_symmetry
+    assert type(base.constant) is (complex if field is ScalarField.COMPLEX else float)
+    for k in (40, -40, 510, -510):
+        got = characterize(space, SemilinearOperator(m * 2.0**k, auto))
+        assert got.kind is base.kind and got.constant == base.constant * 2.0**(2 * k)
+        got = characterize(IndefiniteSpace(eta * 2.0**k), SemilinearOperator(m, auto))
+        assert got.kind is base.kind and got.constant == base.constant
+    for k in (350, -350, 500, -500):
+        got = characterize(IndefiniteSpace(eta * 2.0**k), SemilinearOperator(m * 2.0**k, auto))
+        assert got.kind is base.kind and got.constant == base.constant * 2.0**(2 * k)
+    for s in (2.0**530, 2.0**-530, 2.0**600, 2.0**-600, 1e-200):
+        with pytest.raises(ValueError, match="overflows or underflows"):
+            characterize(space, SemilinearOperator(s * m, auto))
 
 
 def characterize_by_basis_pairs(space, u, tol=RELATION_TOL):
@@ -351,7 +413,7 @@ def characterize_by_basis_pairs(space, u, tol=RELATION_TOL):
                 rhs[i, j] = np.vdot(eye[i], eta_star @ eye[j])
     ref = np.unravel_index(int(np.argmax(np.abs(rhs))), rhs.shape)
     constant = lhs[ref] / rhs[ref]
-    scale = 1.0 + np.abs(lhs).max() + abs(constant) * np.abs(rhs).max()
+    scale = np.abs(lhs).max() + abs(constant) * np.abs(rhs).max()
     if np.abs(lhs - constant * rhs).max() > tol * scale:
         return Characterization(SymmetryKind.NONE, None)
     kind = SymmetryKind.LINEAR if u.auto is AutomorphismTag.IDENTITY \

@@ -362,6 +362,9 @@ _INF, _NAN = np.inf, np.nan
     (np.array([1, 0, 0], np.float16), np.array([1, 0, 0], np.float16), None),
     (np.array([1, 0, 0], np.longdouble), np.array([1, 0, 0], np.clongdouble), None),
     (np.array([1j, 0, 0]), np.array([-1j, 0, 0]), None),
+    ([2.0, 0, 0], [0.5, 1j, 0], None),
+    ([1.0, 0, 0], [0.5 + 1j, 0, 0], (NotIdempotent, "pairing is np.complex128(0.5+1j), "
+                                                    "expected 1 within 2.118e-10")),
     ([2, 0, 0], [1, 0, 0], (NotIdempotent, "pairing is np.float64(2.0), expected 1 within "
                                            "3.000e-10")),
     ([1e200, 0, 1], [1e-200, 1e200, 0], (NotIdempotent, "pairing is np.float64(1.0), "
@@ -376,11 +379,11 @@ _INF, _NAN = np.inf, np.nan
     ([1.0, 0, 0], [1.0, 0], (DimensionMismatch, "rank-one pair: shapes (3,) vs (2,)")),
 ], ids=str)
 def test_rank_one_edges_keep_their_rows_and_messages(x, f, refusal):
-    """At int and bool input, 1e+-200, other dtypes, a zero or empty row, inf,
-    NaN, 2-d input and mismatched shapes, ``RankOneIdempotent`` keeps the input
-    rows (as ``float64`` or ``complex128``, the dtype rule of the boundary,
-    read-only, in memory of their own) or refuses them with the type and
-    message the rule has always given."""
+    """At int and bool input, 1e+-200, other dtypes, a real side beside a complex
+    one, a zero or empty row, inf, NaN, 2-d input and mismatched shapes,
+    ``RankOneIdempotent`` keeps the input rows (as ``float64`` or ``complex128``,
+    the dtype rule of the boundary, read-only, in memory of their own) or refuses
+    them with the type and message the rule has always given."""
     if refusal:
         assert raised(RankOneIdempotent, x, f) == refusal
         return
